@@ -16,7 +16,6 @@ import numpy as np
 
 from .linalg import RHO_TOL, eig_symmetric
 from .model import SystemSpec, Trajectory
-from .simulator import linear_apply
 
 #: Default detection thresholds (parameters assumed O(1)).
 ZERO_TOL = 1e-8
@@ -129,22 +128,21 @@ def detect_unbounded(
 def residual_linear(traj: Trajectory, a) -> np.ndarray:
     """Sequence ||v_n - A v_{n-k}|| for n = 1..horizon.
 
-    The product A v_{n-k} is evaluated with the simulator's accumulation
-    order, so a denominator-free run has an exactly zero residual.
+    The product A v_{n-k} is evaluated in the simulator's numerator order
+    (from 0.0, components ascending), so a denominator-free run has an
+    exactly zero residual.
     """
     kernel = np.asarray(a, dtype=float)
     if kernel.shape != (traj.m, traj.m):
         raise ValueError(f"matrix shape {kernel.shape} does not match dimension {traj.m}")
-    rows = kernel.tolist()
     vals = traj.values
-    k = traj.k
-    out = np.empty(traj.horizon)
+    delayed = vals[: traj.horizon]
+    predicted = np.zeros((traj.horizon, traj.m))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(traj.horizon):
-            predicted = linear_apply(rows, vals[i].tolist())
-            diff = vals[i + k] - np.asarray(predicted)
-            out[i] = math.sqrt(float(diff @ diff))
-    return out
+        for c in range(traj.m):
+            predicted += delayed[:, c, None] * kernel[:, c]
+        diff = vals[traj.k :] - predicted
+        return np.sqrt((diff * diff).sum(axis=1))
 
 
 def residual_shift(traj: Trajectory, shift: int) -> np.ndarray:

@@ -177,6 +177,7 @@ class PredictionCheck:
     observed: str
     gated: bool = True
     init: Optional[np.ndarray] = None  # counterexample history on failure
+    period: Optional[int] = None  # observed period of an eventually periodic run
 
 
 @dataclass
@@ -237,8 +238,9 @@ def verify_classification(
     Runs the witness seed (when the regime has one) plus ``trials``
     random nonnegative initial conditions drawn uniformly from
     [0, init_max]^m with a seeded PCG64 generator, analyzes each run, and
-    records one pass/fail check per prediction.  For the unbounded regime
-    only the witness is gated; random runs are reported as information.
+    records one pass/fail check per prediction; the witness check, when
+    present, comes first.  For the unbounded regime only the witness is
+    gated; random runs are reported as information.
     """
     tol = tolerances or Tolerances()
     regime = classification.regime
@@ -258,6 +260,7 @@ def verify_classification(
                 passed=_expected_witness(regime, k, report),
                 observed=report.describe(),
                 init=classification.witness.history,
+                period=report.period,
             )
         )
     expectation = {
@@ -281,6 +284,7 @@ def verify_classification(
                 observed=report.describe(),
                 gated=gated,
                 init=None if (ok or not gated) else history,
+                period=report.period,
             )
         )
     return VerificationReport(

@@ -17,7 +17,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .analysis import analyze
 from .classifier import (
     BoundaryAmbiguous,
     Classification,
@@ -29,8 +28,8 @@ from .classifier import (
     classify_trichotomy,
     verify_classification,
 )
-from .config import ConfigError, RunConfig, load_config, resolve_init
-from .model import SystemSpec, Trajectory, validate
+from .config import ConfigError, RunConfig, check_run, load_config, resolve_init
+from .model import SystemSpec, Trajectory
 from .simulator import simulate
 
 EXIT_OK = 0
@@ -84,11 +83,11 @@ def read_trajectory_csv(path: str) -> Tuple[np.ndarray, np.ndarray, Optional[int
     return np.asarray(ns), np.asarray(rows), diverged_at
 
 
-def _classify(cfg: RunConfig) -> Classification:
+def _classify(cfg: RunConfig, spec: SystemSpec) -> Classification:
     if cfg.mode == "tetrachotomy":
-        return classify_tetrachotomy(cfg.spec, cfg.rho_tol)
+        return classify_tetrachotomy(spec, cfg.rho_tol)
     if cfg.mode == "trichotomy":
-        return classify_trichotomy(cfg.spec, cfg.rho_tol)
+        return classify_trichotomy(spec, cfg.rho_tol)
     raise ConfigError("mode must be set to tetrachotomy or trichotomy")
 
 
@@ -101,9 +100,9 @@ def _expected_classification(cfg: RunConfig, cls: Classification) -> Classificat
     return replace(cls, regime=cfg.expect_regime, theorem_path="expected:" + cfg.expect_regime)
 
 
-def cmd_simulate(cfg: RunConfig, out_path: str, horizon: int) -> int:
+def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
     init = resolve_init(cfg)
-    traj = simulate(cfg.spec, init, horizon)
+    traj = simulate(cfg.spec, init, cfg.horizon)
     write_trajectory_csv(out_path, traj)
     if traj.diverged_at is not None:
         print(f"diverged at n={traj.diverged_at}; partial trajectory written to {out_path}")
@@ -113,7 +112,7 @@ def cmd_simulate(cfg: RunConfig, out_path: str, horizon: int) -> int:
 
 
 def cmd_classify(cfg: RunConfig) -> int:
-    cls = _classify(cfg)
+    cls = _classify(cfg, cfg.spec)
     print(f"regime: {cls.regime}")
     print(f"theorem: {cls.theorem_path}")
     print(f"rho: {_fmt(cls.spectrum.spectral_radius)}")
@@ -126,12 +125,12 @@ def cmd_classify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _verify_lines(cfg: RunConfig, cls: Classification, horizon: int, trials: int) -> Tuple[List[str], bool]:
+def _verify_lines(cfg: RunConfig, cls: Classification) -> Tuple[List[str], bool]:
     report = verify_classification(
         cfg.spec,
         cls,
-        horizon,
-        trials,
+        cfg.horizon,
+        cfg.trials,
         rng_seed=cfg.rng_seed,
         init_max=cfg.init_max,
         tolerances=cfg.tolerances,
@@ -149,9 +148,9 @@ def _verify_lines(cfg: RunConfig, cls: Classification, horizon: int, trials: int
     return lines, report.passed
 
 
-def cmd_verify(cfg: RunConfig, horizon: int, trials: int, out_path: Optional[str]) -> int:
-    cls = _expected_classification(cfg, _classify(cfg))
-    lines, passed = _verify_lines(cfg, cls, horizon, trials)
+def cmd_verify(cfg: RunConfig, out_path: Optional[str]) -> int:
+    cls = _expected_classification(cfg, _classify(cfg, cfg.spec))
+    lines, passed = _verify_lines(cfg, cls)
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if out_path:
@@ -160,7 +159,7 @@ def cmd_verify(cfg: RunConfig, horizon: int, trials: int, out_path: Optional[str
     return EXIT_OK if passed else EXIT_VERIFICATION
 
 
-def cmd_sweep(cfg: RunConfig, out_dir: str, horizon: int, trials: int) -> int:
+def cmd_sweep(cfg: RunConfig, out_dir: str) -> int:
     if cfg.sweep is None or not cfg.sweep.c:
         raise ConfigError("sweep.c must declare a non-empty grid")
     grid = []
@@ -174,27 +173,19 @@ def cmd_sweep(cfg: RunConfig, out_dir: str, horizon: int, trials: int) -> int:
     rows = [",".join(header)]
     for cell_index, (scale, c) in enumerate(grid):
         cell_spec = SystemSpec(k=cfg.spec.k, A=c * cfg.spec.A, denom=scale * cfg.spec.denom)
-        if cfg.mode == "tetrachotomy":
-            cls = classify_tetrachotomy(cell_spec, cfg.rho_tol)
-        elif cfg.mode == "trichotomy":
-            cls = classify_trichotomy(cell_spec, cfg.rho_tol)
-        else:
-            raise ConfigError("mode must be set to tetrachotomy or trichotomy")
+        cls = _classify(cfg, cell_spec)
         report = verify_classification(
             cell_spec,
             cls,
-            horizon,
-            trials,
+            cfg.horizon,
+            cfg.trials,
             rng_seed=np.random.SeedSequence([cfg.rng_seed, cell_index]),
             init_max=cfg.init_max,
             tolerances=cfg.tolerances,
         )
         period = ""
-        if cls.witness is not None and cls.regime in (PERIOD_K, PERIOD_2K):
-            traj = simulate(cell_spec, cls.witness, horizon)
-            rep = analyze(traj, cell_spec, cfg.tolerances)
-            if rep.period is not None:
-                period = str(rep.period)
+        if cls.regime in (PERIOD_K, PERIOD_2K) and report.checks[0].period is not None:
+            period = str(report.checks[0].period)  # the witness check
         row = [_fmt(c), _fmt(cls.spectrum.spectral_radius), cls.regime,
                "true" if report.passed else "false", period]
         if multi_scale:
@@ -239,22 +230,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    problems = validate(cfg.spec)
-    if problems:
-        print("error: invalid system: " + "; ".join(problems), file=sys.stderr)
-        return EXIT_VALIDATION
     if args.seed is not None:
         cfg.rng_seed = args.seed
-    horizon = args.horizon if args.horizon is not None else cfg.horizon
-    trials = args.trials if args.trials is not None else cfg.trials
+    if args.horizon is not None:
+        cfg.horizon = args.horizon
+    if args.trials is not None:
+        cfg.trials = args.trials
     try:
+        check_run(cfg)
         if args.command == "simulate":
-            return cmd_simulate(cfg, args.out, horizon)
+            return cmd_simulate(cfg, args.out)
         if args.command == "classify":
             return cmd_classify(cfg)
         if args.command == "verify":
-            return cmd_verify(cfg, horizon, trials, args.out)
-        return cmd_sweep(cfg, args.out, horizon, trials)
+            return cmd_verify(cfg, args.out)
+        return cmd_sweep(cfg, args.out)
     except (ConfigError, BoundaryAmbiguous, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

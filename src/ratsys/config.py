@@ -19,7 +19,7 @@ import yaml
 
 from .analysis import Tolerances
 from .linalg import RHO_TOL
-from .model import InitialConditions, SystemSpec, from_scalar_params
+from .model import InitialConditions, SystemSpec, from_scalar_params, validate
 
 MODES = ("tetrachotomy", "trichotomy")
 SEED_DIRECTIVES = ("periodic", "period2k", "unbounded", "explicit")
@@ -155,10 +155,7 @@ def load_config(path) -> RunConfig:
     cfg.horizon = _optional(run, "horizon", int, cfg.horizon, "run")
     cfg.trials = _optional(run, "trials", int, cfg.trials, "run")
     cfg.init_max = _optional(run, "init_max", float, cfg.init_max, "run")
-    if cfg.horizon < 1:
-        raise ConfigError("run.horizon must be >= 1")
-    if cfg.trials < 0:
-        raise ConfigError("run.trials must be >= 0")
+    check_run(cfg)
 
     cfg.tolerances = _parse_tolerances(doc)
     tols = doc.get("tolerances", {})
@@ -194,7 +191,18 @@ def load_config(path) -> RunConfig:
     if not isinstance(verify, dict):
         raise ConfigError("verify must be a mapping")
     cfg.expect_regime = verify.get("expect")
+    problems = validate(spec)
+    if problems:
+        raise ConfigError("invalid system: " + "; ".join(problems))
     return cfg
+
+
+def check_run(cfg: RunConfig) -> None:
+    """Reject out-of-range run settings, read from the file or overridden later."""
+    if cfg.horizon < 1:
+        raise ConfigError("run.horizon must be >= 1")
+    if cfg.trials < 0:
+        raise ConfigError("run.trials must be >= 0")
 
 
 def resolve_init(cfg: RunConfig) -> InitialConditions:

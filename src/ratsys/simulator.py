@@ -4,11 +4,15 @@ The update for component i of v_n is
 
     v_{n,i} = (sum_c a_ic * v_{n-k,c}) / (1 + sum_c sum_{j=1}^{k-1} q_ijc * v_{n-j,c})
 
-evaluated in plain double precision with a fixed accumulation order:
-numerator terms by ascending component index, denominator terms grouped by
-component with delays ascending inside each group.  Pinning the order makes
+evaluated in plain double precision with a fixed accumulation order: the
+numerator starts from 0.0 and adds a_ic * v_{n-k,c} by ascending component
+index c; the denominator starts from 1.0 and adds its terms grouped by
+component, with delays ascending inside each group.  Pinning the order makes
 runs bit-reproducible across platforms and lets the m = 2 path agree exactly
-with a scalar evaluation of the two defining equations.
+with a scalar evaluation of the two defining equations.  Two callers rely on
+it: :func:`step` is one step of :func:`simulate`, and
+``analysis.residual_linear`` recomputes A v_{n-k} in the numerator order, so
+a denominator-free run has an exactly zero linear residual.
 """
 
 from __future__ import annotations
@@ -57,27 +61,15 @@ def _step_rows(a_rows, q_rows, window, m: int, k: int) -> List[float]:
 def step(spec: SystemSpec, window: Sequence[Sequence[float]]) -> np.ndarray:
     """Evaluate v_n from the previous k vectors v_{n-k}, ..., v_{n-1}.
 
-    The denominator is at least 1, so the result is always defined for
-    nonnegative finite input; overflow to a non-finite value raises
-    :class:`Diverged`.
+    One step of :func:`simulate` with ``window`` as the initial conditions,
+    so it validates the same way.  The denominator is at least 1, so the
+    result is always defined for nonnegative finite input; overflow to a
+    non-finite value raises :class:`Diverged`.
     """
-    problems = validate(spec)
-    if problems:
-        raise ValueError("invalid system spec: " + "; ".join(problems))
-    rows = [np.asarray(v, dtype=float) for v in window]
-    if len(rows) != spec.k or any(r.shape != (spec.m,) for r in rows):
-        raise ValueError(f"window must hold {spec.k} vectors of dimension {spec.m}")
-    for r in rows:
-        if not np.isfinite(r).all():
-            raise ValueError("window vectors must be finite")
-        if (r < 0).any():
-            raise ValueError("window vectors must be nonnegative")
-    out = _step_rows(
-        spec.A.tolist(), spec.denom.tolist(), [r.tolist() for r in rows], spec.m, spec.k
-    )
-    if not all(math.isfinite(x) for x in out):
+    traj = simulate(spec, InitialConditions(window), 1)
+    if traj.diverged_at is not None:
         raise Diverged()
-    return np.asarray(out)
+    return traj.values[-1].copy()
 
 
 def simulate(spec: SystemSpec, init: InitialConditions, horizon: int) -> Trajectory:
@@ -123,19 +115,3 @@ def simulate_linear(a, k: int, init: InitialConditions, horizon: int) -> Traject
     """
     spec = SystemSpec(k=k, A=np.asarray(a, dtype=float), denom=None)
     return simulate(spec, init, horizon)
-
-
-def linear_apply(a_rows, vector) -> List[float]:
-    """Apply a matrix to a vector with the simulator's accumulation order.
-
-    Used by diagnostics that must reproduce the simulator's rounding
-    behavior exactly (e.g. the linear residual of a denominator-free run
-    is exactly zero).
-    """
-    out = []
-    for row in a_rows:
-        acc = 0.0
-        for c, x in enumerate(vector):
-            acc += row[c] * x
-        out.append(acc)
-    return out

@@ -222,6 +222,15 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "witness" in out
 
+    @pytest.mark.parametrize("flag,value", [("--trials", "-3"), ("--horizon", "0")])
+    def test_out_of_range_override_rejected(self, tmp_path, capsys, flag, value):
+        conf = write_conf(tmp_path, RANK_ONE_CONF)
+        assert main(["verify", "--config", conf, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and flag[2:] in err[0]
+
 
 class TestSweepCommand:
     def test_three_cell_grid_regime_sequence(self, tmp_path):
@@ -241,6 +250,25 @@ class TestSweepCommand:
         assert main(["sweep", "--config", conf, "--out", str(out_dir)]) == 0
         lines = (out_dir / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 2
+
+    def test_each_witness_simulated_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_simulate(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr("ratsys.classifier.simulate", counting_simulate)
+        monkeypatch.setattr("ratsys.cli.simulate", counting_simulate)
+        conf = write_conf(tmp_path, SWEEP_CONF)
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", "--config", conf, "--out", str(out_dir)]) == 0
+        lines = (out_dir / "sweep.csv").read_text().strip().splitlines()
+        cells = [line.split(",") for line in lines[1:]]
+        assert [c[4] for c in cells] == ["", "2", ""]
+        witnesses = sum(c[2] != "converges-to-zero" for c in cells)
+        assert witnesses == 2
+        assert len(calls) == len(cells) * 4 + witnesses  # trials: 4
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         conf = write_conf(tmp_path, SWEEP_CONF.replace("c: [0.5, 1.0, 2.0]", "c: []"))

@@ -149,3 +149,23 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "converges-to-zero" in proc.stdout
+
+
+class TestBenchmarkHooks:
+    def test_traced_functions_exist(self):
+        # The traced benchmark run wraps each of these by name and fails
+        # on one that no longer exists.
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+        spec = importlib.util.spec_from_file_location("bench_child", path)
+        child = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(child)
+        missing = [
+            f"{module}.{name}"
+            for module, names in child.TRACED.values()
+            for name in names
+            if not callable(getattr(importlib.import_module(module), name, None))
+        ]
+        assert missing == []

@@ -48,6 +48,18 @@ class TestStep:
         with pytest.raises(Diverged):
             step(spec, [[1e300, 1e300], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_matches_simulate_last_row_bit_for_bit(self, m, k):
+        rng = np.random.default_rng(100 * m + k)
+        for _ in range(20):
+            spec = random_spec(rng, m, k, float(rng.uniform(0.5, 2.0)))
+            init = random_init(rng, k, m)
+            got = step(spec, init.history)
+            want = simulate(spec, init, 1).values[-1]
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.writeable
+
     def test_matches_scalar_oracle_bit_for_bit(self):
         rng = np.random.default_rng(40)
         for _ in range(300):
