@@ -29,6 +29,7 @@ from ratsys import (
     residual_shift,
     simulate,
 )
+from ratsys.analysis import _tail_mean_per_class
 
 
 def tail_max(seq, fraction=0.2):
@@ -259,6 +260,20 @@ class TestAnalyze:
                 continue
             cosine = float(limit @ w) / norm
             assert math.acos(min(cosine, 1.0)) <= 1e-4
+
+    def test_residue_limits_match_scan_of_each_class(self):
+        # Reference: the last ten n in 1..horizon with n = a mod p, in order.
+        # Horizons that are not multiples of p leave the classes unequal.
+        rng = np.random.default_rng(101)
+        for m, k, horizon in ((1, 2, 37), (2, 3, 50), (3, 4, 61), (5, 2, 23)):
+            spec = random_spec(rng, m, k, 1.0)
+            traj = simulate(spec, random_init(rng, k, m), horizon)
+            for p in range(1, 2 * k + 1):
+                limits = _tail_mean_per_class(traj, p)
+                for a in range(p):
+                    ns = [n for n in range(1, horizon + 1) if n % p == a][-10:]
+                    rows = traj.values[[traj.index(n) for n in ns]]
+                    np.testing.assert_array_equal(limits[a], rows.mean(axis=0))
 
     def test_residuals_are_attached(self, positive_unit_run):
         spec, traj = positive_unit_run

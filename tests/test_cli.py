@@ -1,7 +1,11 @@
 """End-to-end CLI behavior: configs, CSV round-trips, exit codes, determinism."""
 
+import copy
+import math
+
 import numpy as np
 import pytest
+import yaml
 
 from ratsys.cli import main, read_trajectory_csv, write_trajectory_csv
 from ratsys import SystemSpec, InitialConditions, simulate
@@ -120,10 +124,68 @@ sweep:
 """
 
 
+#: A config with every section; each probe below breaks one field of it.
+PROBE_BASE = {
+    "mode": "tetrachotomy",
+    "rng_seed": 3,
+    "system": {"k": 2, "A": [[0.5, 0.5], [0.5, 0.5]],
+               "denom": [{"i": 1, "j": 1, "q": [0.25, 0.25]}]},
+    "run": {"horizon": 100, "trials": 2, "init_max": 10.0},
+    "init": {"seed": "periodic"},
+    "tolerances": {"zero_tol": 1e-8, "per_tol": 1e-7, "max_period": 4},
+    "sweep": {"c": [0.5, 1.0], "denom_scale": [1.0]},
+    "verify": {},
+}
+
+#: (command, section, key, bad value, dotted field the error must name)
+CONFIG_PROBES = [
+    ("classify", "system", "A", [[0.5, "x"], [0.5, 0.5]], "system.A"),
+    ("classify", "system", "denom", [{"i": 1, "j": 1, "q": [0.25, "x"]}], "system.denom.q"),
+    ("classify", "sweep", "c", [0.5, "abc"], "sweep.c"),
+    ("classify", "sweep", "denom_scale", ["x"], "sweep.denom_scale"),
+    ("classify", "tolerances", "max_period", "four", "tolerances.max_period"),
+    ("classify", None, "init", {"seed": "explicit", "history": [[1.0, 2.0], [3.0]]},
+     "init.history"),
+    ("classify", "run", "init_max", math.nan, "run.init_max"),
+    ("classify", "tolerances", "max_period", 0, "tolerances.max_period"),
+    ("classify", "tolerances", "per_tol", math.inf, "tolerances.per_tol"),
+    ("classify", "tolerances", "zero_tol", -1, "tolerances.zero_tol"),
+    ("classify", "run", "trials", True, "run.trials"),
+    ("classify", None, "rng_seed", -5, "rng_seed"),
+    ("classify", "verify", "expect", "bogus", "verify.expect"),
+    ("verify", "sweep", "c", [], "sweep.c"),
+]
+
+
 def write_conf(tmp_path, text, name="conf.yaml"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+class TestConfigErrors:
+    def test_probe_base_is_valid(self, tmp_path):
+        conf = write_conf(tmp_path, yaml.safe_dump(PROBE_BASE))
+        assert main(["classify", "--config", conf]) == 0
+
+    @pytest.mark.parametrize("command,section,key,value,field", CONFIG_PROBES)
+    def test_bad_field_is_one_line_naming_it(self, tmp_path, capsys, command, section,
+                                             key, value, field):
+        doc = copy.deepcopy(PROBE_BASE)
+        (doc if section is None else doc[section])[key] = value
+        conf = write_conf(tmp_path, yaml.safe_dump(doc))
+        assert main([command, "--config", conf]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {field} "), err
+
+    def test_yaml_syntax_error_is_one_line(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, "system:\n  k: 2\n  A: [[0.5, 0.5]\n run: {}\n")
+        assert main(["classify", "--config", conf]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config does not parse: ")
+        assert err[0].endswith("at line 4, column 2"), err
 
 
 class TestSimulateCommand:
@@ -222,7 +284,9 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "witness" in out
 
-    @pytest.mark.parametrize("flag,value", [("--trials", "-3"), ("--horizon", "0")])
+    @pytest.mark.parametrize(
+        "flag,value", [("--trials", "-3"), ("--horizon", "0"), ("--seed", "-5")]
+    )
     def test_out_of_range_override_rejected(self, tmp_path, capsys, flag, value):
         conf = write_conf(tmp_path, RANK_ONE_CONF)
         assert main(["verify", "--config", conf, flag, value]) == 1

@@ -1,7 +1,14 @@
 """Edge cases spanning modules: decomposition invariants, signals, config."""
 
+import copy
+import math
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ratsys import (
     BoundaryAmbiguous,
@@ -118,6 +125,80 @@ class TestConfigValidation:
         cfg = load_config(self.write(tmp_path, text))
         np.testing.assert_array_equal(cfg.spec.A, [[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_array_equal(cfg.spec.denom[0, :, 0], [1.0, 0.0])
+
+
+#: Valid configs that between them set every section and field.
+VALID_CONFIGS = [
+    {
+        "mode": "trichotomy",
+        "rng_seed": 5,
+        "system": {"k": 3, "A": [[0.5, 0.5], [0.5, 0.5]],
+                   "denom": [{"i": 1, "j": 2, "q": [0.25, 0.5]}]},
+        "run": {"horizon": 50, "trials": 2, "init_max": 10.0},
+        "init": {"seed": "explicit", "history": [[1.0, 2.0], [3.0, 4.0], [0.0, 1.0]]},
+        "tolerances": {"zero_tol": 1e-8, "per_tol": 1e-7, "growth_threshold": 1e6,
+                       "rho_tol": 1e-9, "max_period": 6},
+        "sweep": {"c": [0.5, 1.0], "denom_scale": [1.0, 2.0]},
+        "verify": {"expect": "period-k"},
+    },
+    {
+        "mode": "tetrachotomy",
+        "system": {"k": 2, "scalar": {"beta": 0.0, "gamma": 1.0, "delta": 1.0, "epsilon": 0,
+                                      "B": [0.3], "C": [0.3], "D": [0.3], "E": [0.3]}},
+        "init": {"seed": "period2k", "a": 1.0, "b": 0.0},
+    },
+]
+
+HOSTILE = ["x", {}, None, True, False, math.nan, math.inf, -math.inf, -1, -0.5, 0, 0.0,
+           [], [[1.0], [1.0, 2.0]]]
+
+
+def _node_paths(node, prefix=()):
+    """Key/index path of every section, field and list entry below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _node_paths(child, prefix + (key,))
+
+
+MUTATION_SITES = [(n, path) for n, doc in enumerate(VALID_CONFIGS) for path in _node_paths(doc)]
+
+
+class TestConfigFuzz:
+    def test_valid_configs_load(self, tmp_path):
+        for doc in VALID_CONFIGS:
+            path = tmp_path / "c.yaml"
+            path.write_text(yaml.safe_dump(doc))
+            load_config(str(path))
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(site=st.sampled_from(MUTATION_SITES), value=st.sampled_from(HOSTILE))
+    def test_hostile_leaf_loads_or_raises_config_error(self, tmp_path, site, value):
+        n, path = site
+        doc = copy.deepcopy(VALID_CONFIGS[n])
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        conf = tmp_path / "c.yaml"
+        conf.write_text(yaml.safe_dump(doc))
+        try:
+            load_config(str(conf))
+        except ConfigError:
+            pass
+
+
+class TestReadme:
+    def test_yaml_examples_load(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+        assert len(blocks) >= 2
+        for n, block in enumerate(blocks):
+            path = tmp_path / f"readme{n}.yaml"
+            path.write_text(block)
+            load_config(str(path))
 
 
 class TestCsvDivergedRoundTrip:
