@@ -9,8 +9,8 @@ envelope chain, and the matrix-power domination inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -48,16 +48,13 @@ class AnalysisReport:
 
     ``residue_limits`` (present when periodic with period p) holds one
     estimated limit vector per residue class: row a is the tail mean of
-    the subsequence {v_n : n = a mod p}.  ``residuals`` carries the named
-    diagnostic sequences ("linear" and "shift_k").
+    the subsequence {v_n : n = a mod p}.
     """
 
     behavior: str
     period: Optional[int] = None
     exit_step: Optional[int] = None
     residue_limits: Optional[np.ndarray] = None
-    residuals: Dict[str, np.ndarray] = field(default_factory=dict)
-    tolerances: Tolerances = field(default_factory=Tolerances)
 
     def describe(self) -> str:
         if self.behavior == EVENTUALLY_PERIODIC:
@@ -217,19 +214,11 @@ def analyze(
     horizons too short to resolve the tail).
     """
     tol = tolerances or Tolerances()
-    residuals: Dict[str, np.ndarray] = {
-        "linear": residual_linear(traj, spec.A),
-        "shift_k": residual_shift(traj, spec.k),
-    }
     exit_step = detect_unbounded(traj, tol.growth_threshold)
     if exit_step is not None:
-        return AnalysisReport(
-            behavior=UNBOUNDED, exit_step=exit_step, residuals=residuals, tolerances=tol
-        )
+        return AnalysisReport(behavior=UNBOUNDED, exit_step=exit_step)
     if detect_zero_limit(traj, tol.zero_tol):
-        return AnalysisReport(
-            behavior=CONVERGED_TO_ZERO, residuals=residuals, tolerances=tol
-        )
+        return AnalysisReport(behavior=CONVERGED_TO_ZERO)
     max_period = tol.max_period or 2 * spec.k
     blocks = max(
         math.ceil(TAIL_FRACTION * traj.horizon / max_period),
@@ -240,13 +229,9 @@ def analyze(
     if blocks >= 1:
         period = detect_period(traj, max_period, tol.per_tol, blocks)
     if period is None:
-        return AnalysisReport(
-            behavior=UNDETERMINED, residuals=residuals, tolerances=tol
-        )
+        return AnalysisReport(behavior=UNDETERMINED)
     return AnalysisReport(
         behavior=EVENTUALLY_PERIODIC,
         period=period,
         residue_limits=_tail_mean_per_class(traj, period),
-        residuals=residuals,
-        tolerances=tol,
     )

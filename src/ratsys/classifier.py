@@ -101,6 +101,36 @@ def _case3_spectrum(a: np.ndarray) -> EigenDecomposition:
     )
 
 
+#: regime -> (tetrachotomy case, trichotomy case, witness prediction,
+#: random-run prediction); ``{p}`` is the predicted period (k or 2k).
+_REGIMES = {
+    CONVERGES_TO_ZERO: ("T4-I", "T3-i", "n/a", "converges to zero"),
+    PERIOD_K: ("T4-II", "T3-ii", "prime period {p}", "eventually periodic, period divides {p}"),
+    PERIOD_2K: ("T4-III", None, "prime period {p}", "eventually periodic, period divides {p}"),
+    UNBOUNDED_EXISTS: ("T4-IV", "T3-iii", "unbounded growth",
+                       "informational (claim is existential)"),
+}
+
+
+def _predicted_period(regime: str, k: int) -> Optional[int]:
+    return {PERIOD_K: k, PERIOD_2K: 2 * k}.get(regime)
+
+
+def _classification(
+    spec: SystemSpec, regime: str, dec: EigenDecomposition, case: int, rho_tol: float
+) -> Classification:
+    """The regime's theorem case (column ``case`` of _REGIMES) and witness seed."""
+    witness = None
+    if regime == PERIOD_K:
+        witness = construct_periodic_seed(spec, rho_tol=rho_tol)
+    elif regime == PERIOD_2K:
+        witness = construct_period2k_seed(spec, 1.0, 0.0, rho_tol=rho_tol)
+    elif regime == UNBOUNDED_EXISTS:
+        witness = construct_unbounded_seed(spec, rho_tol=rho_tol)
+    return Classification(regime=regime, theorem_path=_REGIMES[regime][case],
+                          spectrum=dec, witness=witness)
+
+
 def classify_tetrachotomy(spec: SystemSpec, rho_tol: float = RHO_TOL) -> Classification:
     """Four-way regime prediction for m = 2 kernels.
 
@@ -113,7 +143,7 @@ def classify_tetrachotomy(spec: SystemSpec, rho_tol: float = RHO_TOL) -> Classif
     if is_symmetric(a):
         dec = eig_symmetric(a)
         residual = dec.residual(a)
-    elif _is_case3_kernel(a):
+    elif _is_case3_kernel(a, rho_tol):
         dec = _case3_spectrum(a)
         residual = dec.residual(a)
     else:
@@ -121,26 +151,14 @@ def classify_tetrachotomy(spec: SystemSpec, rho_tol: float = RHO_TOL) -> Classif
             "kernel must be symmetric or of the form [[0, g], [1/g, 0]]"
         )
     regime = regime_from_spectrum(dec.eigenvalues, residual, rho_tol)
-    witness = None
-    if regime == PERIOD_K:
-        witness = construct_periodic_seed(spec)
-        path = "T4-II"
-    elif regime == PERIOD_2K:
-        if not _is_case3_kernel(a):
-            # -1 is inside the tolerance band, but the kernel only realizes
-            # the period-2k construction in the exact anti-diagonal form.
-            raise BoundaryAmbiguous(
-                "eigenvalue -1 within tolerance but the kernel is not in the "
-                "anti-diagonal form [[0, g], [1/g, 0]]"
-            )
-        witness = construct_period2k_seed(spec, 1.0, 0.0)
-        path = "T4-III"
-    elif regime == UNBOUNDED_EXISTS:
-        witness = construct_unbounded_seed(spec)
-        path = "T4-IV"
-    else:
-        path = "T4-I"
-    return Classification(regime=regime, theorem_path=path, spectrum=dec, witness=witness)
+    if regime == PERIOD_2K and not _is_case3_kernel(a, rho_tol):
+        # -1 is inside the tolerance band, but the kernel only realizes
+        # the period-2k construction in the exact anti-diagonal form.
+        raise BoundaryAmbiguous(
+            "eigenvalue -1 within tolerance but the kernel is not in the "
+            "anti-diagonal form [[0, g], [1/g, 0]]"
+        )
+    return _classification(spec, regime, dec, 0, rho_tol)
 
 
 def classify_trichotomy(spec: SystemSpec, rho_tol: float = RHO_TOL) -> Classification:
@@ -158,16 +176,7 @@ def classify_trichotomy(spec: SystemSpec, rho_tol: float = RHO_TOL) -> Classific
         # the radius is 1 (its Perron root is simple and dominant); landing
         # here means the tolerance band swallowed the gap.
         raise BoundaryAmbiguous("positive kernel classified as period-2k")
-    witness = None
-    if regime == PERIOD_K:
-        witness = construct_periodic_seed(spec)
-        path = "T3-ii"
-    elif regime == UNBOUNDED_EXISTS:
-        witness = construct_unbounded_seed(spec)
-        path = "T3-iii"
-    else:
-        path = "T3-i"
-    return Classification(regime=regime, theorem_path=path, spectrum=dec, witness=witness)
+    return _classification(spec, regime, dec, 1, rho_tol)
 
 
 @dataclass
@@ -194,33 +203,25 @@ class VerificationReport:
         return [c for c in self.checks if c.gated and not c.passed]
 
 
-def _expected_random(regime: str, k: int, report: AnalysisReport) -> bool:
-    """Does one random-init run match the regime's prediction?
+def _prediction_holds(regime: str, k: int, report: AnalysisReport, witness: bool) -> bool:
+    """Does one run match the regime's prediction?
 
-    Convergence to zero counts as periodic with period 1, so it satisfies
-    the period-divisor predictions.
+    A witness must show exactly the predicted period (k or 2k), or
+    unbounded growth in the unbounded regime.  A random run must converge
+    to zero in the zero regime; in the periodic regimes it may converge to
+    zero (period 1) or its period must divide the predicted one; in the
+    unbounded regime it is informational and always matches.
     """
-    if regime == CONVERGES_TO_ZERO:
-        return report.behavior == CONVERGED_TO_ZERO
-    if regime == PERIOD_K:
-        if report.behavior == CONVERGED_TO_ZERO:
-            return True
-        return report.behavior == EVENTUALLY_PERIODIC and k % report.period == 0
-    if regime == PERIOD_2K:
-        if report.behavior == CONVERGED_TO_ZERO:
-            return True
-        return report.behavior == EVENTUALLY_PERIODIC and (2 * k) % report.period == 0
-    return True  # unbounded regime: random runs are informational
-
-
-def _expected_witness(regime: str, k: int, report: AnalysisReport) -> bool:
-    if regime == PERIOD_K:
-        return report.behavior == EVENTUALLY_PERIODIC and report.period == k
-    if regime == PERIOD_2K:
-        return report.behavior == EVENTUALLY_PERIODIC and report.period == 2 * k
     if regime == UNBOUNDED_EXISTS:
-        return report.behavior == UNBOUNDED
-    return True
+        return not witness or report.behavior == UNBOUNDED
+    period = _predicted_period(regime, k)
+    if period is None:  # converges to zero
+        return witness or report.behavior == CONVERGED_TO_ZERO
+    if not witness and report.behavior == CONVERGED_TO_ZERO:
+        return True
+    if report.behavior != EVENTUALLY_PERIODIC:
+        return False
+    return report.period == period if witness else period % report.period == 0
 
 
 def verify_classification(
@@ -235,8 +236,8 @@ def verify_classification(
 ) -> VerificationReport:
     """Confront a predicted regime with simulated evidence.
 
-    Runs the witness seed (when the regime has one) plus ``trials``
-    random nonnegative initial conditions drawn uniformly from
+    Runs the witness seed (when the classification has one) plus
+    ``trials`` random nonnegative initial conditions drawn uniformly from
     [0, init_max]^m with a seeded PCG64 generator, analyzes each run, and
     records one pass/fail check per prediction; the witness check, when
     present, comes first.  For the unbounded regime only the witness is
@@ -245,45 +246,27 @@ def verify_classification(
     tol = tolerances or Tolerances()
     regime = classification.regime
     k = spec.k
-    checks: List[PredictionCheck] = []
+    _, _, witness_text, random_text = _REGIMES[regime]
+    period = _predicted_period(regime, k)
+    runs = []
     if classification.witness is not None:
-        traj = simulate(spec, classification.witness, horizon)
-        report = analyze(traj, spec, tol)
-        expectation = {
-            PERIOD_K: f"prime period {k}",
-            PERIOD_2K: f"prime period {2 * k}",
-            UNBOUNDED_EXISTS: "unbounded growth",
-        }.get(regime, "n/a")
-        checks.append(
-            PredictionCheck(
-                name=f"witness: {expectation}",
-                passed=_expected_witness(regime, k, report),
-                observed=report.describe(),
-                init=classification.witness.history,
-                period=report.period,
-            )
-        )
-    expectation = {
-        CONVERGES_TO_ZERO: "converges to zero",
-        PERIOD_K: f"eventually periodic, period divides {k}",
-        PERIOD_2K: f"eventually periodic, period divides {2 * k}",
-        UNBOUNDED_EXISTS: "informational (claim is existential)",
-    }[regime]
+        runs.append((f"witness: {witness_text.format(p=period)}",
+                     classification.witness.history, True))
     rng = np.random.default_rng(rng_seed)
-    gated = regime != UNBOUNDED_EXISTS
     for t in range(trials):
-        history = rng.uniform(0.0, init_max, (k, spec.m))
-        init = InitialConditions(history)
-        traj = simulate(spec, init, horizon)
-        report = analyze(traj, spec, tol)
-        ok = _expected_random(regime, k, report)
+        runs.append((f"random-init {t + 1:02d}: {random_text.format(p=period)}",
+                     rng.uniform(0.0, init_max, (k, spec.m)), False))
+    checks: List[PredictionCheck] = []
+    for name, history, witness in runs:
+        report = analyze(simulate(spec, InitialConditions(history), horizon), spec, tol)
+        passed = _prediction_holds(regime, k, report, witness)
         checks.append(
             PredictionCheck(
-                name=f"random-init {t + 1:02d}: {expectation}",
-                passed=ok if gated else True,
+                name=name,
+                passed=passed,
                 observed=report.describe(),
-                gated=gated,
-                init=None if (ok or not gated) else history,
+                gated=witness or regime != UNBOUNDED_EXISTS,
+                init=None if passed else history,
                 period=report.period,
             )
         )

@@ -1,10 +1,11 @@
 """Batch interface: simulate, classify, verify, and sweep from config files.
 
 Exit codes: 0 success (verify: all predictions pass), 1 config or
-validation error, 2 verification failure or a diverged simulation,
-3 I/O error.  All output is deterministic for a fixed config and seed;
-floats are serialized with 17 significant digits so CSV files round-trip
-to the exact in-memory doubles.
+validation error (a kernel the eigensolver or the seed constructors
+cannot handle included), 2 verification failure or a diverged
+simulation, 3 I/O error.  All output is deterministic for a fixed config
+and seed; floats are serialized with 17 significant digits so CSV files
+round-trip to the exact in-memory doubles.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .classifier import (
     verify_classification,
 )
 from .config import ConfigError, RunConfig, check, load_config, resolve_init
+from .constructors import SeedConstructionError
+from .linalg import PowerIterationError
 from .model import SystemSpec, Trajectory
 from .simulator import simulate
 
@@ -88,10 +91,15 @@ def _classify(cfg: RunConfig, spec: SystemSpec) -> Classification:
 
 
 def _expected_classification(cfg: RunConfig, cls: Classification) -> Classification:
-    """Apply the optional verify.expect override (for negative-path checks)."""
+    """Apply the optional verify.expect override (for negative-path checks).
+
+    The witness was built for the predicted regime, so it cannot test the
+    expected one and is dropped.
+    """
     if cfg.expect_regime is None or cfg.expect_regime == cls.regime:
         return cls
-    return replace(cls, regime=cfg.expect_regime, theorem_path="expected:" + cfg.expect_regime)
+    return replace(cls, regime=cfg.expect_regime, theorem_path="expected:" + cfg.expect_regime,
+                   witness=None)
 
 
 def cmd_simulate(cfg: RunConfig, out_path: str) -> int:
@@ -236,7 +244,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, args.out)
         return cmd_sweep(cfg, args.out)
-    except (ConfigError, BoundaryAmbiguous, ValueError) as exc:
+    except (ConfigError, BoundaryAmbiguous, ValueError, PowerIterationError,
+            SeedConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -230,7 +230,7 @@ def resolve_init(cfg: RunConfig) -> InitialConditions:
     if cfg.seed_directive == "explicit":
         return InitialConditions(cfg.explicit_history)
     if cfg.seed_directive == "periodic":
-        return construct_periodic_seed(cfg.spec)
+        return construct_periodic_seed(cfg.spec, rho_tol=cfg.rho_tol)
     if cfg.seed_directive == "period2k":
-        return construct_period2k_seed(cfg.spec, cfg.seed_a, cfg.seed_b)
-    return construct_unbounded_seed(cfg.spec)
+        return construct_period2k_seed(cfg.spec, cfg.seed_a, cfg.seed_b, rho_tol=cfg.rho_tol)
+    return construct_unbounded_seed(cfg.spec, rho_tol=cfg.rho_tol)

@@ -31,27 +31,27 @@ class SeedConstructionError(RuntimeError):
     """No candidate start vector satisfied the projection requirements."""
 
 
-def construct_periodic_seed(spec: SystemSpec) -> InitialConditions:
+def construct_periodic_seed(spec: SystemSpec, rho_tol: float = RHO_TOL) -> InitialConditions:
     """Seed whose orbit is periodic with prime period k.
 
-    Requires spectral radius 1.  For strictly positive kernels the seed is
-    the Perron vector; for 2x2 symmetric kernels any unit eigenvector for
-    eigenvalue 1 with nonnegative components works.
+    Requires spectral radius 1 within ``rho_tol``.  For strictly positive
+    kernels the seed is the Perron vector; for 2x2 symmetric kernels any
+    unit eigenvector for eigenvalue 1 with nonnegative components works.
     """
     a = spec.A
     if is_positive(a):
         r, w = perron_pair(a)
-        if abs(r - 1.0) > RHO_TOL:
+        if abs(r - 1.0) > rho_tol:
             raise ValueError(f"spectral radius must be 1, got {r!r}")
         return InitialConditions.impulse(spec.k, w)
     if spec.m == 2 and is_symmetric(a):
         dec = eig_symmetric(a)
-        if abs(dec.spectral_radius - 1.0) > RHO_TOL:
+        if abs(dec.spectral_radius - 1.0) > rho_tol:
             raise ValueError(
                 f"spectral radius must be 1, got {dec.spectral_radius!r}"
             )
         for lam, w in zip(dec.eigenvalues, dec.eigenvectors):
-            if abs(lam - 1.0) <= RHO_TOL and w.min() >= -EIG_TOL:
+            if abs(lam - 1.0) <= rho_tol and w.min() >= -EIG_TOL:
                 vec = np.maximum(w, 0.0)
                 vec = vec / np.linalg.norm(vec)
                 return InitialConditions.impulse(spec.k, vec)
@@ -61,7 +61,7 @@ def construct_periodic_seed(spec: SystemSpec) -> InitialConditions:
     )
 
 
-def _is_case3_kernel(a: np.ndarray) -> bool:
+def _is_case3_kernel(a: np.ndarray, rho_tol: float = RHO_TOL) -> bool:
     """Anti-diagonal form [[0, g], [1/g, 0]]: off-diagonal product 1, zero diagonal."""
     return (
         a.shape == (2, 2)
@@ -69,18 +69,20 @@ def _is_case3_kernel(a: np.ndarray) -> bool:
         and a[1, 1] == 0.0
         and a[0, 1] > 0.0
         and a[1, 0] > 0.0
-        and abs(a[0, 1] * a[1, 0] - 1.0) <= RHO_TOL
+        and abs(a[0, 1] * a[1, 0] - 1.0) <= rho_tol
     )
 
 
-def construct_period2k_seed(spec: SystemSpec, a: float, b: float) -> InitialConditions:
+def construct_period2k_seed(
+    spec: SystemSpec, a: float, b: float, rho_tol: float = RHO_TOL
+) -> InitialConditions:
     """Seed with prime period 2k for the anti-diagonal kernel [[0, g], [1/g, 0]].
 
     The start vector (a, b) must be nonnegative with a != g * b; equality
     would put it on the eigenvalue-1 eigenline and produce period k instead.
     """
     kernel = spec.A
-    if spec.m != 2 or not _is_case3_kernel(kernel):
+    if spec.m != 2 or not _is_case3_kernel(kernel, rho_tol):
         raise ValueError(
             "period-2k seed requires the kernel form [[0, g], [1/g, 0]]"
         )
@@ -99,7 +101,7 @@ def _candidates(m: int) -> List[np.ndarray]:
     return cascade
 
 
-def construct_unbounded_seed(spec: SystemSpec) -> InitialConditions:
+def construct_unbounded_seed(spec: SystemSpec, rho_tol: float = RHO_TOL) -> InitialConditions:
     """Seed whose orbit grows without bound when the spectral radius exceeds 1.
 
     Picks the first candidate start vector with nonzero projection on
@@ -111,7 +113,7 @@ def construct_unbounded_seed(spec: SystemSpec) -> InitialConditions:
     if not is_symmetric(a):
         raise ValueError("unbounded seed requires a symmetric kernel")
     dec = eig_symmetric(a)
-    if dec.spectral_radius <= 1.0 + RHO_TOL:
+    if dec.spectral_radius <= 1.0 + rho_tol:
         raise ValueError(
             f"spectral radius must exceed 1, got {dec.spectral_radius!r}"
         )

@@ -274,9 +274,3 @@ class TestAnalyze:
                     ns = [n for n in range(1, horizon + 1) if n % p == a][-10:]
                     rows = traj.values[[traj.index(n) for n in ns]]
                     np.testing.assert_array_equal(limits[a], rows.mean(axis=0))
-
-    def test_residuals_are_attached(self, positive_unit_run):
-        spec, traj = positive_unit_run
-        report = analyze(traj, spec)
-        assert set(report.residuals) == {"linear", "shift_k"}
-        assert report.residuals["linear"].shape == (traj.horizon,)

@@ -18,6 +18,14 @@ from ratsys import (
     simulate,
     verify_classification,
 )
+from ratsys.analysis import (
+    CONVERGED_TO_ZERO,
+    EVENTUALLY_PERIODIC,
+    UNBOUNDED,
+    UNDETERMINED,
+    AnalysisReport,
+)
+from ratsys.classifier import _prediction_holds
 
 HALF = np.array([[0.5, 0.5], [0.5, 0.5]])
 
@@ -180,3 +188,42 @@ class TestVerifyClassification:
         cls = classify_trichotomy(spec)
         report = verify_classification(spec, cls, horizon=6000, trials=8, rng_seed=5)
         assert report.passed, [c for c in report.checks if not c.passed]
+
+
+def observations(k):
+    """Every observed (behaviour, period) a run can report, with periods 1..2k."""
+    fixed = [(CONVERGED_TO_ZERO, None), (UNBOUNDED, None), (UNDETERMINED, None)]
+    return fixed + [(EVENTUALLY_PERIODIC, p) for p in range(1, 2 * k + 1)]
+
+
+#: (k, regime, witness run?) -> "1"/"0" per entry of observations(k): does the
+#: run match the prediction?  Recorded from the separate witness and random-run
+#: rules that the single rule replaced.
+PREDICTION_TABLE = {
+    (2, CONVERGES_TO_ZERO, True): "1111111",
+    (2, CONVERGES_TO_ZERO, False): "1000000",
+    (2, PERIOD_K, True): "0000100",
+    (2, PERIOD_K, False): "1001100",
+    (2, PERIOD_2K, True): "0000001",
+    (2, PERIOD_2K, False): "1001101",
+    (2, UNBOUNDED_EXISTS, True): "0100000",
+    (2, UNBOUNDED_EXISTS, False): "1111111",
+    (3, CONVERGES_TO_ZERO, True): "111111111",
+    (3, CONVERGES_TO_ZERO, False): "100000000",
+    (3, PERIOD_K, True): "000001000",
+    (3, PERIOD_K, False): "100101000",
+    (3, PERIOD_2K, True): "000000001",
+    (3, PERIOD_2K, False): "100111001",
+    (3, UNBOUNDED_EXISTS, True): "010000000",
+    (3, UNBOUNDED_EXISTS, False): "111111111",
+}
+
+
+@pytest.mark.parametrize("k,regime,witness", sorted(PREDICTION_TABLE))
+def test_prediction_rule_table(k, regime, witness):
+    got = "".join(
+        "1" if _prediction_holds(regime, k, AnalysisReport(behavior=b, period=p), witness)
+        else "0"
+        for b, p in observations(k)
+    )
+    assert got == PREDICTION_TABLE[k, regime, witness]

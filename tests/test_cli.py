@@ -248,6 +248,37 @@ class TestClassifyCommand:
             assert token in out
         assert "eigenvalues:" in out
 
+    @pytest.mark.parametrize("command", ["classify", "simulate"])
+    @pytest.mark.parametrize(
+        "mode,a,rho_tol,seed,regime",
+        [
+            ("tetrachotomy", [[0.5, 0.5000005], [0.5000005, 0.5]], 1e-6, "periodic",
+             "period-k"),
+            ("trichotomy", [[0.5000000001, 0.5], [0.5, 0.5]], 1e-12, "unbounded",
+             "unbounded-exists"),
+        ],
+    )
+    def test_rho_tol_governs_witness_seed(self, tmp_path, capsys, command, mode, a,
+                                          rho_tol, seed, regime):
+        doc = {"mode": mode, "system": {"k": 2, "A": a}, "run": {"horizon": 50},
+               "init": {"seed": seed}, "tolerances": {"rho_tol": rho_tol}}
+        conf = write_conf(tmp_path, yaml.safe_dump(doc))
+        assert main([command, "--config", conf, "--out", str(tmp_path / "t.csv")]) == 0
+        if command == "classify":
+            assert f"regime: {regime}" in capsys.readouterr().out
+
+    def test_power_iteration_stall_is_one_line(self, tmp_path, capsys):
+        # lambda_2 is close to -rho, so power iteration on A cannot settle
+        a = np.array([[1e-4, 1.0], [1.0, 3e-4]])
+        a /= np.abs(np.linalg.eigvalsh(a)).max()
+        doc = {"mode": "trichotomy", "system": {"k": 2, "A": a.tolist()}}
+        conf = write_conf(tmp_path, yaml.safe_dump(doc))
+        assert main(["classify", "--config", conf]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: power iteration"), err
+
     def test_classify_requires_mode(self, tmp_path, capsys):
         conf = write_conf(tmp_path, "system: {k: 2, A: [[0.5, 0.0], [0.0, 0.5]]}\n")
         assert main(["classify", "--config", conf]) == 1
@@ -277,6 +308,8 @@ class TestVerifyCommand:
         assert code == 2
         assert "FAIL" in out
         assert "counterexample init:" in out
+        # the witness was built for the predicted regime, not the expected one
+        assert "witness:" not in out
 
     def test_unbounded_witness_pass(self, tmp_path, capsys):
         conf = write_conf(tmp_path, UNBOUNDED_CONF)
