@@ -66,7 +66,7 @@ from .model import (
     validate,
     validate_initial,
 )
-from .simulator import Diverged, simulate, simulate_linear, step
+from .simulator import Diverged, simulate, simulate_batch, simulate_linear, step
 
 __version__ = "0.1.0"
 
@@ -120,6 +120,7 @@ __all__ = [
     "residual_shift",
     "resolve_init",
     "simulate",
+    "simulate_batch",
     "simulate_linear",
     "spectral_radius",
     "step",

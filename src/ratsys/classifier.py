@@ -39,7 +39,7 @@ from .linalg import (
     perron_pair,
 )
 from .model import InitialConditions, SystemSpec
-from .simulator import simulate
+from .simulator import check_run_size, simulate_batch
 
 CONVERGES_TO_ZERO = "converges-to-zero"
 PERIOD_K = "period-k"
@@ -85,19 +85,21 @@ def regime_from_spectrum(
 
 
 def _case3_spectrum(a: np.ndarray) -> EigenDecomposition:
-    """Exact spectrum of the anti-diagonal kernel [[0, g], [1/g, 0]].
+    """Exact spectrum of the anti-diagonal kernel [[0, g], [h, 0]].
 
-    Eigenvalues are +1 and -1 by the 2x2 closed form (trace 0,
-    determinant -1).  The eigenvectors (g, 1) and (g, -1) are normalized
-    but not orthogonal unless g = 1; the kernel is not symmetric then.
+    Eigenvalues are +s and -s with s = sqrt(g h) by the 2x2 closed form
+    (trace 0, determinant -g h); s is 1 when h = 1/g.  The eigenvectors
+    (g, s) and (g, -s) are normalized but not orthogonal unless g = h;
+    the kernel is not symmetric then.
     """
-    g = float(a[0, 1])
-    norm = math.sqrt(1.0 + g * g)
-    vectors = np.array([[g / norm, 1.0 / norm], [g / norm, -1.0 / norm]])
+    g, h = float(a[0, 1]), float(a[1, 0])
+    s = math.sqrt(g * h)
+    norm = math.sqrt(g * g + s * s)
+    vectors = np.array([[g / norm, s / norm], [g / norm, -s / norm]])
     return EigenDecomposition(
-        eigenvalues=np.array([1.0, -1.0]),
+        eigenvalues=np.array([s, -s]),
         eigenvectors=vectors,
-        spectral_radius=1.0,
+        spectral_radius=s,
     )
 
 
@@ -238,7 +240,8 @@ def verify_classification(
 
     Runs the witness seed (when the classification has one) plus
     ``trials`` random nonnegative initial conditions drawn uniformly from
-    [0, init_max]^m with a seeded PCG64 generator, analyzes each run, and
+    [0, init_max]^m with a seeded PCG64 generator as one
+    :func:`~ratsys.simulator.simulate_batch`, analyzes each run, and
     records one pass/fail check per prediction; the witness check, when
     present, comes first.  For the unbounded regime only the witness is
     gated; random runs are reported as information.
@@ -252,13 +255,15 @@ def verify_classification(
     if classification.witness is not None:
         runs.append((f"witness: {witness_text.format(p=period)}",
                      classification.witness.history, True))
+    check_run_size(len(runs) + trials, spec, horizon)
     rng = np.random.default_rng(rng_seed)
     for t in range(trials):
         runs.append((f"random-init {t + 1:02d}: {random_text.format(p=period)}",
                      rng.uniform(0.0, init_max, (k, spec.m)), False))
+    trajectories = simulate_batch(spec, [history for _, history, _ in runs], horizon)
     checks: List[PredictionCheck] = []
-    for name, history, witness in runs:
-        report = analyze(simulate(spec, InitialConditions(history), horizon), spec, tol)
+    for (name, history, witness), traj in zip(runs, trajectories):
+        report = analyze(traj, spec, tol)
         passed = _prediction_holds(regime, k, report, witness)
         checks.append(
             PredictionCheck(

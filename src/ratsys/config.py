@@ -23,6 +23,7 @@ from .classifier import CONVERGES_TO_ZERO, PERIOD_2K, PERIOD_K, UNBOUNDED_EXISTS
 from .constructors import construct_period2k_seed, construct_periodic_seed, construct_unbounded_seed
 from .linalg import RHO_TOL
 from .model import InitialConditions, SystemSpec, from_scalar_params, validate_initial
+from .simulator import MAX_RUN_BYTES
 
 MODES = ("tetrachotomy", "trichotomy")
 SEED_DIRECTIVES = ("periodic", "period2k", "unbounded", "explicit")
@@ -134,10 +135,21 @@ def _floats(value, where: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _check_denom_size(m: int, k: int) -> None:
+    """Refuse, before it is built, a denominator array over ``MAX_RUN_BYTES``."""
+    size = m * (k - 1) * m * 8
+    if size > MAX_RUN_BYTES:
+        raise ConfigError(
+            f"system.k = {k} with m = {m} needs {size} bytes of denominator "
+            f"coefficients, more than the limit of {MAX_RUN_BYTES}"
+        )
+
+
 def _parse_system(doc) -> SystemSpec:
     system = _section(doc, "system")
     k = _get(doc, "system.k")
     if "scalar" in system:
+        _check_denom_size(2, k)
         sc = _section(system, "system.scalar")
         scalars = [_floats(sc.get(name), f"system.scalar.{name}", 0)
                    for name in ("beta", "gamma", "delta", "epsilon")]
@@ -151,6 +163,7 @@ def _parse_system(doc) -> SystemSpec:
     if a.shape[0] != a.shape[1]:
         raise ConfigError("system.A must be a square matrix given as nested rows")
     m = a.shape[0]
+    _check_denom_size(m, k)
     denom = np.zeros((m, k - 1, m))
     entries = system.get("denom", [])
     if not isinstance(entries, list):

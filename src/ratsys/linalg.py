@@ -188,6 +188,29 @@ def spectral_radius(a) -> float:
     return eig_symmetric(a).spectral_radius
 
 
+def _power_iteration(mat: np.ndarray, shift: float) -> Optional[Tuple[float, np.ndarray]]:
+    """Power iteration on ``mat + shift * I``, judged on ``mat`` itself.
+
+    Returns ``(r, x)`` once ``||A x - r x||_inf`` with the Rayleigh
+    quotient ``r = x . A x`` falls below the residual target, or None
+    when the iteration budget runs out first.  With ``shift = 0`` the
+    update is plain power iteration on A.
+    """
+    m = mat.shape[0]
+    x = np.full(m, 1.0 / math.sqrt(m))
+    for _ in range(MAX_POWER_ITERS):
+        y = mat @ x
+        r = float(x @ y)
+        if float(np.abs(y - r * x).max()) <= _POWER_RESIDUAL_TOL * max(1.0, abs(r)):
+            return r, x
+        y = y + shift * x
+        norm = float(np.linalg.norm(y))
+        if norm == 0.0 or not math.isfinite(norm):
+            raise PowerIterationError("power iteration degenerated")
+        x = y / norm
+    return None
+
+
 def perron_pair(a) -> Tuple[float, np.ndarray]:
     """Perron-Frobenius eigenpair of a strictly positive matrix.
 
@@ -196,27 +219,26 @@ def perron_pair(a) -> Tuple[float, np.ndarray]:
     eigenvector with strictly positive components.  The iteration stops
     once ``||A w - r w||_inf`` falls below ``1e-14 * max(1, r)``, well
     inside the ``EIG_TOL`` contract, so seeds built from ``w`` stay
-    periodic to ~1e-14 over long runs.
+    periodic to ~1e-14 over long runs.  When an eigenvalue near ``-r``
+    stalls the plain iteration, it is run again on ``A + sigma I`` with
+    ``sigma`` the largest row sum (at least ``r``).  That matrix has the
+    same eigenvectors, and the eigenvalue near ``-r`` becomes one near
+    ``sigma - r``, far below the dominant ``r + sigma``.
     """
     mat = as_matrix(a)
     if not is_positive(mat):
         raise ValueError("perron_pair requires strictly positive entries")
-    m = mat.shape[0]
-    x = np.full(m, 1.0 / math.sqrt(m))
-    for _ in range(MAX_POWER_ITERS):
-        y = mat @ x
-        r = float(x @ y)
-        if float(np.abs(y - r * x).max()) <= _POWER_RESIDUAL_TOL * max(1.0, abs(r)):
-            if float(x.min()) <= 0.0:
-                raise PowerIterationError("iterate lost strict positivity")
-            return r, x
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0 or not math.isfinite(norm):
-            raise PowerIterationError("power iteration degenerated")
-        x = y / norm
-    raise PowerIterationError(
-        f"power iteration did not converge within {MAX_POWER_ITERS} iterations"
-    )
+    pair = _power_iteration(mat, 0.0)
+    if pair is None:
+        pair = _power_iteration(mat, float(mat.sum(axis=1).max()))
+    if pair is None:
+        raise PowerIterationError(
+            f"power iteration did not converge within {MAX_POWER_ITERS} iterations"
+        )
+    r, x = pair
+    if float(x.min()) <= 0.0:
+        raise PowerIterationError("iterate lost strict positivity")
+    return r, x
 
 
 def check_fact1(a, v, big_l: int) -> Tuple[bool, bool]:

@@ -60,6 +60,16 @@ class TestTetrachotomy:
         assert cls.regime == PERIOD_2K
         np.testing.assert_allclose(cls.spectrum.eigenvalues, [1.0, -1.0])
 
+    def test_case3_spectrum_is_the_kernels(self):
+        a = np.array([[0.0, 2.0], [0.5000005, 0.0]])
+        cls = classify_tetrachotomy(SystemSpec(k=2, A=a), rho_tol=1e-6)
+        assert cls.regime == PERIOD_2K
+        rho = float(np.abs(np.linalg.eigvals(a)).max())
+        assert cls.spectrum.spectral_radius == pytest.approx(rho, rel=1e-15, abs=0)
+        s = cls.spectrum.spectral_radius
+        np.testing.assert_array_equal(cls.spectrum.eigenvalues, [s, -s])
+        assert cls.spectrum.residual(a) <= 1e-15
+
     def test_rejects_general_nonsymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             classify_tetrachotomy(SystemSpec(k=2, A=[[0.5, 1.0], [0.2, 0.1]]))

@@ -9,6 +9,7 @@ import yaml
 
 from ratsys.cli import main, read_trajectory_csv, write_trajectory_csv
 from ratsys import SystemSpec, InitialConditions, simulate
+from ratsys.simulator import simulate_batch
 
 IDENTITY_CONF = """
 mode: tetrachotomy
@@ -268,16 +269,38 @@ class TestClassifyCommand:
             assert f"regime: {regime}" in capsys.readouterr().out
 
     def test_power_iteration_stall_is_one_line(self, tmp_path, capsys):
-        # lambda_2 is close to -rho, so power iteration on A cannot settle
-        a = np.array([[1e-4, 1.0], [1.0, 3e-4]])
-        a /= np.abs(np.linalg.eigvalsh(a)).max()
-        doc = {"mode": "trichotomy", "system": {"k": 2, "A": a.tolist()}}
+        # a Perron gap of 2e-8 stalls power iteration, plain and shifted alike
+        a = [[1.0 + 1e-8, 1e-8], [1e-8, 1.0]]
+        doc = {"mode": "trichotomy", "system": {"k": 2, "A": a}}
         conf = write_conf(tmp_path, yaml.safe_dump(doc))
         assert main(["classify", "--config", conf]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: power iteration"), err
+
+    def test_eigenvalue_near_minus_rho_classifies(self, tmp_path, capsys):
+        # lambda_2 is close to -rho, so only the shifted iteration settles
+        a = np.array([[1e-4, 1.0], [1.0, 3e-4]])
+        a /= np.abs(np.linalg.eigvalsh(a)).max()
+        doc = {"mode": "trichotomy", "system": {"k": 2, "A": a.tolist()}}
+        conf = write_conf(tmp_path, yaml.safe_dump(doc))
+        assert main(["classify", "--config", conf]) == 0
+        out = capsys.readouterr().out
+        assert "regime: period-k" in out and "perron: r=" in out
+
+    def test_case3_radius_is_the_kernels(self, tmp_path, capsys):
+        a = [[0.0, 2.0], [0.5000005, 0.0]]
+        doc = {"mode": "tetrachotomy", "system": {"k": 2, "A": a},
+               "tolerances": {"rho_tol": 1.0e-6}}
+        conf = write_conf(tmp_path, yaml.safe_dump(doc))
+        assert main(["classify", "--config", conf]) == 0
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert lines["regime"] == "period-2k"
+        rho = float(np.abs(np.linalg.eigvals(np.array(a))).max())
+        assert float(lines["rho"]) == pytest.approx(rho, rel=1e-15, abs=0)
+        assert [float(x) for x in lines["eigenvalues"].split(", ")] == [
+            float(lines["rho"]), -float(lines["rho"])]
 
     def test_classify_requires_mode(self, tmp_path, capsys):
         conf = write_conf(tmp_path, "system: {k: 2, A: [[0.5, 0.0], [0.0, 0.5]]}\n")
@@ -329,6 +352,36 @@ class TestVerifyCommand:
         assert len(err) == 1 and err[0].startswith("error: ") and flag[2:] in err[0]
 
 
+class TestSizeLimit:
+    @pytest.mark.parametrize("command", ["simulate", "verify", "sweep"])
+    def test_huge_horizon_is_one_line(self, tmp_path, capsys, command):
+        conf = write_conf(tmp_path, yaml.safe_dump(PROBE_BASE))
+        argv = [command, "--config", conf, "--horizon", "1000000000000"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "limit" in err[0], err
+
+    def test_huge_trial_count_is_one_line(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, yaml.safe_dump(PROBE_BASE))
+        assert main(["verify", "--config", conf, "--trials", "1000000000000"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "limit" in err[0], err
+
+    @pytest.mark.parametrize("system", [
+        {"k": 1000000000000, "A": [[0.5, 0.5], [0.5, 0.5]]},
+        {"k": 1000000000000, "scalar": {"beta": 0.5, "gamma": 0.5, "delta": 0.5,
+                                        "epsilon": 0.5}},
+    ])
+    def test_huge_k_is_one_line(self, tmp_path, capsys, system):
+        doc = dict(PROBE_BASE, system=system)
+        conf = write_conf(tmp_path, yaml.safe_dump(doc))
+        assert main(["classify", "--config", conf]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: system.k ") and "limit" in err[0], err
+
+
 class TestSweepCommand:
     def test_three_cell_grid_regime_sequence(self, tmp_path):
         conf = write_conf(tmp_path, SWEEP_CONF)
@@ -349,14 +402,14 @@ class TestSweepCommand:
         assert len(lines) == 2
 
     def test_each_witness_simulated_once(self, tmp_path, monkeypatch):
-        calls = []
+        histories = []
 
-        def counting_simulate(*args, **kwargs):
-            calls.append(args)
-            return simulate(*args, **kwargs)
+        def counting_simulate_batch(spec, batch, horizon):
+            histories.extend(batch)
+            return simulate_batch(spec, batch, horizon)
 
-        monkeypatch.setattr("ratsys.classifier.simulate", counting_simulate)
-        monkeypatch.setattr("ratsys.cli.simulate", counting_simulate)
+        monkeypatch.setattr("ratsys.classifier.simulate_batch", counting_simulate_batch)
+        monkeypatch.setattr("ratsys.cli.simulate", None)  # sweep must not simulate run by run
         conf = write_conf(tmp_path, SWEEP_CONF)
         out_dir = tmp_path / "sweep"
         assert main(["sweep", "--config", conf, "--out", str(out_dir)]) == 0
@@ -365,7 +418,7 @@ class TestSweepCommand:
         assert [c[4] for c in cells] == ["", "2", ""]
         witnesses = sum(c[2] != "converges-to-zero" for c in cells)
         assert witnesses == 2
-        assert len(calls) == len(cells) * 4 + witnesses  # trials: 4
+        assert len(histories) == len(cells) * 4 + witnesses  # trials: 4
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         conf = write_conf(tmp_path, SWEEP_CONF.replace("c: [0.5, 1.0, 2.0]", "c: []"))

@@ -140,6 +140,16 @@ class TestPerronPair:
             assert abs(r - np.abs(np.linalg.eigvals(a)).max()) <= 1e-9
 
 
+    def test_eigenvalue_near_minus_rho(self):
+        # lambda_2 = -0.9996 rho stalls plain power iteration on A
+        a = np.array([[1e-4, 1.0], [1.0, 3e-4]])
+        a /= np.abs(np.linalg.eigvalsh(a)).max()
+        r, w = perron_pair(a)
+        assert np.abs(a @ w - r * w).max() <= 1e-14 * max(1.0, r)
+        assert w.min() > 0
+        assert abs(r - 1.0) <= 1e-14
+
+
 class TestFact1:
     def test_eigenvector_preserves_norm(self):
         ok, equal = check_fact1([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0], 5)

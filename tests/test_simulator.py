@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import oracle_step_from_spec, random_init, random_spec
+from conftest import oracle_step_from_spec, random_init, random_spec, symmetric_nonneg_with_rho
 
 from ratsys import (
     Diverged,
@@ -11,9 +11,11 @@ from ratsys import (
     SystemSpec,
     construct_unbounded_seed,
     simulate,
+    simulate_batch,
     simulate_linear,
     step,
 )
+from ratsys.simulator import MAX_RUN_BYTES
 
 
 class TestStep:
@@ -159,6 +161,92 @@ class TestSimulate:
         spec = SystemSpec(k=2, A=np.eye(2))
         with pytest.raises(ValueError, match="initial"):
             simulate(spec, InitialConditions(np.zeros((3, 2))), 5)
+
+
+def _same_run(got, want):
+    """Bit-for-bit equal values, equal horizon and equal diverged_at."""
+    return (
+        got.values.shape == want.values.shape
+        and (got.values.view(np.uint64) == want.values.view(np.uint64)).all()
+        and got.horizon == want.horizon
+        and got.diverged_at == want.diverged_at
+    )
+
+
+WILD_SCALES = 10.0 ** np.array([300, 285, 270, 200, 100, 0, -100])
+
+
+class TestSimulateBatch:
+    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_every_row_matches_simulate_bit_for_bit(self, m, k):
+        rng = np.random.default_rng(1000 * m + k)
+        diverged_steps = []
+        for rows in range(8):
+            tame = random_spec(rng, m, k, float(rng.uniform(0.3, 2.0)))
+            # radius 1e4 and denominators below 1e-250: the rows started
+            # near 1e300 overflow at different steps, the small ones never
+            wild = SystemSpec(k=k, A=symmetric_nonneg_with_rho(rng, m, 1e4),
+                              denom=rng.uniform(0.0, 1e-250, (m, k - 1, m)))
+            for spec, scales in ((tame, np.ones(rows)), (wild, WILD_SCALES[:rows])):
+                histories = [rng.uniform(0.0, 10.0, (k, m)) * s for s in scales]
+                got = simulate_batch(spec, histories, 130)
+                assert len(got) == rows
+                for history, traj in zip(histories, got):
+                    assert _same_run(traj, simulate(spec, InitialConditions(history), 130))
+                if spec is wild:
+                    diverged_steps.append([t.diverged_at for t in got])
+        # some batch mixes rows that overflow at different steps with one that does not
+        assert any(None in steps and len(set(steps)) >= 3 for steps in diverged_steps)
+
+    def test_divergence_found_at_every_step_of_a_check_block(self):
+        # v_n = 10 v_{n-2}: with v_{1-k} = 1 and v_0 = 10^e the first overflow is at
+        # step 2 (309 - e), on both sides of 64-step check blocks and in the last one
+        spec = SystemSpec(k=2, A=[[10.0]])
+        histories = [[[1.0], [10.0**e]] for e in (308, 277, 276, 245, 244, 243)]
+        got = simulate_batch(spec, histories, 130)
+        want = [simulate(spec, InitialConditions(h), 130) for h in histories]
+        assert [t.diverged_at for t in want] == [2, 64, 66, 128, 130, None]
+        assert all(_same_run(g, w) for g, w in zip(got, want))
+
+    def test_empty_batch(self):
+        assert simulate_batch(SystemSpec(k=2, A=np.eye(2)), [], 10) == []
+
+    def test_rows_are_contiguous_read_only(self):
+        rng = np.random.default_rng(3)
+        spec = random_spec(rng, 3, 3, 1.0)
+        for traj in simulate_batch(spec, [random_init(rng, 3, 3).history] * 2, 50):
+            assert traj.values.flags.c_contiguous and not traj.values.flags.writeable
+
+    @pytest.mark.parametrize(
+        "spec,history,horizon",
+        [
+            (SystemSpec(k=1, A=np.eye(2)), np.zeros((1, 2)), 5),
+            (SystemSpec(k=2, A=-np.eye(2)), np.zeros((2, 2)), 5),
+            (SystemSpec(k=2, A=np.eye(2)), np.zeros((3, 2)), 5),
+            (SystemSpec(k=2, A=np.eye(2)), [[1.0, -1.0], [0.0, 0.0]], 5),
+            (SystemSpec(k=2, A=np.eye(2)), [[1.0, np.nan], [0.0, 0.0]], 5),
+            (SystemSpec(k=2, A=np.eye(2)), np.zeros((2, 2)), 0),
+        ],
+    )
+    def test_rejects_like_simulate(self, spec, history, horizon):
+        with pytest.raises(ValueError) as want:
+            simulate(spec, InitialConditions(history), horizon)
+        with pytest.raises(ValueError) as got:
+            simulate_batch(spec, [np.zeros((spec.k, spec.m)), history], horizon)
+        assert str(got.value) == str(want.value)
+
+    def test_refuses_oversize_runs_before_allocating(self):
+        spec = SystemSpec(k=2, A=np.eye(2))
+        history = np.zeros((2, 2))
+        with pytest.raises(ValueError, match="more than the limit"):
+            simulate(spec, InitialConditions(history), 10**12)
+        with pytest.raises(ValueError, match="more than the limit"):
+            simulate_batch(spec, [history], 10**12)
+        # the limit counts every row of a batch
+        horizon = MAX_RUN_BYTES // (2 * 8) - 2
+        with pytest.raises(ValueError, match="2 x .* more than the limit"):
+            simulate_batch(spec, [history] * 2, horizon)
 
 
 class TestSimulateLinear:
