@@ -54,6 +54,7 @@ from .linalg import (
     PowerIterationError,
     check_fact1,
     check_fact2,
+    eig2,
     eig_symmetric,
     perron_pair,
     spectral_radius,
@@ -110,6 +111,7 @@ __all__ = [
     "detect_unbounded",
     "detect_zero_limit",
     "domination_check",
+    "eig2",
     "eig_symmetric",
     "envelope_check",
     "from_scalar_params",

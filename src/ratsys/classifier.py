@@ -1,16 +1,15 @@
 """Regime prediction from the kernel spectrum, plus empirical verification.
 
-The predicted regime is a pure function of the eigenvalues and the matrix
-shape flags under an explicit tolerance policy: radii within ``RHO_TOL``
-of 1 count as 1, and -1 counts as an eigenvalue when some eigenvalue is
-within ``RHO_TOL`` of it.  Near the boundary the classifier refuses to
-guess: if the eigenpair residual is too large to support the -1 decision
-it raises :class:`BoundaryAmbiguous`.
+The predicted regime is a pure function of the eigenvalues under an
+explicit tolerance policy: radii within ``RHO_TOL`` of 1 count as 1, and
+-1 counts as an eigenvalue when some eigenvalue is within ``RHO_TOL`` of
+it.  At m = 2 the spectrum of any nonnegative kernel comes from one
+closed form, :func:`~ratsys.linalg.eig2`.  Near the boundary the
+classifier refuses to guess and raises :class:`BoundaryAmbiguous`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
@@ -33,6 +32,7 @@ from .constructors import (
 from .linalg import (
     RHO_TOL,
     EigenDecomposition,
+    eig2,
     eig_symmetric,
     is_positive,
     is_symmetric,
@@ -84,25 +84,6 @@ def regime_from_spectrum(
     return UNBOUNDED_EXISTS
 
 
-def _case3_spectrum(a: np.ndarray) -> EigenDecomposition:
-    """Exact spectrum of the anti-diagonal kernel [[0, g], [h, 0]].
-
-    Eigenvalues are +s and -s with s = sqrt(g h) by the 2x2 closed form
-    (trace 0, determinant -g h); s is 1 when h = 1/g.  The eigenvectors
-    (g, s) and (g, -s) are normalized but not orthogonal unless g = h;
-    the kernel is not symmetric then.
-    """
-    g, h = float(a[0, 1]), float(a[1, 0])
-    s = math.sqrt(g * h)
-    norm = math.sqrt(g * g + s * s)
-    vectors = np.array([[g / norm, s / norm], [g / norm, -s / norm]])
-    return EigenDecomposition(
-        eigenvalues=np.array([s, -s]),
-        eigenvectors=vectors,
-        spectral_radius=s,
-    )
-
-
 #: regime -> (tetrachotomy case, trichotomy case, witness prediction,
 #: random-run prediction); ``{p}`` is the predicted period (k or 2k).
 _REGIMES = {
@@ -134,31 +115,28 @@ def _classification(
 
 
 def classify_tetrachotomy(spec: SystemSpec, rho_tol: float = RHO_TOL) -> Classification:
-    """Four-way regime prediction for m = 2 kernels.
+    """Four-way regime prediction for any nonnegative 2x2 kernel.
 
-    Accepts symmetric kernels and the anti-diagonal form
-    [[0, g], [1/g, 0]] (the only shape that realizes the period-2k case).
+    Radius 1 with eigenvectors parallel within ``rho_tol`` is a Jordan
+    block, outside the tetrachotomy, and raises :class:`BoundaryAmbiguous`.
     """
     if spec.m != 2:
         raise ValueError("tetrachotomy classification requires m = 2")
     a = spec.A
-    if is_symmetric(a):
-        dec = eig_symmetric(a)
-        residual = dec.residual(a)
-    elif _is_case3_kernel(a, rho_tol):
-        dec = _case3_spectrum(a)
-        residual = dec.residual(a)
-    else:
-        raise ValueError(
-            "kernel must be symmetric or of the form [[0, g], [1/g, 0]]"
-        )
-    regime = regime_from_spectrum(dec.eigenvalues, residual, rho_tol)
+    dec = eig2(a)
+    regime = regime_from_spectrum(dec.eigenvalues, dec.residual(a), rho_tol)
     if regime == PERIOD_2K and not _is_case3_kernel(a, rho_tol):
         # -1 is inside the tolerance band, but the kernel only realizes
         # the period-2k construction in the exact anti-diagonal form.
         raise BoundaryAmbiguous(
             "eigenvalue -1 within tolerance but the kernel is not in the "
             "anti-diagonal form [[0, g], [1/g, 0]]"
+        )
+    (x0, y0), (x1, y1) = dec.eigenvectors
+    if regime == PERIOD_K and abs(x0 * y1 - y0 * x1) <= rho_tol:
+        raise BoundaryAmbiguous(
+            "spectral radius 1 with parallel eigenvectors: the kernel is a "
+            "Jordan block, which the tetrachotomy does not cover"
         )
     return _classification(spec, regime, dec, 0, rho_tol)
 
@@ -171,7 +149,10 @@ def classify_trichotomy(spec: SystemSpec, rho_tol: float = RHO_TOL) -> Classific
     if not is_positive(a):
         raise ValueError("trichotomy classification requires strictly positive entries")
     dec = eig_symmetric(a)
-    dec = replace(dec, perron=perron_pair(a))
+    if spec.m == 2:  # the closed form's dominant pair is the Perron pair
+        dec = replace(dec, perron=(float(dec.eigenvalues[0]), dec.eigenvectors[0]))
+    else:
+        dec = replace(dec, perron=perron_pair(a))
     regime = regime_from_spectrum(dec.eigenvalues, dec.residual(a), rho_tol)
     if regime == PERIOD_2K:
         # A positive symmetric kernel cannot have -1 as an eigenvalue while

@@ -3,7 +3,8 @@
 All three constructions zero the history except the oldest vector
 v_{1-k}.  With that pattern the denominators collapse to 1 along the
 surviving residue class, the system runs exactly linearly there, and the
-orbit of v_{1-k} under the kernel matrix determines the behavior.
+orbit of v_{1-k} under the kernel matrix determines the behavior.  At
+m = 2 every nonnegative kernel is served by :func:`~ratsys.linalg.eig2`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from .linalg import (
     EIG_TOL,
     RHO_TOL,
+    eig2,
     eig_symmetric,
     is_positive,
     is_symmetric,
@@ -34,31 +36,23 @@ class SeedConstructionError(RuntimeError):
 def construct_periodic_seed(spec: SystemSpec, rho_tol: float = RHO_TOL) -> InitialConditions:
     """Seed whose orbit is periodic with prime period k.
 
-    Requires spectral radius 1 within ``rho_tol``.  For strictly positive
-    kernels the seed is the Perron vector; for 2x2 symmetric kernels any
-    unit eigenvector for eigenvalue 1 with nonnegative components works.
+    Requires spectral radius 1 within ``rho_tol``.  The seed is the
+    Perron vector: the dominant eigenvector of :func:`~ratsys.linalg.eig2`
+    at m = 2, power iteration for larger strictly positive kernels.
     """
     a = spec.A
-    if is_positive(a):
+    if spec.m == 2:
+        dec = eig2(a)
+        r, w = dec.spectral_radius, dec.eigenvectors[0]
+    elif is_positive(a):
         r, w = perron_pair(a)
-        if abs(r - 1.0) > rho_tol:
-            raise ValueError(f"spectral radius must be 1, got {r!r}")
-        return InitialConditions.impulse(spec.k, w)
-    if spec.m == 2 and is_symmetric(a):
-        dec = eig_symmetric(a)
-        if abs(dec.spectral_radius - 1.0) > rho_tol:
-            raise ValueError(
-                f"spectral radius must be 1, got {dec.spectral_radius!r}"
-            )
-        for lam, w in zip(dec.eigenvalues, dec.eigenvectors):
-            if abs(lam - 1.0) <= rho_tol and w.min() >= -EIG_TOL:
-                vec = np.maximum(w, 0.0)
-                vec = vec / np.linalg.norm(vec)
-                return InitialConditions.impulse(spec.k, vec)
-        raise ValueError("no nonnegative eigenvector for eigenvalue 1")
-    raise ValueError(
-        "periodic seed requires a strictly positive kernel or a 2x2 symmetric kernel"
-    )
+    else:
+        raise ValueError(
+            "periodic seed requires a 2x2 kernel or a strictly positive kernel"
+        )
+    if abs(r - 1.0) > rho_tol:
+        raise ValueError(f"spectral radius must be 1, got {r!r}")
+    return InitialConditions.impulse(spec.k, w)
 
 
 def _is_case3_kernel(a: np.ndarray, rho_tol: float = RHO_TOL) -> bool:
@@ -105,14 +99,19 @@ def construct_unbounded_seed(spec: SystemSpec, rho_tol: float = RHO_TOL) -> Init
     """Seed whose orbit grows without bound when the spectral radius exceeds 1.
 
     Picks the first candidate start vector with nonzero projection on
-    every eigenvector (all-ones, then (1, 2, ..., m), then m fixed-seed
-    random nonnegative vectors).  Along the surviving residue class the
-    orbit is A^{L+1} v_{1-k}, which is unbounded by the spectral gap.
+    every eigenvector of A^T, i.e. nonzero coordinates in A's eigenbasis
+    (all-ones, then (1, 2, ..., m), then m fixed-seed random nonnegative
+    vectors).  Along the surviving residue class the orbit is
+    A^{L+1} v_{1-k}, which is unbounded by the spectral gap.  Beyond
+    m = 2 the kernel must be symmetric, so that A^T has A's eigenvectors.
     """
     a = spec.A
-    if not is_symmetric(a):
-        raise ValueError("unbounded seed requires a symmetric kernel")
-    dec = eig_symmetric(a)
+    if spec.m == 2:
+        dec = eig2(a.T)
+    elif is_symmetric(a):
+        dec = eig_symmetric(a)
+    else:
+        raise ValueError("unbounded seed requires a 2x2 or a symmetric kernel")
     if dec.spectral_radius <= 1.0 + rho_tol:
         raise ValueError(
             f"spectral radius must exceed 1, got {dec.spectral_radius!r}"

@@ -1,10 +1,11 @@
-"""Dense symmetric eigensolvers and spectral utilities for small matrices.
+"""Dense eigensolvers and spectral utilities for small matrices.
 
-Everything here targets small dense systems (m up to ~16): a closed-form
-path for 2x2 symmetric matrices, cyclic Jacobi rotations for larger ones,
-and power iteration for the Perron-Frobenius pair of a strictly positive
-matrix.  No LAPACK dependency; results are deterministic bit-for-bit for
-identical inputs.
+Everything here targets small dense systems (m up to ~16): one closed
+form, :func:`eig2`, for every 2x2 matrix with a real spectrum (every
+nonnegative and every symmetric one), cyclic Jacobi rotations for larger
+symmetric matrices, and power iteration for the Perron-Frobenius pair of
+a strictly positive matrix.  No LAPACK dependency (tests/test_no_lapack.py
+checks it); results are deterministic bit-for-bit for identical inputs.
 """
 
 from __future__ import annotations
@@ -84,31 +85,41 @@ class EigenDecomposition:
         return float(np.abs(r).max())
 
 
-def _eig2(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Closed-form spectrum of a symmetric 2x2 matrix.
+def eig2(a) -> EigenDecomposition:
+    """Closed-form spectrum of a 2x2 matrix with a01 * a10 >= 0 (real spectrum).
 
-    Eigenvalues come from lambda = (tr(A) +/- sqrt(tr^2(A) - 4 det(A))) / 2;
-    eigenvectors from the Givens rotation that diagonalizes A, so the two
-    rows are orthonormal by construction.
+    That covers every nonnegative and every symmetric 2x2 matrix.  The
+    eigenvalues are mid +/- h, mid = (a00 + a11) / 2 and h = hypot((a00 -
+    a11) / 2, sqrt(a01 a10)): the discriminant is a sum of squares, so
+    nothing cancels.  sqrt(a01 a10) is taken as hi * sqrt(lo / hi), which
+    cannot underflow and is exact when |a01| == |a10|.  Of the two right
+    eigenvectors (a01, lam - a00) and (lam - a11, a10) the longer is kept,
+    since its cancellation error is small against its length; it is
+    scaled by its largest entry before normalising, so (c, c) always gives
+    1/sqrt(2).  A multiple of I gets the axis vectors.  Pairs are sorted
+    and oriented as in :func:`eig_symmetric`.
     """
-    a00, a01, a11 = float(a[0, 0]), float(a[0, 1]), float(a[1, 1])
-    tr = a00 + a11
-    det = a00 * a11 - a01 * a01
-    disc = tr * tr - 4.0 * det
-    root = math.sqrt(disc) if disc > 0.0 else 0.0
-    lam_plus = 0.5 * (tr + root)
-    lam_minus = 0.5 * (tr - root)
-    values = np.array([lam_plus, lam_minus])
-    if a01 == 0.0:
-        # already diagonal: exact axis eigenvectors
-        if a00 >= a11:
-            return values, np.eye(2)
-        return values, np.array([[0.0, 1.0], [1.0, 0.0]])
-    half = 0.5 * math.atan2(2.0 * a01, a00 - a11)
-    c, s = math.cos(half), math.sin(half)
-    # (c, s) is the eigenvector of the + root, (-s, c) of the - root.
-    vectors = np.array([[c, s], [-s, c]])
-    return values, vectors
+    mat = as_matrix(a)
+    if mat.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {mat.shape}")
+    (a00, a01), (a10, a11) = mat.tolist()
+    if min(a01, a10) < 0.0 < max(a01, a10):
+        raise ValueError("off-diagonal entries of opposite sign give a complex spectrum")
+    lo, hi = sorted((abs(a01), abs(a10)))
+    g = hi * math.sqrt(lo / hi) if hi > 0.0 else 0.0
+    e = 0.5 * (a00 - a11)
+    h = math.hypot(e, g)
+    mid = 0.5 * (a00 + a11)
+    values, vectors = [], []
+    for sign, axis in ((1.0, (1.0, 0.0)), (-1.0, (0.0, 1.0))):
+        p, q = (a01, sign * h - e), (sign * h + e, a10)
+        x, y = max(p, q, key=lambda v: math.hypot(*v))
+        values.append(mid + sign * h)
+        top = max(abs(x), abs(y))
+        x, y = (x / top, y / top) if top > 0.0 else axis
+        norm = math.hypot(x, y)
+        vectors.append((x / norm, y / norm))
+    return _decomposition(np.array(values), np.array(vectors))
 
 
 def _jacobi(a0: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -147,40 +158,31 @@ def _jacobi(a0: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     raise ArithmeticError("Jacobi iteration did not converge")
 
 
-def _orient(vectors: np.ndarray) -> np.ndarray:
-    """Flip signs so each row's largest-magnitude component is positive."""
-    out = vectors.copy()
-    for i in range(out.shape[0]):
-        j = int(np.argmax(np.abs(out[i])))
-        if out[i, j] < 0.0:
-            out[i] = -out[i]
-    return out
+def _decomposition(values: np.ndarray, vectors: np.ndarray) -> EigenDecomposition:
+    """Sort pairs by descending |lambda| (ties: descending lambda) and flip
+    each vector so that its largest-magnitude component is positive."""
+    m = values.shape[0]
+    order = sorted(range(m), key=lambda i: (-abs(values[i]), -values[i]))
+    values, vectors = values[order], vectors[order]
+    for row in vectors:
+        if row[np.argmax(np.abs(row))] < 0.0:
+            row *= -1.0
+    rho = float(np.abs(values).max()) if m else 0.0
+    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors, spectral_radius=rho)
 
 
 def eig_symmetric(a) -> EigenDecomposition:
     """Eigendecomposition of a real symmetric matrix.
 
-    Uses the 2x2 closed form when possible and cyclic Jacobi rotations
-    otherwise.  Rejects non-symmetric or non-finite input.
+    Uses the 2x2 closed form :func:`eig2` at m = 2 and cyclic Jacobi
+    rotations otherwise.  Rejects non-symmetric or non-finite input.
     """
     mat = as_matrix(a)
     if not is_symmetric(mat):
         raise ValueError("matrix must be symmetric")
-    m = mat.shape[0]
-    if m == 1:
-        values = np.array([float(mat[0, 0])])
-        vectors = np.array([[1.0]])
-    elif m == 2:
-        values, vectors = _eig2(mat)
-    else:
-        values, vectors = _jacobi(mat)
-    order = sorted(range(m), key=lambda i: (-abs(values[i]), -values[i]))
-    values = values[order]
-    vectors = _orient(vectors[order])
-    rho = float(np.abs(values).max()) if m else 0.0
-    return EigenDecomposition(
-        eigenvalues=values, eigenvectors=vectors, spectral_radius=rho
-    )
+    if mat.shape[0] == 2:
+        return eig2(mat)
+    return _decomposition(*_jacobi(mat))
 
 
 def spectral_radius(a) -> float:

@@ -105,8 +105,8 @@ DIGESTS = {
         "f98f4f0cd9ee23d6b06ae115f4ad44fe79be4370209399b168a0f168fc290a7d",
     ("tricho", "simulate"):
         "200e738325d2a4d499128c39a45edaf4ee096e956af2568253c07bdca9b2d193",
-    ("tricho", "classify"):
-        "9fe53e077f10c63dd70da1c9b03ad993ea605f17bd9a6ac268baf3e7b0070b8c",
+    ("tricho", "classify"):  # perron: r=1, the closed form's root, not power iteration's
+        "8c25536a42f5a71b473f02d7e95a3ea3cd6e10c76cb7e0ac867de7bcf908b135",
     ("tricho", "verify"):
         "f7003c2f1fcb86c629b532c3f25c90cdd5bb29d22a84cdc1f924222e5b41ef5e",
     ("tricho", "sweep"):

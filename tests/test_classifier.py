@@ -28,6 +28,8 @@ from ratsys.analysis import (
 from ratsys.classifier import _prediction_holds
 
 HALF = np.array([[0.5, 0.5], [0.5, 0.5]])
+#: Nonsymmetric kernel with radius 1 and Perron vector (2, 1) / sqrt(5).
+SKEW = np.array([[0.5, 1.0], [0.25, 0.5]])
 
 
 class TestTetrachotomy:
@@ -70,9 +72,66 @@ class TestTetrachotomy:
         np.testing.assert_array_equal(cls.spectrum.eigenvalues, [s, -s])
         assert cls.spectrum.residual(a) <= 1e-15
 
-    def test_rejects_general_nonsymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            classify_tetrachotomy(SystemSpec(k=2, A=[[0.5, 1.0], [0.2, 0.1]]))
+    @pytest.mark.parametrize("c,regime,path", [
+        (0.8, CONVERGES_TO_ZERO, "T4-I"),
+        (1.0, PERIOD_K, "T4-II"),
+        (1.3, UNBOUNDED_EXISTS, "T4-IV"),
+    ])
+    def test_nonsymmetric_kernel_family(self, c, regime, path):
+        cls = classify_tetrachotomy(SystemSpec(k=2, A=c * SKEW))
+        assert (cls.regime, cls.theorem_path) == (regime, path)
+        assert cls.spectrum.spectral_radius == c
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_nonsymmetric_witness_has_prime_period_k(self, k):
+        spec = SystemSpec(k=k, A=SKEW, denom=np.full((2, k - 1, 2), 0.5))
+        cls = classify_tetrachotomy(spec)
+        np.testing.assert_allclose(cls.witness.history[0], np.array([2.0, 1.0]) / 5 ** 0.5,
+                                   rtol=0, atol=1e-15)
+        report = verify_classification(spec, cls, horizon=2000, trials=0)
+        assert report.passed
+        assert report.checks[0].period == k
+
+    @pytest.mark.parametrize("a", [[[1.0, 0.5], [0.0, 0.5]], [[0.5, 0.0], [0.7, 1.0]]])
+    def test_triangular_kernels_are_period_k(self, a):
+        spec = SystemSpec(k=2, A=a, denom=np.full((2, 1, 2), 0.5))
+        cls = classify_tetrachotomy(spec)
+        assert cls.regime == PERIOD_K
+        assert verify_classification(spec, cls, horizon=2000, trials=0).passed
+
+    @pytest.mark.parametrize("a", [
+        [[1.0, 1.0], [0.0, 1.0]],
+        [[1.0, 0.0], [1.0, 1.0]],
+        [[1.0, 1.0], [1e-20, 1.0]],
+    ])
+    def test_jordan_block_at_radius_one_is_refused(self, a):
+        with pytest.raises(BoundaryAmbiguous, match="Jordan"):
+            classify_tetrachotomy(SystemSpec(k=2, A=a))
+
+    def test_jordan_block_off_radius_one_is_classified(self):
+        assert classify_tetrachotomy(SystemSpec(k=2, A=[[0.5, 1.0], [0.0, 0.5]])).regime == (
+            CONVERGES_TO_ZERO)
+        assert classify_tetrachotomy(SystemSpec(k=2, A=[[2.0, 1.0], [0.0, 2.0]])).regime == (
+            UNBOUNDED_EXISTS)
+
+    def test_symmetric_kernels_are_never_jordan(self):
+        rng = np.random.default_rng(53)
+        kernels = [np.eye(2), [[1.0, 1e-200], [1e-200, 1.0]], [[1.0, 1e-12], [1e-12, 1.0]]]
+        kernels += [symmetric_positive_with_rho(rng, 2, 1.0) for _ in range(50)]
+        for a in kernels:
+            assert classify_tetrachotomy(SystemSpec(k=2, A=a)).regime == PERIOD_K, a
+
+    @pytest.mark.parametrize("delta", [3e-9, 1e-8, 1e-7])
+    def test_near_double_eigenvalue_is_period_k(self, delta):
+        cls = classify_tetrachotomy(SystemSpec(k=2, A=np.diag([1.0, 1.0 - delta])))
+        assert cls.regime == PERIOD_K
+        assert cls.spectrum.spectral_radius == 1.0
+
+    def test_tiny_off_diagonal_keeps_finite_eigenvectors(self):
+        cls = classify_tetrachotomy(SystemSpec(k=2, A=[[1.0, 1e-200], [1e-200, 1.0]]))
+        assert cls.regime == PERIOD_K
+        assert np.isfinite(cls.spectrum.eigenvectors).all()
+        np.testing.assert_allclose(np.abs(cls.spectrum.eigenvectors), 0.5 ** 0.5)
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError, match="m = 2"):
@@ -121,6 +180,14 @@ class TestTrichotomy:
     def test_rejects_zero_entry(self):
         with pytest.raises(ValueError, match="positive"):
             classify_trichotomy(SystemSpec(k=2, A=[[1.0, 0.0], [0.0, 1.0]]))
+
+    def test_perron_pair_is_the_dominant_closed_form_pair(self):
+        cls = classify_trichotomy(SystemSpec(k=2, A=[[0.6, 0.4], [0.4, 0.6]]))
+        r, w = cls.spectrum.perron
+        assert r == cls.spectrum.eigenvalues[0] == 1.0
+        np.testing.assert_array_equal(w, cls.spectrum.eigenvectors[0])
+        # the power iteration's start vector, so the witness keeps its bits
+        np.testing.assert_array_equal(w, [1.0 / np.sqrt(2.0)] * 2)
 
     def test_agrees_with_tetrachotomy_on_positive_2x2(self):
         rng = np.random.default_rng(43)

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from ratsys.cli import main, read_trajectory_csv, write_trajectory_csv
-from ratsys import SystemSpec, InitialConditions, simulate
+from ratsys import SystemSpec, InitialConditions, simulate, verify_classification
 from ratsys.simulator import simulate_batch
 
 IDENTITY_CONF = """
@@ -269,15 +269,28 @@ class TestClassifyCommand:
             assert f"regime: {regime}" in capsys.readouterr().out
 
     def test_power_iteration_stall_is_one_line(self, tmp_path, capsys):
-        # a Perron gap of 2e-8 stalls power iteration, plain and shifted alike
-        a = [[1.0 + 1e-8, 1e-8], [1e-8, 1.0]]
-        doc = {"mode": "trichotomy", "system": {"k": 2, "A": a}}
+        # a Perron gap of ~1e-8 stalls power iteration, plain and shifted alike
+        a = np.full((3, 3), 1e-8)
+        np.fill_diagonal(a, 1.0)
+        a[0, 0] = 1.0 + 1e-8
+        doc = {"mode": "trichotomy", "system": {"k": 2, "A": a.tolist()}}
         conf = write_conf(tmp_path, yaml.safe_dump(doc))
         assert main(["classify", "--config", conf]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: power iteration"), err
+
+    def test_small_perron_gap_2x2_classifies(self, tmp_path, capsys):
+        # the closed form needs no iteration, however small the Perron gap
+        a = [[1.0 + 1e-8, 1e-8], [1e-8, 1.0]]
+        doc = {"mode": "trichotomy", "system": {"k": 2, "A": a}}
+        conf = write_conf(tmp_path, yaml.safe_dump(doc))
+        assert main(["classify", "--config", conf]) == 0
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert lines["regime"] == "unbounded-exists"
+        got = [float(x) for x in lines["eigenvalues"].split(", ")]
+        np.testing.assert_allclose(got, np.linalg.eigvalsh(a)[::-1], rtol=0, atol=1e-15)
 
     def test_eigenvalue_near_minus_rho_classifies(self, tmp_path, capsys):
         # lambda_2 is close to -rho, so only the shifted iteration settles
@@ -433,6 +446,59 @@ class TestSweepCommand:
         regimes = [line.split(",")[2] for line in lines[1:]]
         assert regimes.count("period-k") == 1
         assert regimes == ["converges-to-zero", "period-k", "unbounded-exists"]
+
+
+#: Nonsymmetric kernel c * [[0.5, 1], [0.25, 0.5]]: radius c, Perron vector (2, 1).
+SKEW_SWEEP = {
+    "mode": "tetrachotomy",
+    "rng_seed": 37,
+    "system": {"k": 2, "A": [[0.5, 1.0], [0.25, 0.5]]},
+    "run": {"horizon": 2000, "trials": 20},
+    "sweep": {"c": [0.8, 1.0, 1.3]},
+}
+
+
+class TestNonsymmetricKernels:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_sweep_gives_the_tetrachotomy(self, tmp_path, monkeypatch, k):
+        doc = copy.deepcopy(SKEW_SWEEP)
+        doc["system"]["k"] = k
+        doc["system"]["denom"] = [{"i": i, "j": j, "q": [0.5, 0.5]}
+                                  for i in (1, 2) for j in range(1, k)]
+        reports = []
+
+        def recording_verify(*args, **kwargs):
+            reports.append(verify_classification(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr("ratsys.cli.verify_classification", recording_verify)
+        conf = write_conf(tmp_path, yaml.safe_dump(doc))
+        assert main(["sweep", "--config", conf, "--out", str(tmp_path / "s")]) == 0
+        lines = (tmp_path / "s" / "sweep.csv").read_text().strip().splitlines()
+        cells = [line.split(",") for line in lines[1:]]
+        assert [c[2] for c in cells] == ["converges-to-zero", "period-k", "unbounded-exists"]
+        assert [c[4] for c in cells] == ["", str(k), ""]
+        assert len(reports) == len(cells)
+        for cell, report in zip(cells, reports):
+            assert cell[3] == ("true" if report.passed else "false")
+            # a run that outlasts the horizon is undetermined, not a contradiction
+            assert all(c.observed == "undetermined" for c in report.failures()), cell
+
+    @pytest.mark.parametrize("command", ["classify", "verify", "sweep"])
+    @pytest.mark.parametrize("a", [
+        [[1.0, 1.0], [0.0, 1.0]],
+        [[1.0, 0.0], [1.0, 1.0]],
+        [[1.0, 1.0], [1e-20, 1.0]],
+    ])
+    def test_jordan_block_is_one_error_line(self, tmp_path, capsys, command, a):
+        doc = {"mode": "tetrachotomy", "system": {"k": 2, "A": a},
+               "run": {"horizon": 50, "trials": 1}, "sweep": {"c": [1.0]}}
+        conf = write_conf(tmp_path, yaml.safe_dump(doc))
+        assert main([command, "--config", conf, "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "Jordan" in err[0], err
 
 
 class TestDeterminism:

@@ -37,6 +37,12 @@ class TestPeriodicSeed:
         seed = construct_periodic_seed(spec)
         np.testing.assert_array_equal(seed.history[0], [1.0, 0.0])
 
+    def test_nonsymmetric_kernels(self):
+        seed = construct_periodic_seed(SystemSpec(k=2, A=[[0.5, 0.0], [0.7, 1.0]]))
+        np.testing.assert_array_equal(seed.history[0], [0.0, 1.0])
+        seed = construct_periodic_seed(SystemSpec(k=2, A=[[0.5, 1.0], [0.25, 0.5]]))
+        np.testing.assert_array_equal(seed.history[0], np.array([1.0, 0.5]) / math.hypot(1.0, 0.5))
+
     def test_rejects_wrong_radius(self):
         spec = SystemSpec(k=2, A=0.5 * np.eye(2))
         with pytest.raises(ValueError, match="radius"):
@@ -110,6 +116,14 @@ class TestUnboundedSeed:
 
     def test_shifted_kernel_fallback(self):
         spec = SystemSpec(k=2, A=[[2.0, 1.0], [1.0, 2.0]])
+        seed = construct_unbounded_seed(spec)
+        np.testing.assert_array_equal(seed.history[0], [1.0, 2.0])
+
+    def test_nonsymmetric_kernel_projects_on_left_eigenvectors(self):
+        # (1, 1) is A's eigenvalue-4 eigenvector, so it has no component on the
+        # eigenvalue-1 eigenvector (1, -2): A^T's eigenvector (1, -1) sees that,
+        # A's own eigenvectors do not
+        spec = SystemSpec(k=2, A=[[3.0, 1.0], [2.0, 2.0]])
         seed = construct_unbounded_seed(spec)
         np.testing.assert_array_equal(seed.history[0], [1.0, 2.0])
 

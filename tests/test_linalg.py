@@ -12,6 +12,7 @@ from ratsys import (
     DegenerateProjectionError,
     check_fact1,
     check_fact2,
+    eig2,
     eig_symmetric,
     perron_pair,
     spectral_radius,
@@ -68,6 +69,13 @@ class TestEigSymmetric:
             ref = np.linalg.eigvalsh(a)
             np.testing.assert_allclose(sorted(dec.eigenvalues), sorted(ref), atol=1e-10)
 
+    @pytest.mark.parametrize("x", [0.0, 0.5, 3.0, -2.0])
+    def test_one_by_one_is_exact(self, x):
+        dec = eig_symmetric([[x]])
+        assert dec.eigenvalues.view(np.uint64).tolist() == np.array([x]).view(np.uint64).tolist()
+        assert dec.eigenvectors.tolist() == [[1.0]]
+        assert dec.spectral_radius == abs(x)
+
     def test_ordering_descending_absolute_with_sign_ties(self):
         dec = eig_symmetric(np.diag([-2.0, 2.0, 0.5]))
         np.testing.assert_allclose(dec.eigenvalues, [2.0, -2.0, 0.5])
@@ -88,6 +96,62 @@ class TestEigSymmetric:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             eig_symmetric(np.ones((2, 3)))
+
+
+class TestEig2:
+    def test_matches_lapack_on_nonnegative_matrices(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            a = rng.uniform(0.0, 2.0, (2, 2)) * (rng.uniform(size=(2, 2)) < 0.8)
+            dec = eig2(a)
+            ref = np.sort(np.linalg.eigvals(a).real)[::-1]
+            np.testing.assert_allclose(dec.eigenvalues, ref, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(np.linalg.norm(dec.eigenvectors, axis=1), 1.0,
+                                       rtol=0, atol=1e-15)
+            assert dec.residual(a) <= 1e-14 * max(1.0, dec.spectral_radius)
+            assert dec.eigenvectors[0].min() >= 0.0  # Perron-Frobenius
+
+    @pytest.mark.parametrize("a", [
+        [[1.0, 1e-9], [1e-9, 1.0 - 1e-8]],
+        [[1.0 + 1e-8, 1e-8], [1e-8, 1.0]],
+        [[2.0, 1e-9], [1e-9, 1.0]],
+    ])
+    def test_near_double_eigenvalue_is_accurate(self, a):
+        dec = eig2(a)
+        ref = np.linalg.eigvalsh(a)[::-1]
+        np.testing.assert_allclose(dec.eigenvalues, ref, rtol=0, atol=1e-15)
+        assert dec.residual(np.array(a)) <= 1e-15
+
+    def test_tiny_entries_do_not_underflow(self):
+        dec = eig2([[1e-200, 1e-200], [1e-200, 1e-200]])
+        assert dec.eigenvalues.tolist() == [2e-200, 0.0]
+        np.testing.assert_allclose(np.abs(dec.eigenvectors), 0.5 ** 0.5)
+
+    def test_symmetric_closed_form_is_exact(self):
+        rng = np.random.default_rng(43)
+        for c in rng.uniform(0.1, 3.0, 50):
+            assert eig2([[0.0, c], [c, 0.0]]).eigenvalues.tolist() == [c, -c]
+            dec = eig2([[c, c], [c, c]])
+            assert dec.eigenvalues.tolist() == [2.0 * c, 0.0]
+            assert dec.eigenvectors[0].tolist() == [1.0 / math.sqrt(2.0)] * 2
+
+    def test_triangular_and_jordan_eigenvectors(self):
+        dec = eig2([[1.0, 0.5], [0.0, 0.5]])
+        assert dec.eigenvalues.tolist() == [1.0, 0.5]
+        assert dec.eigenvectors[0].tolist() == [1.0, 0.0]
+        dec = eig2([[1.0, 1.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(dec.eigenvectors, [[1.0, 0.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(eig2(np.eye(2)).eigenvectors, np.eye(2))
+        np.testing.assert_array_equal(eig2(np.diag([0.5, 1.0])).eigenvectors,
+                                      [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_rejects_complex_spectrum_and_wrong_shape(self):
+        with pytest.raises(ValueError, match="complex"):
+            eig2([[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(ValueError, match="complex"):
+            eig2([[0.0, -1e-200], [1e-200, 0.0]])  # the product underflows to -0.0
+        with pytest.raises(ValueError, match="2x2"):
+            eig2(np.eye(3))
 
 
 class TestSpectralRadius:
