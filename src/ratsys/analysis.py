@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import RHO_TOL, eig_symmetric
+from .linalg import eig_symmetric, radius_side
 from .model import SystemSpec, Trajectory
 
 #: Default detection thresholds (parameters assumed O(1)).
@@ -160,7 +160,7 @@ def envelope_check(traj: Trajectory, a) -> bool:
     """
     kernel = np.asarray(a, dtype=float)
     dec = eig_symmetric(kernel)  # validates symmetry
-    if dec.spectral_radius > 1.0 + RHO_TOL:
+    if radius_side(dec.spectral_radius) == 1:
         raise ValueError(
             f"envelope check requires spectral radius <= 1, got {dec.spectral_radius!r}"
         )

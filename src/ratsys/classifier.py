@@ -1,10 +1,12 @@
 """Regime prediction from the kernel spectrum, plus empirical verification.
 
-The predicted regime is a pure function of the eigenvalues under an
-explicit tolerance policy: radii within ``RHO_TOL`` of 1 count as 1, and
--1 counts as an eigenvalue when some eigenvalue is within ``RHO_TOL`` of
-it.  At m = 2 the spectrum of any nonnegative kernel comes from one
-closed form, :func:`~ratsys.linalg.eig2`.  Near the boundary the
+The predicted regime is a pure function of the eigenvalues under one
+tolerance rule, :func:`~ratsys.linalg.radius_side`: radii in the closed
+band [1 - rho_tol, 1 + rho_tol] count as 1, and -1 counts as an eigenvalue
+when some -lambda lies in that band.  The regime is the only radius
+decision of a classification: the witness seeds are built from it, not
+decided again.  At m = 2 the spectrum of any nonnegative kernel comes from
+one closed form, :func:`~ratsys.linalg.eig2`.  Near the boundary the
 classifier refuses to guess and raises :class:`BoundaryAmbiguous`.
 """
 
@@ -23,12 +25,7 @@ from .analysis import (
     Tolerances,
     analyze,
 )
-from .constructors import (
-    construct_period2k_seed,
-    construct_periodic_seed,
-    construct_unbounded_seed,
-    _is_case3_kernel,
-)
+from .constructors import construct_unbounded_seed, _is_case3_kernel
 from .linalg import (
     RHO_TOL,
     EigenDecomposition,
@@ -37,6 +34,7 @@ from .linalg import (
     is_positive,
     is_symmetric,
     perron_pair,
+    radius_side,
 )
 from .model import InitialConditions, SystemSpec
 from .simulator import check_run_size, simulate_batch
@@ -69,19 +67,17 @@ def regime_from_spectrum(
     ``rho_tol`` for the -1 membership test to be trustworthy.
     """
     lams = np.asarray(eigenvalues, dtype=float)
-    rho = float(np.abs(lams).max())
-    if rho < 1.0 - rho_tol:
-        return CONVERGES_TO_ZERO
-    if rho <= 1.0 + rho_tol:
-        if residual > rho_tol:
-            raise BoundaryAmbiguous(
-                f"eigenpair residual {residual!r} is too large to decide "
-                f"whether -1 is an eigenvalue"
-            )
-        if float(np.abs(lams + 1.0).min()) <= rho_tol:
-            return PERIOD_2K
-        return PERIOD_K
-    return UNBOUNDED_EXISTS
+    side = radius_side(float(np.abs(lams).max()), rho_tol)
+    if side != 0:
+        return CONVERGES_TO_ZERO if side < 0 else UNBOUNDED_EXISTS
+    if residual > rho_tol:
+        raise BoundaryAmbiguous(
+            f"eigenpair residual {residual!r} is too large to decide "
+            f"whether -1 is an eigenvalue"
+        )
+    if any(radius_side(-lam, rho_tol) == 0 for lam in lams.tolist()):
+        return PERIOD_2K
+    return PERIOD_K
 
 
 #: regime -> (tetrachotomy case, trichotomy case, witness prediction,
@@ -102,12 +98,17 @@ def _predicted_period(regime: str, k: int) -> Optional[int]:
 def _classification(
     spec: SystemSpec, regime: str, dec: EigenDecomposition, case: int, rho_tol: float
 ) -> Classification:
-    """The regime's theorem case (column ``case`` of _REGIMES) and witness seed."""
+    """The regime's theorem case (column ``case`` of _REGIMES) and witness seed.
+
+    The regime has decided the radius, so the period-k and period-2k
+    witnesses (impulses on the Perron vector and on (1, 0)) skip the band.
+    """
     witness = None
     if regime == PERIOD_K:
-        witness = construct_periodic_seed(spec, rho_tol=rho_tol)
+        _, w = dec.perron or perron_pair(spec.A)
+        witness = InitialConditions.impulse(spec.k, w)
     elif regime == PERIOD_2K:
-        witness = construct_period2k_seed(spec, 1.0, 0.0, rho_tol=rho_tol)
+        witness = InitialConditions.impulse(spec.k, np.array([1.0, 0.0]))
     elif regime == UNBOUNDED_EXISTS:
         witness = construct_unbounded_seed(spec, rho_tol=rho_tol)
     return Classification(regime=regime, theorem_path=_REGIMES[regime][case],
@@ -125,7 +126,7 @@ def classify_tetrachotomy(spec: SystemSpec, rho_tol: float = RHO_TOL) -> Classif
     a = spec.A
     dec = eig2(a)
     regime = regime_from_spectrum(dec.eigenvalues, dec.residual(a), rho_tol)
-    if regime == PERIOD_2K and not _is_case3_kernel(a, rho_tol):
+    if regime == PERIOD_2K and not _is_case3_kernel(a):
         # -1 is inside the tolerance band, but the kernel only realizes
         # the period-2k construction in the exact anti-diagonal form.
         raise BoundaryAmbiguous(
@@ -148,11 +149,7 @@ def classify_trichotomy(spec: SystemSpec, rho_tol: float = RHO_TOL) -> Classific
         raise ValueError("trichotomy classification requires a symmetric kernel")
     if not is_positive(a):
         raise ValueError("trichotomy classification requires strictly positive entries")
-    dec = eig_symmetric(a)
-    if spec.m == 2:  # the closed form's dominant pair is the Perron pair
-        dec = replace(dec, perron=(float(dec.eigenvalues[0]), dec.eigenvectors[0]))
-    else:
-        dec = replace(dec, perron=perron_pair(a))
+    dec = replace(eig_symmetric(a), perron=perron_pair(a))
     regime = regime_from_spectrum(dec.eigenvalues, dec.residual(a), rho_tol)
     if regime == PERIOD_2K:
         # A positive symmetric kernel cannot have -1 as an eigenvalue while

@@ -5,6 +5,9 @@ v_{1-k}.  With that pattern the denominators collapse to 1 along the
 surviving residue class, the system runs exactly linearly there, and the
 orbit of v_{1-k} under the kernel matrix determines the behavior.  At
 m = 2 every nonnegative kernel is served by :func:`~ratsys.linalg.eig2`.
+Each constructor checks the radius with :func:`~ratsys.linalg.radius_side`,
+the rule the classifier's regime uses, so a seed is refused exactly when
+the regime does not call for it.
 """
 
 from __future__ import annotations
@@ -14,15 +17,7 @@ from typing import List
 
 import numpy as np
 
-from .linalg import (
-    EIG_TOL,
-    RHO_TOL,
-    eig2,
-    eig_symmetric,
-    is_positive,
-    is_symmetric,
-    perron_pair,
-)
+from .linalg import EIG_TOL, RHO_TOL, eig2, eig_symmetric, perron_pair, radius_side
 from .model import InitialConditions, SystemSpec
 
 #: Fixed generator for the randomized tail of the unbounded-seed cascade.
@@ -36,50 +31,41 @@ class SeedConstructionError(RuntimeError):
 def construct_periodic_seed(spec: SystemSpec, rho_tol: float = RHO_TOL) -> InitialConditions:
     """Seed whose orbit is periodic with prime period k.
 
-    Requires spectral radius 1 within ``rho_tol``.  The seed is the
-    Perron vector: the dominant eigenvector of :func:`~ratsys.linalg.eig2`
-    at m = 2, power iteration for larger strictly positive kernels.
+    Requires spectral radius 1 under :func:`~ratsys.linalg.radius_side`.
+    The seed is the Perron vector of :func:`~ratsys.linalg.perron_pair`.
     """
-    a = spec.A
-    if spec.m == 2:
-        dec = eig2(a)
-        r, w = dec.spectral_radius, dec.eigenvectors[0]
-    elif is_positive(a):
-        r, w = perron_pair(a)
-    else:
-        raise ValueError(
-            "periodic seed requires a 2x2 kernel or a strictly positive kernel"
-        )
-    if abs(r - 1.0) > rho_tol:
+    r, w = perron_pair(spec.A)
+    if radius_side(r, rho_tol) != 0:
         raise ValueError(f"spectral radius must be 1, got {r!r}")
     return InitialConditions.impulse(spec.k, w)
 
 
-def _is_case3_kernel(a: np.ndarray, rho_tol: float = RHO_TOL) -> bool:
-    """Anti-diagonal form [[0, g], [1/g, 0]]: off-diagonal product 1, zero diagonal."""
+def _is_case3_kernel(a: np.ndarray) -> bool:
+    """Anti-diagonal form [[0, g], [h, 0]]: zero diagonal, positive off-diagonal."""
     return (
         a.shape == (2, 2)
         and a[0, 0] == 0.0
         and a[1, 1] == 0.0
         and a[0, 1] > 0.0
         and a[1, 0] > 0.0
-        and abs(a[0, 1] * a[1, 0] - 1.0) <= rho_tol
     )
 
 
 def construct_period2k_seed(
     spec: SystemSpec, a: float, b: float, rho_tol: float = RHO_TOL
 ) -> InitialConditions:
-    """Seed with prime period 2k for the anti-diagonal kernel [[0, g], [1/g, 0]].
+    """Seed with prime period 2k for the anti-diagonal kernel [[0, g], [h, 0]].
 
+    The radius sqrt(g h) must be 1 under :func:`~ratsys.linalg.radius_side`.
     The start vector (a, b) must be nonnegative with a != g * b; equality
     would put it on the eigenvalue-1 eigenline and produce period k instead.
     """
     kernel = spec.A
-    if spec.m != 2 or not _is_case3_kernel(kernel, rho_tol):
-        raise ValueError(
-            "period-2k seed requires the kernel form [[0, g], [1/g, 0]]"
-        )
+    if not _is_case3_kernel(kernel):
+        raise ValueError("period-2k seed requires the kernel form [[0, g], [h, 0]], g, h > 0")
+    r = eig2(kernel).spectral_radius
+    if radius_side(r, rho_tol) != 0:
+        raise ValueError(f"spectral radius must be 1, got {r!r}")
     if not (math.isfinite(a) and math.isfinite(b)) or a < 0 or b < 0:
         raise ValueError("a and b must be finite and nonnegative")
     g = float(kernel[0, 1])
@@ -106,13 +92,8 @@ def construct_unbounded_seed(spec: SystemSpec, rho_tol: float = RHO_TOL) -> Init
     m = 2 the kernel must be symmetric, so that A^T has A's eigenvectors.
     """
     a = spec.A
-    if spec.m == 2:
-        dec = eig2(a.T)
-    elif is_symmetric(a):
-        dec = eig_symmetric(a)
-    else:
-        raise ValueError("unbounded seed requires a 2x2 or a symmetric kernel")
-    if dec.spectral_radius <= 1.0 + rho_tol:
+    dec = eig2(a.T) if spec.m == 2 else eig_symmetric(a)
+    if radius_side(dec.spectral_radius, rho_tol) != 1:
         raise ValueError(
             f"spectral radius must exceed 1, got {dec.spectral_radius!r}"
         )

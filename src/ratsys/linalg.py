@@ -3,9 +3,11 @@
 Everything here targets small dense systems (m up to ~16): one closed
 form, :func:`eig2`, for every 2x2 matrix with a real spectrum (every
 nonnegative and every symmetric one), cyclic Jacobi rotations for larger
-symmetric matrices, and power iteration for the Perron-Frobenius pair of
-a strictly positive matrix.  No LAPACK dependency (tests/test_no_lapack.py
-checks it); results are deterministic bit-for-bit for identical inputs.
+symmetric matrices, and a Perron-Frobenius pair for every nonnegative 2x2
+matrix (the closed form) and every strictly positive larger one (power
+iteration).  :func:`radius_side` is the one rule that compares a spectral
+radius to 1.  No LAPACK dependency (tests/test_no_lapack.py checks it);
+results are deterministic bit-for-bit for identical inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 #: Residual / orthonormality tolerance for eigenpairs (entries assumed O(1)).
 EIG_TOL = 1e-10
-#: Half-width of the tolerance band used when comparing a spectral radius to 1.
+#: Half-width of the band [1 - RHO_TOL, 1 + RHO_TOL] that counts as radius 1.
 RHO_TOL = 1e-9
 #: Iteration budget for the Perron-Frobenius power iteration.
 MAX_POWER_ITERS = 10_000
@@ -58,6 +60,18 @@ def is_positive(a: np.ndarray) -> bool:
     return bool((a > 0.0).all())
 
 
+def radius_side(rho: float, rho_tol: float = RHO_TOL) -> int:
+    """Side of 1 that a spectral radius lies on: -1 below, 0 at, 1 above.
+
+    Radius 1 is the closed band [1 - rho_tol, 1 + rho_tol], compared in
+    floating point.  Every radius-1 decision in the package goes through
+    this rule: the regime, the witness seeds and the proof checks.
+    """
+    if rho < 1.0 - rho_tol:
+        return -1
+    return 0 if rho <= 1.0 + rho_tol else 1
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Full real spectrum of a symmetric matrix.
@@ -74,10 +88,6 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
     spectral_radius: float
     perron: Optional[Tuple[float, np.ndarray]] = None
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
 
     def residual(self, a: np.ndarray) -> float:
         """max-norm eigenpair residual max_i ||A w_i - lambda_i w_i||_inf."""
@@ -214,11 +224,13 @@ def _power_iteration(mat: np.ndarray, shift: float) -> Optional[Tuple[float, np.
 
 
 def perron_pair(a) -> Tuple[float, np.ndarray]:
-    """Perron-Frobenius eigenpair of a strictly positive matrix.
+    """Perron-Frobenius eigenpair of a nonnegative 2x2 or a strictly positive matrix.
 
-    Power iteration from a strictly positive start vector; returns
-    ``(r, w)`` with ``r`` the dominant eigenvalue and ``w`` the unit
-    eigenvector with strictly positive components.  The iteration stops
+    Returns ``(r, w)`` with ``r`` the dominant eigenvalue and ``w`` its
+    unit eigenvector with nonnegative components.  A 2x2 matrix gets the
+    dominant pair of :func:`eig2`.  A larger one must be strictly
+    positive, and ``w`` comes from power iteration from a strictly
+    positive start vector, with strictly positive components.  It stops
     once ``||A w - r w||_inf`` falls below ``1e-14 * max(1, r)``, well
     inside the ``EIG_TOL`` contract, so seeds built from ``w`` stay
     periodic to ~1e-14 over long runs.  When an eigenvalue near ``-r``
@@ -228,8 +240,11 @@ def perron_pair(a) -> Tuple[float, np.ndarray]:
     ``sigma - r``, far below the dominant ``r + sigma``.
     """
     mat = as_matrix(a)
+    if mat.shape == (2, 2) and is_nonnegative(mat):
+        dec = eig2(mat)
+        return float(dec.eigenvalues[0]), dec.eigenvectors[0]
     if not is_positive(mat):
-        raise ValueError("perron_pair requires strictly positive entries")
+        raise ValueError("perron_pair requires a nonnegative 2x2 or a strictly positive matrix")
     pair = _power_iteration(mat, 0.0)
     if pair is None:
         pair = _power_iteration(mat, float(mat.sum(axis=1).max()))
@@ -253,7 +268,7 @@ def check_fact1(a, v, big_l: int) -> Tuple[bool, bool]:
     """
     mat = as_matrix(a)
     dec = eig_symmetric(mat)
-    if abs(dec.spectral_radius - 1.0) > RHO_TOL:
+    if radius_side(dec.spectral_radius) != 0:
         raise ValueError("check_fact1 requires spectral radius 1")
     if big_l < 1:
         raise ValueError("L must be a positive integer")
@@ -275,14 +290,14 @@ def check_fact2(a, v, growth_threshold: float, max_l: int) -> bool:
     """
     mat = as_matrix(a)
     dec = eig_symmetric(mat)
-    if dec.spectral_radius <= 1.0 + RHO_TOL:
+    if radius_side(dec.spectral_radius) != 1:
         raise ValueError("check_fact2 requires spectral radius greater than 1")
     vec = np.asarray(v, dtype=float)
     projections = dec.eigenvectors @ vec
     small = [
         i
         for i, (lam, p) in enumerate(zip(dec.eigenvalues, projections))
-        if abs(lam) > 1.0 + RHO_TOL and abs(p) <= EIG_TOL
+        if radius_side(abs(lam)) == 1 and abs(p) <= EIG_TOL
     ]
     if small:
         raise DegenerateProjectionError(

@@ -14,6 +14,9 @@ from ratsys import (
     SystemSpec,
     classify_tetrachotomy,
     classify_trichotomy,
+    construct_period2k_seed,
+    construct_periodic_seed,
+    perron_pair,
     regime_from_spectrum,
     simulate,
     verify_classification,
@@ -26,6 +29,7 @@ from ratsys.analysis import (
     AnalysisReport,
 )
 from ratsys.classifier import _prediction_holds
+from ratsys.linalg import RHO_TOL
 
 HALF = np.array([[0.5, 0.5], [0.5, 0.5]])
 #: Nonsymmetric kernel with radius 1 and Perron vector (2, 1) / sqrt(5).
@@ -198,6 +202,65 @@ class TestTrichotomy:
             a = symmetric_positive_with_rho(rng, 2, rho)
             spec = SystemSpec(k=2, A=a)
             assert classify_trichotomy(spec).regime == classify_tetrachotomy(spec).regime
+
+
+def _band_edge_kernels(family, rng):
+    """Kernels of one family, each rescaled to radius 1 + t * RHO_TOL."""
+    if family == "anti-diagonal":
+        bases = [np.array([[0.0, g], [h, 0.0]]) for g, h in rng.uniform(0.1, 3.0, (100, 2))]
+    elif family == "triangular":
+        bases = [np.triu(rng.uniform(0.1, 2.0, (2, 2))) for _ in range(100)]
+        bases = [b if i % 2 else b.T for i, b in enumerate(bases)]
+    elif family == "jordan":
+        bases = [np.array([[1.0, b], [0.0, 1.0]]) for b in rng.uniform(0.1, 2.0, 20)]
+    elif family == "positive":
+        bases = list(rng.uniform(0.05, 2.0, (200, 2, 2)))
+    else:  # positive symmetric, m = 3..5
+        bases = [b + b.T for m in (3, 4, 5) for b in rng.uniform(0.05, 1.0, (34, m, m))]
+    for base in bases:
+        rho = float(np.abs(np.linalg.eigvals(base)).max())
+        for t in (-1.0, -0.5, 0.0, 0.5, 1.0):
+            yield base / rho * (1.0 + t * RHO_TOL)
+
+
+class TestBandEdge:
+    """One radius decision: every regime the classifier predicts gets its witness."""
+
+    @pytest.mark.parametrize(
+        "family", ["anti-diagonal", "triangular", "jordan", "positive", "symmetric"])
+    def test_regime_always_has_its_witness(self, family):
+        classify = classify_trichotomy if family == "symmetric" else classify_tetrachotomy
+        regimes = set()
+        for a in _band_edge_kernels(family, np.random.default_rng(5)):
+            try:
+                cls = classify(SystemSpec(k=2, A=a))
+            except BoundaryAmbiguous as exc:
+                assert family == "jordan" and "Jordan block" in str(exc), (a, exc)
+                regimes.add("refused")
+                continue
+            regimes.add(cls.regime)
+            assert (cls.witness is None) == (cls.regime == CONVERGES_TO_ZERO), a
+            if cls.regime == PERIOD_K:
+                np.testing.assert_array_equal(cls.witness.history[0], perron_pair(a)[1])
+            elif cls.regime == PERIOD_2K:
+                np.testing.assert_array_equal(cls.witness.history[0], [1.0, 0.0])
+        expected = {"anti-diagonal": PERIOD_2K, "jordan": "refused"}.get(family, PERIOD_K)
+        assert expected in regimes
+
+    @pytest.mark.parametrize("a", [
+        [[1.000000001, 0.0], [0.0, 0.5]],
+        [[1.0, 1.0], [1e-18, 1.0]],
+        [[0.0, 1.0], [1.0000000015, 0.0]],
+    ])
+    def test_constructors_accept_what_the_regime_predicts(self, a):
+        spec = SystemSpec(k=2, A=a)
+        cls = classify_tetrachotomy(spec)
+        if cls.regime == PERIOD_K:
+            seed = construct_periodic_seed(spec)
+        else:
+            assert cls.regime == PERIOD_2K
+            seed = construct_period2k_seed(spec, 1.0, 0.0)
+        np.testing.assert_array_equal(seed.history, cls.witness.history)
 
 
 class TestWitnessValidity:

@@ -293,8 +293,9 @@ class TestClassifyCommand:
         np.testing.assert_allclose(got, np.linalg.eigvalsh(a)[::-1], rtol=0, atol=1e-15)
 
     def test_eigenvalue_near_minus_rho_classifies(self, tmp_path, capsys):
-        # lambda_2 is close to -rho, so only the shifted iteration settles
-        a = np.array([[1e-4, 1.0], [1.0, 3e-4]])
+        # an eigenvalue is close to -rho, so only the shifted iteration settles
+        eps = 1e-4
+        a = np.array([[eps, 1.0, 1.0], [1.0, eps, eps], [1.0, eps, eps]])
         a /= np.abs(np.linalg.eigvalsh(a)).max()
         doc = {"mode": "trichotomy", "system": {"k": 2, "A": a.tolist()}}
         conf = write_conf(tmp_path, yaml.safe_dump(doc))
@@ -499,6 +500,21 @@ class TestNonsymmetricKernels:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "Jordan" in err[0], err
+
+    @pytest.mark.parametrize("a,regime", [
+        ([[1.000000001, 0.0], [0.0, 0.5]], "period-k"),
+        ([[1.0, 1.0], [1e-18, 1.0]], "period-k"),
+        ([[0.0, 1.0], [1.0000000015, 0.0]], "period-2k"),
+    ])
+    def test_band_edge_regime_gets_its_witness(self, tmp_path, capsys, a, regime):
+        # rho within rho_tol of 1, but |rho - 1| or |g h - 1| computed above it
+        doc = {"mode": "tetrachotomy", "system": {"k": 2, "A": a}}
+        conf = write_conf(tmp_path, yaml.safe_dump(doc))
+        assert main(["classify", "--config", conf]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = dict(line.split(": ", 1) for line in captured.out.splitlines())
+        assert lines["regime"] == regime
 
 
 class TestDeterminism:

@@ -17,6 +17,7 @@ from ratsys import (
     perron_pair,
     spectral_radius,
 )
+from ratsys.linalg import RHO_TOL, _power_iteration, radius_side
 
 
 def closed_form_2x2(a):
@@ -172,6 +173,22 @@ class TestSpectralRadius:
             assert abs(spectral_radius(c * a) - c * spectral_radius(a)) <= 1e-9
 
 
+class TestRadiusSide:
+    def test_closed_band(self):
+        assert radius_side(1.0) == 0
+        assert radius_side(1.0 + RHO_TOL) == 0
+        assert radius_side(1.0 - RHO_TOL) == 0
+        assert radius_side(1.000000001) == 0  # the literal is fl(1 + 1e-9)
+        assert radius_side(np.nextafter(1.0 + RHO_TOL, 2.0)) == 1
+        assert radius_side(np.nextafter(1.0 - RHO_TOL, 0.0)) == -1
+
+    def test_explicit_tolerance(self):
+        assert radius_side(1.5, 0.5) == 0
+        assert radius_side(0.4, 0.5) == -1
+        assert radius_side(1.0, 0.0) == 0
+        assert radius_side(np.nextafter(1.0, 2.0), 0.0) == 1
+
+
 class TestPerronPair:
     def test_rank_one_half(self):
         r, w = perron_pair([[0.5, 0.5], [0.5, 0.5]])
@@ -189,8 +206,17 @@ class TestPerronPair:
         assert abs(r - 1.0) <= EIG_TOL
 
     def test_rejects_nonpositive_entry(self):
+        # a nonnegative 2x2 matrix has eig2's dominant pair; a larger one
+        # needs strictly positive entries for power iteration
         with pytest.raises(ValueError, match="positive"):
-            perron_pair([[1.0, 0.0], [1.0, 1.0]])
+            perron_pair([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+
+    def test_nonnegative_2x2_is_the_closed_form_dominant_pair(self):
+        for a in ([[1.0, 0.0], [1.0, 1.0]], [[0.5, 0.0], [0.7, 1.0]], [[0.0, 2.0], [0.5, 0.0]]):
+            dec = eig2(a)
+            r, w = perron_pair(a)
+            assert r == dec.eigenvalues[0] == dec.spectral_radius
+            np.testing.assert_array_equal(w, dec.eigenvectors[0])
 
     def test_residual_and_positivity(self):
         rng = np.random.default_rng(23)
@@ -205,9 +231,11 @@ class TestPerronPair:
 
 
     def test_eigenvalue_near_minus_rho(self):
-        # lambda_2 = -0.9996 rho stalls plain power iteration on A
-        a = np.array([[1e-4, 1.0], [1.0, 3e-4]])
+        # an eigenvalue near -rho stalls plain power iteration on A
+        eps = 1e-4
+        a = np.array([[eps, 1.0, 1.0], [1.0, eps, eps], [1.0, eps, eps]])
         a /= np.abs(np.linalg.eigvalsh(a)).max()
+        assert _power_iteration(a, 0.0) is None
         r, w = perron_pair(a)
         assert np.abs(a @ w - r * w).max() <= 1e-14 * max(1.0, r)
         assert w.min() > 0
