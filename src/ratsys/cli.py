@@ -48,15 +48,23 @@ def _fmt_matrix(a: np.ndarray) -> str:
     return "[" + rows + "]"
 
 
+#: Rows of a trajectory CSV formatted and written at a time, so a long
+#: run never holds all its row strings, or all its values as Python
+#: floats, at once.
+CSV_CHUNK_ROWS = 4096
+
+
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
-    lines = ["n," + ",".join(f"v{i + 1}" for i in range(traj.m))]
-    for offset, row in enumerate(traj.values):
-        n = traj.n_first + offset
-        lines.append(f"{n}," + ",".join(_fmt(x) for x in row))
-    if traj.diverged_at is not None:
-        lines.append(f"# diverged at n={traj.diverged_at}")
+    # "%.17g" % x is the same text as _fmt(x)
+    template = "%d," + ",".join(["%.17g"] * traj.m) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("n," + ",".join(f"v{i + 1}" for i in range(traj.m)) + "\n")
+        for start in range(0, len(traj.values), CSV_CHUNK_ROWS):
+            chunk = traj.values[start : start + CSV_CHUNK_ROWS].tolist()
+            n_first = traj.n_first + start
+            fh.write("".join([template % (n, *row) for n, row in enumerate(chunk, n_first)]))
+        if traj.diverged_at is not None:
+            fh.write(f"# diverged at n={traj.diverged_at}\n")
 
 
 def read_trajectory_csv(path: str) -> Tuple[np.ndarray, np.ndarray, Optional[int]]:

@@ -187,7 +187,7 @@ def load_config(path) -> RunConfig:
     """Parse and validate a config file; raises :class:`ConfigError`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except (yaml.YAMLError, UnicodeDecodeError) as exc:
             mark = getattr(exc, "problem_mark", None)
             where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

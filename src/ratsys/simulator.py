@@ -16,19 +16,26 @@ a denominator-free run has an exactly zero linear residual.
 
 Two kernels evaluate it, bit for bit alike:
 
-- :func:`simulate` (``_step_rows``) loops over one trajectory's terms on
-  Python floats.  It serves single runs: ``ratsys simulate``, :func:`step`
-  and :func:`simulate_linear`.
+- :func:`simulate` generates, per spec, a loop that spells out every term
+  of every component with the coefficients as float literals and the
+  window in local variables, and runs one trajectory on Python floats.
+  It serves single runs: ``ratsys simulate``, :func:`step` and
+  :func:`simulate_linear`.  A spec of more than :data:`MAX_LOOP_TERMS`
+  terms a step is handed to :func:`simulate_batch` instead.
 - :func:`simulate_batch` steps B trajectories at once in numpy.  It serves
   ``verify_classification``, which runs the witness and every random trial
   of ``ratsys verify`` and of each ``ratsys sweep`` cell as one batch.
 
-Neither kernel can serve both kinds of traffic.  Numpy pays a fixed cost per
-call, Python a cost per term.  Best of 3 on a 2-vCPU Intel Xeon VM:
+Numpy pays a fixed cost per call and step, the generated loop a cost per
+term and one compile per call.  Best of 3 on a 2-vCPU Intel Xeon VM:
 
-    m = 16, k = 4, B = 5, horizon 2000:  simulate 1.17 s, simulate_batch 0.072 s
-    m = 2,  k = 2, B = 1, horizon 1e5:   simulate 0.35 s, simulate_batch 0.81 s
+    m = 2,  k = 2, B = 1, horizon 1e5:   simulate 0.053 s, simulate_batch 1.00 s
+    m = 8,  k = 4, B = 1, horizon 2000:  simulate 0.024 s, simulate_batch 0.029 s
+    m = 16, k = 4, B = 5, horizon 2000:  5 x simulate (batch kernel) 0.15 s,
+                                         simulate_batch 0.089 s
 
+The generated loop keeps the order because each sum is one ``+`` chain,
+which Python evaluates left to right without rearranging float arithmetic.
 The batched kernel keeps the order by the rule "accumulate, never reduce":
 one ``np.multiply`` per side forms a step's terms along a term axis that
 starts with the 0.0 or 1.0, and the sum is the last element of
@@ -39,7 +46,7 @@ pairwise or in BLAS order, so they never compute a term sum here.
 
 from __future__ import annotations
 
-import math
+from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -72,22 +79,57 @@ class Diverged(RuntimeError):
         super().__init__(f"non-finite value produced{where}")
 
 
-def _step_rows(a_rows, q_rows, window, m: int, k: int) -> List[float]:
-    """One update on plain Python floats; ``window[j]`` is v_{n-k+j}."""
-    v_delay = window[0]
-    out = []
+#: Most terms per step, m^2 k (m numerator and m (k - 1) denominator
+#: terms for each of m components), that :func:`simulate` runs through a
+#: generated loop; larger specs go to :func:`simulate_batch`.  Measured on
+#: one run, compile included: at m = 8, k = 4 (256 terms) the loop takes
+#: 13 us a step and the batch kernel 15 us, at m = 8, k = 8 (512 terms)
+#: 27 us against 17 us.  Compiling the loop also takes about 1.3 kB a term
+#: (100 MB at m = 16, k = 300), where the batch kernel needs a few arrays
+#: of the spec's size.
+MAX_LOOP_TERMS = 256
+
+
+@lru_cache(maxsize=16)
+def _step_loop(k: int, m: int, a_bytes: bytes, q_bytes: bytes):
+    """A function ``run(start, horizon, append)`` that steps one spec on Python floats.
+
+    The spec is given by k, m and the bytes of its float64 ``A`` and
+    ``denom``, so a spec simulated again, as by each :func:`step`, reuses
+    its loop.  ``start`` holds the k initial vectors flat, oldest first.
+    ``run`` passes each v_n, component by component, to ``append`` and
+    returns the first step n with a non-finite component (nothing of it
+    is appended), or None; ``y - y != 0.0`` holds for an inf or nan y and
+    no other.  Its source spells out every term of every component, with
+    the window in local variables ``x{j}_{c}`` (v_{n-k+j}, component c)
+    and each coefficient as the literal ``repr`` of its float.
+    """
+    a = np.frombuffer(a_bytes).reshape(m, m).tolist()
+    q = np.frombuffer(q_bytes).reshape(m, k - 1, m).tolist()
+    window = [f"x{j}_{c}" for j in range(k) for c in range(m)]
+    outs = [f"y{i}" for i in range(m)]
+    body = []
     for i in range(m):
-        a_i = a_rows[i]
-        num = 0.0
-        for c in range(m):
-            num += a_i[c] * v_delay[c]
-        den = 1.0
-        q_i = q_rows[i]
-        for c in range(m):
-            for j in range(1, k):
-                den += q_i[j - 1][c] * window[k - j][c]
-        out.append(num / den)
-    return out
+        num = " + ".join(["0.0", *(f"{a[i][c]!r}*x0_{c}" for c in range(m))])
+        den = " + ".join(["1.0", *(f"{q[i][j - 1][c]!r}*x{k - j}_{c}"
+                                   for c in range(m) for j in range(1, k))])
+        body.append(f"y{i} = ({num}) / ({den})")
+    body += [
+        "if " + " or ".join(f"{y} - {y} != 0.0" for y in outs) + ":",
+        "    return n",
+        *(f"append({y})" for y in outs),
+        ", ".join(window) + " = " + ", ".join(window[m:] + outs),
+    ]
+    source = "\n".join([
+        "def run(start, horizon, append):",
+        "    " + ", ".join(window) + " = start",
+        "    for n in range(1, horizon + 1):",
+        *("        " + line for line in body),
+        "    return None",
+    ])
+    namespace: dict = {}
+    exec(compile(source, f"<ratsys step loop m={m} k={k}>", "exec"), namespace)
+    return namespace["run"]
 
 
 def step(spec: SystemSpec, window: Sequence[Sequence[float]]) -> np.ndarray:
@@ -135,24 +177,25 @@ def simulate(spec: SystemSpec, init: InitialConditions, horizon: int) -> Traject
 
     Deterministic: identical inputs produce bit-identical trajectories.
     On overflow the partial trajectory up to the failing step is returned
-    with ``diverged_at`` set instead of raising.
+    with ``diverged_at`` set instead of raising.  A spec of at most
+    :data:`MAX_LOOP_TERMS` terms a step runs in a loop generated for it,
+    whose values accumulate in one flat ``array('d')``; a larger one runs
+    in :func:`simulate_batch`.
     """
     (init,) = _validated(spec, [init.history], horizon)
-    m, k = spec.m, spec.k
-    a_rows = spec.A.tolist()
-    q_rows = spec.denom.tolist()
-    values: List[List[float]] = [list(map(float, row)) for row in init.history]
-    diverged_at = None
-    for n in range(1, horizon + 1):
-        out = _step_rows(a_rows, q_rows, values[-k:], m, k)
-        if not all(math.isfinite(x) for x in out):
-            diverged_at = n
-            break
-        values.append(out)
+    if spec.m * spec.m * spec.k > MAX_LOOP_TERMS:
+        (traj,) = simulate_batch(spec, [init.history], horizon)
+        return traj
+    from array import array  # an extension module of 140 kB RSS, which verify and sweep skip
+
+    values = array("d", init.history.ravel().tolist())
+    run = _step_loop(int(spec.k), spec.m, spec.A.tobytes(), spec.denom.tobytes())
+    diverged_at = run(values, horizon, values.append)
+    rows = np.frombuffer(values).reshape(-1, spec.m)
     return Trajectory(
         spec=spec,
-        values=np.asarray(values),
-        horizon=len(values) - k,
+        values=rows,
+        horizon=len(rows) - spec.k,
         diverged_at=diverged_at,
     )
 

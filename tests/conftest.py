@@ -1,5 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
+import math
+
 import numpy as np
 
 from ratsys import InitialConditions, SystemSpec
@@ -105,3 +107,31 @@ def oracle_step_from_spec(spec, window):
         [float(q[1, j - 1, 1]) for j in range(1, k)],
         x_hist, y_hist, x_delay, y_delay,
     )
+
+
+def oracle_simulate(spec, history, horizon):
+    """Independent loop over the update rule: (rows for n = 1-k .., diverged_at).
+
+    The numerator starts from 0.0 and adds a_ic v_{n-k,c} by ascending c;
+    the denominator starts from 1.0 and adds q_ijc v_{n-j,c} by ascending
+    c, delays ascending inside each c.  The run stops before the first
+    step with a non-finite component.
+    """
+    m, k = spec.m, spec.k
+    a, q = spec.A.tolist(), spec.denom.tolist()
+    rows = [[float(x) for x in row] for row in np.asarray(history)]
+    for n in range(1, horizon + 1):
+        out = []
+        for i in range(m):
+            num = 0.0
+            for c in range(m):
+                num += a[i][c] * rows[-k][c]
+            den = 1.0
+            for c in range(m):
+                for j in range(1, k):
+                    den += q[i][j - 1][c] * rows[-j][c]
+            out.append(num / den)
+        if not all(math.isfinite(y) for y in out):
+            return np.array(rows), n
+        rows.append(out)
+    return np.array(rows), None

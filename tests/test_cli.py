@@ -2,13 +2,14 @@
 
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
 import yaml
 
-from ratsys.cli import main, read_trajectory_csv, write_trajectory_csv
-from ratsys import SystemSpec, InitialConditions, simulate, verify_classification
+from ratsys.cli import CSV_CHUNK_ROWS, main, read_trajectory_csv, write_trajectory_csv
+from ratsys import SystemSpec, InitialConditions, Trajectory, simulate, verify_classification
 from ratsys.simulator import simulate_batch
 
 IDENTITY_CONF = """
@@ -158,6 +159,20 @@ CONFIG_PROBES = [
 ]
 
 
+@pytest.fixture(params=["libyaml", "python"])
+def yaml_loader(request, monkeypatch):
+    """Run a test with libyaml's loader, then with PyYAML's pure-Python one.
+
+    ``config.load_config`` takes ``yaml.CSafeLoader`` when PyYAML was
+    built with libyaml; deleting the attribute makes it fall back.
+    """
+    if request.param == "python":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    elif not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML is built without libyaml")
+    return request.param
+
+
 def write_conf(tmp_path, text, name="conf.yaml"):
     path = tmp_path / name
     path.write_text(text)
@@ -187,6 +202,28 @@ class TestConfigErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: config does not parse: ")
         assert err[0].endswith("at line 4, column 2"), err
+
+    @pytest.mark.parametrize("text,where", [
+        (b"system:\n  k: 2\n  A: [[0.5, 0.5]\n run: {}\n", " at line 4, column 2"),
+        (b"a: [1, 2", " at line \\d+, column \\d+"),
+        (b"a: b: c\n", " at line 1, column 5"),
+        (b"- a\nb: 1\n", " at line 2, column 1"),
+        (b"a: 'x", " at line 1, column 6"),
+        (b"a: \x01\n", ""),
+        (b"a: \xff\xfe\n", ""),
+    ])
+    def test_yaml_errors_are_one_line_under_either_loader(self, tmp_path, capsys, yaml_loader,
+                                                          text, where):
+        # libyaml words problems differently and may mark another place:
+        # "a: [1, 2" is marked at line 2, column 1, not line 1, column 9
+        path = tmp_path / "conf.yaml"
+        path.write_bytes(text)
+        assert main(["classify", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1, err
+        assert re.fullmatch(f"error: config does not parse: [^\n]+?{where}", err[0]), err
 
 
 class TestSimulateCommand:
@@ -229,6 +266,36 @@ class TestSimulateCommand:
         assert ns[0] == -2 and ns[-1] == 50
         assert diverged is None
         np.testing.assert_array_equal(values, traj.values)
+
+
+def per_value_csv(traj):
+    """A trajectory CSV with one ``format(x, ".17g")`` call per value, as one string."""
+    lines = ["n," + ",".join(f"v{i + 1}" for i in range(traj.m))]
+    for offset, row in enumerate(traj.values):
+        lines.append(f"{traj.n_first + offset}," + ",".join(format(float(x), ".17g") for x in row))
+    if traj.diverged_at is not None:
+        lines.append(f"# diverged at n={traj.diverged_at}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestTrajectoryCsv:
+    @pytest.mark.parametrize("rows", [CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("diverged", [False, True])
+    def test_chunked_write_is_the_per_value_format(self, tmp_path, rows, diverged):
+        rng = np.random.default_rng(rows)
+        m, k = 3, 2
+        values = rng.uniform(0.0, 1.0, (rows, m)) * 10.0 ** rng.integers(-320, 308, (rows, m))
+        values[0] = [0.0, 5e-324, np.finfo(float).max]
+        horizon = rows - k
+        traj = Trajectory(spec=SystemSpec(k=k, A=np.eye(m)), values=values, horizon=horizon,
+                          diverged_at=horizon + 1 if diverged else None)
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(str(path), traj)
+        assert path.read_bytes() == per_value_csv(traj)
+        ns, back, diverged_at = read_trajectory_csv(str(path))
+        assert ns.tolist() == list(range(1 - k, horizon + 1))
+        assert (back.view(np.uint64) == traj.values.view(np.uint64)).all()
+        assert diverged_at == traj.diverged_at
 
 
 class TestClassifyCommand:

@@ -176,18 +176,30 @@ class TestConfigFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(site=st.sampled_from(MUTATION_SITES), value=st.sampled_from(HOSTILE))
     def test_hostile_leaf_loads_or_raises_config_error(self, tmp_path, site, value):
-        n, path = site
-        doc = copy.deepcopy(VALID_CONFIGS[n])
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        conf = tmp_path / "c.yaml"
-        conf.write_text(yaml.safe_dump(doc))
-        try:
-            load_config(str(conf))
-        except ConfigError:
-            pass
+        _load_with_hostile_leaf(tmp_path, site, value)
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(site=st.sampled_from(MUTATION_SITES), value=st.sampled_from(HOSTILE))
+    def test_hostile_leaf_under_python_loader(self, tmp_path, monkeypatch, site, value):
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        _load_with_hostile_leaf(tmp_path, site, value)
+
+
+def _load_with_hostile_leaf(tmp_path, site, value):
+    """Load ``VALID_CONFIGS`` with the leaf at ``site`` replaced: it loads or raises ConfigError."""
+    n, path = site
+    doc = copy.deepcopy(VALID_CONFIGS[n])
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    conf = tmp_path / "c.yaml"
+    conf.write_text(yaml.safe_dump(doc))
+    try:
+        load_config(str(conf))
+    except ConfigError:
+        pass
 
 
 class TestReadme:

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import oracle_step_from_spec, random_init, random_spec, symmetric_nonneg_with_rho
+from conftest import (
+    oracle_simulate,
+    oracle_step_from_spec,
+    random_init,
+    random_spec,
+    symmetric_nonneg_with_rho,
+)
 
 from ratsys import (
     Diverged,
@@ -15,7 +21,8 @@ from ratsys import (
     simulate_linear,
     step,
 )
-from ratsys.simulator import MAX_RUN_BYTES
+from ratsys import simulator
+from ratsys.simulator import MAX_LOOP_TERMS, MAX_RUN_BYTES
 
 
 class TestStep:
@@ -247,6 +254,110 @@ class TestSimulateBatch:
         horizon = MAX_RUN_BYTES // (2 * 8) - 2
         with pytest.raises(ValueError, match="2 x .* more than the limit"):
             simulate_batch(spec, [history] * 2, horizon)
+
+
+EDGE_COEFFICIENTS = np.array([0.0, 5e-324, 1e308])
+
+
+class TestGeneratedKernel:
+    """:func:`simulate` runs a step loop generated per spec; it must add like the oracle."""
+
+    @staticmethod
+    def _edge_spec(rng, m, k):
+        """Random coefficients with 0.0, 5e-324 and 1e308 mixed in."""
+        def draw(shape, high):
+            values = rng.uniform(0.0, high, shape)
+            pick = rng.integers(0, 6, shape)
+            return np.where(pick < 3, EDGE_COEFFICIENTS[pick % 3], values)
+        return SystemSpec(k=k, A=draw((m, m), 2.0), denom=draw((m, k - 1, m), 1.5))
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_matches_oracle_and_batch_bit_for_bit(self, m, k):
+        rng = np.random.default_rng(10 * m + k)
+        horizon = 1 + 10 * k
+        runs = []
+        for _ in range(3):
+            runs.append((random_spec(rng, m, k, float(rng.uniform(0.3, 2.0))),
+                         rng.uniform(0.0, 10.0, (k, m)), None))
+            runs.append((self._edge_spec(rng, m, k), rng.uniform(0.0, 10.0, (k, m)), "any"))
+        # v_n = 10 v_{n-k} / (1 + tiny): a start of 10^e in v_{1-k} first
+        # overflows at step 1 + (308 - e) k, here 1, mid-run and the horizon
+        growth = SystemSpec(k=k, A=10.0 * np.eye(m),
+                            denom=np.where(rng.uniform(size=(m, k - 1, m)) < 0.5, 0.0, 5e-324))
+        for e, at in ((308, 1), (303, 1 + 5 * k), (298, horizon), (297, None)):
+            history = rng.uniform(0.0, 1.0, (k, m))
+            history[0, 0] = 10.0 ** e
+            runs.append((growth, history, at))
+        for spec, history, at in runs:
+            got = simulate(spec, InitialConditions(history), horizon)
+            if at != "any":
+                assert got.diverged_at == at
+            rows, diverged_at = oracle_simulate(spec, history, horizon)
+            assert got.diverged_at == diverged_at
+            assert got.horizon == len(rows) - k
+            assert got.values.shape == rows.shape
+            assert (got.values.view(np.uint64) == rows.view(np.uint64)).all()
+            (batch,) = simulate_batch(spec, [history], horizon)
+            assert _same_run(got, batch)
+
+    def test_coefficient_types_give_the_same_bits(self):
+        a = [[1, 2], [0, 3]]
+        q = [[[1, 0], [2, 5]], [[0, 1], [3, 0]]]
+        history = InitialConditions([[1.0, 2.0], [0.5, 0.25], [3.0, 1.0]])
+        want = simulate(SystemSpec(k=3, A=np.array(a, dtype=float).tolist(),
+                                   denom=np.array(q, dtype=float).tolist()), history, 40)
+        for a_in, q_in in ((a, q), (np.array(a, dtype=np.float64), np.array(q, dtype=np.float64)),
+                           (np.array(a, dtype=np.int64), np.array(q, dtype=np.int64))):
+            assert _same_run(simulate(SystemSpec(k=3, A=a_in, denom=q_in), history, 40), want)
+
+    def test_specs_sharing_a_kernel_get_their_own_loop(self):
+        # loops are cached by the coefficients' bytes; these differ in denom only
+        rng = np.random.default_rng(6)
+        a = symmetric_nonneg_with_rho(rng, 2, 1.0)
+        history = rng.uniform(0.0, 10.0, (3, 2))
+        for scale in (0.0, 0.5, 2.0, 0.5):
+            spec = SystemSpec(k=3, A=a, denom=np.full((2, 2, 2), scale))
+            rows, _ = oracle_simulate(spec, history, 20)
+            got = simulate(spec, InitialConditions(history), 20)
+            assert (got.values.view(np.uint64) == rows.view(np.uint64)).all()
+
+    def test_values_are_contiguous_read_only(self):
+        rng = np.random.default_rng(4)
+        spec = random_spec(rng, 3, 3, 1.0)
+        for horizon in (1, 200):
+            traj = simulate(spec, random_init(rng, 3, 3), horizon)
+            assert traj.values.shape == (3 + horizon, 3)
+            assert traj.values.flags.c_contiguous and not traj.values.flags.writeable
+        diverged = simulate(SystemSpec(k=2, A=[[10.0]]), InitialConditions([[1e308], [1.0]]), 5)
+        assert diverged.diverged_at == 1 and diverged.values.shape == (2, 1)
+        assert diverged.values.flags.c_contiguous and not diverged.values.flags.writeable
+
+    @pytest.mark.parametrize("m,k", [(1, MAX_LOOP_TERMS), (1, MAX_LOOP_TERMS + 1), (16, 300)])
+    def test_long_sums_match_oracle_and_batch(self, m, k):
+        # k = 256 at m = 1 is the longest sum a generated loop adds; m = 16,
+        # k = 300 has 4784 denominator terms a component, more than CPython
+        # compiles as one expression
+        rng = np.random.default_rng(m + k)
+        spec = SystemSpec(k=k, A=symmetric_nonneg_with_rho(rng, m, 1.0),
+                          denom=rng.uniform(0.0, 1e-3, (m, k - 1, m)))
+        history = rng.uniform(0.0, 10.0, (k, m))
+        got = simulate(spec, InitialConditions(history), 3)
+        rows, diverged_at = oracle_simulate(spec, history, 3)
+        assert got.diverged_at is diverged_at is None
+        assert (got.values.view(np.uint64) == rows.view(np.uint64)).all()
+        (batch,) = simulate_batch(spec, [history], 3)
+        assert _same_run(got, batch)
+
+    def test_large_specs_compile_no_loop(self, monkeypatch):
+        # compiling a loop takes about 1.3 kB a term: 100 MB at m = 16, k = 300
+        def refuse(k, m, *coefficients):
+            raise AssertionError(f"generated a loop for m = {m}, k = {k}")
+
+        monkeypatch.setattr(simulator, "_step_loop", refuse)
+        spec = SystemSpec(k=300, A=np.full((16, 16), 1 / 16))
+        traj = simulate(spec, InitialConditions(np.ones((300, 16))), 3)
+        assert traj.values.shape == (303, 16)
 
 
 class TestSimulateLinear:
