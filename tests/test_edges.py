@@ -1,6 +1,7 @@
 """Edge cases spanning modules: decomposition invariants, signals, config."""
 
 import copy
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -26,6 +27,8 @@ from ratsys import (
     step,
 )
 from ratsys.cli import read_trajectory_csv, write_trajectory_csv
+from test_byte_identity import CONFIGS as IDENTITY_CONFIGS
+from test_cli import CONFIG_PROBES, PROBE_BASE
 
 
 class TestDecompositionInvariants:
@@ -176,18 +179,18 @@ class TestConfigFuzz:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(site=st.sampled_from(MUTATION_SITES), value=st.sampled_from(HOSTILE))
     def test_hostile_leaf_loads_or_raises_config_error(self, tmp_path, site, value):
-        _load_with_hostile_leaf(tmp_path, site, value)
+        _outcome(_write_with_hostile_leaf(tmp_path, site, value))
 
     @settings(derandomize=True, max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(site=st.sampled_from(MUTATION_SITES), value=st.sampled_from(HOSTILE))
-    def test_hostile_leaf_under_python_loader(self, tmp_path, monkeypatch, site, value):
-        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-        _load_with_hostile_leaf(tmp_path, site, value)
+    def test_hostile_leaf_means_the_same_under_either_loader(self, tmp_path, site, value):
+        libyaml, python = _outcome_under_each_loader(_write_with_hostile_leaf(tmp_path, site, value))
+        assert libyaml == python
 
 
-def _load_with_hostile_leaf(tmp_path, site, value):
-    """Load ``VALID_CONFIGS`` with the leaf at ``site`` replaced: it loads or raises ConfigError."""
+def _write_with_hostile_leaf(tmp_path, site, value):
+    """Path of ``VALID_CONFIGS[n]`` written with the leaf at ``site`` = (n, path) replaced."""
     n, path = site
     doc = copy.deepcopy(VALID_CONFIGS[n])
     node = doc
@@ -196,10 +199,106 @@ def _load_with_hostile_leaf(tmp_path, site, value):
     node[path[-1]] = value
     conf = tmp_path / "c.yaml"
     conf.write_text(yaml.safe_dump(doc))
+    return str(conf)
+
+
+def _bits(value):
+    """``value`` as nested tuples that are equal only if every type and bit is."""
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,
+                *((f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value)))
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits(item) for item in value)
+    return (type(value).__name__, repr(value))
+
+
+def _outcome(path):
+    """The config at ``path`` as :func:`_bits`, or its ConfigError's message."""
     try:
-        load_config(str(conf))
-    except ConfigError:
-        pass
+        return _bits(load_config(path))
+    except ConfigError as exc:
+        return ("ConfigError", str(exc))
+
+
+def _outcome_under_each_loader(path):
+    """:func:`_outcome` under libyaml's loader, then under PyYAML's pure-Python one."""
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML is built without libyaml")
+    libyaml = _outcome(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delattr(yaml, "CSafeLoader")
+        return libyaml, _outcome(path)
+
+
+_SMALL_SYSTEM = "system:\n  k: 2\n  A: [[0.5, 0.5], [0.5, 0.5]]\n"
+
+#: Hand-written configs whose scalars, styles and structure the two
+#: loaders must read alike: number spellings PyYAML resolves (or leaves as
+#: strings), tags, anchors, merge keys, block styles, a byte-order mark
+#: and CRLF line ends.  Some are valid, some refused.
+SPELLED_CONFIGS = {
+    "numbers": "system:\n  k: 0x2\n  A: [[1.0e+6, 0x1F], [017, 1_000.5]]\n"
+               "run: {horizon: 1_0, init_max: +0.5e+1}\n",
+    "exponent_without_dot": "system:\n  k: 2\n  A: [[1e6, 0.5], [0.5, 0.5]]\n",
+    "sexagesimal": "system:\n  k: 2\n  A: [[1:30, 0.5], [0.5, 190:20:30.15]]\n",
+    "special_floats": _SMALL_SYSTEM + "run: {init_max: .Inf}\n",
+    "nulls": _SMALL_SYSTEM + "mode: ~\nrun: {trials: null}\n",
+    "bools": _SMALL_SYSTEM + "run: {trials: yes}\n",
+    "tags": "system:\n  k: !!int '2'\n  A: [[!!float 1, 0.5], [0.5, !!float '5e-1']]\n",
+    "anchors": "system:\n  k: 2\n  A: &row [[0.5, 0.5], [0.5, 0.5]]\n"
+               "sweep: {c: &c [0.5, 1.0], denom_scale: *c}\n",
+    "merge_key": "base: &base {horizon: 20, trials: 3}\n" + _SMALL_SYSTEM
+                 + "run:\n  <<: *base\n  trials: 4\n",
+    "block_styles": "# comment\nsystem:\n  k: 3\n  A:\n    - - 0.25\n      - 0.75\n"
+                    "    - [0.75, 0.25]  # trailing\n  denom:\n    - i: 1\n      j: 2\n"
+                    "      q: [0.5, 0.5]\nmode: >-\n  tetrachotomy\n",
+    "quoted": _SMALL_SYSTEM + "mode: \"tetra\\x63hotomy\"\ninit: {seed: 'period2k', a: 1, b: 0}\n",
+    "duplicate_key": _SMALL_SYSTEM + "rng_seed: 1\nrng_seed: 2\n",
+    "bom_crlf": "\ufeffsystem:\r\n  k: 2\r\n  A: [[0.5, 0.5], [0.5, 0.5]]\r\n",
+    "unicode": _SMALL_SYSTEM + "verify: {expect: \"p\u00e9riod-k\"}\n",
+}
+
+
+def _probe_config(command, section, key, value, field):
+    doc = copy.deepcopy(PROBE_BASE)
+    (doc if section is None else doc[section])[key] = value
+    return yaml.safe_dump(doc)
+
+
+def _readme_configs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return {f"readme{n}": block
+            for n, block in enumerate(re.findall(r"```yaml\n(.*?)```", readme, re.S))}
+
+
+LOADER_CASES = {
+    **{f"valid{n}": yaml.safe_dump(doc) for n, doc in enumerate(VALID_CONFIGS)},
+    **{f"probe{n}": _probe_config(*probe) for n, probe in enumerate(CONFIG_PROBES)},
+    **{f"identity_{name}": text for name, text in IDENTITY_CONFIGS.items()},
+    **_readme_configs(),
+    **SPELLED_CONFIGS,
+}
+
+
+class TestLoaders:
+    @pytest.mark.parametrize("name", sorted(LOADER_CASES))
+    def test_config_means_the_same_under_either_loader(self, tmp_path, name):
+        conf = tmp_path / "c.yaml"
+        conf.write_text(LOADER_CASES[name], encoding="utf-8")
+        libyaml, python = _outcome_under_each_loader(str(conf))
+        assert libyaml == python
+
+    def test_spelled_configs_load_and_refuse(self, tmp_path):
+        # the spellings above reach both outcomes, so the comparison sees each
+        refused = set()
+        for name, text in SPELLED_CONFIGS.items():
+            conf = tmp_path / f"{name}.yaml"
+            conf.write_text(text, encoding="utf-8")
+            if _outcome(str(conf))[0] == "ConfigError":
+                refused.add(name)
+        assert refused and refused != set(SPELLED_CONFIGS), refused
 
 
 class TestReadme:

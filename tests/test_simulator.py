@@ -312,7 +312,7 @@ class TestGeneratedKernel:
             assert _same_run(simulate(SystemSpec(k=3, A=a_in, denom=q_in), history, 40), want)
 
     def test_specs_sharing_a_kernel_get_their_own_loop(self):
-        # loops are cached by the coefficients' bytes; these differ in denom only
+        # these specs differ in denom only
         rng = np.random.default_rng(6)
         a = symmetric_nonneg_with_rho(rng, 2, 1.0)
         history = rng.uniform(0.0, 10.0, (3, 2))
@@ -351,8 +351,8 @@ class TestGeneratedKernel:
 
     def test_large_specs_compile_no_loop(self, monkeypatch):
         # compiling a loop takes about 1.3 kB a term: 100 MB at m = 16, k = 300
-        def refuse(k, m, *coefficients):
-            raise AssertionError(f"generated a loop for m = {m}, k = {k}")
+        def refuse(spec):
+            raise AssertionError(f"generated a loop for m = {spec.m}, k = {spec.k}")
 
         monkeypatch.setattr(simulator, "_step_loop", refuse)
         spec = SystemSpec(k=300, A=np.full((16, 16), 1 / 16))
