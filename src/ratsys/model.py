@@ -37,6 +37,8 @@ class SystemSpec:
     denom: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        if int(self.k) == self.k:  # 2.0 and np.int64(2) become 2; validate refuses 2.5
+            object.__setattr__(self, "k", int(self.k))
         a = np.asarray(self.A, dtype=float)
         object.__setattr__(self, "A", _readonly(a))
         m = a.shape[0] if a.ndim == 2 else 0
@@ -87,8 +89,8 @@ def from_scalar_params(k, beta, gamma, delta, epsilon, B, C, D, E) -> SystemSpec
 def validate(spec: SystemSpec) -> List[str]:
     """Collect invariant violations; empty list means the spec is well formed."""
     problems = []
-    if int(spec.k) != spec.k or spec.k < 2:
-        problems.append("k must be >= 2")
+    if not isinstance(spec.k, int) or spec.k < 2:
+        problems.append("k must be an integer >= 2")
     a = spec.A
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         problems.append("A must be a square m x m matrix with m >= 1")

@@ -14,26 +14,23 @@ it: :func:`step` is one step of :func:`simulate`, and
 ``analysis.residual_linear`` recomputes A v_{n-k} in the numerator order, so
 a denominator-free run has an exactly zero linear residual.
 
-Two kernels evaluate it, bit for bit alike:
+Two kernels evaluate it, bit for bit alike; :func:`simulate_batch`, the one
+entry point, picks one per call.  A call of at most :data:`MAX_LOOP_TERMS`
+terms a step over its B histories (B m^2 k) runs a loop generated per spec,
+which spells out every term with the coefficients as float literals and
+steps each trajectory on Python floats; a larger call steps all B at once in
+numpy.  :func:`simulate`, :func:`step` and :func:`simulate_linear` make calls
+of one history, ``verify_classification`` one per verify run or sweep cell.
+Microseconds a step, interleaved best of 9, horizon 2000, 2-vCPU Intel Xeon:
 
-- :func:`simulate` generates, per spec, a loop that spells out every term
-  of every component with the coefficients as float literals and the
-  window in local variables, and runs one trajectory on Python floats.
-  It serves single runs: ``ratsys simulate``, :func:`step` and
-  :func:`simulate_linear`.  A spec of more than :data:`MAX_LOOP_TERMS`
-  terms a step is handed to :func:`simulate_batch` instead.
-- :func:`simulate_batch` steps B trajectories at once in numpy.  It serves
-  ``verify_classification``, which runs the witness and every random trial
-  of ``ratsys verify`` and of each ``ratsys sweep`` cell as one batch.
+    m, k,  B (terms)   loop  numpy        m, k,  B (terms)   loop  numpy
+    3, 3,  5   (135)    6.4   13.7        4, 4,  5   (320)    9.4   10.4
+    2, 2, 21   (168)   12.0   16.5        2, 4, 21   (336)   16.6   17.5
+    2, 2, 32   (256)   18.2   19.1        2, 2, 64   (512)   35.5   19.2
+    8, 4,  1   (256)    9.2   12.8       16, 4,  1  (1024)   36.4   19.0
 
-Numpy pays a fixed cost per call and step, the generated loop a cost per
-term and one compile per spec (the last 16 loops are kept by their
-source text).  Best of 3 on a 2-vCPU Intel Xeon VM:
-
-    m = 2,  k = 2, B = 1, horizon 1e5:   simulate 0.053 s, simulate_batch 1.00 s
-    m = 8,  k = 4, B = 1, horizon 2000:  simulate 0.024 s, simulate_batch 0.029 s
-    m = 16, k = 4, B = 5, horizon 2000:  5 x simulate (batch kernel) 0.15 s,
-                                         simulate_batch 0.089 s
+The crossover lies between 256 and 512 terms.  At m = 1 the loop's cost for
+each row and step, about 0.2 us, dominates, so numpy wins from about 64 rows.
 
 The generated loop keeps the order because each sum is one ``+`` chain,
 which Python evaluates left to right without rearranging float arithmetic.
@@ -80,14 +77,12 @@ class Diverged(RuntimeError):
         super().__init__(f"non-finite value produced{where}")
 
 
-#: Most terms per step, m^2 k (m numerator and m (k - 1) denominator
-#: terms for each of m components), that :func:`simulate` runs through a
-#: generated loop; larger specs go to :func:`simulate_batch`.  Measured on
-#: one run, compile included: at m = 8, k = 4 (256 terms) the loop takes
-#: 13 us a step and the batch kernel 15 us, at m = 8, k = 8 (512 terms)
-#: 27 us against 17 us.  Compiling the loop also takes about 1.3 kB a term
-#: (100 MB at m = 16, k = 300), where the batch kernel needs a few arrays
-#: of the spec's size.
+#: Most terms a step over all of a call's histories, B m^2 k (m numerator
+#: and m (k - 1) denominator terms for each of m components of each of B
+#: trajectories), that :func:`simulate_batch` runs in the generated loop;
+#: the module docstring's table puts the kernels' crossover near it.  It
+#: also bounds the loop's compile cost, about 1.3 kB a term (100 MB at
+#: m = 16, k = 300), where numpy needs a few arrays of the spec's size.
 MAX_LOOP_TERMS = 256
 
 
@@ -102,7 +97,7 @@ def _step_loop(spec: SystemSpec):
     window in local variables ``x{j}_{c}`` (v_{n-k+j}, component c) and
     each coefficient as the literal ``repr`` of its float.
     """
-    k, m = int(spec.k), spec.m
+    k, m = spec.k, spec.m
     a, q = spec.A.tolist(), spec.denom.tolist()
     window = [f"x{j}_{c}" for j in range(k) for c in range(m)]
     outs = [f"y{i}" for i in range(m)]
@@ -173,7 +168,7 @@ def _validated(spec: SystemSpec, histories, horizon: int) -> List[InitialConditi
 
 def check_run_size(rows: int, spec: SystemSpec, horizon: int) -> None:
     """Refuse, before anything is allocated, ``rows`` runs over :data:`MAX_RUN_BYTES`."""
-    size = rows * (int(spec.k) + int(horizon)) * spec.m * 8
+    size = rows * (spec.k + int(horizon)) * spec.m * 8
     if size > MAX_RUN_BYTES:
         raise ValueError(
             f"{rows} x {spec.k + horizon} x {spec.m} trajectory values need {size} bytes, "
@@ -182,46 +177,48 @@ def check_run_size(rows: int, spec: SystemSpec, horizon: int) -> None:
 
 
 def simulate(spec: SystemSpec, init: InitialConditions, horizon: int) -> Trajectory:
-    """Iterate the rational system for ``horizon`` steps.
+    """Iterate the rational system for ``horizon`` steps: :func:`simulate_batch` of one history.
 
     Deterministic: identical inputs produce bit-identical trajectories.
     On overflow the partial trajectory up to the failing step is returned
-    with ``diverged_at`` set instead of raising.  A spec of at most
-    :data:`MAX_LOOP_TERMS` terms a step runs in a loop generated for it,
-    whose values accumulate in one flat ``array('d')``; a larger one runs
-    in :func:`simulate_batch`.
+    with ``diverged_at`` set instead of raising.
     """
-    if spec.A.size * spec.k > MAX_LOOP_TERMS:  # m^2 k terms; simulate_batch validates
-        (traj,) = simulate_batch(spec, [init.history], horizon)
-        return traj
-    (init,) = _validated(spec, [init.history], horizon)
-    from array import array  # an extension module of 140 kB RSS, which verify and sweep skip
-
-    values = array("d", init.history.ravel().tolist())
-    diverged_at = _step_loop(spec)(values, horizon, values.append)
-    rows = np.frombuffer(values).reshape(-1, spec.m)
-    return Trajectory(
-        spec=spec,
-        values=rows,
-        horizon=len(rows) - spec.k,
-        diverged_at=diverged_at,
-    )
+    (traj,) = simulate_batch(spec, [init.history], horizon)
+    return traj
 
 
 def simulate_batch(spec: SystemSpec, histories: Sequence, horizon: int) -> List[Trajectory]:
-    """:func:`simulate` of each (k, m) history in ``histories``, as one array.
+    """Iterate the rational system for ``horizon`` steps from each (k, m) history.
 
-    Every trajectory is bit-identical to what :func:`simulate` returns for
-    its history, ``diverged_at`` and cut included.  The values live in one
-    (B, k + horizon, m) array; each trajectory's values are a contiguous
-    view of it.  Non-finite values are looked for every ``_CHECK_EVERY``
-    steps, and the loop stops at the first look that finds every row
-    diverged.
+    At most :data:`MAX_LOOP_TERMS` terms a step over all histories (B m^2 k)
+    run through the spec's generated loop, each into its own ``array('d')``;
+    more run together in numpy.  Either way the trajectories are the same bit
+    for bit, ``diverged_at`` and cut included, with read-only C-contiguous values.
     """
     inits = _validated(spec, histories, horizon)
-    rows, m, k = len(inits), spec.m, spec.k
-    if not rows:
+    if not inits:
         return []
+    if len(inits) * spec.A.size * spec.k > MAX_LOOP_TERMS:
+        return _simulate_numpy(spec, inits, horizon)
+    from array import array  # a 0.1 MB extension module that a numpy-only run never loads
+
+    run = _step_loop(spec)
+    trajectories = []
+    for init in inits:
+        values = array("d", init.history.ravel().tolist())
+        diverged_at = run(values, horizon, values.append)
+        rows = np.frombuffer(values).reshape(-1, spec.m)
+        trajectories.append(Trajectory(spec, rows, len(rows) - spec.k, diverged_at))
+    return trajectories
+
+
+def _simulate_numpy(spec: SystemSpec, inits, horizon: int) -> List[Trajectory]:
+    """Validated ``inits`` stepped together; each trajectory views one (B, k + horizon, m) array.
+
+    Non-finite values are looked for every ``_CHECK_EVERY`` steps, and the
+    loop stops at the first look that finds every row diverged.
+    """
+    rows, m, k = len(inits), spec.m, spec.k
     values = np.empty((rows, k + horizon, m))
     for b, init in enumerate(inits):
         values[b, :k] = init.history

@@ -83,6 +83,15 @@ class TestValidate:
         problems = validate(SystemSpec(k=1, A=np.eye(2)))
         assert any("k" in p for p in problems)
 
+    @pytest.mark.parametrize("k", [2.0, np.float64(3.0), np.int64(3)])
+    def test_integral_k_is_stored_as_int(self, k):
+        spec = SystemSpec(k=k, A=np.eye(2))
+        assert type(spec.k) is int and spec.k == k
+        assert validate(spec) == []
+
+    def test_fractional_k_is_not_an_integer(self):
+        assert validate(SystemSpec(k=2.5, A=np.eye(2))) == ["k must be an integer >= 2"]
+
     def test_negative_kernel_entry(self):
         problems = validate(SystemSpec(k=2, A=[[0.5, -0.1], [0.0, 0.5]]))
         assert any("nonnegative" in p for p in problems)

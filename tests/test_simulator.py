@@ -21,7 +21,7 @@ from ratsys import (
     simulate_linear,
     step,
 )
-from ratsys import simulator
+from ratsys import classify_tetrachotomy, simulator, verify_classification
 from ratsys.simulator import MAX_LOOP_TERMS, MAX_RUN_BYTES
 
 
@@ -169,6 +169,21 @@ class TestSimulate:
         with pytest.raises(ValueError, match="initial"):
             simulate(spec, InitialConditions(np.zeros((3, 2))), 5)
 
+    def test_integral_float_k_runs_like_int_k(self):
+        a, q = [[0.5, 1.0], [0.25, 0.5]], np.full((2, 1, 2), 0.5)
+        histories = [[[1.0, 2.0], [3.0, 4.0]]] * 40  # 40 x 8 terms: the numpy side
+        want = simulate_batch(SystemSpec(k=2, A=a, denom=q), histories, 5)
+        spec = SystemSpec(k=2.0, A=a, denom=q)
+        assert all(_same_run(g, w) for g, w in zip(simulate_batch(spec, histories, 5), want))
+        traj = simulate(spec, InitialConditions(histories[0]), 5)
+        assert _same_run(traj, want[0]) and type(traj.horizon) is int
+        cls = classify_tetrachotomy(spec)
+        assert verify_classification(spec, cls, horizon=300, trials=2).passed
+
+    def test_fractional_k_is_refused(self):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            simulate(SystemSpec(k=2.5, A=np.eye(2)), InitialConditions(np.zeros((2, 2))), 5)
+
 
 def _same_run(got, want):
     """Bit-for-bit equal values, equal horizon and equal diverged_at."""
@@ -178,6 +193,11 @@ def _same_run(got, want):
         and got.horizon == want.horizon
         and got.diverged_at == want.diverged_at
     )
+
+
+def _numpy_batch(spec, histories, horizon):
+    """The numpy kernel on ``histories``, whatever their number of terms a step."""
+    return simulator._simulate_numpy(spec, [InitialConditions(h) for h in histories], horizon)
 
 
 WILD_SCALES = 10.0 ** np.array([300, 285, 270, 200, 100, 0, -100])
@@ -197,10 +217,11 @@ class TestSimulateBatch:
                               denom=rng.uniform(0.0, 1e-250, (m, k - 1, m)))
             for spec, scales in ((tame, np.ones(rows)), (wild, WILD_SCALES[:rows])):
                 histories = [rng.uniform(0.0, 10.0, (k, m)) * s for s in scales]
-                got = simulate_batch(spec, histories, 130)
+                want = [simulate(spec, InitialConditions(h), 130) for h in histories]
+                got = _numpy_batch(spec, histories, 130)
                 assert len(got) == rows
-                for history, traj in zip(histories, got):
-                    assert _same_run(traj, simulate(spec, InitialConditions(history), 130))
+                assert all(_same_run(g, w) for g, w in zip(got, want))
+                assert all(_same_run(g, w) for g, w in zip(simulate_batch(spec, histories, 130), want))
                 if spec is wild:
                     diverged_steps.append([t.diverged_at for t in got])
         # some batch mixes rows that overflow at different steps with one that does not
@@ -211,7 +232,7 @@ class TestSimulateBatch:
         # step 2 (309 - e), on both sides of 64-step check blocks and in the last one
         spec = SystemSpec(k=2, A=[[10.0]])
         histories = [[[1.0], [10.0**e]] for e in (308, 277, 276, 245, 244, 243)]
-        got = simulate_batch(spec, histories, 130)
+        got = _numpy_batch(spec, histories, 130)
         want = [simulate(spec, InitialConditions(h), 130) for h in histories]
         assert [t.diverged_at for t in want] == [2, 64, 66, 128, 130, None]
         assert all(_same_run(g, w) for g, w in zip(got, want))
@@ -222,7 +243,8 @@ class TestSimulateBatch:
     def test_rows_are_contiguous_read_only(self):
         rng = np.random.default_rng(3)
         spec = random_spec(rng, 3, 3, 1.0)
-        for traj in simulate_batch(spec, [random_init(rng, 3, 3).history] * 2, 50):
+        histories = [random_init(rng, 3, 3).history] * 2
+        for traj in simulate_batch(spec, histories, 50) + _numpy_batch(spec, histories, 50):
             assert traj.values.flags.c_contiguous and not traj.values.flags.writeable
 
     @pytest.mark.parametrize(
@@ -260,7 +282,7 @@ EDGE_COEFFICIENTS = np.array([0.0, 5e-324, 1e308])
 
 
 class TestGeneratedKernel:
-    """:func:`simulate` runs a step loop generated per spec; it must add like the oracle."""
+    """A small call runs a step loop generated per spec; it must add like the oracle and numpy."""
 
     @staticmethod
     def _edge_spec(rng, m, k):
@@ -298,7 +320,7 @@ class TestGeneratedKernel:
             assert got.horizon == len(rows) - k
             assert got.values.shape == rows.shape
             assert (got.values.view(np.uint64) == rows.view(np.uint64)).all()
-            (batch,) = simulate_batch(spec, [history], horizon)
+            (batch,) = _numpy_batch(spec, [history], horizon)
             assert _same_run(got, batch)
 
     def test_coefficient_types_give_the_same_bits(self):
@@ -346,7 +368,7 @@ class TestGeneratedKernel:
         rows, diverged_at = oracle_simulate(spec, history, 3)
         assert got.diverged_at is diverged_at is None
         assert (got.values.view(np.uint64) == rows.view(np.uint64)).all()
-        (batch,) = simulate_batch(spec, [history], 3)
+        (batch,) = _numpy_batch(spec, [history], 3)
         assert _same_run(got, batch)
 
     def test_large_specs_compile_no_loop(self, monkeypatch):
@@ -358,6 +380,63 @@ class TestGeneratedKernel:
         spec = SystemSpec(k=300, A=np.full((16, 16), 1 / 16))
         traj = simulate(spec, InitialConditions(np.ones((300, 16))), 3)
         assert traj.values.shape == (303, 16)
+
+
+class TestKernelChoice:
+    """:func:`simulate_batch` steps B m^2 k <= MAX_LOOP_TERMS terms in the loop, more in numpy."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        original = getattr(simulator, name)
+
+        def counting(spec, *args):
+            calls.append(spec)
+            return original(spec, *args)
+
+        monkeypatch.setattr(simulator, name, counting)
+        return calls
+
+    @staticmethod
+    def _refuse(monkeypatch, name):
+        def refuse(spec, *args):
+            raise AssertionError(f"{name} entered at m = {spec.m}, k = {spec.k}")
+
+        monkeypatch.setattr(simulator, name, refuse)
+
+    def test_at_the_limit_one_loop_and_no_numpy(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        spec = random_spec(rng, 2, 2, 1.0)
+        histories = [rng.uniform(0.0, 10.0, (2, 2)) for _ in range(32)]  # 32 x 8 = 256 terms
+        want = _numpy_batch(spec, histories, 100)
+        loops = self._count(monkeypatch, "_step_loop")
+        self._refuse(monkeypatch, "_simulate_numpy")
+        got = simulate_batch(spec, histories, 100)
+        assert loops == [spec]
+        assert all(_same_run(g, w) for g, w in zip(got, want))
+
+    def test_past_the_limit_no_loop(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        spec = random_spec(rng, 2, 2, 1.0)
+        histories = [rng.uniform(0.0, 10.0, (2, 2)) for _ in range(33)]
+        self._refuse(monkeypatch, "_step_loop")
+        batches = self._count(monkeypatch, "_simulate_numpy")
+        assert len(simulate_batch(spec, histories, 100)) == 33
+        assert batches == [spec]
+
+    def test_empty_call_compiles_nothing(self, monkeypatch):
+        self._refuse(monkeypatch, "_step_loop")
+        self._refuse(monkeypatch, "_simulate_numpy")
+        assert simulate_batch(SystemSpec(k=2, A=np.eye(2)), [], 100) == []
+
+    def test_verify_compiles_one_loop(self, monkeypatch):
+        spec = SystemSpec(k=2, A=[[0.0, 1.0], [1.0, 0.0]], denom=np.full((2, 1, 2), 0.25))
+        cls = classify_tetrachotomy(spec)
+        loops = self._count(monkeypatch, "_step_loop")
+        self._refuse(monkeypatch, "_simulate_numpy")
+        report = verify_classification(spec, cls, horizon=500, trials=4, rng_seed=2)
+        assert len(report.checks) == 5 and report.passed
+        assert loops == [spec]
 
 
 class TestSimulateLinear:
