@@ -55,14 +55,42 @@ CSV_CHUNK_ROWS = 4096
 
 
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
-    # "%.17g" % x is the same text as _fmt(x)
-    template = "%d," + ",".join(["%.17g"] * traj.m) + "\n"
+    # "%.17g" % x is the same text as _fmt(x).  A row whose bits equal those
+    # of the row 2k before it (periods 1, k and 2k all divide 2k) has that
+    # row's text after the index, so a chunk formats only the rows that
+    # differ and copies the text of the others: all of an exact cycle's.
+    # Bits, not ==, pick the rows, since -0.0 == 0.0 but prints as -0.
+    period = 2 * traj.k
+    row_format = ",".join(["%.17g"] * traj.m) + "\n"
+    line_format = "%d," + row_format
+    bits = traj.values.view(np.uint64)
+    recent: List[str] = []  # the text after the index of the last ``period`` rows written
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("n," + ",".join(f"v{i + 1}" for i in range(traj.m)) + "\n")
         for start in range(0, len(traj.values), CSV_CHUNK_ROWS):
-            chunk = traj.values[start : start + CSV_CHUNK_ROWS].tolist()
-            n_first = traj.n_first + start
-            fh.write("".join([template % (n, *row) for n, row in enumerate(chunk, n_first)]))
+            chunk = traj.values[start : start + CSV_CHUNK_ROWS]
+            stop, n_first = start + len(chunk), traj.n_first + start
+            repeats = np.zeros(len(chunk), dtype=bool)
+            if stop > period:
+                lo = max(start, period)
+                same = bits[lo:stop] == bits[lo - period : stop - period]
+                repeats[lo - start :] = same.all(axis=1)
+            if not repeats.any():
+                lines = [line_format % (n, *row) for n, row in enumerate(chunk.tolist(), n_first)]
+                texts = [line.partition(",")[2] for line in lines[-period:]]
+            else:
+                if repeats.all():
+                    texts = (recent * (len(chunk) // period + 1))[: len(chunk)]
+                else:
+                    fresh = iter([row_format % tuple(row) for row in chunk[~repeats].tolist()])
+                    texts = recent[:]
+                    for repeat in repeats.tolist():
+                        texts.append(texts[-period] if repeat else next(fresh))
+                    del texts[: len(recent)]
+                lines = [f"{n},{text}" for n, text in zip(range(n_first, stop), texts)]
+            fh.write("".join(lines))
+            recent = (recent + texts)[-period:]
+            del lines, texts  # so no chunk's strings live on while the next chunk's are made
         if traj.diverged_at is not None:
             fh.write(f"# diverged at n={traj.diverged_at}\n")
 

@@ -32,6 +32,17 @@ Microseconds a step, interleaved best of 9, horizon 2000, 2-vCPU Intel Xeon:
 The crossover lies between 256 and 512 terms.  At m = 1 the loop's cost for
 each row and step, about 0.2 us, dominates, so numpy wins from about 64 rows.
 
+The loop steps each trajectory in blocks of :data:`_CHECK_EVERY` steps, each
+resumed from the last k rows.  After a block it compares the bytes of the
+last k rows with those of the k rows 2k before them.  When they match, the
+rest of the horizon is copied from the last 2k rows instead of stepped.  The
+copy is exact: a step is a pure function of the k-row state and of constant
+coefficients, so a state that recurs is followed by the same rows again.
+2k catches the limits the paper's tetrachotomy allows at rho <= 1, since
+periods 1 (an exact zero), k and 2k all divide it; in double precision such
+a limit is often reached bit for bit after a few hundred steps.  Bytes, not
+``==``, decide, since ``==`` holds between -0.0 and 0.0.
+
 The generated loop keeps the order because each sum is one ``+`` chain,
 which Python evaluates left to right without rearranging float arithmetic.
 The batched kernel keeps the order by the rule "accumulate, never reduce":
@@ -44,6 +55,7 @@ pairwise or in BLAS order, so they never compute a term sum here.
 
 from __future__ import annotations
 
+import numbers
 from functools import lru_cache
 from typing import List, Optional, Sequence
 
@@ -64,7 +76,8 @@ from .model import (
 MAX_RUN_BYTES = 1 << 30
 
 
-#: Steps between the batched kernel's checks for non-finite values.
+#: Steps between the batched kernel's checks for non-finite values, and
+#: in a block of the generated loop, between its checks for a repeated state.
 _CHECK_EVERY = 64
 
 
@@ -87,15 +100,16 @@ MAX_LOOP_TERMS = 256
 
 
 def _step_loop(spec: SystemSpec):
-    """A function ``run(start, horizon, append)`` that steps ``spec`` on Python floats.
+    """A function ``run(start, first, last, append)`` that steps ``spec`` on Python floats.
 
-    ``start`` holds the k initial vectors flat, oldest first.  ``run``
-    passes each v_n, component by component, to ``append`` and returns
-    the first step n with a non-finite component (nothing of it is
-    appended), or None; ``y - y != 0.0`` holds for an inf or nan y and no
-    other.  Its source spells out every term of every component, with the
-    window in local variables ``x{j}_{c}`` (v_{n-k+j}, component c) and
-    each coefficient as the literal ``repr`` of its float.
+    ``start`` holds the k vectors v_{first-k}, ..., v_{first-1} flat, oldest
+    first.  ``run`` steps n = first, ..., last, passes each v_n, component
+    by component, to ``append`` and returns the first step n with a
+    non-finite component (nothing of it is appended), or None; ``y - y !=
+    0.0`` holds for an inf or nan y and no other.  Its source spells out
+    every term of every component, with the window in local variables
+    ``x{j}_{c}`` (v_{n-k+j}, component c) and each coefficient as the
+    literal ``repr`` of its float.
     """
     k, m = spec.k, spec.m
     a, q = spec.A.tolist(), spec.denom.tolist()
@@ -114,9 +128,9 @@ def _step_loop(spec: SystemSpec):
         ", ".join(window) + " = " + ", ".join(window[m:] + outs),
     ]
     source = "\n".join([
-        "def run(start, horizon, append):",
+        "def run(start, first, last, append):",
         "    " + ", ".join(window) + " = start",
-        "    for n in range(1, horizon + 1):",
+        "    for n in range(first, last + 1):",
         *("        " + line for line in body),
         "    return None",
     ])
@@ -160,6 +174,8 @@ def _validated(spec: SystemSpec, histories, horizon: int) -> List[InitialConditi
         problems = validate_initial(init, spec)
         if problems:
             raise ValueError("invalid initial conditions: " + "; ".join(problems))
+    if not isinstance(horizon, numbers.Integral):
+        raise ValueError(f"horizon must be an integer, not {type(horizon).__name__}")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     check_run_size(len(inits), spec, horizon)
@@ -194,6 +210,8 @@ def simulate_batch(spec: SystemSpec, histories: Sequence, horizon: int) -> List[
     run through the spec's generated loop, each into its own ``array('d')``;
     more run together in numpy.  Either way the trajectories are the same bit
     for bit, ``diverged_at`` and cut included, with read-only C-contiguous values.
+    The loop stops stepping a trajectory once its k-row state repeats the
+    one 2k rows before, and copies the rest (see the module docstring).
     """
     inits = _validated(spec, histories, horizon)
     if not inits:
@@ -206,10 +224,36 @@ def simulate_batch(spec: SystemSpec, histories: Sequence, horizon: int) -> List[
     trajectories = []
     for init in inits:
         values = array("d", init.history.ravel().tolist())
-        diverged_at = run(values, horizon, values.append)
+        diverged_at = _run_blocks(run, values, spec, horizon)
         rows = np.frombuffer(values).reshape(-1, spec.m)
         trajectories.append(Trajectory(spec, rows, len(rows) - spec.k, diverged_at))
     return trajectories
+
+
+def _run_blocks(run, values, spec: SystemSpec, horizon: int) -> Optional[int]:
+    """Append v_1, ..., v_horizon to ``values`` with ``run``; the step it diverged at, or None.
+
+    ``values`` starts as the k initial rows.  ``run`` steps
+    ``_CHECK_EVERY`` steps a call from the last k rows.  When a block ends
+    with the last k rows the bytes of the k rows 2k before them, every
+    later row is the row 2k before it, so the rest of the horizon is
+    filled by repeating the last 2k rows, ``_CHECK_EVERY`` periods a piece.
+    """
+    state = spec.k * spec.m
+    for first in range(1, horizon + 1, _CHECK_EVERY):
+        last = min(first + _CHECK_EVERY - 1, horizon)
+        diverged_at = run(values[-state:], first, last, values.append)
+        if diverged_at is not None:
+            return diverged_at
+        if (last < horizon and len(values) >= 3 * state
+                and values[-state:].tobytes() == values[-3 * state : -2 * state].tobytes()):
+            cycle = values[-2 * state:] * _CHECK_EVERY
+            rest = (horizon - last) * spec.m
+            for _ in range(rest // len(cycle)):
+                values.extend(cycle)
+            values.extend(cycle[: rest % len(cycle)])
+            return None
+    return None
 
 
 def _simulate_numpy(spec: SystemSpec, inits, horizon: int) -> List[Trajectory]:

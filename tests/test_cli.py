@@ -297,6 +297,67 @@ class TestTrajectoryCsv:
         assert (back.view(np.uint64) == traj.values.view(np.uint64)).all()
         assert diverged_at == traj.diverged_at
 
+    @staticmethod
+    def _repeating(rng, rows, m, k, entry, zeros):
+        """Random values in which every row from ``entry`` on repeats the row 2k before it.
+
+        With ``zeros``, some values are 0.0 or -0.0, so rows before ``entry``
+        can repeat the row 2k before them too.
+        """
+        values = rng.uniform(0.0, 1.0, (rows, m)) * 10.0 ** rng.integers(-320, 308, (rows, m))
+        if zeros:
+            values[rng.uniform(size=(rows, m)) < 0.1] = 0.0
+            values[rng.uniform(size=(rows, m)) < 0.05] = -0.0
+        for i in range(max(entry, 2 * k), rows):
+            values[i] = values[i - 2 * k]
+        return values
+
+    @pytest.mark.parametrize("m,k,entry,zeros", [
+        (2, 2, 2000, True),  # mid-chunk
+        (2, 2, CSV_CHUNK_ROWS - 1, True),
+        (2, 2, CSV_CHUNK_ROWS, True),
+        (2, 2, CSV_CHUNK_ROWS + 1, True),
+        (3, 5, 0, True),  # from the first row that can repeat
+        # a period of 4200 rows, longer than a chunk; without zeros the
+        # chunks before the entry repeat nothing
+        (1, 2100, 5000, True),
+        (1, 2100, 2 * CSV_CHUNK_ROWS, False),
+        (2, 3, None, True),  # no repeats at all
+    ])
+    @pytest.mark.parametrize("diverged", [False, True])
+    def test_exact_cycles_are_the_per_value_format(self, tmp_path, m, k, entry, zeros, diverged):
+        rng = np.random.default_rng(k + (entry or 0))
+        rows = 3 * CSV_CHUNK_ROWS + 5 + (4 * k if k > 100 else 0)
+        values = self._repeating(rng, rows, m, k, rows if entry is None else entry, zeros)
+        if entry is None:
+            values[2 * k:] += 1.0  # no row is the row 2k before it
+        horizon = rows - k
+        traj = Trajectory(spec=SystemSpec(k=k, A=np.eye(m)), values=values, horizon=horizon,
+                          diverged_at=horizon + 1 if diverged else None)
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(str(path), traj)
+        assert path.read_bytes() == per_value_csv(traj)
+
+    def test_zero_class_and_drifting_class(self, tmp_path):
+        # k = 2: the even rows are exactly 0 and repeat, the odd rows drift
+        rows, k = 2 * CSV_CHUNK_ROWS + 7, 2
+        values = np.zeros((rows, 2))
+        values[1::2] = np.linspace(1.0, 2.0, values[1::2].size).reshape(-1, 2)
+        traj = Trajectory(spec=SystemSpec(k=k, A=np.eye(2)), values=values, horizon=rows - k)
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(str(path), traj)
+        assert path.read_bytes() == per_value_csv(traj)
+
+    def test_negative_zero_history_is_not_a_repeat(self, tmp_path):
+        # -0.0 == 0.0, but row 2k must read 0,0 where the history row reads -0,-0
+        spec = SystemSpec(k=2, A=np.zeros((2, 2)))
+        traj = simulate(spec, InitialConditions([[-0.0, -0.0], [1.0, 2.0]]), 10)
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(str(path), traj)
+        assert path.read_bytes() == per_value_csv(traj)
+        lines = path.read_text().splitlines()
+        assert lines[1] == "-1,-0,-0" and lines[1 + 2 * spec.k] == "3,0,0"
+
 
 class TestClassifyCommand:
     @pytest.mark.parametrize(

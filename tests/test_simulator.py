@@ -439,6 +439,141 @@ class TestKernelChoice:
         assert loops == [spec]
 
 
+def _cycle_entry(values, k):
+    """First row index from which every row is bitwise the row 2k before it."""
+    bits = values.view(np.uint64)
+    differ = np.flatnonzero(~(bits[2 * k:] == bits[:-2 * k]).all(axis=1))
+    return 2 * k + (int(differ[-1]) + 1 if len(differ) else 0)
+
+
+class TestExactCycles:
+    """Once the k-row state repeats the one 2k rows before, the loop copies rows, not steps them."""
+
+    @staticmethod
+    def _assert_oracle_prefixes(spec, history, horizons):
+        """Each horizon's run is bit for bit the oracle's first rows."""
+        rows, diverged_at = oracle_simulate(spec, history, max(horizons))
+        for horizon in horizons:
+            got = simulate(spec, InitialConditions(history), horizon)
+            want = rows[: spec.k + horizon]
+            at = diverged_at if diverged_at is not None and diverged_at <= horizon else None
+            assert got.diverged_at == at and got.horizon == len(want) - spec.k
+            assert got.values.shape == want.shape
+            assert (got.values.view(np.uint64) == want.view(np.uint64)).all(), horizon
+        return rows
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_periods_1_k_and_2k_match_the_oracle(self, m, k):
+        rng = np.random.default_rng(20 * m + k)
+        # a cyclic permutation has period m k from step 1: 2k at m = 2, and
+        # 3k at m = 3, which 2k rows never repeat, so that run is all stepped
+        swap = np.roll(np.eye(m), 1, axis=1)
+        history = rng.uniform(0.0, 10.0, (k, m))
+        horizons = [1, 2, k, 2 * k, 3 * k - 1, 3 * k, 3 * k + 1, 63, 64, 65, 130, 700, 3000]
+        cases = [
+            # period 1: c < 1 reaches an exact 0
+            (SystemSpec(k=k, A=0.1 * np.full((m, m), 1 / m), denom=np.full((m, k - 1, m), 0.5)),
+             1),
+            # period k: the identity kernel repeats every row k steps on
+            (SystemSpec(k=k, A=np.eye(m)), k),
+            # [[0, 1], [1, 0]] at m = 2, with zero denominators
+            (SystemSpec(k=k, A=swap), m * k),
+        ]
+        for spec, period in cases:
+            rows = self._assert_oracle_prefixes(spec, history, horizons)
+            tail = rows[-period:].view(np.uint64)
+            assert (tail == rows[-2 * period : -period].view(np.uint64)).all()
+
+    def test_converging_orbit_cycles_exactly(self):
+        # a positive kernel at rho = 1 with denominators: the orbit settles in
+        # an exact period-k cycle after some hundred steps
+        a = np.array([[0.3, 0.7], [0.7, 0.3]])
+        spec = SystemSpec(k=2, A=a, denom=np.full((2, 1, 2), 0.8))
+        history = np.array([[3.0, 0.5], [1.0, 7.0]])
+        rows, _ = oracle_simulate(spec, history, 4000)
+        entry = _cycle_entry(rows, spec.k)
+        assert 200 < entry < 3000
+        # a cycle found in the block it began in, the next one and the last one
+        block = (entry - spec.k) // 64 * 64
+        horizons = [entry - spec.k + d for d in (-1, 0, 1, 2, 4)] + [block + 64, block + 65,
+                                                                    block + 128, 4000]
+        self._assert_oracle_prefixes(spec, history, horizons)
+
+    @pytest.mark.parametrize("at", [63, 64, 65, 128, 129])
+    def test_divergence_step_is_absolute(self, at):
+        # v_n = 10 v_{n-2}: 10^e in v_{-1} overflows at step 2 (309 - e) - 1, in v_0 at 2 (309 - e)
+        spec = SystemSpec(k=2, A=[[10.0]])
+        history = [[1.0], [1.0]]
+        history[(at + 1) % 2][0] = 10.0 ** (309 - (at + 1) // 2)
+        traj = simulate(spec, InitialConditions(history), 200)
+        assert traj.diverged_at == at
+        self._assert_oracle_prefixes(spec, np.array(history), [200])
+
+    @staticmethod
+    def _count_blocks(monkeypatch):
+        """The (first, last) of every ``run`` call the generated loops make from now on."""
+        blocks = []
+        make_loop = simulator._step_loop
+
+        def counting_loop(spec):
+            run = make_loop(spec)
+
+            def counted(start, first, last, append):
+                blocks.append((first, last))
+                return run(start, first, last, append)
+
+            return counted
+
+        monkeypatch.setattr(simulator, "_step_loop", counting_loop)
+        return blocks
+
+    def test_negative_zero_history_is_no_repeat(self, monkeypatch):
+        # at k = 32 the check after step 64 compares v_33..v_64 with the
+        # history; v_n = v_{n-k} turns each -0.0 into 0.0, equal by == but
+        # not by bytes, so the loop steps one more block before it copies
+        k = 32
+        history = np.where(np.arange(k) % 2 == 0, -0.0, np.arange(k, dtype=float))[:, None]
+        blocks = self._count_blocks(monkeypatch)
+        self._assert_oracle_prefixes(SystemSpec(k=k, A=[[1.0]]), history, [500])
+        assert blocks == [(1, 64), (65, 128)]
+
+    def test_cycling_run_stops_stepping(self, monkeypatch):
+        blocks = self._count_blocks(monkeypatch)
+        swap = SystemSpec(k=2, A=[[0.0, 1.0], [1.0, 0.0]])
+        traj = simulate(swap, InitialConditions([[1.0, 2.0], [3.0, 4.0]]), 100_000)
+        assert blocks == [(1, 64)] and traj.horizon == 100_000
+        np.testing.assert_array_equal(traj.values[-4:],
+                                      [[2.0, 1.0], [4.0, 3.0], [1.0, 2.0], [3.0, 4.0]])
+        blocks.clear()
+        spec = SystemSpec(k=2, A=[[0.3, 0.7], [0.7, 0.3]], denom=np.full((2, 1, 2), 0.8))
+        traj = simulate(spec, InitialConditions([[3.0, 0.5], [1.0, 7.0]]), 100_000)
+        entry = _cycle_entry(traj.values, 2)
+        assert traj.horizon == 100_000 and entry < 3000
+        assert [b[0] for b in blocks] == list(range(1, 64 * len(blocks), 64))
+        assert blocks[-1][1] <= entry + 3 * 64
+
+
+class TestHorizonType:
+    def test_float_horizon_is_refused(self):
+        spec = SystemSpec(k=2, A=np.eye(2))
+        history = np.ones((2, 2))
+        for horizon in (5.0, np.float64(5.0), 5.5):
+            with pytest.raises(ValueError, match="integer"):
+                simulate(spec, InitialConditions(history), horizon)
+            with pytest.raises(ValueError, match="integer"):
+                simulate_batch(spec, [history] * 40, horizon)  # the numpy side
+
+    def test_numpy_integer_horizon_runs_like_int(self):
+        spec = SystemSpec(k=2, A=[[0.5, 0.5], [0.25, 0.5]])
+        history = [[1.0, 2.0], [3.0, 4.0]]
+        for batch in (1, 40):
+            want = simulate_batch(spec, [history] * batch, 200)
+            for horizon in (np.int64(200), np.int32(200)):
+                got = simulate_batch(spec, [history] * batch, horizon)
+                assert all(_same_run(g, w) for g, w in zip(got, want))
+
+
 class TestSimulateLinear:
     def test_zero_matrix(self):
         traj = simulate_linear(np.zeros((2, 2)), 2, InitialConditions(np.ones((2, 2))), 10)
