@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from typing import List, Optional, Tuple
+from typing import List, NoReturn, Optional, Tuple
 
 import numpy as np
 
@@ -56,41 +56,28 @@ CSV_CHUNK_ROWS = 4096
 
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     # "%.17g" % x is the same text as _fmt(x).  A row whose bits equal those
-    # of the row 2k before it (periods 1, k and 2k all divide 2k) has that
-    # row's text after the index, so a chunk formats only the rows that
-    # differ and copies the text of the others: all of an exact cycle's.
-    # Bits, not ==, pick the rows, since -0.0 == 0.0 but prints as -0.
+    # of the row 2k before it (periods 1, k and 2k all divide 2k) repeats
+    # that row's text after the index, so each chunk formats only the rows
+    # that do not repeat and copies the text of the others: all of an exact
+    # cycle's.  Bits, not ==, pick the rows, since -0.0 == 0.0 but prints as -0.
     period = 2 * traj.k
     row_format = ",".join(["%.17g"] * traj.m) + "\n"
-    line_format = "%d," + row_format
     bits = traj.values.view(np.uint64)
-    recent: List[str] = []  # the text after the index of the last ``period`` rows written
+    repeats = np.zeros(len(bits), dtype=bool)  # the first 2k rows repeat nothing
+    repeats[period:] = (bits[period:] == bits[:-period]).all(axis=1)
+    texts: List[str] = []  # the text after the index of each row, the last 2k kept
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("n," + ",".join(f"v{i + 1}" for i in range(traj.m)) + "\n")
-        for start in range(0, len(traj.values), CSV_CHUNK_ROWS):
-            chunk = traj.values[start : start + CSV_CHUNK_ROWS]
-            stop, n_first = start + len(chunk), traj.n_first + start
-            repeats = np.zeros(len(chunk), dtype=bool)
-            if stop > period:
-                lo = max(start, period)
-                same = bits[lo:stop] == bits[lo - period : stop - period]
-                repeats[lo - start :] = same.all(axis=1)
-            if not repeats.any():
-                lines = [line_format % (n, *row) for n, row in enumerate(chunk.tolist(), n_first)]
-                texts = [line.partition(",")[2] for line in lines[-period:]]
-            else:
-                if repeats.all():
-                    texts = (recent * (len(chunk) // period + 1))[: len(chunk)]
-                else:
-                    fresh = iter([row_format % tuple(row) for row in chunk[~repeats].tolist()])
-                    texts = recent[:]
-                    for repeat in repeats.tolist():
-                        texts.append(texts[-period] if repeat else next(fresh))
-                    del texts[: len(recent)]
-                lines = [f"{n},{text}" for n, text in zip(range(n_first, stop), texts)]
-            fh.write("".join(lines))
-            recent = (recent + texts)[-period:]
-            del lines, texts  # so no chunk's strings live on while the next chunk's are made
+        for start in range(0, len(bits), CSV_CHUNK_ROWS):
+            mask = repeats[start : start + CSV_CHUNK_ROWS]
+            # reversed, so pop() yields the rows in order and leaves no chunk
+            # of floats or strings alive while the next chunk's are made
+            fresh = traj.values[start : start + CSV_CHUNK_ROWS][~mask][::-1].tolist()
+            for repeat in mask.tolist():
+                texts.append(texts[-period] if repeat else row_format % tuple(fresh.pop()))
+            first = traj.n_first + start
+            fh.write("".join([f"{n},{text}" for n, text in enumerate(texts[-len(mask):], first)]))
+            del texts[:-period]
         if traj.diverged_at is not None:
             fh.write(f"# diverged at n={traj.diverged_at}\n")
 
@@ -237,8 +224,15 @@ def cmd_sweep(cfg: RunConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors end in ``main``'s one-line ``error:`` and exit 1."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ratsys",
         description="Simulate and classify k-th order rational difference systems.",
     )
@@ -259,8 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = load_config(args.config)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
@@ -280,8 +274,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "verify":
             return cmd_verify(cfg, args.out)
         return cmd_sweep(cfg, args.out)
-    except (ConfigError, BoundaryAmbiguous, ValueError, PowerIterationError,
-            SeedConstructionError) as exc:
+    except (BoundaryAmbiguous, ValueError, PowerIterationError, SeedConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

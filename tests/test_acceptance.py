@@ -44,6 +44,7 @@ from ratsys import (
     simulate,
     step,
 )
+from ratsys.analysis import residue_limits
 from ratsys.cli import main
 
 HORIZON_LONG = 10_000
@@ -167,7 +168,7 @@ def test_criterion_4_trichotomy(trichotomy_runs):
             assert report.behavior == EVENTUALLY_PERIODIC, report.behavior
             assert k % report.period == 0, (k, report.period)
             # (b) residue-class limits align with the Perron vector
-            for limit in report.residue_limits:
+            for limit in residue_limits(traj, report.period):
                 norm = float(np.linalg.norm(limit))
                 if norm <= 1e-8:
                     continue  # zero limit: the zero multiple of the Perron vector

@@ -29,7 +29,7 @@ from ratsys import (
     residual_shift,
     simulate,
 )
-from ratsys.analysis import _tail_mean_per_class
+from ratsys.analysis import residue_limits
 
 
 def tail_max(seq, fraction=0.2):
@@ -233,7 +233,7 @@ class TestAnalyze:
         report = analyze(traj, spec)
         assert report.behavior == EVENTUALLY_PERIODIC
         assert spec.k % report.period == 0
-        assert report.residue_limits.shape == (report.period, spec.m)
+        assert residue_limits(traj, report.period).shape == (report.period, spec.m)
 
     def test_unbounded_seed_reported(self):
         spec = SystemSpec(k=2, A=np.full((2, 2), 1.0))
@@ -254,7 +254,7 @@ class TestAnalyze:
         spec, traj = positive_unit_run
         report = analyze(traj, spec)
         _, w = perron_pair(spec.A)
-        for limit in report.residue_limits:
+        for limit in residue_limits(traj, report.period):
             norm = float(np.linalg.norm(limit))
             if norm <= 1e-8:
                 continue
@@ -269,7 +269,7 @@ class TestAnalyze:
             spec = random_spec(rng, m, k, 1.0)
             traj = simulate(spec, random_init(rng, k, m), horizon)
             for p in range(1, 2 * k + 1):
-                limits = _tail_mean_per_class(traj, p)
+                limits = residue_limits(traj, p)
                 for a in range(p):
                     ns = [n for n in range(1, horizon + 1) if n % p == a][-10:]
                     rows = traj.values[[traj.index(n) for n in ns]]

@@ -226,6 +226,28 @@ class TestConfigErrors:
         assert re.fullmatch(f"error: config does not parse: [^\n]+?{where}", err[0]), err
 
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--config", "{conf}", "--horizon", "abc"],
+        ["verify", "--config", "{conf}", "--horizon", "1.5"],
+        ["verify"],
+        ["simulate", "--config", "{conf}"],
+        ["frobnicate", "--config", "{conf}"],
+    ])
+    def test_bad_command_line_is_one_line(self, tmp_path, capsys, argv):
+        conf = write_conf(tmp_path, yaml.safe_dump(PROBE_BASE))
+        assert main([arg.format(conf=conf) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ratsys")
+
+
 class TestSimulateCommand:
     def test_identity_row_count(self, tmp_path):
         conf = write_conf(tmp_path, IDENTITY_CONF)
@@ -279,13 +301,21 @@ def per_value_csv(traj):
 
 
 class TestTrajectoryCsv:
-    @pytest.mark.parametrize("rows", [CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+    @pytest.mark.parametrize("rows", [
+        2,  # k rows: with diverged, a run that diverged at its first step
+        3,  # fewer than 2k rows
+        4,  # exactly 2k rows
+        5,  # 2k + 1 rows, the last a repeat of the first
+        CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1,
+    ])
     @pytest.mark.parametrize("diverged", [False, True])
     def test_chunked_write_is_the_per_value_format(self, tmp_path, rows, diverged):
         rng = np.random.default_rng(rows)
         m, k = 3, 2
         values = rng.uniform(0.0, 1.0, (rows, m)) * 10.0 ** rng.integers(-320, 308, (rows, m))
         values[0] = [0.0, 5e-324, np.finfo(float).max]
+        if rows == 2 * k + 1:
+            values[-1] = values[0]
         horizon = rows - k
         traj = Trajectory(spec=SystemSpec(k=k, A=np.eye(m)), values=values, horizon=horizon,
                           diverged_at=horizon + 1 if diverged else None)
