@@ -96,6 +96,20 @@ def detect_period(
     return None
 
 
+def rows_above(rows: np.ndarray, threshold: float) -> np.ndarray:
+    """The indices, ascending, of the rows whose Euclidean norm exceeds ``threshold``.
+
+    The growth test of :func:`detect_unbounded`, which the simulator also
+    runs on a block of a verify run's rows to stop stepping it once it has
+    crossed.  A row's norm depends on that row's values alone (the numpy
+    sum of a C-contiguous row does not change with the number of rows), so
+    a block finds the crossings the whole trajectory shows there.
+    """
+    with np.errstate(over="ignore"):  # squared huge-but-finite values -> inf is fine
+        norms = np.sqrt((rows * rows).sum(axis=1))
+    return np.flatnonzero(norms > threshold)
+
+
 def detect_unbounded(
     traj: Trajectory, growth_threshold: float = GROWTH_THRESHOLD
 ) -> Optional[int]:
@@ -104,13 +118,9 @@ def detect_unbounded(
     Falls back to the overflow step when the simulator diverged before
     crossing the threshold; returns None for bounded runs.
     """
-    gen = traj.generated
-    if gen.shape[0]:
-        with np.errstate(over="ignore"):  # squared huge-but-finite values -> inf is fine
-            norms = np.sqrt((gen * gen).sum(axis=1))
-        hits = np.nonzero(norms > growth_threshold)[0]
-        if hits.size:
-            return int(hits[0]) + 1
+    hits = rows_above(traj.generated, growth_threshold)
+    if hits.size:
+        return int(hits[0]) + 1
     return traj.diverged_at
 
 

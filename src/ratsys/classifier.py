@@ -222,7 +222,13 @@ def verify_classification(
     :func:`~ratsys.simulator.simulate_batch`, analyzes each run, and
     records one pass/fail check per prediction; the witness check, when
     present, comes first.  For the unbounded regime only the witness is
-    gated; random runs are reported as information.
+    gated; random runs are reported as information.  A call whose runs
+    would hold no gated check (no witness, and no trials or only
+    informational ones) raises ValueError instead of passing vacuously.
+
+    A run stops once a row's norm passes ``tolerances.growth_threshold``
+    (``stop_above`` of :func:`~ratsys.simulator.simulate_batch`): its
+    analysis finds growth first, at the same exit step as on the full run.
     """
     tol = tolerances or Tolerances()
     regime = classification.regime
@@ -233,12 +239,18 @@ def verify_classification(
     if classification.witness is not None:
         runs.append((f"witness: {witness_text.format(p=period)}",
                      classification.witness.history, True))
+    elif regime == UNBOUNDED_EXISTS:
+        raise ValueError("verify.expect: unbounded-exists without its witness gates no check: "
+                         "random runs in the unbounded regime are informational")
+    elif trials == 0:
+        raise ValueError(f"run.trials: 0 leaves no check: {regime} has no witness run here")
     check_run_size(len(runs) + trials, spec, horizon)
     rng = np.random.default_rng(rng_seed)
     for t in range(trials):
         runs.append((f"random-init {t + 1:02d}: {random_text.format(p=period)}",
                      rng.uniform(0.0, init_max, (k, spec.m)), False))
-    trajectories = simulate_batch(spec, [history for _, history, _ in runs], horizon)
+    trajectories = simulate_batch(spec, [history for _, history, _ in runs], horizon,
+                                  stop_above=tol.growth_threshold)
     checks: List[PredictionCheck] = []
     for (name, history, witness), traj in zip(runs, trajectories):
         report = analyze(traj, spec, tol)

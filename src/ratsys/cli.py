@@ -224,6 +224,10 @@ def cmd_sweep(cfg: RunConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
+#: Command-line flag -> the config field it overrides.
+_OVERRIDES = {"--seed": "rng_seed", "--horizon": "run.horizon", "--trials": "run.trials"}
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors end in ``main``'s one-line ``error:`` and exit 1."""
 
@@ -237,18 +241,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulate and classify k-th order rational difference systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_out in (
-        ("simulate", True),
-        ("classify", False),
-        ("verify", False),
-        ("sweep", True),
+    # Each subcommand takes only the flags it reads, so an ignored flag is an error.
+    for name, out, flags in (
+        ("simulate", "CSV file", ("--horizon",)),
+        ("classify", None, ()),
+        ("verify", "report file", ("--trials", "--horizon", "--seed")),
+        ("sweep", "directory", ("--trials", "--horizon", "--seed")),
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the YAML config")
-        p.add_argument("--out", required=needs_out, help="output path (simulate: CSV file, sweep: directory)")
-        p.add_argument("--trials", type=int, default=None, help="override run.trials")
-        p.add_argument("--horizon", type=int, default=None, help="override run.horizon")
-        p.add_argument("--seed", type=int, default=None, help="override rng_seed")
+        if out:
+            p.add_argument("--out", required=name != "verify", help=f"output {out}")
+        for flag in flags:
+            p.add_argument(flag, type=int, default=None, help=f"override {_OVERRIDES[flag]}")
     return parser
 
 
@@ -263,8 +268,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        for path, value in (("rng_seed", args.seed), ("run.horizon", args.horizon),
-                            ("run.trials", args.trials)):
+        for flag, path in _OVERRIDES.items():
+            value = getattr(args, flag[2:], None)
             if value is not None:
                 setattr(cfg, path.rpartition(".")[2], check(path, value))
         if args.command == "simulate":

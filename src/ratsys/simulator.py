@@ -15,22 +15,29 @@ it: :func:`step` is one step of :func:`simulate`, and
 a denominator-free run has an exactly zero linear residual.
 
 Two kernels evaluate it, bit for bit alike; :func:`simulate_batch`, the one
-entry point, picks one per call.  A call of at most :data:`MAX_LOOP_TERMS`
-terms a step over its B histories (B m^2 k) runs a loop generated per spec,
-which spells out every term with the coefficients as float literals and
-steps each trajectory on Python floats; a larger call steps all B at once in
-numpy.  :func:`simulate`, :func:`step` and :func:`simulate_linear` make calls
-of one history, ``verify_classification`` one per verify run or sweep cell.
-Microseconds a step, interleaved best of 9, horizon 2000, 2-vCPU Intel Xeon:
+entry point, picks one per call.  A call of B histories runs a loop generated
+per spec, which spells out every nonzero term with the coefficients as float
+literals and steps each trajectory on Python floats, when its count
+B (m^2 k + :data:`ROW_TERMS`), the terms of a step plus a charge for each
+history, is at most :data:`MAX_LOOP_TERMS`; a larger call steps all B at
+once in numpy.  :func:`simulate`, :func:`step` and :func:`simulate_linear`
+make calls of one history, ``verify_classification`` one per verify run or
+sweep cell.  Microseconds a step, interleaved best of 9, horizon 2000,
+2-vCPU Intel Xeon, with the count in parentheses:
 
-    m, k,  B (terms)   loop  numpy        m, k,  B (terms)   loop  numpy
-    3, 3,  5   (135)    6.4   13.7        4, 4,  5   (320)    9.4   10.4
-    2, 2, 21   (168)   12.0   16.5        2, 4, 21   (336)   16.6   17.5
-    2, 2, 32   (256)   18.2   19.1        2, 2, 64   (512)   35.5   19.2
-    8, 4,  1   (256)    9.2   12.8       16, 4,  1  (1024)   36.4   19.0
+    m, k,  B (count)   loop  numpy        m, k,  B (count)   loop  numpy
+    3, 3,  5   (155)    7.8   17.3        1, 2, 48   (288)   16.5   15.9
+    2, 2, 21   (252)   16.2   15.7        1, 2, 64   (384)   19.2   19.0
+    8, 4,  1   (260)   12.2   16.1        1, 2, 72   (432)   22.4   19.0
+    4, 4,  5   (340)   16.0   18.0        1, 2, 128  (768)   42.6   15.6
+    3, 4,  9   (360)   14.8   18.2        1, 4, 40   (320)   15.0   15.7
+    2, 2, 32   (384)   24.7   20.3        1, 4, 48   (384)   21.2   18.9
+    2, 4, 21   (420)   24.2   22.9        2, 2, 64   (768)   47.4   27.0
+   16, 4,  1  (1028)   38.2   19.8
 
-The crossover lies between 256 and 512 terms.  At m = 1 the loop's cost for
-each row and step, about 0.2 us, dominates, so numpy wins from about 64 rows.
+The loop's cost grows with the terms and, by about 0.2 us a step, with the
+histories, where numpy's stays near 16-20 us a step up to a few thousand
+terms.  Near the limit the two kernels are within about 20 % of each other.
 
 The loop steps each trajectory in blocks of :data:`_CHECK_EVERY` steps, each
 resumed from the last k rows.  After a block it compares the bytes of the
@@ -42,6 +49,20 @@ coefficients, so a state that recurs is followed by the same rows again.
 periods 1 (an exact zero), k and 2k all divide it; in double precision such
 a limit is often reached bit for bit after a few hundred steps.  Bytes, not
 ``==``, decide, since ``==`` holds between -0.0 and 0.0.
+
+With ``stop_above`` (``verify_classification`` passes its growth threshold),
+each kernel also ends a trajectory at the last step of a check block in which
+``analysis.rows_above``, the growth test of ``analysis.detect_unbounded``,
+finds a row whose norm exceeds the threshold; a block that diverges ends
+where it diverges, as without the rule.  The test runs only on a block whose
+last k rows have a component above the threshold, a cheap look at the state
+the next block starts from; the test alone decides, since a component above
+the threshold can square to 0.0 (1e-190 against 1e-200).  Which blocks are
+tested does not matter for exactness, only that both kernels test the same
+ones, so that they cut a run at the same step.  The stop is exact for
+``analyze``: it tests growth first, and a row's norm depends on that row
+alone, so the rows kept hold the same first crossing, and the report names
+the same exit step, as the full run.  Every other caller gets the full horizon.
 
 The generated loop keeps the order because each sum is one ``+`` chain,
 which Python evaluates left to right without rearranging float arithmetic.
@@ -61,6 +82,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .analysis import rows_above
 from .model import (
     InitialConditions,
     SystemSpec,
@@ -90,13 +112,21 @@ class Diverged(RuntimeError):
         super().__init__(f"non-finite value produced{where}")
 
 
-#: Most terms a step over all of a call's histories, B m^2 k (m numerator
-#: and m (k - 1) denominator terms for each of m components of each of B
-#: trajectories), that :func:`simulate_batch` runs in the generated loop;
-#: the module docstring's table puts the kernels' crossover near it.  It
-#: also bounds the loop's compile cost, about 1.3 kB a term (100 MB at
-#: m = 16, k = 300), where numpy needs a few arrays of the spec's size.
-MAX_LOOP_TERMS = 256
+#: Largest count B (m^2 k + ROW_TERMS) of a call of B histories that
+#: :func:`simulate_batch` runs in the generated loop (m^2 k: m numerator and
+#: m (k - 1) denominator terms for each of m components); the module
+#: docstring's table puts the kernels' crossover near it.  It also bounds the
+#: loop's compile cost, about 1.3 kB a term (100 MB at m = 16, k = 300),
+#: where numpy needs a few arrays of the spec's size.
+MAX_LOOP_TERMS = 384
+
+#: The charge for each history of a call, in terms.  The table's 2 x 2 and
+#: m = 1 rows fit the loop's cost a step as 0.07 us a term plus 0.19 us a
+#: history, 2.5 terms.  A charge of 4 with a limit of 384 leaves every m >= 2
+#: call of the table on the kernel that a limit of 256 terms and no charge
+#: picks, and sends m = 1 calls of more than 64 histories at k = 2 (48 at
+#: k = 4) to numpy.
+ROW_TERMS = 4
 
 
 def _step_loop(spec: SystemSpec):
@@ -107,9 +137,13 @@ def _step_loop(spec: SystemSpec):
     by component, to ``append`` and returns the first step n with a
     non-finite component (nothing of it is appended), or None; ``y - y !=
     0.0`` holds for an inf or nan y and no other.  Its source spells out
-    every term of every component, with the window in local variables
-    ``x{j}_{c}`` (v_{n-k+j}, component c) and each coefficient as the
-    literal ``repr`` of its float.
+    every nonzero term of every component, with the window in local
+    variables ``x{j}_{c}`` (v_{n-k+j}, component c) and each coefficient as
+    the literal ``repr`` of its float.  A term whose coefficient is 0.0 or
+    -0.0 is left out, which changes no bit: window values are finite and
+    nonnegative or -0.0, so such a term is +-0.0; each sum starts from its
+    literal 0.0 or 1.0 and so is never -0.0; and s + +-0.0 is s for any
+    other s.
     """
     k, m = spec.k, spec.m
     a, q = spec.A.tolist(), spec.denom.tolist()
@@ -117,9 +151,9 @@ def _step_loop(spec: SystemSpec):
     outs = [f"y{i}" for i in range(m)]
     body = []
     for i in range(m):
-        num = " + ".join(["0.0", *(f"{a[i][c]!r}*x0_{c}" for c in range(m))])
+        num = " + ".join(["0.0", *(f"{a[i][c]!r}*x0_{c}" for c in range(m) if a[i][c])])
         den = " + ".join(["1.0", *(f"{q[i][j - 1][c]!r}*x{k - j}_{c}"
-                                   for c in range(m) for j in range(1, k))])
+                                   for c in range(m) for j in range(1, k) if q[i][j - 1][c])])
         body.append(f"y{i} = ({num}) / ({den})")
     body += [
         "if " + " or ".join(f"{y} - {y} != 0.0" for y in outs) + ":",
@@ -203,40 +237,52 @@ def simulate(spec: SystemSpec, init: InitialConditions, horizon: int) -> Traject
     return traj
 
 
-def simulate_batch(spec: SystemSpec, histories: Sequence, horizon: int) -> List[Trajectory]:
+def simulate_batch(
+    spec: SystemSpec, histories: Sequence, horizon: int, *, stop_above: Optional[float] = None
+) -> List[Trajectory]:
     """Iterate the rational system for ``horizon`` steps from each (k, m) history.
 
-    At most :data:`MAX_LOOP_TERMS` terms a step over all histories (B m^2 k)
-    run through the spec's generated loop, each into its own ``array('d')``;
-    more run together in numpy.  Either way the trajectories are the same bit
-    for bit, ``diverged_at`` and cut included, with read-only C-contiguous values.
+    A call of B histories with B (m^2 k + :data:`ROW_TERMS`) at most
+    :data:`MAX_LOOP_TERMS` runs through the spec's generated loop, each
+    history into its own ``array('d')``; a larger one runs together in
+    numpy.  Either way the trajectories are the same bit for bit,
+    ``diverged_at`` and cut included, with read-only C-contiguous values.
     The loop stops stepping a trajectory once its k-row state repeats the
     one 2k rows before, and copies the rest (see the module docstring).
+
+    With ``stop_above``, a trajectory also ends at the last step of a check
+    block in which a row's norm exceeds it (the growth test of
+    ``analysis.detect_unbounded``), unless it diverged there; see the module
+    docstring for why ``analyze`` reports such a run as it reports the full one.
     """
     inits = _validated(spec, histories, horizon)
     if not inits:
         return []
-    if len(inits) * spec.A.size * spec.k > MAX_LOOP_TERMS:
-        return _simulate_numpy(spec, inits, horizon)
+    if len(inits) * (spec.A.size * spec.k + ROW_TERMS) > MAX_LOOP_TERMS:
+        return _simulate_numpy(spec, inits, horizon, stop_above)
     from array import array  # a 0.1 MB extension module that a numpy-only run never loads
 
     run = _step_loop(spec)
     trajectories = []
     for init in inits:
         values = array("d", init.history.ravel().tolist())
-        diverged_at = _run_blocks(run, values, spec, horizon)
+        diverged_at = _run_blocks(run, values, spec, horizon, stop_above)
         rows = np.frombuffer(values).reshape(-1, spec.m)
         trajectories.append(Trajectory(spec, rows, len(rows) - spec.k, diverged_at))
     return trajectories
 
 
-def _run_blocks(run, values, spec: SystemSpec, horizon: int) -> Optional[int]:
+def _run_blocks(
+    run, values, spec: SystemSpec, horizon: int, stop_above: Optional[float]
+) -> Optional[int]:
     """Append v_1, ..., v_horizon to ``values`` with ``run``; the step it diverged at, or None.
 
     ``values`` starts as the k initial rows.  ``run`` steps
-    ``_CHECK_EVERY`` steps a call from the last k rows.  When a block ends
-    with the last k rows the bytes of the k rows 2k before them, every
-    later row is the row 2k before it, so the rest of the horizon is
+    ``_CHECK_EVERY`` steps a call from the last k rows.  A block with a
+    row whose norm exceeds ``stop_above`` ends the run there; the test runs
+    only when the last k rows have a component above it.  When a block
+    ends with the last k rows the bytes of the k rows 2k before them,
+    every later row is the row 2k before it, so the rest of the horizon is
     filled by repeating the last 2k rows, ``_CHECK_EVERY`` periods a piece.
     """
     state = spec.k * spec.m
@@ -245,6 +291,10 @@ def _run_blocks(run, values, spec: SystemSpec, horizon: int) -> Optional[int]:
         diverged_at = run(values[-state:], first, last, values.append)
         if diverged_at is not None:
             return diverged_at
+        if stop_above is not None and last < horizon and max(values[-state:]) > stop_above:
+            block = np.frombuffer(values[(first - last - 1) * spec.m:]).reshape(-1, spec.m)
+            if rows_above(block, stop_above).size:
+                return None
         if (last < horizon and len(values) >= 3 * state
                 and values[-state:].tobytes() == values[-3 * state : -2 * state].tobytes()):
             cycle = values[-2 * state:] * _CHECK_EVERY
@@ -256,11 +306,16 @@ def _run_blocks(run, values, spec: SystemSpec, horizon: int) -> Optional[int]:
     return None
 
 
-def _simulate_numpy(spec: SystemSpec, inits, horizon: int) -> List[Trajectory]:
+def _simulate_numpy(
+    spec: SystemSpec, inits, horizon: int, stop_above: Optional[float]
+) -> List[Trajectory]:
     """Validated ``inits`` stepped together; each trajectory views one (B, k + horizon, m) array.
 
-    Non-finite values are looked for every ``_CHECK_EVERY`` steps, and the
-    loop stops at the first look that finds every row diverged.
+    Every ``_CHECK_EVERY`` steps, non-finite values are looked for, then,
+    in the rows that are still finite and whose last k rows have a
+    component above ``stop_above``, a row whose norm exceeds it; a row
+    found either way ends there.  The rows step together, so the loop
+    stops at the first look that finds every row ended.
     """
     rows, m, k = len(inits), spec.m, spec.k
     values = np.empty((rows, k + horizon, m))
@@ -278,6 +333,7 @@ def _simulate_numpy(spec: SystemSpec, inits, horizon: int) -> List[Trajectory]:
     q = np.ascontiguousarray(spec.denom.transpose(2, 1, 0))[:, :, None, :]  # q_ijc at [c, j - 1, 0, i]
     alive = np.ones(rows, dtype=bool)
     diverged_at: List[Optional[int]] = [None] * rows
+    ends = [horizon] * rows  # the last step each trajectory keeps
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, horizon + 1):
             t = n + k - 1  # row of v_n
@@ -292,19 +348,22 @@ def _simulate_numpy(spec: SystemSpec, inits, horizon: int) -> List[Trajectory]:
             # Rows never mix, so a row's first non-finite step can be found
             # after the fact; what a row computes past it is cut off.
             first = n - (n - 1) % _CHECK_EVERY
-            finite = np.isfinite(values[:, first + k - 1 : t + 1]).all(axis=2)
+            block = values[:, first + k - 1 : t + 1]
+            finite = np.isfinite(block).all(axis=2)
             for b in np.flatnonzero(alive & ~finite.all(axis=1)):
                 diverged_at[b] = first + int(np.argmin(finite[b]))
+                ends[b] = diverged_at[b] - 1  # before the step it diverged at
                 alive[b] = False
+            if stop_above is not None and n < horizon:
+                state_max = values[:, t - k + 1 : t + 1].max(axis=(1, 2))
+                for b in np.flatnonzero(alive & (state_max > stop_above)):
+                    if rows_above(block[b], stop_above).size:
+                        ends[b] = n
+                        alive[b] = False
             if not alive.any():
                 break
-    trajectories = []
-    for b, at in enumerate(diverged_at):
-        last = horizon if at is None else at - 1  # a diverged row ends before step ``at``
-        trajectories.append(
-            Trajectory(spec=spec, values=values[b, : k + last], horizon=last, diverged_at=at)
-        )
-    return trajectories
+    return [Trajectory(spec=spec, values=values[b, : k + last], horizon=last, diverged_at=at)
+            for b, (last, at) in enumerate(zip(ends, diverged_at))]
 
 
 def simulate_linear(a, k: int, init: InitialConditions, horizon: int) -> Trajectory:

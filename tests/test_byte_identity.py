@@ -42,8 +42,13 @@ CONFIGS = {
     "probe_base": yaml.safe_dump(PROBE_BASE),
 }
 
-#: Small enough to keep the whole table fast; every command takes both flags.
-FLAGS = ["--horizon", "300", "--trials", "2"]
+#: Small enough to keep the whole table fast; each command gets the flags it reads.
+FLAGS = {
+    "simulate": ["--horizon", "300"],
+    "classify": [],
+    "verify": ["--horizon", "300", "--trials", "2"],
+    "sweep": ["--horizon", "300", "--trials", "2"],
+}
 
 #: (config, command) -> sha256 of the run.
 DIGESTS = {
@@ -134,7 +139,7 @@ def run_digest(tmp_path, conf_text, command):
     """sha256 of the exit code, stdout, stderr and written files of one run."""
     conf = tmp_path / "conf.yaml"
     conf.write_text(conf_text)
-    argv = [command, "--config", str(conf)] + FLAGS
+    argv = [command, "--config", str(conf)] + FLAGS[command]
     if command != "classify":
         argv += ["--out", str(tmp_path / "out")]
     out, err = io.StringIO(), io.StringIO()

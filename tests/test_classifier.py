@@ -19,6 +19,7 @@ from ratsys import (
     perron_pair,
     regime_from_spectrum,
     simulate,
+    simulate_batch,
     verify_classification,
 )
 from ratsys.analysis import (
@@ -320,6 +321,47 @@ class TestVerifyClassification:
         assert not report.passed
         failures = report.failures()
         assert failures and failures[0].init is not None
+
+    def test_no_gated_check_is_refused(self):
+        from dataclasses import replace
+
+        spec = SystemSpec(k=2, A=[[0.0, 0.5], [0.5, 0.0]])
+        cls = classify_tetrachotomy(spec)
+        assert cls.regime == CONVERGES_TO_ZERO and cls.witness is None
+        with pytest.raises(ValueError, match="run.trials"):
+            verify_classification(spec, cls, horizon=100, trials=0)
+        expected = replace(cls, regime=UNBOUNDED_EXISTS, witness=None)
+        with pytest.raises(ValueError, match="verify.expect"):
+            verify_classification(spec, expected, horizon=100, trials=3)
+        # one gated check is enough
+        assert verify_classification(spec, cls, horizon=100, trials=1).passed
+
+    @pytest.mark.parametrize("trials", [4, 40])  # the loop side and the numpy side
+    def test_stopped_runs_check_like_full_ones(self, monkeypatch, trials):
+        # at rho = 1.02 a random run passes the growth threshold 1e6 near
+        # n = 1400 - 100 ln x_0: some inside the horizon, the rest not
+        spec = SystemSpec(k=2, A=[[1.02, 0.0], [0.0, 0.5]])
+        cls = classify_tetrachotomy(spec)
+        assert cls.regime == UNBOUNDED_EXISTS
+        batches = []
+
+        def recording(spec, histories, horizon, **kwargs):
+            batches.append(simulate_batch(spec, histories, horizon, **kwargs))
+            return batches[-1]
+
+        def checks():
+            report = verify_classification(spec, cls, horizon=1300, trials=trials, rng_seed=6)
+            return [(c.name, c.passed, c.observed, c.period, c.gated) for c in report.checks]
+
+        monkeypatch.setattr("ratsys.classifier.simulate_batch", recording)
+        stopped = checks()
+        monkeypatch.setattr("ratsys.classifier.simulate_batch",
+                            lambda spec, histories, horizon, stop_above: recording(
+                                spec, histories, horizon))
+        assert stopped == checks()
+        ends = [traj.horizon for traj in batches[0]]
+        assert any(end < 1300 for end in ends) and 1300 in ends
+        assert all(traj.horizon == 1300 for traj in batches[1] if traj.diverged_at is None)
 
     def test_trichotomy_period_k_verified(self):
         rng = np.random.default_rng(47)

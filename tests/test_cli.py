@@ -96,6 +96,19 @@ verify:
   expect: converges-to-zero
 """
 
+#: A contracting kernel: converges-to-zero, which has no witness run.
+NO_WITNESS_CONF = """
+mode: tetrachotomy
+system:
+  k: 2
+  A: [[0, 0.5], [0.5, 0]]
+run:
+  horizon: 200
+  trials: 0
+sweep:
+  c: [1.0]
+"""
+
 SWEEP_CONF = """
 mode: tetrachotomy
 rng_seed: 23
@@ -240,6 +253,24 @@ class TestConfigErrors:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--out", "x.txt", "--trials", "5", "--horizon", "7"],
+        ["classify", "--out", "x.txt"],
+        ["classify", "--trials", "5"],
+        ["classify", "--horizon", "7"],
+        ["classify", "--seed", "1"],
+        ["simulate", "--out", "x.csv", "--trials", "5"],
+        ["simulate", "--out", "x.csv", "--seed", "1"],
+    ])
+    def test_flag_the_command_ignores_is_refused(self, tmp_path, capsys, argv):
+        conf = write_conf(tmp_path, yaml.safe_dump(PROBE_BASE))
+        paths = [str(tmp_path / a) if a.startswith("x.") else a for a in argv[1:]]
+        assert main([argv[0], "--config", conf, *paths]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not list(tmp_path.glob("x.*"))
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: unrecognized arguments: --"), err
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -422,7 +453,8 @@ class TestClassifyCommand:
         doc = {"mode": mode, "system": {"k": 2, "A": a}, "run": {"horizon": 50},
                "init": {"seed": seed}, "tolerances": {"rho_tol": rho_tol}}
         conf = write_conf(tmp_path, yaml.safe_dump(doc))
-        assert main([command, "--config", conf, "--out", str(tmp_path / "t.csv")]) == 0
+        out = ["--out", str(tmp_path / "t.csv")] if command == "simulate" else []
+        assert main([command, "--config", conf, *out]) == 0
         if command == "classify":
             assert f"regime: {regime}" in capsys.readouterr().out
 
@@ -512,6 +544,21 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "witness" in out
 
+    @pytest.mark.parametrize("conf_text,argv,field", [
+        (NO_WITNESS_CONF, [], "run.trials"),
+        (NO_WITNESS_CONF.replace("trials: 0", "trials: 3"), ["--trials", "0"], "run.trials"),
+        (NO_WITNESS_CONF.replace("trials: 0", "trials: 3")
+         + "verify:\n  expect: unbounded-exists\n", [], "verify.expect"),
+    ], ids=["trials-0", "trials-flag-0", "expect-unbounded"])
+    def test_no_gated_check_is_an_error(self, tmp_path, capsys, conf_text, argv, field):
+        # no witness and no trials, or informational trials only: nothing to pass
+        conf = write_conf(tmp_path, conf_text)
+        assert main(["verify", "--config", conf, "--out", str(tmp_path / "r.txt"), *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "r.txt").exists()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {field}"), err
+
     @pytest.mark.parametrize(
         "flag,value", [("--trials", "-3"), ("--horizon", "0"), ("--seed", "-5")]
     )
@@ -576,9 +623,9 @@ class TestSweepCommand:
     def test_each_witness_simulated_once(self, tmp_path, monkeypatch):
         histories = []
 
-        def counting_simulate_batch(spec, batch, horizon):
+        def counting_simulate_batch(spec, batch, horizon, **kwargs):
             histories.extend(batch)
-            return simulate_batch(spec, batch, horizon)
+            return simulate_batch(spec, batch, horizon, **kwargs)
 
         monkeypatch.setattr("ratsys.classifier.simulate_batch", counting_simulate_batch)
         monkeypatch.setattr("ratsys.cli.simulate", None)  # sweep must not simulate run by run
@@ -591,6 +638,15 @@ class TestSweepCommand:
         witnesses = sum(c[2] != "converges-to-zero" for c in cells)
         assert witnesses == 2
         assert len(histories) == len(cells) * 4 + witnesses  # trials: 4
+
+    def test_cell_with_no_gated_check_is_an_error(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, NO_WITNESS_CONF)
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", "--config", conf, "--out", str(out_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out_dir.exists()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: run.trials"), err
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         conf = write_conf(tmp_path, SWEEP_CONF.replace("c: [0.5, 1.0, 2.0]", "c: []"))
@@ -653,7 +709,8 @@ class TestNonsymmetricKernels:
         doc = {"mode": "tetrachotomy", "system": {"k": 2, "A": a},
                "run": {"horizon": 50, "trials": 1}, "sweep": {"c": [1.0]}}
         conf = write_conf(tmp_path, yaml.safe_dump(doc))
-        assert main([command, "--config", conf, "--out", str(tmp_path / "o")]) == 1
+        out = ["--out", str(tmp_path / "o")] if command != "classify" else []
+        assert main([command, "--config", conf, *out]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err.splitlines()

@@ -22,7 +22,8 @@ from ratsys import (
     step,
 )
 from ratsys import classify_tetrachotomy, simulator, verify_classification
-from ratsys.simulator import MAX_LOOP_TERMS, MAX_RUN_BYTES
+from ratsys.analysis import Tolerances, analyze, rows_above
+from ratsys.simulator import MAX_LOOP_TERMS, MAX_RUN_BYTES, ROW_TERMS
 
 
 class TestStep:
@@ -195,9 +196,10 @@ def _same_run(got, want):
     )
 
 
-def _numpy_batch(spec, histories, horizon):
+def _numpy_batch(spec, histories, horizon, stop_above=None):
     """The numpy kernel on ``histories``, whatever their number of terms a step."""
-    return simulator._simulate_numpy(spec, [InitialConditions(h) for h in histories], horizon)
+    inits = [InitialConditions(h) for h in histories]
+    return simulator._simulate_numpy(spec, inits, horizon, stop_above)
 
 
 WILD_SCALES = 10.0 ** np.array([300, 285, 270, 200, 100, 0, -100])
@@ -355,9 +357,11 @@ class TestGeneratedKernel:
         assert diverged.diverged_at == 1 and diverged.values.shape == (2, 1)
         assert diverged.values.flags.c_contiguous and not diverged.values.flags.writeable
 
-    @pytest.mark.parametrize("m,k", [(1, MAX_LOOP_TERMS), (1, MAX_LOOP_TERMS + 1), (16, 300)])
+    @pytest.mark.parametrize("m,k", [(1, 256), (1, 257), (1, MAX_LOOP_TERMS - ROW_TERMS),
+                                     (1, MAX_LOOP_TERMS - ROW_TERMS + 1), (16, 300)])
     def test_long_sums_match_oracle_and_batch(self, m, k):
-        # k = 256 at m = 1 is the longest sum a generated loop adds; m = 16,
+        # k = 380 at m = 1 is the longest sum a generated loop adds, and 381
+        # the shortest that a call of one history leaves to numpy; m = 16,
         # k = 300 has 4784 denominator terms a component, more than CPython
         # compiles as one expression
         rng = np.random.default_rng(m + k)
@@ -371,6 +375,41 @@ class TestGeneratedKernel:
         (batch,) = _numpy_batch(spec, [history], 3)
         assert _same_run(got, batch)
 
+    def test_zero_coefficients_write_no_term(self, monkeypatch):
+        # 0.0 and -0.0 coefficients, and -0.0 in the history: a term left out
+        # changes no bit of the oracle's sums, which add every term
+        sources = []
+        compiled = simulator._compiled
+        monkeypatch.setattr(simulator, "_compiled", lambda source: sources.append(source)
+                            or compiled(source))
+        rng = np.random.default_rng(12)
+        for m, k in ((1, 2), (2, 2), (3, 3), (4, 5)):
+            def draw(shape, high):
+                pick = rng.integers(0, 4, shape)
+                return np.where(pick == 0, 0.0, np.where(pick == 1, -0.0,
+                                                         rng.uniform(0.0, high, shape)))
+
+            spec = SystemSpec(k=k, A=draw((m, m), 2.0), denom=draw((m, k - 1, m), 1.5))
+            history = np.where(rng.integers(0, 2, (k, m)) == 0, -0.0,
+                               rng.uniform(0.0, 10.0, (k, m)))
+            sources.clear()
+            got = simulate(spec, InitialConditions(history), 200)
+            (source,) = sources
+            nonzero = np.count_nonzero(spec.A) + np.count_nonzero(spec.denom)
+            assert source.count("*x") == nonzero < spec.A.size * k
+            rows, diverged_at = oracle_simulate(spec, history, 200)
+            assert got.diverged_at == diverged_at and got.values.shape == rows.shape
+            assert (got.values.view(np.uint64) == rows.view(np.uint64)).all()
+            (batch,) = _numpy_batch(spec, [history], 200)
+            assert _same_run(got, batch)
+        # a kernel of zeros and -0.0 leaves each sum its literal alone
+        sources.clear()
+        spec = SystemSpec(k=2, A=[[0.0, -0.0], [-0.0, 0.0]], denom=[[[-0.0, 0.0]], [[0.0, 0.0]]])
+        got = simulate(spec, InitialConditions([[1.0, -0.0], [2.0, 3.0]]), 10)
+        assert "*x" not in sources[0]
+        rows, _ = oracle_simulate(spec, [[1.0, -0.0], [2.0, 3.0]], 10)
+        assert (got.values.view(np.uint64) == rows.view(np.uint64)).all()
+
     def test_large_specs_compile_no_loop(self, monkeypatch):
         # compiling a loop takes about 1.3 kB a term: 100 MB at m = 16, k = 300
         def refuse(spec):
@@ -383,7 +422,7 @@ class TestGeneratedKernel:
 
 
 class TestKernelChoice:
-    """:func:`simulate_batch` steps B m^2 k <= MAX_LOOP_TERMS terms in the loop, more in numpy."""
+    """:func:`simulate_batch` loops at B (m^2 k + ROW_TERMS) <= MAX_LOOP_TERMS, else uses numpy."""
 
     @staticmethod
     def _count(monkeypatch, name):
@@ -407,7 +446,7 @@ class TestKernelChoice:
     def test_at_the_limit_one_loop_and_no_numpy(self, monkeypatch):
         rng = np.random.default_rng(8)
         spec = random_spec(rng, 2, 2, 1.0)
-        histories = [rng.uniform(0.0, 10.0, (2, 2)) for _ in range(32)]  # 32 x 8 = 256 terms
+        histories = [rng.uniform(0.0, 10.0, (2, 2)) for _ in range(32)]  # 32 x (8 + 4) = 384
         want = _numpy_batch(spec, histories, 100)
         loops = self._count(monkeypatch, "_step_loop")
         self._refuse(monkeypatch, "_simulate_numpy")
@@ -423,6 +462,23 @@ class TestKernelChoice:
         batches = self._count(monkeypatch, "_simulate_numpy")
         assert len(simulate_batch(spec, histories, 100)) == 33
         assert batches == [spec]
+
+    @pytest.mark.parametrize("k,rows,kernel", [
+        (2, 64, "_step_loop"), (2, 65, "_simulate_numpy"), (2, 128, "_simulate_numpy"),
+        (4, 48, "_step_loop"), (4, 49, "_simulate_numpy"),
+    ])
+    def test_m1_rows_count_toward_the_limit(self, monkeypatch, k, rows, kernel):
+        # at m = 1 a step has k terms a history, and each history adds ROW_TERMS:
+        # 64 x (2 + 4) = 384 = 48 x (4 + 4) is the limit
+        rng = np.random.default_rng(k * rows)
+        spec = SystemSpec(k=k, A=[[1.0]], denom=rng.uniform(0.5, 1.5, (1, k - 1, 1)))
+        histories = [rng.uniform(0.0, 10.0, (k, 1)) for _ in range(rows)]
+        want = [simulate(spec, InitialConditions(h), 100) for h in histories]
+        used = self._count(monkeypatch, kernel)
+        self._refuse(monkeypatch, ({"_step_loop", "_simulate_numpy"} - {kernel}).pop())
+        got = simulate_batch(spec, histories, 100)
+        assert used == [spec]
+        assert all(_same_run(g, w) for g, w in zip(got, want))
 
     def test_empty_call_compiles_nothing(self, monkeypatch):
         self._refuse(monkeypatch, "_step_loop")
@@ -552,6 +608,128 @@ class TestExactCycles:
         assert traj.horizon == 100_000 and entry < 3000
         assert [b[0] for b in blocks] == list(range(1, 64 * len(blocks), 64))
         assert blocks[-1][1] <= entry + 3 * 64
+
+
+#: v_n = 2 v_{n-2} from the history (1, 1.5): v_n is 2, 3, 4, 6, 8, ... for n = 1, 2, ...,
+#: each row above the one before it, so a threshold between them is first passed at a set n.
+DOUBLING = SystemSpec(k=2, A=[[2.0]])
+DOUBLING_HISTORY = np.array([[1.0], [1.5]])
+
+
+def _doubling(n):
+    """v_n of DOUBLING from DOUBLING_HISTORY, n >= -1."""
+    return 2.0 ** ((n + 1) // 2) * (1.5 if n % 2 == 0 else 1.0)
+
+
+def _first_passed_at(n):
+    """A threshold DOUBLING_HISTORY's run first passes at step n."""
+    return (_doubling(n - 1) + _doubling(n)) / 2
+
+
+class TestStopAbove:
+    """With ``stop_above``, a run ends at the check block where a row's norm first passes it.
+
+    ``analyze`` must report each stopped run exactly as the full run, on the
+    loop side and the numpy side of ``simulate_batch``.
+    """
+
+    @staticmethod
+    def _runs(monkeypatch, side, spec, histories, horizon, threshold):
+        """The stopped and the full runs of ``histories`` on one side of simulate_batch.
+
+        The numpy side gets the histories with zero rows, which never pass a
+        threshold, enough to take the call past the loop's limit.
+        """
+        if side == "numpy":
+            histories = list(histories) + [np.zeros((spec.k, spec.m))] * MAX_LOOP_TERMS
+        other = "_step_loop" if side == "numpy" else "_simulate_numpy"
+        TestKernelChoice._refuse(monkeypatch, other)
+        stopped = simulate_batch(spec, histories, horizon, stop_above=threshold)
+        full = simulate_batch(spec, histories, horizon)
+        tol = Tolerances(growth_threshold=threshold)
+        for got, want in zip(stopped, full):
+            assert analyze(got, spec, tol) == analyze(want, spec, tol)
+            if got.horizon == want.horizon:
+                assert _same_run(got, want)
+                continue
+            # stopped at the end of a block that passed the threshold
+            end = got.horizon
+            assert got.diverged_at is None and end % 64 == 0
+            assert rows_above(got.generated[end - 64:], threshold).size
+            assert (got.values.view(np.uint64) == want.values[: spec.k + end].view(np.uint64)).all()
+        return stopped
+
+    @pytest.mark.parametrize("side", ["loop", "numpy"])
+    @pytest.mark.parametrize("n,end", [(1, 64), (40, 64), (64, 64), (65, 128), (200, 256)])
+    def test_run_ends_with_the_block_it_passes_in(self, monkeypatch, side, n, end):
+        threshold = _first_passed_at(n)
+        (traj, *_) = self._runs(monkeypatch, side, DOUBLING, [DOUBLING_HISTORY], 300, threshold)
+        assert traj.horizon == end and traj.diverged_at is None
+        assert analyze(traj, DOUBLING, Tolerances(growth_threshold=threshold)).exit_step == n
+
+    @pytest.mark.parametrize("side", ["loop", "numpy"])
+    @pytest.mark.parametrize("factor,start,passed,diverged", [(1e100, 1.0, 3, 7),
+                                                              (1e10, 1e-200, 71, 101)])
+    def test_divergence_in_the_same_block_comes_first(self, monkeypatch, side, factor, start,
+                                                      passed, diverged):
+        # v_n = factor v_{n-2} from (start, start) passes 3e150 at step
+        # `passed` and overflows at step `diverged`, in the same block
+        spec = SystemSpec(k=2, A=[[factor]])
+        history = np.full((2, 1), start)
+        (traj, *_) = self._runs(monkeypatch, side, spec, [history], 300, 3e150)
+        assert traj.diverged_at == diverged and traj.horizon == diverged - 1
+        assert analyze(traj, spec, Tolerances(growth_threshold=3e150)).exit_step == passed
+
+    @pytest.mark.parametrize("side", ["loop", "numpy"])
+    def test_pass_seen_only_in_the_norm(self, monkeypatch, side):
+        # both components of v_n are DOUBLING's: the norm sqrt(2) v_n first
+        # passes 1.9 * 2^64 at n = 128, while no component does before n = 129
+        spec = SystemSpec(k=2, A=2.0 * np.eye(2))
+        threshold = 1.9 * 2.0**64
+        history = np.hstack([DOUBLING_HISTORY, DOUBLING_HISTORY])
+        (traj, *_) = self._runs(monkeypatch, side, spec, [history], 300, threshold)
+        assert traj.generated[:128].max() < threshold < traj.generated[128].max()
+        assert traj.horizon == 192
+        assert analyze(traj, spec, Tolerances(growth_threshold=threshold)).exit_step == 128
+
+    @pytest.mark.parametrize("side", ["loop", "numpy"])
+    def test_components_above_a_tiny_threshold_need_the_norm(self, monkeypatch, side):
+        # with a threshold of 1e-200, 1e-190 squares to 0.0: no pass, so no
+        # stop, though every component is above the threshold; growing from
+        # 1e-190, the squares stop underflowing a few blocks on
+        constant, growing = SystemSpec(k=2, A=[[1.0]]), SystemSpec(k=2, A=[[1.5]])
+        history = np.full((2, 1), 1e-190)
+        (traj, *_) = self._runs(monkeypatch, side, constant, [history], 300, 1e-200)
+        assert traj.horizon == 300
+        assert analyze(traj, constant, Tolerances(growth_threshold=1e-200)).behavior == (
+            "converged-to-zero")
+        (traj, *_) = self._runs(monkeypatch, side, growing, [history], 600, 1e-200)
+        exit_step = analyze(traj, growing, Tolerances(growth_threshold=1e-200)).exit_step
+        assert 128 < exit_step <= traj.horizon < 600
+
+    @pytest.mark.parametrize("side", ["loop", "numpy"])
+    def test_stopped_and_full_rows_mixed(self, monkeypatch, side):
+        # scaled by 2^-e, the run passes the threshold about 2e steps later:
+        # at 40, 100 and 200 inside the horizon, never for e = 200 or a zero start
+        threshold = _first_passed_at(40)
+        histories = [DOUBLING_HISTORY * 2.0**-e for e in (0, 30, 80, 200)] + [np.zeros((2, 1))]
+        runs = self._runs(monkeypatch, side, DOUBLING, histories, 300, threshold)
+        assert [t.horizon for t in runs[:5]] == [64, 128, 256, 300, 300]
+
+    def test_kernels_stop_alike(self):
+        rng = np.random.default_rng(31)
+        for m, k in ((1, 2), (2, 2), (3, 3)):
+            spec = SystemSpec(k=k, A=symmetric_nonneg_with_rho(rng, m, 1.5),
+                              denom=rng.uniform(0.0, 0.5, (m, k - 1, m)))
+            histories = [rng.uniform(0.0, 10.0, (k, m)) * s for s in (1.0, 1e-3, 1e-6, 0.0)]
+            for threshold in (1e3, 1e6, 1e-200):
+                loop = simulate_batch(spec, histories, 400, stop_above=threshold)
+                batch = _numpy_batch(spec, histories, 400, stop_above=threshold)
+                assert all(_same_run(g, w) for g, w in zip(loop, batch))
+
+    def test_plain_calls_run_the_horizon(self):
+        traj = simulate(DOUBLING, InitialConditions(DOUBLING_HISTORY), 300)
+        assert traj.horizon == 300 and traj.diverged_at is None
 
 
 class TestHorizonType:
