@@ -133,38 +133,48 @@ def eig2(a) -> EigenDecomposition:
 
 
 def _jacobi(a0: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization; returns (eigenvalues, row eigenvectors)."""
+    """Cyclic Jacobi diagonalization; returns (eigenvalues, row eigenvectors).
+
+    The rotations run on lists of Python floats: ``a`` by rows and the
+    eigenvector rows ``vt`` (the columns of V).  Each element gets
+    ``c * x - s * y`` or ``s * x + c * y``, the same two rounded products
+    and one rounded sum or difference as the numpy slice arithmetic
+    ``c * a[:, p] - s * a[:, q]``, since CPython does not fuse a multiply
+    and an add, and in the same order: columns of ``a``, then rows, then
+    V.  So the result is bit for bit that of the slice form, at a fraction
+    of its per-call overhead for m <= 16.  The norms ``fro`` and ``off``
+    stay numpy sums.
+    """
     m = a0.shape[0]
-    a = a0.copy()
-    v = np.eye(m)
-    fro = float(np.sqrt((a * a).sum()))
+    fro = float(np.sqrt((a0 * a0).sum()))
     if fro == 0.0:
-        return np.zeros(m), v
+        return np.zeros(m), np.eye(m)
+    a, vt = a0.tolist(), np.eye(m).tolist()
+    upper = np.triu_indices(m, 1)
     target = 1e-15 * fro
     for _ in range(_JACOBI_MAX_SWEEPS):
-        off = float(np.sqrt(2.0 * (a[np.triu_indices(m, 1)] ** 2).sum()))
+        off = float(np.sqrt(2.0 * (np.array(a)[upper] ** 2).sum()))
         if off <= target:
-            return np.diagonal(a).copy(), v.T.copy()
+            return np.array([a[i][i] for i in range(m)]), np.array(vt)
         for p in range(m - 1):
             for q in range(p + 1, m):
-                apq = a[p, q]
+                apq = a[p][q]
                 if apq == 0.0:
                     continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
                 t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
-                ap, aq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                ap, aq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * ap - s * aq
-                a[q, :] = s * ap + c * aq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
+                for row in a:
+                    x, y = row[p], row[q]
+                    row[p] = c * x - s * y
+                    row[q] = s * x + c * y
+                for rows in (a, vt):
+                    xs, ys = rows[p], rows[q]
+                    rows[p] = [c * x - s * y for x, y in zip(xs, ys)]
+                    rows[q] = [s * x + c * y for x, y in zip(xs, ys)]
+                a[p][q] = 0.0
+                a[q][p] = 0.0
     raise ArithmeticError("Jacobi iteration did not converge")
 
 

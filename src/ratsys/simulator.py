@@ -33,16 +33,25 @@ sweep cell.  Microseconds a step, interleaved best of 9, horizon 2000,
     3, 4,  9   (360)   14.8   18.2        1, 4, 40   (320)   15.0   15.7
     2, 2, 32   (384)   24.7   20.3        1, 4, 48   (384)   21.2   18.9
     2, 4, 21   (420)   24.2   22.9        2, 2, 64   (768)   47.4   27.0
-   16, 4,  1  (1028)   38.2   19.8
+   16, 4,  1  (1028)   20.0*   9.1*
+   16, 4,  5  (5140)   98.6*  27.9*
+
+* Measured on the same VM in a faster spell than the other rows, on
+  orbits that reach no exact cycle: compare these two rows only with each
+  other.
 
 The loop's cost grows with the terms and, by about 0.2 us a step, with the
 histories, where numpy's stays near 16-20 us a step up to a few thousand
 terms.  Near the limit the two kernels are within about 20 % of each other.
 
-The loop steps each trajectory in blocks of :data:`_CHECK_EVERY` steps, each
-resumed from the last k rows.  After a block it compares the bytes of the
-last k rows with those of the k rows 2k before them.  When they match, the
-rest of the horizon is copied from the last 2k rows instead of stepped.  The
+Both kernels step in blocks of :data:`_CHECK_EVERY` steps, each resumed
+from the last k rows, and after each block end a trajectory by one rule,
+tested in this order: at its first non-finite step (it diverged); with
+``stop_above``, at the block (below); or, when the bytes of its last k rows
+match those of the k rows 2k before them, with the rest of the horizon
+copied from its last 2k rows instead of stepped.  The loop runs one
+trajectory at a time; the numpy kernel steps the rows still live together,
+and a row that ends leaves the batch, which stops once no row is left.  The
 copy is exact: a step is a pure function of the k-row state and of constant
 coefficients, so a state that recurs is followed by the same rows again.
 2k catches the limits the paper's tetrachotomy allows at rho <= 1, since
@@ -67,11 +76,12 @@ the same exit step, as the full run.  Every other caller gets the full horizon.
 The generated loop keeps the order because each sum is one ``+`` chain,
 which Python evaluates left to right without rearranging float arithmetic.
 The batched kernel keeps the order by the rule "accumulate, never reduce":
-one ``np.multiply`` per side forms a step's terms along a term axis that
-starts with the 0.0 or 1.0, and the sum is the last element of
-``np.add.accumulate`` along that axis, which adds strictly left to right.
-``np.sum``, ``np.add.reduce``, ``@``, ``dot`` and ``einsum`` may add
-pairwise or in BLAS order, so they never compute a term sum here.
+one ``np.multiply`` per side forms the terms along a term axis that starts
+with the 0.0 or 1.0 (the numerators of k steps at once, since their v_{n-k}
+are known), and each sum is the last element of ``np.add.accumulate`` along
+that axis, which adds strictly left to right.  ``sum``, ``np.add.reduce``,
+``@``, ``dot`` and ``einsum`` may add pairwise, compensated or in BLAS
+order, so this module calls none of them (tests/test_tooling.py checks).
 """
 
 from __future__ import annotations
@@ -98,8 +108,8 @@ from .model import (
 MAX_RUN_BYTES = 1 << 30
 
 
-#: Steps between the batched kernel's checks for non-finite values, and
-#: in a block of the generated loop, between its checks for a repeated state.
+#: Steps in a block of either kernel: between its checks for non-finite
+#: values, for a pass of ``stop_above`` and for a repeated state.
 _CHECK_EVERY = 64
 
 
@@ -247,8 +257,8 @@ def simulate_batch(
     history into its own ``array('d')``; a larger one runs together in
     numpy.  Either way the trajectories are the same bit for bit,
     ``diverged_at`` and cut included, with read-only C-contiguous values.
-    The loop stops stepping a trajectory once its k-row state repeats the
-    one 2k rows before, and copies the rest (see the module docstring).
+    Each kernel stops stepping a trajectory once its k-row state repeats
+    the one 2k rows before, and copies the rest (see the module docstring).
 
     With ``stop_above``, a trajectory also ends at the last step of a check
     block in which a row's norm exceeds it (the growth test of
@@ -311,59 +321,131 @@ def _simulate_numpy(
 ) -> List[Trajectory]:
     """Validated ``inits`` stepped together; each trajectory views one (B, k + horizon, m) array.
 
-    Every ``_CHECK_EVERY`` steps, non-finite values are looked for, then,
-    in the rows that are still finite and whose last k rows have a
-    component above ``stop_above``, a row whose norm exceeds it; a row
-    found either way ends there.  The rows step together, so the loop
-    stops at the first look that finds every row ended.
+    The rows still live step one ``_CHECK_EVERY`` block at a time in a
+    (live, k + ``_CHECK_EVERY``, m) buffer that starts from their last k
+    rows, and each block is copied into the trajectory array.  After a
+    block a row ends at its first non-finite step, at the block when a row
+    of it passes ``stop_above``, or, when its last k rows repeat the k
+    rows 2k before them, with the rest of its horizon copied from its last
+    2k rows (the module docstring's rule, tested in the loop's order).
+    An ended row leaves the buffer, and stepping stops once none is left;
+    the copies of the cycles are made after that.
     """
     rows, m, k = len(inits), spec.m, spec.k
+    # The buffers are made before the trajectory array and freed before the
+    # cycles are copied into it, so that they are not resident along with all
+    # of it; otherwise they raised the peak resident set of a 16 x 16, k = 4
+    # verify by 0.1-0.2 MB.
+    buf, step_block = _numpy_stepper(spec, rows)
     values = np.empty((rows, k + horizon, m))
     for b, init in enumerate(inits):
         values[b, :k] = init.history
-    # Term axis first, so one multiply fills all of a step's terms:
-    # num_terms[:, b, i] is 0.0, then a_ic v_{n-k,c} by ascending c;
-    # den_terms[:, b, i] is 1.0, then q_ijc v_{n-j,c} by ascending c and,
-    # inside each c, ascending j.  The last accumulated term is the sum.
-    num_terms = np.zeros((1 + m, rows, m))
-    den_terms = np.ones((1 + m * (k - 1), rows, m))
-    den_products = den_terms[1:].reshape(m, k - 1, rows, m, copy=False)
-    num_sums, den_sums = np.empty_like(num_terms), np.empty_like(den_terms)
-    a = np.ascontiguousarray(spec.A.T)[:, None, :]  # a_ic at [c, 0, i]
-    q = np.ascontiguousarray(spec.denom.transpose(2, 1, 0))[:, :, None, :]  # q_ijc at [c, j - 1, 0, i]
-    alive = np.ones(rows, dtype=bool)
+    bits = values.view(np.uint64)
     diverged_at: List[Optional[int]] = [None] * rows
     ends = [horizon] * rows  # the last step each trajectory keeps
+    live = np.arange(rows)  # the trajectory of each buffer row
+    cycles = []  # (trajectory, first row to copy) of each row that reached an exact cycle
+    buf[:, :k] = values[:, :k]
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, horizon + 1):
-            t = n + k - 1  # row of v_n
-            np.multiply(a, values[:, t - k].T[:, :, None], out=num_terms[1:])
-            recent = values[:, t - 1 : t - k : -1].transpose(2, 1, 0)  # v_{n-j,c} at [c, j - 1, b]
-            np.multiply(q, recent[:, :, :, None], out=den_products)
-            np.add.accumulate(num_terms, axis=0, out=num_sums)
-            np.add.accumulate(den_terms, axis=0, out=den_sums)
-            np.divide(num_sums[-1], den_sums[-1], out=values[:, t])
-            if n % _CHECK_EVERY and n < horizon:
-                continue
+        for first in range(1, horizon + 1, _CHECK_EVERY):
+            last = min(first + _CHECK_EVERY - 1, horizon)
+            steps = last - first + 1
+            step_block(steps)
+            block = buf[:, k : k + steps]
+            values[live, first + k - 1 : last + k] = block
             # Rows never mix, so a row's first non-finite step can be found
             # after the fact; what a row computes past it is cut off.
-            first = n - (n - 1) % _CHECK_EVERY
-            block = values[:, first + k - 1 : t + 1]
             finite = np.isfinite(block).all(axis=2)
-            for b in np.flatnonzero(alive & ~finite.all(axis=1)):
-                diverged_at[b] = first + int(np.argmin(finite[b]))
-                ends[b] = diverged_at[b] - 1  # before the step it diverged at
-                alive[b] = False
-            if stop_above is not None and n < horizon:
-                state_max = values[:, t - k + 1 : t + 1].max(axis=(1, 2))
-                for b in np.flatnonzero(alive & (state_max > stop_above)):
-                    if rows_above(block[b], stop_above).size:
-                        ends[b] = n
-                        alive[b] = False
-            if not alive.any():
+            ended = ~finite.all(axis=1)
+            for r in np.flatnonzero(ended):
+                diverged_at[live[r]] = first + int(np.argmin(finite[r]))
+                ends[live[r]] = diverged_at[live[r]] - 1  # before the step it diverged at
+            if last == horizon:
                 break
+            if stop_above is not None:
+                state_max = buf[:, steps : steps + k].max(axis=(1, 2))
+                for r in np.flatnonzero(~ended & (state_max > stop_above)):
+                    if rows_above(block[r], stop_above).size:
+                        ends[live[r]] = last
+                        ended[r] = True
+            if last >= 2 * k:
+                before = bits[live, last - 2 * k : last - k]
+                repeats = (bits[live, last : last + k] == before).all(axis=(1, 2))
+                for r in np.flatnonzero(~ended & repeats):
+                    cycles.append((live[r], k + last))
+                    ended[r] = True
+            state = buf[~ended, steps : steps + k]
+            if ended.any():
+                live = live[~ended]
+                if not len(live):
+                    break
+                del buf, block, step_block  # so that the new buffers can reuse their memory
+                buf, step_block = _numpy_stepper(spec, len(live))
+            buf[:, :k] = state
+    del buf, block, step_block
+    for b, start in cycles:
+        _repeat_rows(values[b], start, 2 * k)
     return [Trajectory(spec=spec, values=values[b, : k + last], horizon=last, diverged_at=at)
             for b, (last, at) in enumerate(zip(ends, diverged_at))]
+
+
+def _numpy_stepper(spec: SystemSpec, live: int):
+    """A (live, k + _CHECK_EVERY, m) buffer and a function ``step_block(steps)`` that steps it.
+
+    The buffer holds the k rows before a block first; ``step_block`` fills
+    the next ``steps`` rows, each from the k before it.  The sums keep the
+    module's order by "accumulate, never reduce": each side's terms lie
+    along a first axis that starts with the 0.0 or the 1.0, and
+    ``np.add.accumulate`` along it, in place, leaves the sum in the last
+    element (the first stays, and the products are formed anew each time).
+    The v_{n-k} of the next k steps are all known, so one multiply and one
+    accumulate form k numerators (at most a block's) at a time; the
+    denominator, which needs v_{n-1}, takes one of each a step, against
+    coefficients tiled once to a contiguous (m, k - 1, live, m) array.
+    """
+    m, k = spec.m, spec.k
+    buf = np.empty((live, k + _CHECK_EVERY, m))
+    a = np.ascontiguousarray(spec.A.T)[:, None, None, :]  # a_ic at [c, 0, 0, i]
+    # q_ijc at [c, j - 1, b, i] for every row b
+    q = np.ascontiguousarray(np.broadcast_to(spec.denom.transpose(2, 1, 0)[:, :, None, :],
+                                             (m, k - 1, live, m)))
+    # Before each accumulate, num_terms[:, s, b, i] is 0.0, then a_ic v_{n+s-k,c}
+    # by ascending c; den_terms[:, b, i] is 1.0, then q_ijc v_{n-j,c} by
+    # ascending c and, inside each c, ascending j.
+    ahead = min(k, _CHECK_EVERY)  # numerators formed at a time
+    num_terms = np.zeros((1 + m, ahead, live, m))
+    den_terms = np.ones((1 + m * (k - 1), live, m))
+    den_products = den_terms[1:].reshape(m, k - 1, live, m, copy=False)
+    numerators, den_sum = num_terms[-1], den_terms[-1]
+
+    def step_block(steps):
+        for s in range(0, steps, ahead):
+            chunk = min(ahead, steps - s)
+            delayed = buf[:, s : s + chunk].transpose(2, 1, 0)  # v_{n+s-k,c} at [c, s, b]
+            np.multiply(a, delayed[:, :, :, None], out=num_terms[1:, :chunk])
+            np.add.accumulate(num_terms[:, :chunk], axis=0, out=num_terms[:, :chunk])
+            for j in range(chunk):
+                t = k + s + j  # buffer row of v_n
+                recent = buf[:, t - 1 : t - k : -1].transpose(2, 1, 0)  # v_{n-j,c} at [c, j - 1, b]
+                np.multiply(q, recent[:, :, :, None], out=den_products)
+                np.add.accumulate(den_terms, axis=0, out=den_terms)
+                np.divide(numerators[j], den_sum, out=buf[:, t])
+
+    return buf, step_block
+
+
+def _repeat_rows(rows: np.ndarray, start: int, period: int) -> None:
+    """Fill ``rows[start:]`` so that each row is the one ``period`` rows before it.
+
+    The pieces double: each copies all that is filled since
+    ``start - period``, so a horizon of H rows takes about log2(H / period)
+    copies and no buffer.
+    """
+    base, pos, end = start - period, start, len(rows)
+    while pos < end:
+        n = min(pos - base, end - pos)
+        rows[pos : pos + n] = rows[base : base + n]
+        pos += n
 
 
 def simulate_linear(a, k: int, init: InitialConditions, horizon: int) -> Trajectory:

@@ -1,10 +1,10 @@
-"""Shared generators and independent oracles for the test suite."""
+"""Shared generators, independent oracles and probes for the test suite."""
 
 import math
 
 import numpy as np
 
-from ratsys import InitialConditions, SystemSpec
+from ratsys import InitialConditions, SystemSpec, simulator
 
 
 def symmetric_from(rng, m, low=0.0, high=1.0):
@@ -135,3 +135,62 @@ def oracle_simulate(spec, history, horizon):
             return np.array(rows), n
         rows.append(out)
     return np.array(rows), None
+
+
+def count_numpy_blocks(monkeypatch):
+    """The (live rows, steps) of every block the numpy kernel steps from now on."""
+    blocks = []
+    make_stepper = simulator._numpy_stepper
+
+    def counting_stepper(spec, live):
+        buf, step_block = make_stepper(spec, live)
+
+        def counted(steps):
+            blocks.append((live, steps))
+            step_block(steps)
+
+        return buf, counted
+
+    monkeypatch.setattr(simulator, "_numpy_stepper", counting_stepper)
+    return blocks
+
+
+def oracle_jacobi(a0):
+    """Cyclic Jacobi on numpy slices: (eigenvalues, row eigenvectors).
+
+    The slice form of ``linalg._jacobi``, with the same rotations in the
+    same order; the package rotates lists of Python floats and must match
+    it bit for bit.
+    """
+    m = a0.shape[0]
+    a = a0.copy()
+    v = np.eye(m)
+    fro = float(np.sqrt((a * a).sum()))
+    if fro == 0.0:
+        return np.zeros(m), v
+    target = 1e-15 * fro
+    for _ in range(50):
+        off = float(np.sqrt(2.0 * (a[np.triu_indices(m, 1)] ** 2).sum()))
+        if off <= target:
+            return np.diagonal(a).copy(), v.T.copy()
+        for p in range(m - 1):
+            for q in range(p + 1, m):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                ap, aq = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * ap - s * aq
+                a[:, q] = s * ap + c * aq
+                ap, aq = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * ap - s * aq
+                a[q, :] = s * ap + c * aq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                vp, vq = v[:, p].copy(), v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+    raise ArithmeticError("Jacobi iteration did not converge")

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import symmetric_nonneg_with_rho, symmetric_signed_with_rho
+from conftest import oracle_jacobi, symmetric_nonneg_with_rho, symmetric_signed_with_rho
 
 from ratsys import (
     EIG_TOL,
@@ -17,7 +17,7 @@ from ratsys import (
     perron_pair,
     spectral_radius,
 )
-from ratsys.linalg import RHO_TOL, _power_iteration, radius_side
+from ratsys.linalg import RHO_TOL, _decomposition, _jacobi, _power_iteration, radius_side
 
 
 def closed_form_2x2(a):
@@ -97,6 +97,60 @@ class TestEigSymmetric:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             eig_symmetric(np.ones((2, 3)))
+
+
+def _assert_jacobi_matches_oracle(a):
+    """``_jacobi`` gives the slice-form oracle's eigenvalues and vectors bit for bit."""
+    for got, want in zip(_jacobi(a), oracle_jacobi(a)):
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
+
+def _symmetric(b):
+    """The exactly symmetric matrix with the upper triangle of ``b``."""
+    return np.triu(b) + np.triu(b, 1).T
+
+
+class TestJacobiOracle:
+    """Rotating lists of Python floats repeats the numpy slice arithmetic bit for bit."""
+
+    @pytest.mark.parametrize("m", range(3, 17))
+    def test_random_symmetric(self, m):
+        rng = np.random.default_rng(900 + m)
+        for trial in range(12):
+            b = rng.uniform(-1.0, 1.0, (m, m)) * 10.0 ** float(rng.integers(-3, 4))
+            if trial % 3 == 0:
+                b[rng.random((m, m)) < 0.4] = 0.0
+            elif trial % 3 == 1:
+                b = np.abs(b)
+            _assert_jacobi_matches_oracle(_symmetric(b))
+
+    @pytest.mark.parametrize("m", [3, 4, 7, 16])
+    def test_special_matrices(self, m):
+        rng = np.random.default_rng(m)
+        v = rng.uniform(-1.0, 1.0, m)
+        ones = np.ones((m, m))
+        householder = np.eye(m) - 2.0 * np.outer(v, v) / (v @ v)  # eigenvalues -1, 1, ..., 1
+        negative_zeros = np.where(np.eye(m) == 1.0, 2.0, -0.0)
+        negative_zeros[0, 1] = negative_zeros[1, 0] = 0.5
+        for a in (np.zeros((m, m)), np.full((m, m), -0.0), np.diag(rng.uniform(-2.0, 2.0, m)),
+                  3.0 * np.eye(m), ones, ones + np.eye(m), -ones, _symmetric(householder),
+                  negative_zeros, np.outer(v, v)):
+            _assert_jacobi_matches_oracle(a)
+
+    @pytest.mark.parametrize("m", [3, 5, 8, 12, 16])
+    def test_unit_radius_positive_kernels(self, m):
+        # built as the m = 16, k = 4 verify benchmark builds its kernel:
+        # entries uniform in [0.1, 1], scaled by the Perron root to rho = 1
+        rng = np.random.default_rng(40 + m)
+        for _ in range(6):
+            a = _symmetric(rng.uniform(0.1, 1.0, (m, m)))
+            a = a / perron_pair(a)[0]
+            _assert_jacobi_matches_oracle(a)
+            want = _decomposition(*oracle_jacobi(a))
+            got = eig_symmetric(a)
+            assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+            assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
 
 
 class TestEig2:

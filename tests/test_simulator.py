@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    count_numpy_blocks,
     oracle_simulate,
     oracle_step_from_spec,
     random_init,
@@ -503,19 +504,21 @@ def _cycle_entry(values, k):
 
 
 class TestExactCycles:
-    """Once the k-row state repeats the one 2k rows before, the loop copies rows, not steps them."""
+    """Once the k-row state repeats the one 2k rows before, each kernel copies rows, not steps them."""
 
     @staticmethod
     def _assert_oracle_prefixes(spec, history, horizons):
-        """Each horizon's run is bit for bit the oracle's first rows."""
+        """Each horizon's run is bit for bit the oracle's first rows, on both kernels."""
         rows, diverged_at = oracle_simulate(spec, history, max(horizons))
         for horizon in horizons:
-            got = simulate(spec, InitialConditions(history), horizon)
             want = rows[: spec.k + horizon]
             at = diverged_at if diverged_at is not None and diverged_at <= horizon else None
-            assert got.diverged_at == at and got.horizon == len(want) - spec.k
-            assert got.values.shape == want.shape
-            assert (got.values.view(np.uint64) == want.view(np.uint64)).all(), horizon
+            loop = simulate(spec, InitialConditions(history), horizon)
+            (batch,) = _numpy_batch(spec, [history], horizon)
+            for got in (loop, batch):
+                assert got.diverged_at == at and got.horizon == len(want) - spec.k
+                assert got.values.shape == want.shape
+                assert (got.values.view(np.uint64) == want.view(np.uint64)).all(), horizon
         return rows
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -526,7 +529,8 @@ class TestExactCycles:
         # 3k at m = 3, which 2k rows never repeat, so that run is all stepped
         swap = np.roll(np.eye(m), 1, axis=1)
         history = rng.uniform(0.0, 10.0, (k, m))
-        horizons = [1, 2, k, 2 * k, 3 * k - 1, 3 * k, 3 * k + 1, 63, 64, 65, 130, 700, 3000]
+        horizons = [1, 2, k, 2 * k, 3 * k - 1, 3 * k, 3 * k + 1, 63, 64, 65, 128, 129, 130, 700,
+                    3000]
         cases = [
             # period 1: c < 1 reaches an exact 0
             (SystemSpec(k=k, A=0.1 * np.full((m, m), 1 / m), denom=np.full((m, k - 1, m), 0.5)),
@@ -587,12 +591,14 @@ class TestExactCycles:
     def test_negative_zero_history_is_no_repeat(self, monkeypatch):
         # at k = 32 the check after step 64 compares v_33..v_64 with the
         # history; v_n = v_{n-k} turns each -0.0 into 0.0, equal by == but
-        # not by bytes, so the loop steps one more block before it copies
+        # not by bytes, so each kernel steps one more block before it copies
         k = 32
         history = np.where(np.arange(k) % 2 == 0, -0.0, np.arange(k, dtype=float))[:, None]
         blocks = self._count_blocks(monkeypatch)
+        numpy_blocks = count_numpy_blocks(monkeypatch)
         self._assert_oracle_prefixes(SystemSpec(k=k, A=[[1.0]]), history, [500])
         assert blocks == [(1, 64), (65, 128)]
+        assert numpy_blocks == [(1, 64), (1, 64)]
 
     def test_cycling_run_stops_stepping(self, monkeypatch):
         blocks = self._count_blocks(monkeypatch)
@@ -608,6 +614,27 @@ class TestExactCycles:
         assert traj.horizon == 100_000 and entry < 3000
         assert [b[0] for b in blocks] == list(range(1, 64 * len(blocks), 64))
         assert blocks[-1][1] <= entry + 3 * 64
+
+    def test_numpy_rows_leave_the_batch_as_they_end(self, monkeypatch):
+        # v_n = diag(1e10, 0.5, 1) v_{n-2}: the first component passes
+        # 3e150 about 2 (15 - log10 x_0) steps on and overflows about 16
+        # steps after that, the second halves, the third has period 2
+        spec = SystemSpec(k=2, A=np.diag([1e10, 0.5, 1.0]))
+        histories = [
+            np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]),  # cycles from the start
+            np.full((2, 3), 1e-200) * [1.0, 0.0, 0.0],  # passes at 71, diverges at 101
+            np.full((2, 3), 1e-50) * [1.0, 0.0, 0.0],  # passes near 41, stops at 64
+            np.array([[0.0, 3.0, 0.0], [0.0, 5.0, 0.0]]),  # halves to the horizon
+        ]
+        blocks = count_numpy_blocks(monkeypatch)
+        got = _numpy_batch(spec, histories, 300, stop_above=3e150)
+        assert blocks == [(4, 64), (2, 64), (1, 64), (1, 64), (1, 44)]
+        assert [(t.horizon, t.diverged_at) for t in got] == [(300, None), (100, 101), (64, None),
+                                                              (300, None)]
+        for history, traj in zip(histories, got):
+            (alone,) = _numpy_batch(spec, [history], 300, stop_above=3e150)
+            (loop,) = simulate_batch(spec, [history], 300, stop_above=3e150)
+            assert _same_run(traj, alone) and _same_run(traj, loop)
 
 
 #: v_n = 2 v_{n-2} from the history (1, 1.5): v_n is 2, 3, 4, 6, 8, ... for n = 1, 2, ...,

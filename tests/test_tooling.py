@@ -1,5 +1,6 @@
-"""The bench tracer's function table names functions that exist, and the
-declared dependency floors cover the APIs the package calls."""
+"""The bench tracer's function table names functions that exist, the
+declared dependency floors cover the APIs the package calls, and the
+simulator adds its sums left to right."""
 
 import ast
 import importlib
@@ -42,3 +43,45 @@ def test_numpy_floor_has_reshape_copy():
               for dep in pyproject["project"]["dependencies"] if dep.startswith("numpy")]
     assert len(floors) == 1 and floors[0], pyproject["project"]["dependencies"]
     assert tuple(map(int, floors[0].groups())) >= (2, 1)
+
+
+SIMULATOR = CHILD.parents[1] / "src" / "ratsys" / "simulator.py"
+
+#: Names of calls that may add terms in an order other than left to right:
+#: pairwise, compensated or BLAS sums.
+REDUCING = {"sum", "fsum", "reduce", "reduceat", "dot", "einsum", "matmul", "tensordot", "inner"}
+
+
+def reducing_sums(source):
+    """(line, what) for each reducing sum that ``source`` names or applies."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Name) and node.id in REDUCING:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in REDUCING:
+            found.append((node.lineno, "." + node.attr))
+        elif isinstance(node, ast.alias) and node.name.rpartition(".")[2] in REDUCING:
+            found.append((getattr(node, "lineno", 0), "import " + node.name))
+    return found
+
+
+def test_simulator_accumulates_and_never_reduces():
+    # The kernels' bit-exactness rests on left-to-right sums; see the
+    # simulator module docstring.
+    assert reducing_sums(SIMULATOR.read_text()) == []
+
+
+@pytest.mark.parametrize("source", [
+    "s = sum(x)", "s = x.sum(axis=0)", "s = np.add.reduce(x)", "s = np.add.reduceat(x, i)",
+    "s = np.dot(a, b)", "s = a.dot(b)", "s = np.einsum('i,i', a, b)", "s = np.matmul(a, b)",
+    "s = np.tensordot(a, b)", "s = np.inner(a, b)", "s = a @ b", "a @= b", "s = math.fsum(x)",
+    "from numpy import dot",
+])
+def test_reducing_sums_are_found(source):
+    assert len(reducing_sums(source)) == 1
+
+
+def test_accumulate_is_no_reducing_sum():
+    assert reducing_sums("np.add.accumulate(x, axis=0, out=y)\ns = x[-1] + y") == []
