@@ -224,7 +224,12 @@ def verify_classification(
     present, comes first.  For the unbounded regime only the witness is
     gated; random runs are reported as information.  A call whose runs
     would hold no gated check (no witness, and no trials or only
-    informational ones) raises ValueError instead of passing vacuously.
+    informational ones) raises ValueError instead of passing vacuously, and
+    so does one whose witness must show a period (k or 2k) that ``analyze``
+    cannot report: one above ``tolerances.max_period``, or any when the
+    horizon is shorter than that maximum (default 2k).  Random runs are not
+    refused so: they also pass by converging to zero or by a period that
+    divides the predicted one.
 
     A run stops once a row's norm passes ``tolerances.growth_threshold``
     (``stop_above`` of :func:`~ratsys.simulator.simulate_batch`): its
@@ -244,6 +249,14 @@ def verify_classification(
                          "random runs in the unbounded regime are informational")
     elif trials == 0:
         raise ValueError(f"run.trials: 0 leaves no check: {regime} has no witness run here")
+    max_period = tol.max_period or 2 * k
+    if classification.witness is not None and period is not None:
+        if max_period < period:
+            raise ValueError(f"tolerances.max_period: {max_period} is below the period {period} "
+                             f"that {regime} predicts, so its witness run can never show it")
+        if horizon < max_period:
+            raise ValueError(f"run.horizon: {horizon} is below max_period {max_period}, so the "
+                             f"witness run can never show the period {period} that {regime} predicts")
     check_run_size(len(runs) + trials, spec, horizon)
     rng = np.random.default_rng(rng_seed)
     for t in range(trials):

@@ -62,9 +62,10 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     # cycle's.  Bits, not ==, pick the rows, since -0.0 == 0.0 but prints as -0.
     period = 2 * traj.k
     row_format = ",".join(["%.17g"] * traj.m) + "\n"
-    bits = traj.values.view(np.uint64)
+    # each row's bytes as one item, so the comparison makes no (rows, m) array
+    bits = traj.values.view(np.dtype((np.void, 8 * traj.m))).ravel()
     repeats = np.zeros(len(bits), dtype=bool)  # the first 2k rows repeat nothing
-    repeats[period:] = (bits[period:] == bits[:-period]).all(axis=1)
+    repeats[period:] = bits[period:] == bits[:-period]
     texts: List[str] = []  # the text after the index of each row, the last 2k kept
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("n," + ",".join(f"v{i + 1}" for i in range(traj.m)) + "\n")

@@ -11,6 +11,7 @@ Random draws use numpy's seeded PCG64 generator, so a config plus its
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -83,11 +84,39 @@ class RunConfig:
     sweep: Optional[SweepGrid] = None
 
 
+#: A decimal number as Python reads it: sign, mantissa, exponent letter, sign, digits.
+_DECIMAL = re.compile(r"([-+]?)([0-9]+\.?[0-9]*|\.[0-9]+)(?:([eE])([-+]?)([0-9]+))?")
+
+
+def _yaml_number_note(value) -> str:
+    """For a decimal number that YAML read as text, why and the spelling to use; else "".
+
+    YAML 1.1, which PyYAML follows, reads a float only with a dot in the
+    mantissa and a sign in the exponent: ``1e-9`` and ``1.0e6`` are text,
+    ``1.0e-9`` and ``1.0e+6`` are numbers.  In nested lists, the first
+    such entry is named.
+    """
+    if isinstance(value, list):
+        return next(filter(None, map(_yaml_number_note, value)), "")
+    match = _DECIMAL.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        return ""
+    sign, mantissa, e, exp_sign, digits = match.groups()
+    spelling = sign + mantissa + ("" if "." in mantissa else ".0")
+    if e:
+        spelling += e + (exp_sign or "+") + digits
+    if spelling == value:
+        return f"; YAML read {value!r} as text, since it is quoted: write it without quotes"
+    return (f"; YAML read {value!r} as text, since it reads a float only with a dot "
+            f"and a signed exponent: write {spelling}")
+
+
 def check(path: str, value):
     """``value`` checked by its :data:`FIELDS` row: an int passes for a float, a bool never."""
     kind, _, rule, text = FIELDS[path]
     if type(value) is not kind and not (kind is float and type(value) is int):
-        raise ConfigError(f"{path} must be of type {kind.__name__}, got {value!r}")
+        note = _yaml_number_note(value) if kind is float else ""
+        raise ConfigError(f"{path} must be of type {kind.__name__}, got {value!r}{note}")
     if kind is float and not abs(value) <= sys.float_info.max:  # NaN, inf, huge ints
         raise ConfigError(f"{path} must be finite, got {value!r}")
     if not rule(value):
@@ -131,7 +160,8 @@ def _floats(value, where: str, ndim: int) -> np.ndarray:
     except (ValueError, OverflowError):  # ragged lists, ints beyond the float range
         arr = None
     if arr is None or arr.ndim != ndim or not np.isfinite(arr).all() or (arr < 0).any():
-        raise ConfigError(f"{where} must be {_SHAPES[ndim]}, each finite and >= 0")
+        note = _yaml_number_note(value)
+        raise ConfigError(f"{where} must be {_SHAPES[ndim]}, each finite and >= 0{note}")
     return arr
 
 

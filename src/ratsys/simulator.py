@@ -44,34 +44,37 @@ The loop's cost grows with the terms and, by about 0.2 us a step, with the
 histories, where numpy's stays near 16-20 us a step up to a few thousand
 terms.  Near the limit the two kernels are within about 20 % of each other.
 
-Both kernels step in blocks of :data:`_CHECK_EVERY` steps, each resumed
-from the last k rows, and after each block end a trajectory by one rule,
-tested in this order: at its first non-finite step (it diverged); with
-``stop_above``, at the block (below); or, when the bytes of its last k rows
-match those of the k rows 2k before them, with the rest of the horizon
-copied from its last 2k rows instead of stepped.  The loop runs one
-trajectory at a time; the numpy kernel steps the rows still live together,
-and a row that ends leaves the batch, which stops once no row is left.  The
-copy is exact: a step is a pure function of the k-row state and of constant
-coefficients, so a state that recurs is followed by the same rows again.
-2k catches the limits the paper's tetrachotomy allows at rho <= 1, since
-periods 1 (an exact zero), k and 2k all divide it; in double precision such
-a limit is often reached bit for bit after a few hundred steps.  Bytes, not
-``==``, decide, since ``==`` holds between -0.0 and 0.0.
+Either kernel is handed to one driver, :func:`_drive`, which owns the
+trajectories' values (one (B, k + horizon, m) array), the index array of
+those still live and the rule that ends one.  A kernel only steps: it
+writes one block of :data:`_CHECK_EVERY` steps of each live trajectory,
+resumed from its last k rows, and reports the first non-finite step of
+each that has one.  After each block the driver tests all live
+trajectories at once and ends one by one rule, in this order: at
+its first non-finite step (it diverged); with ``stop_above``, at the block
+(below); or, when the bytes of its last k rows match those of the k rows
+2k before them, with the rest of the horizon copied from its last 2k rows
+instead of stepped.  An ended trajectory leaves the live list, and stepping
+stops once none is left.  The copy is exact: a step is a pure function of
+the k-row state and of constant coefficients, so a state that recurs is
+followed by the same rows again.  2k catches the limits the paper's
+tetrachotomy allows at rho <= 1, since periods 1 (an exact zero), k and 2k
+all divide it; in double precision such a limit is often reached bit for
+bit after a few hundred steps.  Bytes, not ``==``, decide, since ``==``
+holds between -0.0 and 0.0.
 
 With ``stop_above`` (``verify_classification`` passes its growth threshold),
-each kernel also ends a trajectory at the last step of a check block in which
-``analysis.rows_above``, the growth test of ``analysis.detect_unbounded``,
-finds a row whose norm exceeds the threshold; a block that diverges ends
-where it diverges, as without the rule.  The test runs only on a block whose
-last k rows have a component above the threshold, a cheap look at the state
-the next block starts from; the test alone decides, since a component above
-the threshold can square to 0.0 (1e-190 against 1e-200).  Which blocks are
-tested does not matter for exactness, only that both kernels test the same
-ones, so that they cut a run at the same step.  The stop is exact for
-``analyze``: it tests growth first, and a row's norm depends on that row
-alone, so the rows kept hold the same first crossing, and the report names
-the same exit step, as the full run.  Every other caller gets the full horizon.
+the driver also ends a trajectory at the last step of a check block in
+which ``analysis.rows_above``, the growth test of
+``analysis.detect_unbounded``, finds a row whose norm exceeds the
+threshold; a block that diverges ends where it diverges, as without the
+rule.  The test runs only on a block whose last k rows have a component
+above the threshold, a cheap look at the state the next block starts
+from; the test alone decides, since a component above the threshold can
+square to 0.0 (1e-190 against 1e-200).  The stop is exact for ``analyze``:
+it tests growth first, and a row's norm depends on that row alone, so the
+rows kept hold the same first crossing, and the report names the same exit
+step, as the full run.  Every other caller gets the full horizon.
 
 The generated loop keeps the order because each sum is one ``+`` chain,
 which Python evaluates left to right without rearranging float arithmetic.
@@ -86,6 +89,7 @@ order, so this module calls none of them (tests/test_tooling.py checks).
 
 from __future__ import annotations
 
+import mmap
 import numbers
 from functools import lru_cache
 from typing import List, Optional, Sequence
@@ -108,8 +112,8 @@ from .model import (
 MAX_RUN_BYTES = 1 << 30
 
 
-#: Steps in a block of either kernel: between its checks for non-finite
-#: values, for a pass of ``stop_above`` and for a repeated state.
+#: Steps in a block, which a kernel steps between the driver's checks for
+#: non-finite values, for a pass of ``stop_above`` and for a repeated state.
 _CHECK_EVERY = 64
 
 
@@ -140,20 +144,20 @@ ROW_TERMS = 4
 
 
 def _step_loop(spec: SystemSpec):
-    """A function ``run(start, first, last, append)`` that steps ``spec`` on Python floats.
+    """A function ``run(out, first, last)`` that steps ``spec`` on Python floats.
 
-    ``start`` holds the k vectors v_{first-k}, ..., v_{first-1} flat, oldest
-    first.  ``run`` steps n = first, ..., last, passes each v_n, component
-    by component, to ``append`` and returns the first step n with a
-    non-finite component (nothing of it is appended), or None; ``y - y !=
-    0.0`` holds for an inf or nan y and no other.  Its source spells out
-    every nonzero term of every component, with the window in local
-    variables ``x{j}_{c}`` (v_{n-k+j}, component c) and each coefficient as
-    the literal ``repr`` of its float.  A term whose coefficient is 0.0 or
-    -0.0 is left out, which changes no bit: window values are finite and
-    nonnegative or -0.0, so such a term is +-0.0; each sum starts from its
-    literal 0.0 or 1.0 and so is never -0.0; and s + +-0.0 is s for any
-    other s.
+    ``out`` is one trajectory's values as a flat memoryview, m values a
+    row from v_{1-k} on.  ``run`` reads v_{first-k}, ..., v_{first-1} from
+    it, writes v_n for n = first, ..., last in their places and returns the
+    first step n with a non-finite component (nothing of it is written), or
+    None; ``y - y != 0.0`` holds for an inf or nan y and no other.  Its
+    source spells out every nonzero term of every component, with the
+    window in local variables ``x{j}_{c}`` (v_{n-k+j}, component c) and
+    each coefficient as the literal ``repr`` of its float.  A term whose
+    coefficient is 0.0 or -0.0 is left out, which changes no bit: window
+    values are finite and nonnegative or -0.0, so such a term is +-0.0;
+    each sum starts from its literal 0.0 or 1.0 and so is never -0.0; and
+    s + +-0.0 is s for any other s.
     """
     k, m = spec.k, spec.m
     a, q = spec.A.tolist(), spec.denom.tolist()
@@ -168,12 +172,14 @@ def _step_loop(spec: SystemSpec):
     body += [
         "if " + " or ".join(f"{y} - {y} != 0.0" for y in outs) + ":",
         "    return n",
-        *(f"append({y})" for y in outs),
+        *(f"out[i + {c}] = {y}" if c else f"out[i] = {y}" for c, y in enumerate(outs)),
+        f"i += {m}",
         ", ".join(window) + " = " + ", ".join(window[m:] + outs),
     ]
     source = "\n".join([
-        "def run(start, first, last, append):",
-        "    " + ", ".join(window) + " = start",
+        "def run(out, first, last):",
+        f"    i = (first + {k - 1}) * {m}",  # the place of v_first
+        "    " + ", ".join(window) + f" = out[i - {k * m} : i]",
         "    for n in range(first, last + 1):",
         *("        " + line for line in body),
         "    return None",
@@ -253,12 +259,12 @@ def simulate_batch(
     """Iterate the rational system for ``horizon`` steps from each (k, m) history.
 
     A call of B histories with B (m^2 k + :data:`ROW_TERMS`) at most
-    :data:`MAX_LOOP_TERMS` runs through the spec's generated loop, each
-    history into its own ``array('d')``; a larger one runs together in
-    numpy.  Either way the trajectories are the same bit for bit,
-    ``diverged_at`` and cut included, with read-only C-contiguous values.
-    Each kernel stops stepping a trajectory once its k-row state repeats
-    the one 2k rows before, and copies the rest (see the module docstring).
+    :data:`MAX_LOOP_TERMS` is stepped by the spec's generated loop, one
+    history at a time; a larger one together in numpy.  Either way
+    :func:`_drive` stores the trajectories in one (B, k + horizon, m) array
+    and ends each by the module docstring's rule, so they are the same bit
+    for bit, ``diverged_at`` and cut included, with read-only C-contiguous
+    values.
 
     With ``stop_above``, a trajectory also ends at the last step of a check
     block in which a row's norm exceeds it (the growth test of
@@ -266,133 +272,125 @@ def simulate_batch(
     docstring for why ``analyze`` reports such a run as it reports the full one.
     """
     inits = _validated(spec, histories, horizon)
-    if not inits:
-        return []
-    if len(inits) * (spec.A.size * spec.k + ROW_TERMS) > MAX_LOOP_TERMS:
-        return _simulate_numpy(spec, inits, horizon, stop_above)
-    from array import array  # a 0.1 MB extension module that a numpy-only run never loads
-
-    run = _step_loop(spec)
-    trajectories = []
-    for init in inits:
-        values = array("d", init.history.ravel().tolist())
-        diverged_at = _run_blocks(run, values, spec, horizon, stop_above)
-        rows = np.frombuffer(values).reshape(-1, spec.m)
-        trajectories.append(Trajectory(spec, rows, len(rows) - spec.k, diverged_at))
-    return trajectories
+    loop = len(inits) * (spec.A.size * spec.k + ROW_TERMS) <= MAX_LOOP_TERMS
+    return _drive(_loop_kernel if loop else _numpy_kernel, spec, inits, horizon, stop_above)
 
 
-def _run_blocks(
-    run, values, spec: SystemSpec, horizon: int, stop_above: Optional[float]
-) -> Optional[int]:
-    """Append v_1, ..., v_horizon to ``values`` with ``run``; the step it diverged at, or None.
+def _drive(make, spec: SystemSpec, inits, horizon: int, stop_above: Optional[float]):
+    """Validated ``inits`` stepped by the kernel that ``make`` builds; one trajectory each.
 
-    ``values`` starts as the k initial rows.  ``run`` steps
-    ``_CHECK_EVERY`` steps a call from the last k rows.  A block with a
-    row whose norm exceeds ``stop_above`` ends the run there; the test runs
-    only when the last k rows have a component above it.  When a block
-    ends with the last k rows the bytes of the k rows 2k before them,
-    every later row is the row 2k before it, so the rest of the horizon is
-    filled by repeating the last 2k rows, ``_CHECK_EVERY`` periods a piece.
-    """
-    state = spec.k * spec.m
-    for first in range(1, horizon + 1, _CHECK_EVERY):
-        last = min(first + _CHECK_EVERY - 1, horizon)
-        diverged_at = run(values[-state:], first, last, values.append)
-        if diverged_at is not None:
-            return diverged_at
-        if stop_above is not None and last < horizon and max(values[-state:]) > stop_above:
-            block = np.frombuffer(values[(first - last - 1) * spec.m:]).reshape(-1, spec.m)
-            if rows_above(block, stop_above).size:
-                return None
-        if (last < horizon and len(values) >= 3 * state
-                and values[-state:].tobytes() == values[-3 * state : -2 * state].tobytes()):
-            cycle = values[-2 * state:] * _CHECK_EVERY
-            rest = (horizon - last) * spec.m
-            for _ in range(rest // len(cycle)):
-                values.extend(cycle)
-            values.extend(cycle[: rest % len(cycle)])
-            return None
-    return None
-
-
-def _simulate_numpy(
-    spec: SystemSpec, inits, horizon: int, stop_above: Optional[float]
-) -> List[Trajectory]:
-    """Validated ``inits`` stepped together; each trajectory views one (B, k + horizon, m) array.
-
-    The rows still live step one ``_CHECK_EVERY`` block at a time in a
-    (live, k + ``_CHECK_EVERY``, m) buffer that starts from their last k
-    rows, and each block is copied into the trajectory array.  After a
-    block a row ends at its first non-finite step, at the block when a row
-    of it passes ``stop_above``, or, when its last k rows repeat the k
-    rows 2k before them, with the rest of its horizon copied from its last
-    2k rows (the module docstring's rule, tested in the loop's order).
-    An ended row leaves the buffer, and stepping stops once none is left;
-    the copies of the cycles are made after that.
+    Trajectory b is ``values[b]`` of one (B, k + horizon, m) array.
+    ``make(spec, values)`` returns ``step_block(live, first, last)``, which
+    writes v_first, ..., v_last of each trajectory b in the index array
+    ``live`` into ``values[b]``, each from the k rows before, and returns
+    ``{r: n}`` for each ``live[r]`` whose first non-finite step is n.  After
+    each block the module docstring's rule, tested on all live rows at once,
+    ends trajectories, which leave ``live``; the cycles are copied once
+    stepping has stopped and the kernel is freed.
     """
     rows, m, k = len(inits), spec.m, spec.k
-    # The buffers are made before the trajectory array and freed before the
-    # cycles are copied into it, so that they are not resident along with all
-    # of it; otherwise they raised the peak resident set of a 16 x 16, k = 4
-    # verify by 0.1-0.2 MB.
-    buf, step_block = _numpy_stepper(spec, rows)
-    values = np.empty((rows, k + horizon, m))
+    if not rows:
+        return []
+    # The values get a map of their own rather than a malloc block: glibc
+    # raises its mmap threshold to the size of each mapped block freed, so
+    # that later blocks of that size come from the heap and stay resident
+    # once freed (0.2-0.4 MB more peak RSS in a sweep, whose cells take
+    # 320 kB each).  A private map's pages are resident only once written
+    # and go back whole with the last view of it.  Huge pages are asked
+    # for as numpy asks for them on its own large arrays.
+    region = mmap.mmap(-1, rows * (k + horizon) * m * 8, access=mmap.ACCESS_COPY)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        region.madvise(mmap.MADV_HUGEPAGE)
+    values = np.frombuffer(region).reshape(rows, k + horizon, m)
     for b, init in enumerate(inits):
         values[b, :k] = init.history
-    bits = values.view(np.uint64)
+    step_block = make(spec, values)
     diverged_at: List[Optional[int]] = [None] * rows
     ends = [horizon] * rows  # the last step each trajectory keeps
-    live = np.arange(rows)  # the trajectory of each buffer row
-    cycles = []  # (trajectory, first row to copy) of each row that reached an exact cycle
-    buf[:, :k] = values[:, :k]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(1, horizon + 1, _CHECK_EVERY):
-            last = min(first + _CHECK_EVERY - 1, horizon)
-            steps = last - first + 1
-            step_block(steps)
-            block = buf[:, k : k + steps]
-            values[live, first + k - 1 : last + k] = block
-            # Rows never mix, so a row's first non-finite step can be found
-            # after the fact; what a row computes past it is cut off.
-            finite = np.isfinite(block).all(axis=2)
-            ended = ~finite.all(axis=1)
-            for r in np.flatnonzero(ended):
-                diverged_at[live[r]] = first + int(np.argmin(finite[r]))
-                ends[live[r]] = diverged_at[live[r]] - 1  # before the step it diverged at
-            if last == horizon:
-                break
-            if stop_above is not None:
-                state_max = buf[:, steps : steps + k].max(axis=(1, 2))
-                for r in np.flatnonzero(~ended & (state_max > stop_above)):
-                    if rows_above(block[r], stop_above).size:
-                        ends[live[r]] = last
-                        ended[r] = True
-            if last >= 2 * k:
-                before = bits[live, last - 2 * k : last - k]
-                repeats = (bits[live, last : last + k] == before).all(axis=(1, 2))
-                for r in np.flatnonzero(~ended & repeats):
+    cycles = []  # (trajectory, first row to copy) of each that reached an exact cycle
+    live = np.arange(rows)
+    for first in range(1, horizon + 1, _CHECK_EVERY):
+        last = min(first + _CHECK_EVERY - 1, horizon)
+        diverged = step_block(live, first, last)
+        for r, at in diverged.items():
+            diverged_at[live[r]], ends[live[r]] = at, at - 1  # before the step it diverged at
+        if last == horizon:
+            break
+        ended = set(diverged)  # positions in live
+        # the last 3k rows of each live trajectory (fewer before step 2k); the state is the last k
+        recent = values[:, max(last - 2 * k, 0) : last + k].take(live, axis=0)
+        if stop_above is not None:
+            for r in (recent[:, -k:].max(axis=(1, 2)) > stop_above).nonzero()[0]:
+                if r not in ended and rows_above(values[live[r], first + k - 1 : last + k],
+                                                 stop_above).size:
+                    ends[live[r]] = last
+                    ended.add(r)
+        if last >= 2 * k:
+            # each k rows as one item of their bytes: the state, and 2k rows before it
+            states = recent.reshape(len(live), 3, k * m).view(np.dtype((np.void, 8 * k * m)))
+            for r in (states[:, 2, 0] == states[:, 0, 0]).nonzero()[0]:
+                if r not in ended:
                     cycles.append((live[r], k + last))
-                    ended[r] = True
-            state = buf[~ended, steps : steps + k]
-            if ended.any():
-                live = live[~ended]
-                if not len(live):
-                    break
-                del buf, block, step_block  # so that the new buffers can reuse their memory
-                buf, step_block = _numpy_stepper(spec, len(live))
-            buf[:, :k] = state
-    del buf, block, step_block
+                    ended.add(r)
+        if ended:
+            live = np.delete(live, list(ended))
+            if not len(live):
+                break
+    del step_block
     for b, start in cycles:
         _repeat_rows(values[b], start, 2 * k)
-    return [Trajectory(spec=spec, values=values[b, : k + last], horizon=last, diverged_at=at)
-            for b, (last, at) in enumerate(zip(ends, diverged_at))]
+    return [Trajectory(spec=spec, values=values[b, : k + end], horizon=end, diverged_at=at)
+            for b, (end, at) in enumerate(zip(ends, diverged_at))]
+
+
+def _loop_kernel(spec: SystemSpec, values: np.ndarray):
+    """The generated loop's ``step_block``: it runs each live trajectory in turn."""
+    run = _step_loop(spec)
+    flat = [memoryview(row.reshape(-1)) for row in values]
+
+    def step_block(live, first, last):
+        diverged = {}
+        for r, b in enumerate(live):
+            at = run(flat[b], first, last)
+            if at is not None:
+                diverged[r] = at
+        return diverged
+
+    return step_block
+
+
+def _numpy_kernel(spec: SystemSpec, values: np.ndarray):
+    """The numpy kernel's ``step_block``: it steps the live trajectories together.
+
+    The live rows' last k rows are loaded from ``values`` into the buffer of
+    a :func:`_numpy_stepper`, which is rebuilt when their count changes.
+    Rows never mix, so a row's first non-finite step can be found after
+    the block; what it computes past that step is cut off.
+    """
+    k = spec.k
+    stepper = {}  # live count -> (buffer, step function)
+
+    def step_block(live, first, last):
+        steps = last - first + 1
+        if len(live) not in stepper:
+            stepper.clear()  # so that the new buffers can reuse the old ones' memory
+            stepper[len(live)] = _numpy_stepper(spec, len(live))
+        buf, step = stepper[len(live)]
+        buf[:, :k] = values[live, first - 1 : first + k - 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            step(steps)
+        block = buf[:, k : k + steps]
+        values[live, first + k - 1 : last + k] = block
+        finite = np.isfinite(block).all(axis=2)
+        return {r: first + int(np.argmin(finite[r])) for r in np.flatnonzero(~finite.all(axis=1))}
+
+    return step_block
 
 
 def _numpy_stepper(spec: SystemSpec, live: int):
-    """A (live, k + _CHECK_EVERY, m) buffer and a function ``step_block(steps)`` that steps it.
+    """A (live, k + _CHECK_EVERY, m) buffer and a function ``step(steps)`` that steps it.
 
-    The buffer holds the k rows before a block first; ``step_block`` fills
+    The buffer holds the k rows before a block first; ``step`` fills
     the next ``steps`` rows, each from the k before it.  The sums keep the
     module's order by "accumulate, never reduce": each side's terms lie
     along a first axis that starts with the 0.0 or the 1.0, and
@@ -418,7 +416,7 @@ def _numpy_stepper(spec: SystemSpec, live: int):
     den_products = den_terms[1:].reshape(m, k - 1, live, m, copy=False)
     numerators, den_sum = num_terms[-1], den_terms[-1]
 
-    def step_block(steps):
+    def step(steps):
         for s in range(0, steps, ahead):
             chunk = min(ahead, steps - s)
             delayed = buf[:, s : s + chunk].transpose(2, 1, 0)  # v_{n+s-k,c} at [c, s, b]
@@ -431,7 +429,7 @@ def _numpy_stepper(spec: SystemSpec, live: int):
                 np.add.accumulate(den_terms, axis=0, out=den_terms)
                 np.divide(numerators[j], den_sum, out=buf[:, t])
 
-    return buf, step_block
+    return buf, step
 
 
 def _repeat_rows(rows: np.ndarray, start: int, period: int) -> None:

@@ -137,21 +137,29 @@ def oracle_simulate(spec, history, horizon):
     return np.array(rows), None
 
 
-def count_numpy_blocks(monkeypatch):
-    """The (live rows, steps) of every block the numpy kernel steps from now on."""
+def count_blocks(monkeypatch):
+    """(kernel, live rows, first, last) of every block the simulator steps from now on.
+
+    ``kernel`` names the function that made the block's ``step_block``,
+    ``"_loop_kernel"`` or ``"_numpy_kernel"``: the kernel that
+    ``simulator._drive`` received.
+    """
     blocks = []
-    make_stepper = simulator._numpy_stepper
+    drive = simulator._drive
 
-    def counting_stepper(spec, live):
-        buf, step_block = make_stepper(spec, live)
+    def counting_drive(make, *args):
+        def counting_make(spec, values):
+            step_block = make(spec, values)
 
-        def counted(steps):
-            blocks.append((live, steps))
-            step_block(steps)
+            def counted(live, first, last):
+                blocks.append((make.__name__, len(live), first, last))
+                return step_block(live, first, last)
 
-        return buf, counted
+            return counted
 
-    monkeypatch.setattr(simulator, "_numpy_stepper", counting_stepper)
+        return drive(counting_make, *args)
+
+    monkeypatch.setattr(simulator, "_drive", counting_drive)
     return blocks
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import count_numpy_blocks, symmetric_positive_with_rho
+from conftest import count_blocks, symmetric_positive_with_rho
 
 from ratsys import (
     BoundaryAmbiguous,
@@ -354,9 +354,10 @@ class TestVerifyClassification:
             return [(c.name, c.passed, c.observed, c.period, c.gated) for c in report.checks]
 
         monkeypatch.setattr("ratsys.classifier.simulate_batch", recording)
-        blocks = count_numpy_blocks(monkeypatch)
+        blocks = count_blocks(monkeypatch)
         stopped = checks()
-        stepped = [live for live, _ in blocks]  # rows in each block of the numpy kernel
+        stepped = [live for _, live, _, _ in blocks]  # rows in each block of the batch
+        kernels = {kernel for kernel, *_ in blocks}
         monkeypatch.setattr("ratsys.classifier.simulate_batch",
                             lambda spec, histories, horizon, stop_above: recording(
                                 spec, histories, horizon))
@@ -364,10 +365,10 @@ class TestVerifyClassification:
         ends = [traj.horizon for traj in batches[0]]
         assert any(end < 1300 for end in ends) and 1300 in ends
         assert all(traj.horizon == 1300 for traj in batches[1] if traj.diverged_at is None)
-        if trials == 40:
-            # a stopped row leaves the batch: the numpy kernel steps it no further
-            assert len(batches[0]) == 41 and stepped[0] == 41
-            assert stepped == [sum(end > step for end in ends) for step in range(0, 1300, 64)]
+        # a stopped row leaves the batch: the kernel steps it no further
+        assert kernels == {"_numpy_kernel" if trials == 40 else "_loop_kernel"}
+        assert len(batches[0]) == trials + 1 and stepped[0] == trials + 1
+        assert stepped == [sum(end > step for end in ends) for step in range(0, 1300, 64)]
 
     def test_trichotomy_period_k_verified(self):
         rng = np.random.default_rng(47)

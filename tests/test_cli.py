@@ -109,6 +109,20 @@ sweep:
   c: [1.0]
 """
 
+#: [[0, 1], [1, 0]] at k = 2 is period-2k: every run has period 4.
+SWAP_CONF = """
+mode: tetrachotomy
+rng_seed: 3
+system:
+  k: 2
+  A: [[0.0, 1.0], [1.0, 0.0]]
+run:
+  horizon: 400
+  trials: 2
+sweep:
+  c: [1.0]
+"""
+
 SWEEP_CONF = """
 mode: tetrachotomy
 rng_seed: 23
@@ -208,6 +222,37 @@ class TestConfigErrors:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {field} "), err
+
+    @pytest.mark.parametrize("section,key,value,field,spelling", [
+        ("tolerances", "rho_tol", "1e-9", "tolerances.rho_tol", "1.0e-9"),
+        ("tolerances", "growth_threshold", "1.0e6", "tolerances.growth_threshold", "1.0e+6"),
+        ("tolerances", "zero_tol", "1E-8", "tolerances.zero_tol", "1.0E-8"),
+        ("run", "init_max", "-5e1", "run.init_max", "-5.0e+1"),
+        ("system", "A", [[0.5, "1e-3"], [0.5, 0.5]], "system.A", "1.0e-3"),
+        ("sweep", "c", [0.5, ".5e0"], "sweep.c", ".5e+0"),
+    ])
+    def test_number_yaml_reads_as_text_names_the_spelling(self, tmp_path, capsys, yaml_loader,
+                                                          section, key, value, field, spelling):
+        # PyYAML follows YAML 1.1: a float needs a dot and a signed exponent
+        doc = copy.deepcopy(PROBE_BASE)
+        doc[section][key] = value
+        text = yaml.safe_dump(doc)
+        assert "'" not in text  # written unquoted, as a user would
+        conf = write_conf(tmp_path, text)
+        assert main(["classify", "--config", conf]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {field} "), err
+        assert " as text" in err[0] and err[0].endswith(f": write {spelling}"), err
+        number = yaml.safe_load(spelling)
+        assert type(number) is float and number == float(spelling)
+
+    def test_quoted_number_is_named_as_text(self, tmp_path, capsys):
+        doc = copy.deepcopy(PROBE_BASE)
+        doc["tolerances"]["rho_tol"] = "0.5"
+        conf = write_conf(tmp_path, yaml.safe_dump(doc))
+        assert main(["classify", "--config", conf]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith("is quoted: write it without quotes"), err
 
     def test_yaml_syntax_error_is_one_line(self, tmp_path, capsys):
         conf = write_conf(tmp_path, "system:\n  k: 2\n  A: [[0.5, 0.5]\n run: {}\n")
@@ -559,6 +604,38 @@ class TestVerifyCommand:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {field}"), err
 
+    @pytest.mark.parametrize("conf_text,argv,field", [
+        (SWAP_CONF + "tolerances:\n  max_period: 2\n", [], "tolerances.max_period"),
+        (SWAP_CONF + "tolerances:\n  max_period: 3\n", [], "tolerances.max_period"),
+        (SWAP_CONF, ["--horizon", "3"], "run.horizon"),
+        (SWAP_CONF + "tolerances:\n  max_period: 6\n", ["--horizon", "5"], "run.horizon"),
+    ], ids=["max-period-2", "max-period-3", "horizon-3", "horizon-5"])
+    def test_predicted_period_analyze_cannot_report_is_an_error(self, tmp_path, capsys,
+                                                                conf_text, argv, field):
+        # analyze reports periods up to max_period (default 2k), and none on
+        # a horizon shorter than that: the witness check would always read FAIL
+        conf = write_conf(tmp_path, conf_text)
+        assert main(["verify", "--config", conf, "--out", str(tmp_path / "r.txt"), *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "r.txt").exists()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {field}: "), err
+
+    def test_random_runs_are_not_refused_for_the_predicted_period(self, tmp_path, capsys):
+        # without a witness, a random run passes by converging to zero or by
+        # a period dividing the predicted one, which max_period 2 still shows
+        conf = write_conf(tmp_path, NO_WITNESS_CONF.replace("trials: 0", "trials: 3")
+                          + "verify:\n  expect: period-2k\ntolerances:\n  max_period: 2\n")
+        assert main(["verify", "--config", conf]) == 0
+        out = capsys.readouterr().out
+        assert "PASS" in out and "FAIL" not in out
+
+    def test_predicted_period_within_reach_passes(self, tmp_path, capsys):
+        # the same system with max_period 4 and horizon 4, both just enough
+        conf = write_conf(tmp_path, SWAP_CONF + "tolerances:\n  max_period: 4\n")
+        assert main(["verify", "--config", conf, "--horizon", "4"]) == 0
+        assert "eventually-periodic (period 4)" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "flag,value", [("--trials", "-3"), ("--horizon", "0"), ("--seed", "-5")]
     )
@@ -647,6 +724,15 @@ class TestSweepCommand:
         assert captured.out == "" and not out_dir.exists()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: run.trials"), err
+
+    def test_cell_predicting_a_period_past_the_horizon_is_an_error(self, tmp_path, capsys):
+        conf = write_conf(tmp_path, SWAP_CONF)
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", "--config", conf, "--out", str(out_dir), "--horizon", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out_dir.exists()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: run.horizon: "), err
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         conf = write_conf(tmp_path, SWEEP_CONF.replace("c: [0.5, 1.0, 2.0]", "c: []"))

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import (
-    count_numpy_blocks,
+    count_blocks,
     oracle_simulate,
     oracle_step_from_spec,
     random_init,
@@ -197,10 +198,15 @@ def _same_run(got, want):
     )
 
 
+def _kernel_batch(kernel, spec, histories, horizon, stop_above=None):
+    """``histories`` stepped by the simulator kernel named ``kernel``, whatever their terms."""
+    inits = [InitialConditions(h) for h in histories]
+    return simulator._drive(getattr(simulator, kernel), spec, inits, horizon, stop_above)
+
+
 def _numpy_batch(spec, histories, horizon, stop_above=None):
     """The numpy kernel on ``histories``, whatever their number of terms a step."""
-    inits = [InitialConditions(h) for h in histories]
-    return simulator._simulate_numpy(spec, inits, horizon, stop_above)
+    return _kernel_batch("_numpy_kernel", spec, histories, horizon, stop_above)
 
 
 WILD_SCALES = 10.0 ** np.array([300, 285, 270, 200, 100, 0, -100])
@@ -450,7 +456,7 @@ class TestKernelChoice:
         histories = [rng.uniform(0.0, 10.0, (2, 2)) for _ in range(32)]  # 32 x (8 + 4) = 384
         want = _numpy_batch(spec, histories, 100)
         loops = self._count(monkeypatch, "_step_loop")
-        self._refuse(monkeypatch, "_simulate_numpy")
+        self._refuse(monkeypatch, "_numpy_kernel")
         got = simulate_batch(spec, histories, 100)
         assert loops == [spec]
         assert all(_same_run(g, w) for g, w in zip(got, want))
@@ -460,13 +466,13 @@ class TestKernelChoice:
         spec = random_spec(rng, 2, 2, 1.0)
         histories = [rng.uniform(0.0, 10.0, (2, 2)) for _ in range(33)]
         self._refuse(monkeypatch, "_step_loop")
-        batches = self._count(monkeypatch, "_simulate_numpy")
+        batches = self._count(monkeypatch, "_numpy_kernel")
         assert len(simulate_batch(spec, histories, 100)) == 33
         assert batches == [spec]
 
     @pytest.mark.parametrize("k,rows,kernel", [
-        (2, 64, "_step_loop"), (2, 65, "_simulate_numpy"), (2, 128, "_simulate_numpy"),
-        (4, 48, "_step_loop"), (4, 49, "_simulate_numpy"),
+        (2, 64, "_step_loop"), (2, 65, "_numpy_kernel"), (2, 128, "_numpy_kernel"),
+        (4, 48, "_step_loop"), (4, 49, "_numpy_kernel"),
     ])
     def test_m1_rows_count_toward_the_limit(self, monkeypatch, k, rows, kernel):
         # at m = 1 a step has k terms a history, and each history adds ROW_TERMS:
@@ -476,21 +482,21 @@ class TestKernelChoice:
         histories = [rng.uniform(0.0, 10.0, (k, 1)) for _ in range(rows)]
         want = [simulate(spec, InitialConditions(h), 100) for h in histories]
         used = self._count(monkeypatch, kernel)
-        self._refuse(monkeypatch, ({"_step_loop", "_simulate_numpy"} - {kernel}).pop())
+        self._refuse(monkeypatch, ({"_step_loop", "_numpy_kernel"} - {kernel}).pop())
         got = simulate_batch(spec, histories, 100)
         assert used == [spec]
         assert all(_same_run(g, w) for g, w in zip(got, want))
 
     def test_empty_call_compiles_nothing(self, monkeypatch):
         self._refuse(monkeypatch, "_step_loop")
-        self._refuse(monkeypatch, "_simulate_numpy")
+        self._refuse(monkeypatch, "_numpy_kernel")
         assert simulate_batch(SystemSpec(k=2, A=np.eye(2)), [], 100) == []
 
     def test_verify_compiles_one_loop(self, monkeypatch):
         spec = SystemSpec(k=2, A=[[0.0, 1.0], [1.0, 0.0]], denom=np.full((2, 1, 2), 0.25))
         cls = classify_tetrachotomy(spec)
         loops = self._count(monkeypatch, "_step_loop")
-        self._refuse(monkeypatch, "_simulate_numpy")
+        self._refuse(monkeypatch, "_numpy_kernel")
         report = verify_classification(spec, cls, horizon=500, trials=4, rng_seed=2)
         assert len(report.checks) == 5 and report.passed
         assert loops == [spec]
@@ -504,7 +510,7 @@ def _cycle_entry(values, k):
 
 
 class TestExactCycles:
-    """Once the k-row state repeats the one 2k rows before, each kernel copies rows, not steps them."""
+    """Once the k-row state repeats the one 2k rows before, the driver copies rows, not steps."""
 
     @staticmethod
     def _assert_oracle_prefixes(spec, history, horizons):
@@ -570,41 +576,22 @@ class TestExactCycles:
         assert traj.diverged_at == at
         self._assert_oracle_prefixes(spec, np.array(history), [200])
 
-    @staticmethod
-    def _count_blocks(monkeypatch):
-        """The (first, last) of every ``run`` call the generated loops make from now on."""
-        blocks = []
-        make_loop = simulator._step_loop
-
-        def counting_loop(spec):
-            run = make_loop(spec)
-
-            def counted(start, first, last, append):
-                blocks.append((first, last))
-                return run(start, first, last, append)
-
-            return counted
-
-        monkeypatch.setattr(simulator, "_step_loop", counting_loop)
-        return blocks
-
     def test_negative_zero_history_is_no_repeat(self, monkeypatch):
         # at k = 32 the check after step 64 compares v_33..v_64 with the
         # history; v_n = v_{n-k} turns each -0.0 into 0.0, equal by == but
         # not by bytes, so each kernel steps one more block before it copies
         k = 32
         history = np.where(np.arange(k) % 2 == 0, -0.0, np.arange(k, dtype=float))[:, None]
-        blocks = self._count_blocks(monkeypatch)
-        numpy_blocks = count_numpy_blocks(monkeypatch)
+        blocks = count_blocks(monkeypatch)
         self._assert_oracle_prefixes(SystemSpec(k=k, A=[[1.0]]), history, [500])
-        assert blocks == [(1, 64), (65, 128)]
-        assert numpy_blocks == [(1, 64), (1, 64)]
+        assert blocks == [(kernel, 1, first, first + 63)
+                          for kernel in ("_loop_kernel", "_numpy_kernel") for first in (1, 65)]
 
     def test_cycling_run_stops_stepping(self, monkeypatch):
-        blocks = self._count_blocks(monkeypatch)
+        blocks = count_blocks(monkeypatch)
         swap = SystemSpec(k=2, A=[[0.0, 1.0], [1.0, 0.0]])
         traj = simulate(swap, InitialConditions([[1.0, 2.0], [3.0, 4.0]]), 100_000)
-        assert blocks == [(1, 64)] and traj.horizon == 100_000
+        assert blocks == [("_loop_kernel", 1, 1, 64)] and traj.horizon == 100_000
         np.testing.assert_array_equal(traj.values[-4:],
                                       [[2.0, 1.0], [4.0, 3.0], [1.0, 2.0], [3.0, 4.0]])
         blocks.clear()
@@ -612,29 +599,45 @@ class TestExactCycles:
         traj = simulate(spec, InitialConditions([[3.0, 0.5], [1.0, 7.0]]), 100_000)
         entry = _cycle_entry(traj.values, 2)
         assert traj.horizon == 100_000 and entry < 3000
-        assert [b[0] for b in blocks] == list(range(1, 64 * len(blocks), 64))
-        assert blocks[-1][1] <= entry + 3 * 64
+        assert [first for _, _, first, _ in blocks] == list(range(1, 64 * len(blocks), 64))
+        assert blocks[-1][3] <= entry + 3 * 64
+
+    # v_n = diag(1e10, 0.5, 1) v_{n-2}: the first component passes 3e150
+    # about 2 (15 - log10 x_0) steps on and overflows about 16 steps after
+    # that, the second halves, the third has period 2
+    MIXED = SystemSpec(k=2, A=np.diag([1e10, 0.5, 1.0]))
+    MIXED_HISTORIES = [
+        np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]),  # cycles from the start
+        np.full((2, 3), 1e-200) * [1.0, 0.0, 0.0],  # passes at 71, diverges at 101
+        np.full((2, 3), 1e-50) * [1.0, 0.0, 0.0],  # passes near 41, stops at 64
+        np.array([[0.0, 3.0, 0.0], [0.0, 5.0, 0.0]]),  # halves to the horizon
+    ]
+    #: (live rows, first, last) of each block of MIXED_HISTORIES's batch
+    MIXED_BLOCKS = [(4, 1, 64), (2, 65, 128), (1, 129, 192), (1, 193, 256), (1, 257, 300)]
 
     def test_numpy_rows_leave_the_batch_as_they_end(self, monkeypatch):
-        # v_n = diag(1e10, 0.5, 1) v_{n-2}: the first component passes
-        # 3e150 about 2 (15 - log10 x_0) steps on and overflows about 16
-        # steps after that, the second halves, the third has period 2
-        spec = SystemSpec(k=2, A=np.diag([1e10, 0.5, 1.0]))
-        histories = [
-            np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]),  # cycles from the start
-            np.full((2, 3), 1e-200) * [1.0, 0.0, 0.0],  # passes at 71, diverges at 101
-            np.full((2, 3), 1e-50) * [1.0, 0.0, 0.0],  # passes near 41, stops at 64
-            np.array([[0.0, 3.0, 0.0], [0.0, 5.0, 0.0]]),  # halves to the horizon
-        ]
-        blocks = count_numpy_blocks(monkeypatch)
+        spec, histories = self.MIXED, self.MIXED_HISTORIES
+        blocks = count_blocks(monkeypatch)
         got = _numpy_batch(spec, histories, 300, stop_above=3e150)
-        assert blocks == [(4, 64), (2, 64), (1, 64), (1, 64), (1, 44)]
+        assert blocks == [("_numpy_kernel", *block) for block in self.MIXED_BLOCKS]
         assert [(t.horizon, t.diverged_at) for t in got] == [(300, None), (100, 101), (64, None),
                                                               (300, None)]
         for history, traj in zip(histories, got):
             (alone,) = _numpy_batch(spec, [history], 300, stop_above=3e150)
             (loop,) = simulate_batch(spec, [history], 300, stop_above=3e150)
             assert _same_run(traj, alone) and _same_run(traj, loop)
+
+    def test_kernels_step_a_mixed_batch_alike(self, monkeypatch):
+        # the cycling, diverging, stopping and full rows above, forced through
+        # each kernel: the same blocks, each with the same rows, and the same bits
+        blocks = count_blocks(monkeypatch)
+        runs = [_kernel_batch(kernel, self.MIXED, self.MIXED_HISTORIES, 300, stop_above=3e150)
+                for kernel in ("_loop_kernel", "_numpy_kernel")]
+        assert blocks == [(kernel, *block) for kernel in ("_loop_kernel", "_numpy_kernel")
+                          for block in self.MIXED_BLOCKS]
+        loop, batch = runs
+        assert len(loop) == len(batch) == 4
+        assert all(_same_run(a, b) for a, b in zip(loop, batch))
 
 
 #: v_n = 2 v_{n-2} from the history (1, 1.5): v_n is 2, 3, 4, 6, 8, ... for n = 1, 2, ...,
@@ -669,7 +672,7 @@ class TestStopAbove:
         """
         if side == "numpy":
             histories = list(histories) + [np.zeros((spec.k, spec.m))] * MAX_LOOP_TERMS
-        other = "_step_loop" if side == "numpy" else "_simulate_numpy"
+        other = "_loop_kernel" if side == "numpy" else "_numpy_kernel"
         TestKernelChoice._refuse(monkeypatch, other)
         stopped = simulate_batch(spec, histories, horizon, stop_above=threshold)
         full = simulate_batch(spec, histories, horizon)
@@ -743,6 +746,14 @@ class TestStopAbove:
         runs = self._runs(monkeypatch, side, DOUBLING, histories, 300, threshold)
         assert [t.horizon for t in runs[:5]] == [64, 128, 256, 300, 300]
 
+    @pytest.mark.parametrize("side", ["loop", "numpy"])
+    def test_stop_comes_before_the_cycle_copy(self, monkeypatch, side):
+        # v_n = v_{n-2} from (1e10, 1e10) repeats its state in the first
+        # block and passes 1e3 there: the pass ends the run, nothing is copied
+        spec = SystemSpec(k=2, A=[[1.0]])
+        (traj, *_) = self._runs(monkeypatch, side, spec, [np.full((2, 1), 1e10)], 300, 1e3)
+        assert traj.horizon == 64 and traj.diverged_at is None
+
     def test_kernels_stop_alike(self):
         rng = np.random.default_rng(31)
         for m, k in ((1, 2), (2, 2), (3, 3)):
@@ -757,6 +768,47 @@ class TestStopAbove:
     def test_plain_calls_run_the_horizon(self):
         traj = simulate(DOUBLING, InitialConditions(DOUBLING_HISTORY), 300)
         assert traj.horizon == 300 and traj.diverged_at is None
+
+
+#: Coefficients and history entries of the kernel fuzz: signed zeros and 1.0
+#: (which make exact cycles) among plain draws.
+_EDGE_VALUES = st.sampled_from([0.0, -0.0, 1.0])
+
+
+@st.composite
+def _kernel_batches(draw):
+    """(spec, histories, horizon, stop_above) with m 1-4, k 2-5 and starts up to 1e300."""
+    m, k = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    # 1e10 makes a run overflow within a few dozen steps
+    a = draw(st.lists(st.one_of(_EDGE_VALUES, st.floats(0.0, 2.0), st.just(1e10)),
+                      min_size=m * m, max_size=m * m))
+    q = draw(st.lists(st.one_of(_EDGE_VALUES, st.floats(0.0, 1.5)), min_size=m * (k - 1) * m,
+                      max_size=m * (k - 1) * m))
+    spec = SystemSpec(k=k, A=np.reshape(a, (m, m)), denom=np.reshape(q, (m, k - 1, m)))
+    entry = st.one_of(_EDGE_VALUES, st.floats(0.0, 10.0), st.floats(0.0, 1e300))
+    histories = draw(st.lists(st.lists(entry, min_size=k * m, max_size=k * m),
+                              min_size=1, max_size=4))
+    scales = st.sampled_from([1.0, 1.0, 1e-100, 1e-200])
+    histories = [np.reshape(h, (k, m)) * draw(scales) for h in histories]
+    horizon = draw(st.integers(1, 200))
+    stop_above = draw(st.sampled_from([None, 1e3, 1e150, 1e-200]))
+    return spec, histories, horizon, stop_above
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_kernel_batches())
+def test_kernels_agree_on_random_batches(case):
+    # both kernels through the one driver, and the oracle on runs with no stop
+    spec, histories, horizon, stop_above = case
+    loop = _kernel_batch("_loop_kernel", spec, histories, horizon, stop_above)
+    numpy = _kernel_batch("_numpy_kernel", spec, histories, horizon, stop_above)
+    assert all(_same_run(a, b) for a, b in zip(loop, numpy)) and len(loop) == len(histories)
+    if stop_above is None:
+        for history, traj in zip(histories, loop):
+            rows, diverged_at = oracle_simulate(spec, history, horizon)
+            assert traj.diverged_at == diverged_at and traj.horizon == len(rows) - spec.k
+            assert (traj.values.view(np.uint64) == rows.view(np.uint64)).all()
 
 
 class TestHorizonType:
