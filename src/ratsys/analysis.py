@@ -4,6 +4,8 @@ Detection of zero limits, limit cycles, and unbounded growth, plus direct
 numerical checks of the proof machinery: the linear residual
 ||v_n - A v_{n-k}||, shifted residuals ||v_n - v_{n-shift}||, the squared-norm
 envelope chain, and the matrix-power domination inequality.
+:func:`analyze` sums one trajectory up as an :class:`AnalysisReport`, which
+a verify check carries as the evidence for its status.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .linalg import eig_symmetric, radius_side
-from .model import SystemSpec, Trajectory
+from .model import Trajectory
 
 #: Default detection thresholds (parameters assumed O(1)).
 ZERO_TOL = 1e-8
@@ -39,7 +41,11 @@ class Tolerances:
     zero_tol: float = ZERO_TOL
     per_tol: float = PER_TOL
     growth_threshold: float = GROWTH_THRESHOLD
-    max_period: Optional[int] = None  # defaults to 2k when analyzing
+    max_period: Optional[int] = None  # see period_limit
+
+    def period_limit(self, k: int) -> int:
+        """The largest period ``analyze`` scans for in a system of order k: 2k by default."""
+        return self.max_period or 2 * k
 
 
 @dataclass
@@ -212,10 +218,8 @@ def residue_limits(traj: Trajectory, period: int, samples: int = 10) -> np.ndarr
                      for a in range(period)])
 
 
-def analyze(
-    traj: Trajectory, spec: SystemSpec, tolerances: Optional[Tolerances] = None
-) -> AnalysisReport:
-    """Classify the observed behavior of one trajectory.
+def analyze(traj: Trajectory, tolerances: Optional[Tolerances] = None) -> AnalysisReport:
+    """Classify the observed behavior of one trajectory of ``traj.spec``.
 
     Precedence: unbounded growth, then convergence to zero, then
     eventual periodicity, then undetermined (an honest outcome for
@@ -227,7 +231,7 @@ def analyze(
         return AnalysisReport(behavior=UNBOUNDED, exit_step=exit_step)
     if detect_zero_limit(traj, tol.zero_tol):
         return AnalysisReport(behavior=CONVERGED_TO_ZERO)
-    max_period = tol.max_period or 2 * spec.k
+    max_period = tol.period_limit(traj.k)
     blocks = max(
         math.ceil(TAIL_FRACTION * traj.horizon / max_period),
         MIN_WINDOW_BLOCKS,

@@ -8,6 +8,11 @@ decision of a classification: the witness seeds are built from it, not
 decided again.  At m = 2 the spectrum of any nonnegative kernel comes from
 one closed form, :func:`~ratsys.linalg.eig2`.  Near the boundary the
 classifier refuses to guess and raises :class:`BoundaryAmbiguous`.
+
+:func:`verify_classification` simulates the witness and random runs and
+records each run's verdict once, as a :class:`PredictionCheck`: a status
+(:data:`PASS`, :data:`FAIL` or :data:`INFO`) from one rule, and the run's
+:class:`~ratsys.analysis.AnalysisReport`.
 """
 
 from __future__ import annotations
@@ -159,49 +164,58 @@ def classify_trichotomy(spec: SystemSpec, rho_tol: float = RHO_TOL) -> Classific
     return _classification(spec, regime, dec, 1, rho_tol)
 
 
+#: A check's status, as the verify report prints it: the run held, contradicted
+#: the prediction, or is informational (a random run in the unbounded regime).
+PASS = "PASS"
+FAIL = "FAIL"
+INFO = "info"
+
+
 @dataclass
 class PredictionCheck:
+    """One run's verdict: its status and the analysis it was decided from."""
+
     name: str
-    passed: bool
-    observed: str
-    gated: bool = True
+    status: str  # PASS, FAIL or INFO
+    report: AnalysisReport
     init: Optional[np.ndarray] = None  # counterexample history on failure
-    period: Optional[int] = None  # observed period of an eventually periodic run
 
 
 @dataclass
 class VerificationReport:
-    regime: str
-    theorem_path: str
     checks: List[PredictionCheck]
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.gated)
+        return not self.failures()
 
     def failures(self) -> List[PredictionCheck]:
-        return [c for c in self.checks if c.gated and not c.passed]
+        return [c for c in self.checks if c.status == FAIL]
 
 
-def _prediction_holds(regime: str, k: int, report: AnalysisReport, witness: bool) -> bool:
-    """Does one run match the regime's prediction?
+def _check_status(regime: str, k: int, report: AnalysisReport, witness: bool) -> str:
+    """The status of one run against the regime's prediction.
 
     A witness must show exactly the predicted period (k or 2k), or
     unbounded growth in the unbounded regime.  A random run must converge
     to zero in the zero regime; in the periodic regimes it may converge to
     zero (period 1) or its period must divide the predicted one; in the
-    unbounded regime it is informational and always matches.
+    unbounded regime it is informational.
     """
-    if regime == UNBOUNDED_EXISTS:
-        return not witness or report.behavior == UNBOUNDED
     period = _predicted_period(regime, k)
-    if period is None:  # converges to zero
-        return witness or report.behavior == CONVERGED_TO_ZERO
-    if not witness and report.behavior == CONVERGED_TO_ZERO:
-        return True
-    if report.behavior != EVENTUALLY_PERIODIC:
-        return False
-    return report.period == period if witness else period % report.period == 0
+    if regime == UNBOUNDED_EXISTS:
+        if not witness:
+            return INFO
+        holds = report.behavior == UNBOUNDED
+    elif not witness and report.behavior == CONVERGED_TO_ZERO:
+        holds = True
+    elif period is None:  # the zero regime: a witness holds, a random run did not converge
+        holds = witness
+    elif report.behavior != EVENTUALLY_PERIODIC:
+        holds = False
+    else:
+        holds = report.period == period if witness else period % report.period == 0
+    return PASS if holds else FAIL
 
 
 def verify_classification(
@@ -220,16 +234,17 @@ def verify_classification(
     ``trials`` random nonnegative initial conditions drawn uniformly from
     [0, init_max]^m with a seeded PCG64 generator as one
     :func:`~ratsys.simulator.simulate_batch`, analyzes each run, and
-    records one pass/fail check per prediction; the witness check, when
-    present, comes first.  For the unbounded regime only the witness is
-    gated; random runs are reported as information.  A call whose runs
-    would hold no gated check (no witness, and no trials or only
-    informational ones) raises ValueError instead of passing vacuously, and
-    so does one whose witness must show a period (k or 2k) that ``analyze``
-    cannot report: one above ``tolerances.max_period``, or any when the
-    horizon is shorter than that maximum (default 2k).  Random runs are not
-    refused so: they also pass by converging to zero or by a period that
-    divides the predicted one.
+    records one check per run, with the run's status (:data:`PASS`,
+    :data:`FAIL` or :data:`INFO`) and its :class:`AnalysisReport`; the
+    witness check, when present, comes first.  For the unbounded regime
+    only the witness can fail; random runs are :data:`INFO`.  A call whose
+    runs could not fail (no witness, and no trials or only informational
+    ones) raises ValueError instead of passing vacuously, and so does one
+    whose witness must show a period (k or 2k) that ``analyze`` cannot
+    report: one above ``tolerances.period_limit(k)``, or any when the
+    horizon is shorter than that limit.  Random runs are not refused so:
+    they also pass by converging to zero or by a period that divides the
+    predicted one.
 
     A run stops once a row's norm passes ``tolerances.growth_threshold``
     (``stop_above`` of :func:`~ratsys.simulator.simulate_batch`): its
@@ -249,7 +264,7 @@ def verify_classification(
                          "random runs in the unbounded regime are informational")
     elif trials == 0:
         raise ValueError(f"run.trials: 0 leaves no check: {regime} has no witness run here")
-    max_period = tol.max_period or 2 * k
+    max_period = tol.period_limit(k)
     if classification.witness is not None and period is not None:
         if max_period < period:
             raise ValueError(f"tolerances.max_period: {max_period} is below the period {period} "
@@ -266,18 +281,7 @@ def verify_classification(
                                   stop_above=tol.growth_threshold)
     checks: List[PredictionCheck] = []
     for (name, history, witness), traj in zip(runs, trajectories):
-        report = analyze(traj, spec, tol)
-        passed = _prediction_holds(regime, k, report, witness)
-        checks.append(
-            PredictionCheck(
-                name=name,
-                passed=passed,
-                observed=report.describe(),
-                gated=witness or regime != UNBOUNDED_EXISTS,
-                init=None if passed else history,
-                period=report.period,
-            )
-        )
-    return VerificationReport(
-        regime=regime, theorem_path=classification.theorem_path, checks=checks
-    )
+        report = analyze(traj, tol)
+        status = _check_status(regime, k, report, witness)
+        checks.append(PredictionCheck(name, status, report, history if status == FAIL else None))
+    return VerificationReport(checks)

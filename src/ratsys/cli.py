@@ -23,6 +23,7 @@ from .classifier import (
     Classification,
     PERIOD_2K,
     PERIOD_K,
+    VerificationReport,
     classify_tetrachotomy,
     classify_trichotomy,
     verify_classification,
@@ -151,24 +152,19 @@ def cmd_classify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _verify(cfg: RunConfig, spec: SystemSpec, cls: Classification, rng_seed) -> VerificationReport:
+    """``verify_classification`` of ``cls`` with the config's run settings."""
+    return verify_classification(spec, cls, cfg.horizon, cfg.trials, rng_seed=rng_seed,
+                                 init_max=cfg.init_max, tolerances=cfg.tolerances)
+
+
 def _verify_lines(cfg: RunConfig, cls: Classification) -> Tuple[List[str], bool]:
-    report = verify_classification(
-        cfg.spec,
-        cls,
-        cfg.horizon,
-        cfg.trials,
-        rng_seed=cfg.rng_seed,
-        init_max=cfg.init_max,
-        tolerances=cfg.tolerances,
-    )
+    report = _verify(cfg, cfg.spec, cls, cfg.rng_seed)
     width = max((len(c.name) for c in report.checks), default=10) + 2
-    lines = [f"regime: {report.regime} ({report.theorem_path})"]
+    lines = [f"regime: {cls.regime} ({cls.theorem_path})"]
     for check in report.checks:
-        status = "PASS" if check.passed else "FAIL"
-        if not check.gated:
-            status = "info"
-        lines.append(f"{check.name:<{width}} {status:<6} observed: {check.observed}")
-        if not check.passed and check.init is not None:
+        lines.append(f"{check.name:<{width}} {check.status:<6} observed: {check.report.describe()}")
+        if check.init is not None:
             lines.append(f"  counterexample init: {_fmt_matrix(check.init)}")
     lines.append("verdict: " + ("all predictions pass" if report.passed else "some predictions failed"))
     return lines, report.passed
@@ -200,18 +196,11 @@ def cmd_sweep(cfg: RunConfig, out_dir: str) -> int:
     for cell_index, (scale, c) in enumerate(grid):
         cell_spec = SystemSpec(k=cfg.spec.k, A=c * cfg.spec.A, denom=scale * cfg.spec.denom)
         cls = _classify(cfg, cell_spec)
-        report = verify_classification(
-            cell_spec,
-            cls,
-            cfg.horizon,
-            cfg.trials,
-            rng_seed=np.random.SeedSequence([cfg.rng_seed, cell_index]),
-            init_max=cfg.init_max,
-            tolerances=cfg.tolerances,
-        )
+        report = _verify(cfg, cell_spec, cls, np.random.SeedSequence([cfg.rng_seed, cell_index]))
+        witness = report.checks[0].report  # a periodic regime's first check is its witness
         period = ""
-        if cls.regime in (PERIOD_K, PERIOD_2K) and report.checks[0].period is not None:
-            period = str(report.checks[0].period)  # the witness check
+        if cls.regime in (PERIOD_K, PERIOD_2K) and witness.period is not None:
+            period = str(witness.period)
         row = [_fmt(c), _fmt(cls.spectrum.spectral_radius), cls.regime,
                "true" if report.passed else "false", period]
         if multi_scale:

@@ -111,11 +111,26 @@ def _yaml_number_note(value) -> str:
             f"and a signed exponent: write {spelling}")
 
 
+def _int_note(value) -> str:
+    """For a float, or decimal text, that is an integer of at most 2**53, its digits; else "".
+
+    YAML reads ``1e5`` as text and ``1.0e+5`` as a float, so neither passes
+    for an int.  Past 2**53 a float need not be the integer that was written.
+    """
+    from decimal import Decimal  # here, not at the top: it adds ~0.3 MB to every run
+
+    if isinstance(value, str) and _DECIMAL.fullmatch(value) and Decimal(value) == float(value):
+        value = float(value)
+    if type(value) is not float or not (value.is_integer() and abs(value) <= 2.0**53):
+        return ""
+    return f"; write {int(value)}"
+
+
 def check(path: str, value):
     """``value`` checked by its :data:`FIELDS` row: an int passes for a float, a bool never."""
     kind, _, rule, text = FIELDS[path]
     if type(value) is not kind and not (kind is float and type(value) is int):
-        note = _yaml_number_note(value) if kind is float else ""
+        note = _yaml_number_note(value) if kind is float else _int_note(value) if kind is int else ""
         raise ConfigError(f"{path} must be of type {kind.__name__}, got {value!r}{note}")
     if kind is float and not abs(value) <= sys.float_info.max:  # NaN, inf, huge ints
         raise ConfigError(f"{path} must be finite, got {value!r}")

@@ -191,18 +191,38 @@ def _decomposition(values: np.ndarray, vectors: np.ndarray) -> EigenDecompositio
     return EigenDecomposition(eigenvalues=values, eigenvectors=vectors, spectral_radius=rho)
 
 
+def _rescaled(mat: np.ndarray) -> Tuple[np.ndarray, int]:
+    """``(mat * 2**-e, e)`` with the largest |entry| brought into [0.5, 1) when it
+    lies outside [2**-500, 2**500], else ``(mat, 0)``.
+
+    Jacobi and power iteration square entries, which overflows or underflows
+    near the ends of the float range.  Scaling by a power of two is exact
+    (``np.ldexp``), so a solver run on the scaled matrix gives eigenvalues
+    that scale back by 2**e exactly and the same eigenvectors.
+    """
+    top = float(np.abs(mat).max(initial=0.0))
+    if top == 0.0 or 2.0**-500 <= top <= 2.0**500:
+        return mat, 0
+    e = math.frexp(top)[1]
+    return np.ldexp(mat, -e), e
+
+
 def eig_symmetric(a) -> EigenDecomposition:
     """Eigendecomposition of a real symmetric matrix.
 
     Uses the 2x2 closed form :func:`eig2` at m = 2 and cyclic Jacobi
-    rotations otherwise.  Rejects non-symmetric or non-finite input.
+    rotations otherwise, on a matrix rescaled by :func:`_rescaled` when
+    its entries lie near the ends of the float range.  Rejects
+    non-symmetric or non-finite input.
     """
     mat = as_matrix(a)
     if not is_symmetric(mat):
         raise ValueError("matrix must be symmetric")
     if mat.shape[0] == 2:
         return eig2(mat)
-    return _decomposition(*_jacobi(mat))
+    scaled, e = _rescaled(mat)
+    values, vectors = _jacobi(scaled)
+    return _decomposition(np.ldexp(values, e), vectors)
 
 
 def spectral_radius(a) -> float:
@@ -247,7 +267,9 @@ def perron_pair(a) -> Tuple[float, np.ndarray]:
     stalls the plain iteration, it is run again on ``A + sigma I`` with
     ``sigma`` the largest row sum (at least ``r``).  That matrix has the
     same eigenvectors, and the eigenvalue near ``-r`` becomes one near
-    ``sigma - r``, far below the dominant ``r + sigma``.
+    ``sigma - r``, far below the dominant ``r + sigma``.  Entries near
+    the ends of the float range are rescaled first, as in
+    :func:`eig_symmetric`.
     """
     mat = as_matrix(a)
     if mat.shape == (2, 2) and is_nonnegative(mat):
@@ -255,9 +277,10 @@ def perron_pair(a) -> Tuple[float, np.ndarray]:
         return float(dec.eigenvalues[0]), dec.eigenvectors[0]
     if not is_positive(mat):
         raise ValueError("perron_pair requires a nonnegative 2x2 or a strictly positive matrix")
-    pair = _power_iteration(mat, 0.0)
+    scaled, e = _rescaled(mat)
+    pair = _power_iteration(scaled, 0.0)
     if pair is None:
-        pair = _power_iteration(mat, float(mat.sum(axis=1).max()))
+        pair = _power_iteration(scaled, float(scaled.sum(axis=1).max()))
     if pair is None:
         raise PowerIterationError(
             f"power iteration did not converge within {MAX_POWER_ITERS} iterations"
@@ -265,7 +288,7 @@ def perron_pair(a) -> Tuple[float, np.ndarray]:
     r, x = pair
     if float(x.min()) <= 0.0:
         raise PowerIterationError("iterate lost strict positivity")
-    return r, x
+    return math.ldexp(r, e), x
 
 
 def check_fact1(a, v, big_l: int) -> Tuple[bool, bool]:

@@ -101,7 +101,7 @@ def trichotomy_runs():
         random_runs = []
         for _ in range(20):
             traj = simulate(spec, random_init(rng, k, m), HORIZON_LONG)
-            random_runs.append((traj, analyze(traj, spec)))
+            random_runs.append((traj, analyze(traj)))
         cls = classify_trichotomy(spec)
         witness_traj = simulate(spec, cls.witness, HORIZON_LONG)
         data.append(

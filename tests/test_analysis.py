@@ -225,12 +225,12 @@ class TestDominationCheck:
 class TestAnalyze:
     def test_contracting_reports_zero(self, contracting_run):
         spec, traj = contracting_run
-        report = analyze(traj, spec)
+        report = analyze(traj)
         assert report.behavior == CONVERGED_TO_ZERO
 
     def test_unit_radius_reports_period_dividing_k(self, positive_unit_run):
         spec, traj = positive_unit_run
-        report = analyze(traj, spec)
+        report = analyze(traj)
         assert report.behavior == EVENTUALLY_PERIODIC
         assert spec.k % report.period == 0
         assert residue_limits(traj, report.period).shape == (report.period, spec.m)
@@ -238,7 +238,7 @@ class TestAnalyze:
     def test_unbounded_seed_reported(self):
         spec = SystemSpec(k=2, A=np.full((2, 2), 1.0))
         traj = simulate(spec, construct_unbounded_seed(spec), 100)
-        report = analyze(traj, spec)
+        report = analyze(traj)
         assert report.behavior == UNBOUNDED
         assert report.exit_step is not None
 
@@ -247,12 +247,12 @@ class TestAnalyze:
         rng = np.random.default_rng(97)
         spec = random_spec(rng, 2, 2, 1.0, positive=True, denom_range=(0.01, 0.02))
         traj = simulate(spec, random_init(rng, 2, 2), 60)
-        report = analyze(traj, spec, Tolerances(per_tol=1e-12))
+        report = analyze(traj, Tolerances(per_tol=1e-12))
         assert report.behavior == UNDETERMINED
 
     def test_residue_limits_follow_perron_direction(self, positive_unit_run):
         spec, traj = positive_unit_run
-        report = analyze(traj, spec)
+        report = analyze(traj)
         _, w = perron_pair(spec.A)
         for limit in residue_limits(traj, report.period):
             norm = float(np.linalg.norm(limit))

@@ -29,7 +29,7 @@ from ratsys.analysis import (
     UNDETERMINED,
     AnalysisReport,
 )
-from ratsys.classifier import _prediction_holds
+from ratsys.classifier import FAIL, INFO, PASS, _check_status
 from ratsys.linalg import RHO_TOL
 
 HALF = np.array([[0.5, 0.5], [0.5, 0.5]])
@@ -95,7 +95,7 @@ class TestTetrachotomy:
                                    rtol=0, atol=1e-15)
         report = verify_classification(spec, cls, horizon=2000, trials=0)
         assert report.passed
-        assert report.checks[0].period == k
+        assert report.checks[0].report.period == k
 
     @pytest.mark.parametrize("a", [[[1.0, 0.5], [0.0, 0.5]], [[0.5, 0.0], [0.7, 1.0]]])
     def test_triangular_kernels_are_period_k(self, a):
@@ -300,14 +300,14 @@ class TestVerifyClassification:
         report = verify_classification(spec, cls, horizon=2000, trials=5, rng_seed=2)
         assert report.passed
         assert report.checks[0].name.startswith("witness")
-        assert "period 4" in report.checks[0].observed
+        assert "period 4" in report.checks[0].report.describe()
 
     def test_unbounded_witness_gated_random_informational(self):
         spec = SystemSpec(k=2, A=np.full((2, 2), 1.0), denom=np.full((2, 1, 2), 0.5))
         cls = classify_tetrachotomy(spec)
         report = verify_classification(spec, cls, horizon=300, trials=5, rng_seed=3)
         assert report.passed
-        gated = [c for c in report.checks if c.gated]
+        gated = [c for c in report.checks if c.status != INFO]
         assert len(gated) == 1 and gated[0].name.startswith("witness")
 
     def test_wrong_expectation_produces_counterexamples(self):
@@ -351,7 +351,7 @@ class TestVerifyClassification:
 
         def checks():
             report = verify_classification(spec, cls, horizon=1300, trials=trials, rng_seed=6)
-            return [(c.name, c.passed, c.observed, c.period, c.gated) for c in report.checks]
+            return [(c.name, c.status, c.report) for c in report.checks]
 
         monkeypatch.setattr("ratsys.classifier.simulate_batch", recording)
         blocks = count_blocks(monkeypatch)
@@ -376,7 +376,7 @@ class TestVerifyClassification:
         spec = SystemSpec(k=3, A=a, denom=rng.uniform(0.5, 1.5, (3, 2, 3)))
         cls = classify_trichotomy(spec)
         report = verify_classification(spec, cls, horizon=6000, trials=8, rng_seed=5)
-        assert report.passed, [c for c in report.checks if not c.passed]
+        assert report.passed, report.failures()
 
 
 def observations(k):
@@ -385,34 +385,35 @@ def observations(k):
     return fixed + [(EVENTUALLY_PERIODIC, p) for p in range(1, 2 * k + 1)]
 
 
-#: (k, regime, witness run?) -> "1"/"0" per entry of observations(k): does the
-#: run match the prediction?  Recorded from the separate witness and random-run
-#: rules that the single rule replaced.
+#: (k, regime, witness run?) -> one status per entry of observations(k): P for
+#: PASS, F for FAIL, i for INFO.  Recorded from the separate witness and
+#: random-run rules that the single rule replaced, P and F from whether the run
+#: matched and i where the check was not gated.
 PREDICTION_TABLE = {
-    (2, CONVERGES_TO_ZERO, True): "1111111",
-    (2, CONVERGES_TO_ZERO, False): "1000000",
-    (2, PERIOD_K, True): "0000100",
-    (2, PERIOD_K, False): "1001100",
-    (2, PERIOD_2K, True): "0000001",
-    (2, PERIOD_2K, False): "1001101",
-    (2, UNBOUNDED_EXISTS, True): "0100000",
-    (2, UNBOUNDED_EXISTS, False): "1111111",
-    (3, CONVERGES_TO_ZERO, True): "111111111",
-    (3, CONVERGES_TO_ZERO, False): "100000000",
-    (3, PERIOD_K, True): "000001000",
-    (3, PERIOD_K, False): "100101000",
-    (3, PERIOD_2K, True): "000000001",
-    (3, PERIOD_2K, False): "100111001",
-    (3, UNBOUNDED_EXISTS, True): "010000000",
-    (3, UNBOUNDED_EXISTS, False): "111111111",
+    (2, CONVERGES_TO_ZERO, True): "PPPPPPP",
+    (2, CONVERGES_TO_ZERO, False): "PFFFFFF",
+    (2, PERIOD_K, True): "FFFFPFF",
+    (2, PERIOD_K, False): "PFFPPFF",
+    (2, PERIOD_2K, True): "FFFFFFP",
+    (2, PERIOD_2K, False): "PFFPPFP",
+    (2, UNBOUNDED_EXISTS, True): "FPFFFFF",
+    (2, UNBOUNDED_EXISTS, False): "iiiiiii",
+    (3, CONVERGES_TO_ZERO, True): "PPPPPPPPP",
+    (3, CONVERGES_TO_ZERO, False): "PFFFFFFFF",
+    (3, PERIOD_K, True): "FFFFFPFFF",
+    (3, PERIOD_K, False): "PFFPFPFFF",
+    (3, PERIOD_2K, True): "FFFFFFFFP",
+    (3, PERIOD_2K, False): "PFFPPPFFP",
+    (3, UNBOUNDED_EXISTS, True): "FPFFFFFFF",
+    (3, UNBOUNDED_EXISTS, False): "iiiiiiiii",
 }
+_STATUS_CHAR = {PASS: "P", FAIL: "F", INFO: "i"}
 
 
 @pytest.mark.parametrize("k,regime,witness", sorted(PREDICTION_TABLE))
 def test_prediction_rule_table(k, regime, witness):
     got = "".join(
-        "1" if _prediction_holds(regime, k, AnalysisReport(behavior=b, period=p), witness)
-        else "0"
+        _STATUS_CHAR[_check_status(regime, k, AnalysisReport(behavior=b, period=p), witness)]
         for b, p in observations(k)
     )
     assert got == PREDICTION_TABLE[k, regime, witness]

@@ -3,6 +3,7 @@
 import copy
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import yaml
 
 from ratsys.cli import CSV_CHUNK_ROWS, main, read_trajectory_csv, write_trajectory_csv
 from ratsys import SystemSpec, InitialConditions, Trajectory, simulate, verify_classification
+from ratsys.analysis import UNDETERMINED
 from ratsys.simulator import simulate_batch
 
 IDENTITY_CONF = """
@@ -245,6 +247,23 @@ class TestConfigErrors:
         assert " as text" in err[0] and err[0].endswith(f": write {spelling}"), err
         number = yaml.safe_load(spelling)
         assert type(number) is float and number == float(spelling)
+
+    @pytest.mark.parametrize("text,digits", [
+        ("1e5", "100000"),  # YAML reads it as text
+        ("1.0e+5", "100000"),  # YAML reads it as a float
+        ("1.5", None),
+        ("'1.5e0'", None),
+        ("1.0e+300", None),  # past 2**53 a float need not be the integer written
+    ])
+    def test_integral_number_for_an_int_names_its_digits(self, tmp_path, capsys, yaml_loader,
+                                                         text, digits):
+        base = yaml.safe_dump(PROBE_BASE)
+        assert "horizon: 100\n" in base
+        conf = write_conf(tmp_path, base.replace("horizon: 100\n", f"horizon: {text}\n"))
+        assert main(["verify", "--config", conf]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: run.horizon must be of type int"), err
+        assert err[0].endswith(f"; write {digits}") if digits else "write" not in err[0], err
 
     def test_quoted_number_is_named_as_text(self, tmp_path, capsys):
         doc = copy.deepcopy(PROBE_BASE)
@@ -538,6 +557,31 @@ class TestClassifyCommand:
         out = capsys.readouterr().out
         assert "regime: period-k" in out and "perron: r=" in out
 
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e-200])
+    def test_kernel_near_the_ends_of_the_float_range(self, tmp_path, capsys, command, scale):
+        # Jacobi and power iteration square entries, which overflow or
+        # underflow here unless the kernel is rescaled first
+        a = (scale * np.array([[1.0, 2.0, 1.0], [2.0, 1.0, 1.0], [1.0, 1.0, 3.0]])).tolist()
+        doc = {"mode": "trichotomy", "system": {"k": 2, "A": a},
+               "run": {"horizon": 300, "trials": 3}}
+        conf = write_conf(tmp_path, yaml.safe_dump(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", conf]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        regime = "converges-to-zero" if scale < 1 else "unbounded-exists"
+        if command == "verify":
+            assert captured.out.startswith(f"regime: {regime} ")
+            assert captured.out.endswith("verdict: all predictions pass\n")
+            return
+        lines = dict(line.split(": ", 1) for line in captured.out.splitlines())
+        assert lines["regime"] == regime
+        assert float(lines["rho"]) == pytest.approx((3.0 + math.sqrt(2.0)) * scale, rel=1e-14)
+        w = [float(x) for x in lines["perron"].split("w=[")[1].rstrip("]").split(", ")]
+        np.testing.assert_allclose(w, [0.5, 0.5, math.sqrt(0.5)], rtol=0, atol=1e-13)
+
     def test_case3_radius_is_the_kernels(self, tmp_path, capsys):
         a = [[0.0, 2.0], [0.5000005, 0.0]]
         doc = {"mode": "tetrachotomy", "system": {"k": 2, "A": a},
@@ -783,7 +827,7 @@ class TestNonsymmetricKernels:
         for cell, report in zip(cells, reports):
             assert cell[3] == ("true" if report.passed else "false")
             # a run that outlasts the horizon is undetermined, not a contradiction
-            assert all(c.observed == "undetermined" for c in report.failures()), cell
+            assert all(c.report.behavior == UNDETERMINED for c in report.failures()), cell
 
     @pytest.mark.parametrize("command", ["classify", "verify", "sweep"])
     @pytest.mark.parametrize("a", [

@@ -296,6 +296,42 @@ class TestPerronPair:
         assert abs(r - 1.0) <= 1e-14
 
 
+#: A positive symmetric kernel (eigenvalues 3 + sqrt 2, 3 - sqrt 2, -1) over 4,
+#: so that its largest entry, 3/4, lies in [0.5, 1).
+SCALE_PROBE = np.array([[1.0, 2.0, 1.0], [2.0, 1.0, 1.0], [1.0, 1.0, 3.0]]) / 4
+
+
+class TestExtremeScales:
+    """Jacobi and power iteration square entries; near the ends of the float
+    range the solvers run on the kernel rescaled by a power of two."""
+
+    @staticmethod
+    def bits(x):
+        return np.asarray(x, dtype=float).view(np.uint64)
+
+    @pytest.mark.parametrize("c", [2.0**600, 2.0**-600])
+    def test_eig_symmetric_scales_bit_for_bit(self, c):
+        want, got = eig_symmetric(SCALE_PROBE), eig_symmetric(c * SCALE_PROBE)
+        np.testing.assert_array_equal(self.bits(got.eigenvalues), self.bits(c * want.eigenvalues))
+        np.testing.assert_array_equal(self.bits(got.eigenvectors), self.bits(want.eigenvectors))
+        assert got.spectral_radius == c * want.spectral_radius
+
+    @pytest.mark.parametrize("c", [2.0**600, 2.0**-600])
+    def test_perron_pair_scales_bit_for_bit(self, c):
+        (r, w), (rc, wc) = perron_pair(SCALE_PROBE), perron_pair(c * SCALE_PROBE)
+        assert self.bits(rc) == self.bits(c * r)
+        np.testing.assert_array_equal(self.bits(wc), self.bits(w))
+
+    @pytest.mark.parametrize("c", [1e160, 1e200, 1e-200])
+    def test_decimal_scales_keep_the_spectrum(self, c):
+        dec = eig_symmetric(c * SCALE_PROBE)
+        want = np.array([3.0 + math.sqrt(2.0), 3.0 - math.sqrt(2.0), -1.0]) * (c / 4)
+        np.testing.assert_allclose(dec.eigenvalues, want, rtol=1e-14, atol=0)
+        r, w = perron_pair(c * SCALE_PROBE)
+        assert r == pytest.approx(want[0], rel=1e-14, abs=0)
+        np.testing.assert_allclose(w, [0.5, 0.5, math.sqrt(0.5)], rtol=0, atol=1e-13)
+
+
 class TestFact1:
     def test_eigenvector_preserves_norm(self):
         ok, equal = check_fact1([[0.0, 1.0], [1.0, 0.0]], [1.0, 1.0], 5)

@@ -678,7 +678,7 @@ class TestStopAbove:
         full = simulate_batch(spec, histories, horizon)
         tol = Tolerances(growth_threshold=threshold)
         for got, want in zip(stopped, full):
-            assert analyze(got, spec, tol) == analyze(want, spec, tol)
+            assert analyze(got, tol) == analyze(want, tol)
             if got.horizon == want.horizon:
                 assert _same_run(got, want)
                 continue
@@ -695,7 +695,7 @@ class TestStopAbove:
         threshold = _first_passed_at(n)
         (traj, *_) = self._runs(monkeypatch, side, DOUBLING, [DOUBLING_HISTORY], 300, threshold)
         assert traj.horizon == end and traj.diverged_at is None
-        assert analyze(traj, DOUBLING, Tolerances(growth_threshold=threshold)).exit_step == n
+        assert analyze(traj, Tolerances(growth_threshold=threshold)).exit_step == n
 
     @pytest.mark.parametrize("side", ["loop", "numpy"])
     @pytest.mark.parametrize("factor,start,passed,diverged", [(1e100, 1.0, 3, 7),
@@ -708,7 +708,7 @@ class TestStopAbove:
         history = np.full((2, 1), start)
         (traj, *_) = self._runs(monkeypatch, side, spec, [history], 300, 3e150)
         assert traj.diverged_at == diverged and traj.horizon == diverged - 1
-        assert analyze(traj, spec, Tolerances(growth_threshold=3e150)).exit_step == passed
+        assert analyze(traj, Tolerances(growth_threshold=3e150)).exit_step == passed
 
     @pytest.mark.parametrize("side", ["loop", "numpy"])
     def test_pass_seen_only_in_the_norm(self, monkeypatch, side):
@@ -720,7 +720,7 @@ class TestStopAbove:
         (traj, *_) = self._runs(monkeypatch, side, spec, [history], 300, threshold)
         assert traj.generated[:128].max() < threshold < traj.generated[128].max()
         assert traj.horizon == 192
-        assert analyze(traj, spec, Tolerances(growth_threshold=threshold)).exit_step == 128
+        assert analyze(traj, Tolerances(growth_threshold=threshold)).exit_step == 128
 
     @pytest.mark.parametrize("side", ["loop", "numpy"])
     def test_components_above_a_tiny_threshold_need_the_norm(self, monkeypatch, side):
@@ -731,10 +731,10 @@ class TestStopAbove:
         history = np.full((2, 1), 1e-190)
         (traj, *_) = self._runs(monkeypatch, side, constant, [history], 300, 1e-200)
         assert traj.horizon == 300
-        assert analyze(traj, constant, Tolerances(growth_threshold=1e-200)).behavior == (
+        assert analyze(traj, Tolerances(growth_threshold=1e-200)).behavior == (
             "converged-to-zero")
         (traj, *_) = self._runs(monkeypatch, side, growing, [history], 600, 1e-200)
-        exit_step = analyze(traj, growing, Tolerances(growth_threshold=1e-200)).exit_step
+        exit_step = analyze(traj, Tolerances(growth_threshold=1e-200)).exit_step
         assert 128 < exit_step <= traj.horizon < 600
 
     @pytest.mark.parametrize("side", ["loop", "numpy"])
