@@ -45,7 +45,11 @@ class Tolerances:
 
     def period_limit(self, k: int) -> int:
         """The largest period ``analyze`` scans for in a system of order k: 2k by default."""
-        return self.max_period or 2 * k
+        if self.max_period is None:
+            return 2 * k
+        if self.max_period < 1:
+            raise ValueError("max_period must be >= 1")
+        return self.max_period
 
 
 @dataclass

@@ -27,6 +27,7 @@ MAX_POWER_ITERS = 10_000
 
 _POWER_RESIDUAL_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 50
+_MIN_NORMAL = 2.0 ** -1022
 
 
 class PowerIterationError(RuntimeError):
@@ -102,7 +103,9 @@ def eig2(a) -> EigenDecomposition:
     eigenvalues are mid +/- h, mid = (a00 + a11) / 2 and h = hypot((a00 -
     a11) / 2, sqrt(a01 a10)): the discriminant is a sum of squares, so
     nothing cancels.  sqrt(a01 a10) is taken as hi * sqrt(lo / hi), which
-    cannot underflow and is exact when |a01| == |a10|.  Of the two right
+    cannot overflow and is exact when |a01| == |a10|, or, once lo / hi
+    falls below the normal range (off-diagonals more than ~1e308 apart)
+    and would lose its bits, as sqrt(lo) sqrt(hi).  Of the two right
     eigenvectors (a01, lam - a00) and (lam - a11, a10) the longer is kept,
     since its cancellation error is small against its length; it is
     scaled by its largest entry before normalising, so (c, c) always gives
@@ -116,7 +119,11 @@ def eig2(a) -> EigenDecomposition:
     if min(a01, a10) < 0.0 < max(a01, a10):
         raise ValueError("off-diagonal entries of opposite sign give a complex spectrum")
     lo, hi = sorted((abs(a01), abs(a10)))
-    g = hi * math.sqrt(lo / hi) if hi > 0.0 else 0.0
+    ratio = lo / hi if hi > 0.0 else 0.0
+    if ratio < _MIN_NORMAL:  # lo / hi lost bits or underflowed: take the roots apart
+        g = math.sqrt(lo) * math.sqrt(hi)
+    else:
+        g = hi * math.sqrt(ratio)
     e = 0.5 * (a00 - a11)
     h = math.hypot(e, g)
     mid = 0.5 * (a00 + a11)

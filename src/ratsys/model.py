@@ -5,10 +5,17 @@ where ``A`` is an m x m nonnegative kernel and ``B_n`` is the diagonal of
 reciprocals ``1 / (1 + sum_j q_ij . v_{n-j})`` built from per-equation
 delay coefficient vectors ``q_ij`` (delays j = 1..k-1).  The additive
 constant in every denominator is fixed at 1.
+
+The input types check themselves: building a :class:`SystemSpec` that
+breaks a rule of :func:`validate`, or an :class:`InitialConditions` with a
+non-finite or negative value, raises ``ValueError``.  So one that exists
+is valid, and nothing that takes one checks it again.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -37,21 +44,29 @@ class SystemSpec:
     denom: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if int(self.k) == self.k:  # 2.0 and np.int64(2) become 2; validate refuses 2.5
-            object.__setattr__(self, "k", int(self.k))
+        k = self.k  # a finite integral number becomes an int: 2.0 and np.int64(2) become 2
+        if isinstance(k, numbers.Real) and math.isfinite(k) and int(k) == k:
+            object.__setattr__(self, "k", int(k))
         a = np.asarray(self.A, dtype=float)
         object.__setattr__(self, "A", _readonly(a))
-        m = a.shape[0] if a.ndim == 2 else 0
-        lags = max(int(self.k) - 1, 0)
         if self.denom is None:
-            q = np.zeros((m, lags, m))
+            m = a.shape[0] if a.ndim == 2 else 0
+            q = np.zeros((m, _lags(self.k), m))
         else:
             q = np.asarray(self.denom, dtype=float)
         object.__setattr__(self, "denom", _readonly(q))
+        problems = validate(self)
+        if problems:
+            raise ValueError("invalid system spec: " + "; ".join(problems))
 
     @property
     def m(self) -> int:
         return self.A.shape[0]
+
+
+def _lags(k) -> int:
+    """The delays j = 1..k-1 of a valid order k; 0 for any other k."""
+    return max(k - 1, 0) if isinstance(k, int) else 0
 
 
 def from_scalar_params(k, beta, gamma, delta, epsilon, B, C, D, E) -> SystemSpec:
@@ -62,12 +77,8 @@ def from_scalar_params(k, beta, gamma, delta, epsilon, B, C, D, E) -> SystemSpec
     second equation's uses ``(D[j-1], E[j-1])``.  All parameters must be
     nonnegative and the coefficient lists must have length ``k - 1``.
     """
-    if int(k) != k or k < 2:
-        raise ValueError("k must be an integer >= 2")
-    k = int(k)
-    for name, value in (("beta", beta), ("gamma", gamma), ("delta", delta), ("epsilon", epsilon)):
-        if not np.isfinite(value) or value < 0:
-            raise ValueError(f"{name} must be finite and nonnegative")
+    linear = SystemSpec(k=k, A=[[beta, gamma], [delta, epsilon]])  # refuses k and the scalars
+    k = linear.k
     coeffs = {}
     for name, seq in (("B", B), ("C", C), ("D", D), ("E", E)):
         arr = np.asarray(seq, dtype=float)
@@ -76,14 +87,13 @@ def from_scalar_params(k, beta, gamma, delta, epsilon, B, C, D, E) -> SystemSpec
         if not np.isfinite(arr).all() or (arr < 0).any():
             raise ValueError(f"{name} entries must be finite and nonnegative")
         coeffs[name] = arr
-    a = np.array([[beta, gamma], [delta, epsilon]], dtype=float)
     denom = np.stack(
         [
             np.column_stack([coeffs["B"], coeffs["C"]]),
             np.column_stack([coeffs["D"], coeffs["E"]]),
         ]
     )
-    return SystemSpec(k=k, A=a, denom=denom)
+    return SystemSpec(k=k, A=linear.A, denom=denom)
 
 
 def validate(spec: SystemSpec) -> List[str]:
@@ -100,7 +110,7 @@ def validate(spec: SystemSpec) -> List[str]:
     elif not is_nonnegative(a):
         problems.append("A must be nonnegative")
     m = a.shape[0]
-    lags = max(int(spec.k) - 1, 0)
+    lags = _lags(spec.k)
     q = spec.denom
     if q.shape != (m, lags, m):
         problems.append(
@@ -121,6 +131,10 @@ class InitialConditions:
 
     def __post_init__(self):
         h = np.asarray(self.history, dtype=float)
+        if not np.isfinite(h).all():
+            raise ValueError("invalid initial conditions: initial conditions must be finite")
+        if (h < 0).any():
+            raise ValueError("invalid initial conditions: initial conditions must be nonnegative")
         object.__setattr__(self, "history", _readonly(h))
 
     @classmethod
@@ -140,18 +154,12 @@ class InitialConditions:
 
 
 def validate_initial(init: InitialConditions, spec: SystemSpec) -> List[str]:
-    problems = []
+    """The one rule that needs both: ``init`` holds k vectors of dimension m."""
     h = init.history
-    if h.ndim != 2 or h.shape != (spec.k, spec.m):
-        problems.append(
-            f"initial conditions must be {spec.k} vectors of dimension {spec.m}, got shape {h.shape}"
-        )
-        return problems
-    if not np.isfinite(h).all():
-        problems.append("initial conditions must be finite")
-    elif (h < 0).any():
-        problems.append("initial conditions must be nonnegative")
-    return problems
+    if h.shape != (spec.k, spec.m):
+        return [f"initial conditions must be {spec.k} vectors of dimension {spec.m}, "
+                f"got shape {h.shape}"]
+    return []
 
 
 @dataclass(frozen=True)

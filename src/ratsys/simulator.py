@@ -97,13 +97,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .analysis import rows_above
-from .model import (
-    InitialConditions,
-    SystemSpec,
-    Trajectory,
-    validate,
-    validate_initial,
-)
+from .model import InitialConditions, SystemSpec, Trajectory, validate_initial
 
 
 #: Largest value array, in bytes of float64, that one simulate or
@@ -215,10 +209,7 @@ def step(spec: SystemSpec, window: Sequence[Sequence[float]]) -> np.ndarray:
 
 
 def _validated(spec: SystemSpec, histories, horizon: int) -> List[InitialConditions]:
-    """The histories as initial conditions, once spec, each history and size check out."""
-    problems = validate(spec)
-    if problems:
-        raise ValueError("invalid system spec: " + "; ".join(problems))
+    """The histories as initial conditions, once their values, shapes and size check out."""
     inits = [InitialConditions(h) for h in histories]
     for init in inits:
         problems = validate_initial(init, spec)

@@ -12,6 +12,8 @@ from ratsys import (
     PERIOD_K,
     UNBOUNDED_EXISTS,
     SystemSpec,
+    Tolerances,
+    analyze,
     classify_tetrachotomy,
     classify_trichotomy,
     construct_period2k_seed,
@@ -161,6 +163,16 @@ class TestTetrachotomy:
     def test_boundary_ambiguous_on_bad_residual(self):
         with pytest.raises(BoundaryAmbiguous):
             regime_from_spectrum(np.array([1.0, 0.0]), residual=1e-6)
+
+    def test_off_diagonals_beyond_the_float_range(self):
+        # sqrt(1e200 * 1e-200) = 1, though 1e-200 / 1e200 underflows to 0
+        spec = SystemSpec(k=2, A=[[0.0, 1e200], [1e-200, 0.0]])
+        cls = classify_tetrachotomy(spec)
+        assert (cls.regime, cls.theorem_path) == (PERIOD_2K, "T4-III")
+        assert cls.spectrum.eigenvalues.tolist() == [1.0, -1.0]
+        assert construct_period2k_seed(spec, 1.0, 0.0).history.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+        cls = classify_tetrachotomy(SystemSpec(k=2, A=[[1.0, 1e160], [1e-170, 1.0]]))
+        assert (cls.regime, cls.theorem_path) == (UNBOUNDED_EXISTS, "T4-IV")
 
 
 class TestTrichotomy:
@@ -321,6 +333,19 @@ class TestVerifyClassification:
         assert not report.passed
         failures = report.failures()
         assert failures and failures[0].init is not None
+
+    def test_max_period_zero_is_refused(self):
+        # 0 is a limit, not "unset": it must not scan up to 2k
+        zero = Tolerances(max_period=0)
+        for a in (HALF, [[0.3, 0.2], [0.2, 0.3]]):  # with a witness run, with random runs only
+            spec = SystemSpec(k=2, A=a)
+            with pytest.raises(ValueError, match="max_period must be >= 1"):
+                verify_classification(spec, classify_tetrachotomy(spec), horizon=100, trials=2,
+                                      rng_seed=1, tolerances=zero)
+        spec = SystemSpec(k=2, A=HALF)
+        traj = simulate(spec, classify_tetrachotomy(spec).witness, 100)
+        with pytest.raises(ValueError, match="max_period must be >= 1"):
+            analyze(traj, zero)
 
     def test_no_gated_check_is_refused(self):
         from dataclasses import replace

@@ -182,6 +182,25 @@ class TestEig2:
         assert dec.eigenvalues.tolist() == [2e-200, 0.0]
         np.testing.assert_allclose(np.abs(dec.eigenvectors), 0.5 ** 0.5)
 
+    @pytest.mark.parametrize("a,want", [
+        ([[0.0, 1e200], [1e-200, 0.0]], [1.0, -1.0]),  # a01 / a10 is beyond the float range
+        ([[1.0, 1e160], [1e-170, 1.0]], [1.00001, 0.99999]),
+    ])
+    def test_off_diagonals_far_apart_keep_their_product(self, a, want):
+        np.testing.assert_allclose(eig2(a).eigenvalues, want, rtol=1e-15, atol=0)
+
+    def test_ordinary_off_diagonals_keep_the_quotient_form(self):
+        # hi * sqrt(lo / hi) decides every kernel whose quotient is a normal float
+        rng = np.random.default_rng(47)
+        kernels = [rng.uniform(0.0, 2.0, (2, 2)) for _ in range(200)]
+        kernels += [np.array([[0.5, 1e150], [1e-150, 0.25]]), np.array([[0.0, 1.0], [0.0, 1.0]])]
+        for a in kernels:
+            (a00, a01), (a10, a11) = a.tolist()
+            lo, hi = sorted((a01, a10))
+            h = math.hypot(0.5 * (a00 - a11), hi * math.sqrt(lo / hi))
+            mid = 0.5 * (a00 + a11)
+            assert eig2(a).eigenvalues.tolist() == [mid + h, mid - h]
+
     def test_symmetric_closed_form_is_exact(self):
         rng = np.random.default_rng(43)
         for c in rng.uniform(0.1, 3.0, 50):

@@ -74,14 +74,21 @@ class TestFromScalarParams:
             from_scalar_params(3, 1.0, 0.0, 0.0, 1.0, [0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
 
 
+def _refusal(build):
+    """The message of the ValueError that ``build()`` raises."""
+    with pytest.raises(ValueError) as exc:
+        build()
+    return str(exc.value)
+
+
 class TestValidate:
     def test_well_formed(self):
         spec = SystemSpec(k=2, A=np.eye(2))
         assert validate(spec) == []
 
     def test_k_too_small(self):
-        problems = validate(SystemSpec(k=1, A=np.eye(2)))
-        assert any("k" in p for p in problems)
+        problem = _refusal(lambda: SystemSpec(k=1, A=np.eye(2)))
+        assert problem == "invalid system spec: k must be an integer >= 2"
 
     @pytest.mark.parametrize("k", [2.0, np.float64(3.0), np.int64(3)])
     def test_integral_k_is_stored_as_int(self, k):
@@ -90,19 +97,55 @@ class TestValidate:
         assert validate(spec) == []
 
     def test_fractional_k_is_not_an_integer(self):
-        assert validate(SystemSpec(k=2.5, A=np.eye(2))) == ["k must be an integer >= 2"]
+        problem = _refusal(lambda: SystemSpec(k=2.5, A=np.eye(2)))
+        assert problem == "invalid system spec: k must be an integer >= 2"
 
     def test_negative_kernel_entry(self):
-        problems = validate(SystemSpec(k=2, A=[[0.5, -0.1], [0.0, 0.5]]))
-        assert any("nonnegative" in p for p in problems)
+        problem = _refusal(lambda: SystemSpec(k=2, A=[[0.5, -0.1], [0.0, 0.5]]))
+        assert problem == "invalid system spec: A must be nonnegative"
 
     def test_bad_denom_shape(self):
-        problems = validate(SystemSpec(k=3, A=np.eye(2), denom=np.zeros((2, 1, 2))))
-        assert any("denom" in p for p in problems)
+        problem = _refusal(lambda: SystemSpec(k=3, A=np.eye(2), denom=np.zeros((2, 1, 2))))
+        assert problem == ("invalid system spec: denom must have shape (m, k-1, m) = "
+                           "(2, 2, 2), got (2, 1, 2)")
 
     def test_negative_denom(self):
-        problems = validate(SystemSpec(k=2, A=np.eye(2), denom=-np.ones((2, 1, 2))))
-        assert any("denom" in p for p in problems)
+        problem = _refusal(lambda: SystemSpec(k=2, A=np.eye(2), denom=-np.ones((2, 1, 2))))
+        assert problem == "invalid system spec: denom must be nonnegative"
+
+
+class TestValidOnceBuilt:
+    """An invalid spec or history raises when built, so no consumer ever holds one."""
+
+    @pytest.mark.parametrize("kwargs,problem", [
+        (dict(k=2, A=[[-0.5, 0.0], [0.0, 0.3]]), "A must be nonnegative"),
+        (dict(k=1, A=np.full((3, 3), 1 / 3)), "k must be an integer >= 2"),
+        (dict(k=2, A=np.full((3, 3), 1 / 3), denom=-np.ones((3, 1, 3))),
+         "denom must be nonnegative"),
+        (dict(k=2, A=np.full((3, 3), 1 / 3), denom=np.full((3, 1, 3), np.nan)),
+         "denom entries must be finite"),
+    ])
+    def test_invalid_kernels_raise_when_built(self, kwargs, problem):
+        assert _refusal(lambda: SystemSpec(**kwargs)) == "invalid system spec: " + problem
+
+    @pytest.mark.parametrize("k", [float("inf"), float("nan"), None, "2", 2.5, 1])
+    def test_k_that_is_not_an_integer_from_2(self, k):
+        problem = _refusal(lambda: SystemSpec(k=k, A=np.eye(2)))
+        assert problem == "invalid system spec: k must be an integer >= 2"
+
+    def test_scalar_params_refuse_infinite_k(self):
+        problem = _refusal(lambda: from_scalar_params(float("inf"), 1.0, 0.0, 0.0, 1.0,
+                                                      [], [], [], []))
+        assert problem == "invalid system spec: k must be an integer >= 2"
+
+    @pytest.mark.parametrize("value,problem", [
+        (np.nan, "finite"), (np.inf, "finite"), (-1.0, "nonnegative"), (-5e-324, "nonnegative"),
+    ])
+    def test_initial_conditions_refuse_bad_values(self, value, problem):
+        history = np.ones((2, 2))
+        history[1, 0] = value
+        assert _refusal(lambda: InitialConditions(history)) == (
+            "invalid initial conditions: initial conditions must be " + problem)
 
 
 class TestInitialConditions:
@@ -118,8 +161,8 @@ class TestInitialConditions:
         assert validate_initial(ok, spec) == []
         bad_shape = InitialConditions(np.ones((3, 2)))
         assert validate_initial(bad_shape, spec)
-        negative = InitialConditions(-np.ones((2, 2)))
-        assert any("nonnegative" in p for p in validate_initial(negative, spec))
+        problem = _refusal(lambda: InitialConditions(-np.ones((2, 2))))
+        assert problem == "invalid initial conditions: initial conditions must be nonnegative"
 
 
 class TestTrajectory:

@@ -259,19 +259,20 @@ class TestSimulateBatch:
     @pytest.mark.parametrize(
         "spec,history,horizon",
         [
-            (SystemSpec(k=1, A=np.eye(2)), np.zeros((1, 2)), 5),
-            (SystemSpec(k=2, A=-np.eye(2)), np.zeros((2, 2)), 5),
-            (SystemSpec(k=2, A=np.eye(2)), np.zeros((3, 2)), 5),
-            (SystemSpec(k=2, A=np.eye(2)), [[1.0, -1.0], [0.0, 0.0]], 5),
-            (SystemSpec(k=2, A=np.eye(2)), [[1.0, np.nan], [0.0, 0.0]], 5),
-            (SystemSpec(k=2, A=np.eye(2)), np.zeros((2, 2)), 0),
+            (dict(k=1, A=np.eye(2)), np.zeros((1, 2)), 5),
+            (dict(k=2, A=-np.eye(2)), np.zeros((2, 2)), 5),
+            (dict(k=2, A=np.eye(2)), np.zeros((3, 2)), 5),
+            (dict(k=2, A=np.eye(2)), [[1.0, -1.0], [0.0, 0.0]], 5),
+            (dict(k=2, A=np.eye(2)), [[1.0, np.nan], [0.0, 0.0]], 5),
+            (dict(k=2, A=np.eye(2)), np.zeros((2, 2)), 0),
         ],
     )
     def test_rejects_like_simulate(self, spec, history, horizon):
+        # the specs are built here: an invalid one raises when built
         with pytest.raises(ValueError) as want:
-            simulate(spec, InitialConditions(history), horizon)
+            simulate(SystemSpec(**spec), InitialConditions(history), horizon)
         with pytest.raises(ValueError) as got:
-            simulate_batch(spec, [np.zeros((spec.k, spec.m)), history], horizon)
+            simulate_batch(SystemSpec(**spec), [np.zeros((spec["k"], 2)), history], horizon)
         assert str(got.value) == str(want.value)
 
     def test_refuses_oversize_runs_before_allocating(self):
