@@ -11,6 +11,7 @@ round-trip to the exact in-memory doubles.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -59,52 +60,61 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     # "%.17g" % x is the same text as _fmt(x).  A row whose bits equal those
     # of the row 2k before it (periods 1, k and 2k all divide 2k) repeats
     # that row's text after the index, so each chunk formats only the rows
-    # that do not repeat and copies the text of the others: all of an exact
-    # cycle's.  Bits, not ==, pick the rows, since -0.0 == 0.0 but prints as -0.
+    # that do not repeat and copies the text of the others.  Bits, not ==,
+    # pick the rows, since -0.0 == 0.0 but prints as -0.  From ``cycle``, the
+    # first row of the trailing run of repeats (the exact cycle that the
+    # simulator copied), every row's text is periodic with period 2k.  The
+    # rows before ``split``, the first row at or past it whose index n is a
+    # multiple of 10 and >= 10, are written row by row; _write_cycle writes
+    # the rest ten rows per join.  A run that never cycles bit for bit has
+    # no such rows.
     period = 2 * traj.k
     row_format = ",".join(["%.17g"] * traj.m) + "\n"
     # each row's bytes as one item, so the comparison makes no (rows, m) array
     bits = traj.values.view(np.dtype((np.void, 8 * traj.m))).ravel()
     repeats = np.zeros(len(bits), dtype=bool)  # the first 2k rows repeat nothing
     repeats[period:] = bits[period:] == bits[:-period]
+    cycle = len(repeats) - int(np.argmin(repeats[::-1]))  # row 0 is never a repeat
+    n_split = -(-(traj.n_first + cycle) // 10) * 10  # >= 10, as cycle >= k = 1 - n_first
+    split = min(n_split - traj.n_first, len(bits))
     texts: List[str] = []  # the text after the index of each row, the last 2k kept
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("n," + ",".join(f"v{i + 1}" for i in range(traj.m)) + "\n")
-        for start in range(0, len(bits), CSV_CHUNK_ROWS):
-            mask = repeats[start : start + CSV_CHUNK_ROWS]
+        for start in range(0, split, CSV_CHUNK_ROWS):
+            mask = repeats[start : min(start + CSV_CHUNK_ROWS, split)]
             # reversed, so pop() yields the rows in order and leaves no chunk
             # of floats or strings alive while the next chunk's are made
-            fresh = traj.values[start : start + CSV_CHUNK_ROWS][~mask][::-1].tolist()
+            fresh = traj.values[start : start + len(mask)][~mask][::-1].tolist()
             for repeat in mask.tolist():
                 texts.append(texts[-period] if repeat else row_format % tuple(fresh.pop()))
             first = traj.n_first + start
             fh.write("".join([f"{n},{text}" for n, text in enumerate(texts[-len(mask):], first)]))
             del texts[:-period]
+        if split < len(bits):
+            _write_cycle(fh, texts, n_split, traj.n_first + len(bits))
         if traj.diverged_at is not None:
             fh.write(f"# diverged at n={traj.diverged_at}\n")
 
 
-def read_trajectory_csv(path: str) -> Tuple[np.ndarray, np.ndarray, Optional[int]]:
-    """Read back (indices, values, diverged_at) from a trajectory CSV."""
-    ns: List[int] = []
-    rows: List[List[float]] = []
-    diverged_at = None
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("n,"):
-            raise ValueError(f"{path} is not a trajectory CSV")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "diverged at n=" in line:
-                    diverged_at = int(line.split("n=")[1])
-                continue
-            parts = line.split(",")
-            ns.append(int(parts[0]))
-            rows.append([float(p) for p in parts[1:]])
-    return np.asarray(ns), np.asarray(rows), diverged_at
+def _write_cycle(fh, texts: List[str], n_start: int, n_end: int) -> None:
+    """Write rows ``n_start`` (a multiple of 10, >= 10) to ``n_end - 1`` of an exact cycle.
+
+    ``texts`` holds the texts after the index of the 2k rows before
+    ``n_start``, so row ``n_start + r`` has text ``texts[r % 2k]``.  The
+    rows n = 10a .. 10a + 9 are ``str(a).join(["", "0," + t0, ..., "9," + t9])``,
+    since str(a) + str(d) is str(10a + d) for a >= 1.  Their ten texts repeat
+    every lcm(10, 2k) rows, so that many rows' pieces are built once.
+    """
+    period = len(texts)
+    # decade a's pieces are pieces[a % len(pieces)]
+    pieces = [[""] + [f"{d},{texts[(10 * a + d - n_start) % period]}" for d in range(10)]
+              for a in range(math.lcm(10, period) // 10)]
+    step = CSV_CHUNK_ROWS // 10
+    a_end, last = divmod(n_end, 10)
+    for lo in range(n_start // 10, a_end, step):
+        fh.write("".join([str(a).join(pieces[a % len(pieces)])
+                          for a in range(lo, min(lo + step, a_end))]))
+    fh.write(str(a_end).join(pieces[a_end % len(pieces)][: 1 + last]))  # "" when last is 0
 
 
 def _classify(cfg: RunConfig, spec: SystemSpec) -> Classification:
@@ -194,7 +204,9 @@ def cmd_sweep(cfg: RunConfig, out_dir: str) -> int:
         header.insert(1, "denom_scale")
     rows = [",".join(header)]
     for cell_index, (scale, c) in enumerate(grid):
-        cell_spec = SystemSpec(k=cfg.spec.k, A=c * cfg.spec.A, denom=scale * cfg.spec.denom)
+        with np.errstate(over="ignore"):  # SystemSpec refuses an inf entry in one line
+            a, denom = c * cfg.spec.A, scale * cfg.spec.denom
+        cell_spec = SystemSpec(k=cfg.spec.k, A=a, denom=denom)
         cls = _classify(cfg, cell_spec)
         report = _verify(cfg, cell_spec, cls, np.random.SeedSequence([cfg.rng_seed, cell_index]))
         witness = report.checks[0].report  # a periodic regime's first check is its witness

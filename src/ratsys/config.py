@@ -23,8 +23,8 @@ from .analysis import GROWTH_THRESHOLD, PER_TOL, ZERO_TOL, Tolerances
 from .classifier import CONVERGES_TO_ZERO, PERIOD_2K, PERIOD_K, UNBOUNDED_EXISTS
 from .constructors import construct_period2k_seed, construct_periodic_seed, construct_unbounded_seed
 from .linalg import RHO_TOL
-from .model import InitialConditions, SystemSpec, from_scalar_params, validate_initial
-from .simulator import MAX_RUN_BYTES
+from .model import (InitialConditions, SystemSpec, denom_size_problem, from_scalar_params,
+                    validate_initial)
 
 MODES = ("tetrachotomy", "trichotomy")
 SEED_DIRECTIVES = ("periodic", "period2k", "unbounded", "explicit")
@@ -181,13 +181,10 @@ def _floats(value, where: str, ndim: int) -> np.ndarray:
 
 
 def _check_denom_size(m: int, k: int) -> None:
-    """Refuse, before it is built, a denominator array over ``MAX_RUN_BYTES``."""
-    size = m * (k - 1) * m * 8
-    if size > MAX_RUN_BYTES:
-        raise ConfigError(
-            f"system.k = {k} with m = {m} needs {size} bytes of denominator "
-            f"coefficients, more than the limit of {MAX_RUN_BYTES}"
-        )
+    """Refuse, before it is built, a denominator array over ``model.MAX_RUN_BYTES``."""
+    problem = denom_size_problem(m, k)
+    if problem:
+        raise ConfigError("system." + problem)
 
 
 def _parse_system(doc) -> SystemSpec:

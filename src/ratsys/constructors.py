@@ -12,7 +12,6 @@ the regime does not call for it.
 
 from __future__ import annotations
 
-import math
 from typing import List
 
 import numpy as np
@@ -66,12 +65,11 @@ def construct_period2k_seed(
     r = eig2(kernel).spectral_radius
     if radius_side(r, rho_tol) != 0:
         raise ValueError(f"spectral radius must be 1, got {r!r}")
-    if not (math.isfinite(a) and math.isfinite(b)) or a < 0 or b < 0:
-        raise ValueError("a and b must be finite and nonnegative")
+    seed = InitialConditions.impulse(spec.k, np.array([a, b]))  # refuses a, b < 0 or not finite
     g = float(kernel[0, 1])
     if a == g * b:
         raise ValueError(f"a = g * b = {a!r} yields period k, not 2k")
-    return InitialConditions.impulse(spec.k, np.array([a, b]))
+    return seed
 
 
 def _candidates(m: int) -> List[np.ndarray]:

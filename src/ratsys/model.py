@@ -24,6 +24,12 @@ import numpy as np
 from .linalg import is_nonnegative
 
 
+#: Largest value array, in bytes of float64, that one simulate or
+#: simulate_batch call may allocate (B trajectories of k + horizon rows of
+#: m values), and that a spec's denominator array may take.
+MAX_RUN_BYTES = 1 << 30
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -51,6 +57,9 @@ class SystemSpec:
         object.__setattr__(self, "A", _readonly(a))
         if self.denom is None:
             m = a.shape[0] if a.ndim == 2 else 0
+            problem = denom_size_problem(m, self.k)  # before the zeros are allocated
+            if problem:
+                raise ValueError("invalid system spec: " + problem)
             q = np.zeros((m, _lags(self.k), m))
         else:
             q = np.asarray(self.denom, dtype=float)
@@ -67,6 +76,16 @@ class SystemSpec:
 def _lags(k) -> int:
     """The delays j = 1..k-1 of a valid order k; 0 for any other k."""
     return max(k - 1, 0) if isinstance(k, int) else 0
+
+
+def denom_size_problem(m: int, k) -> Optional[str]:
+    """The size rule of an (m, k-1, m) denominator array: why it is over
+    :data:`MAX_RUN_BYTES`, or ``None`` when it is not."""
+    size = m * _lags(k) * m * 8
+    if size > MAX_RUN_BYTES:
+        return (f"k = {k} with m = {m} needs {size} bytes of denominator "
+                f"coefficients, more than the limit of {MAX_RUN_BYTES}")
+    return None
 
 
 def from_scalar_params(k, beta, gamma, delta, epsilon, B, C, D, E) -> SystemSpec:

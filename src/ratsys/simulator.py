@@ -97,13 +97,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .analysis import rows_above
-from .model import InitialConditions, SystemSpec, Trajectory, validate_initial
-
-
-#: Largest value array, in bytes of float64, that one simulate or
-#: simulate_batch call may allocate (B trajectories of k + horizon rows of
-#: m values), and that a config's denominator array may take.
-MAX_RUN_BYTES = 1 << 30
+from .model import MAX_RUN_BYTES, InitialConditions, SystemSpec, Trajectory, validate_initial
 
 
 #: Steps in a block, which a kernel steps between the driver's checks for

@@ -3,13 +3,17 @@
 import copy
 import math
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ratsys.cli import CSV_CHUNK_ROWS, main, read_trajectory_csv, write_trajectory_csv
+from ratsys import cli
+from ratsys.cli import CSV_CHUNK_ROWS, main, write_trajectory_csv
 from ratsys import SystemSpec, InitialConditions, Trajectory, simulate, verify_classification
 from ratsys.analysis import UNDETERMINED
 from ratsys.simulator import simulate_batch
@@ -385,6 +389,36 @@ class TestSimulateCommand:
         np.testing.assert_array_equal(values, traj.values)
 
 
+def read_trajectory_csv(path):
+    """Read back (indices, values, diverged_at) from a trajectory CSV.
+
+    Only tests read the CSV back, so the reader lives here, not in ``ratsys``.
+    """
+    ns, rows = [], []
+    diverged_at = None
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline()
+        if not header.startswith("n,"):
+            raise ValueError(f"{path} is not a trajectory CSV")
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                if "diverged at n=" in line:
+                    diverged_at = int(line.split("n=")[1])
+                continue
+            parts = line.split(",")
+            ns.append(int(parts[0]))
+            rows.append([float(p) for p in parts[1:]])
+    return np.asarray(ns), np.asarray(rows), diverged_at
+
+
+#: The k at which row CSV_CHUNK_ROWS, the first of the second chunk, has an
+#: index n = 1 - k + CSV_CHUNK_ROWS that is a multiple of 10.
+K_SPLIT_AT_CHUNK = (CSV_CHUNK_ROWS - 1) % 10 + 2
+
+
 def per_value_csv(traj):
     """A trajectory CSV with one ``format(x, ".17g")`` call per value, as one string."""
     lines = ["n," + ",".join(f"v{i + 1}" for i in range(traj.m))]
@@ -482,6 +516,62 @@ class TestTrajectoryCsv:
         assert path.read_bytes() == per_value_csv(traj)
         lines = path.read_text().splitlines()
         assert lines[1] == "-1,-0,-0" and lines[1 + 2 * spec.k] == "3,0,0"
+
+    # The rows of an exact cycle from the first n = 10a >= 10 at or past its
+    # entry are written ten rows per join; these pin that tail to the
+    # per-value format.
+
+    @classmethod
+    def _check_cycle(cls, tmp_path, m, k, rows, entry, diverged=False, seed=0):
+        """Write a run whose rows from ``entry`` on repeat the row 2k before; compare."""
+        values = cls._repeating(np.random.default_rng(seed), rows, m, k, entry, zeros=False)
+        horizon = rows - k
+        traj = Trajectory(spec=SystemSpec(k=k, A=np.eye(m)), values=values, horizon=horizon,
+                          diverged_at=horizon + 1 if diverged else None)
+        path = tmp_path / "t.csv"
+        write_trajectory_csv(str(path), traj)
+        assert path.read_bytes() == per_value_csv(traj)
+
+    @pytest.mark.parametrize("m,k,rows,entry", [
+        # entering just before or after n = 10, 100 and 1000 (k = 2: row n + 1)
+        *[(2, 2, 1234, n + 1) for n in (8, 9, 10, 11, 98, 99, 100, 101, 998, 999, 1000, 1001)],
+        # a last decade of 0 .. 9 rows (k = 3: rows n = -2 .. 569 + last)
+        *[(2, 3, 572 + last, 40) for last in range(10)],
+        # 5 | k: the ten-row pieces repeat every 2k rows; otherwise every 10k rows
+        *[(3, k, 25 * k + 301, 6 * k + 1) for k in (5, 15, 10, 3, 7, 12)],
+        # a period of 4200 rows, longer than a chunk: 420 ten-row pieces
+        *[(1, 2100, 3 * CSV_CHUNK_ROWS + 8405, entry)
+          for entry in (4200, 5000, 2 * CSV_CHUNK_ROWS)],
+        # entering at a chunk boundary; at k = K_SPLIT_AT_CHUNK that row is the split
+        *[(2, k, 3 * CSV_CHUNK_ROWS + 17, entry)
+          for k, entry in ((2, CSV_CHUNK_ROWS), (2, 2 * CSV_CHUNK_ROWS),
+                           (K_SPLIT_AT_CHUNK, CSV_CHUNK_ROWS),
+                           (K_SPLIT_AT_CHUNK, CSV_CHUNK_ROWS - 9))],
+        # runs that end before n = 10 (k = 2: 12 rows is the first with n = 10)
+        *[(2, 2, rows, 0) for rows in (4, 5, 9, 10, 11, 12)],
+    ])
+    @pytest.mark.parametrize("diverged", [False, True])
+    def test_cycle_tail_is_the_per_value_format(self, tmp_path, m, k, rows, entry, diverged):
+        self._check_cycle(tmp_path, m, k, rows, entry, diverged, seed=k + rows + entry)
+
+    def test_cycle_tail_starts_at_the_split(self, tmp_path, monkeypatch):
+        # a cycle entering at n = 13 is written ten rows per join from n = 20
+        calls = []
+        write_cycle = cli._write_cycle
+        monkeypatch.setattr(cli, "_write_cycle", lambda fh, texts, n_start, n_end: (
+            calls.append((len(texts), n_start, n_end)), write_cycle(fh, texts, n_start, n_end)))
+        self._check_cycle(tmp_path, 2, 2, 101, 14)
+        k, rows = K_SPLIT_AT_CHUNK, 2 * CSV_CHUNK_ROWS
+        self._check_cycle(tmp_path, 1, k, rows, CSV_CHUNK_ROWS - 9)
+        assert calls == [(4, 20, 100), (2 * k, CSV_CHUNK_ROWS + 1 - k, rows + 1 - k)]
+
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(k=st.integers(2, 12), m=st.integers(1, 3), rows=st.integers(2, 400),
+           entry=st.integers(0, 400), diverged=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_any_cycle_is_the_per_value_format(self, tmp_path, k, m, rows, entry, diverged,
+                                               seed):
+        self._check_cycle(tmp_path, m, k, max(rows, k), entry, diverged, seed)
 
 
 class TestClassifyCommand:
@@ -723,6 +813,16 @@ class TestSizeLimit:
 
 
 class TestSweepCommand:
+    def test_overflowing_cell_is_one_line(self, tmp_path):
+        # c * A overflows in the second cell; the product raises no RuntimeWarning
+        doc = {"mode": "tetrachotomy", "system": {"k": 2, "A": [[0.5, 1.0e10], [0.5, 0.5]]},
+               "run": {"horizon": 50, "trials": 2}, "sweep": {"c": [0.5, 1.0e300]}}
+        conf = write_conf(tmp_path, yaml.safe_dump(doc))
+        proc = subprocess.run([sys.executable, "-m", "ratsys", "sweep", "--config", conf,
+                               "--out", str(tmp_path / "sweep")], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: invalid system spec: A entries must be finite"]
+
     def test_three_cell_grid_regime_sequence(self, tmp_path):
         conf = write_conf(tmp_path, SWEEP_CONF)
         out_dir = tmp_path / "sweep"

@@ -96,6 +96,17 @@ class TestPeriod2kSeed:
         with pytest.raises(ValueError, match="period k"):
             construct_period2k_seed(spec, 1.0, 1.0)
 
+    @pytest.mark.parametrize("a,b,problem", [
+        (math.nan, 1.0, "finite"), (math.inf, 1.0, "finite"), (-1.0, 1.0, "nonnegative"),
+        (1.0, -0.5, "nonnegative"),
+    ])
+    def test_rejects_start_vector_like_initial_conditions(self, a, b, problem):
+        spec = SystemSpec(k=2, A=[[0.0, 2.0], [0.5, 0.0]])
+        with pytest.raises(ValueError) as exc:
+            construct_period2k_seed(spec, a, b)
+        assert str(exc.value) == (
+            "invalid initial conditions: initial conditions must be " + problem)
+
     def test_rejects_wrong_kernel_form(self):
         spec = SystemSpec(k=2, A=[[0.1, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="form"):

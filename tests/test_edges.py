@@ -26,9 +26,9 @@ from ratsys import (
     simulate,
     step,
 )
-from ratsys.cli import read_trajectory_csv, write_trajectory_csv
+from ratsys.cli import write_trajectory_csv
 from test_byte_identity import CONFIGS as IDENTITY_CONFIGS
-from test_cli import CONFIG_PROBES, PROBE_BASE
+from test_cli import CONFIG_PROBES, PROBE_BASE, read_trajectory_csv
 
 
 class TestDecompositionInvariants:

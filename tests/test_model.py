@@ -11,6 +11,7 @@ from ratsys import (
     validate,
     validate_initial,
 )
+from ratsys.model import MAX_RUN_BYTES
 
 
 class TestFromScalarParams:
@@ -132,6 +133,13 @@ class TestValidOnceBuilt:
     def test_k_that_is_not_an_integer_from_2(self, k):
         problem = _refusal(lambda: SystemSpec(k=k, A=np.eye(2)))
         assert problem == "invalid system spec: k must be an integer >= 2"
+
+    def test_huge_k_is_refused_before_its_denominators_are_allocated(self):
+        # (2, 10**12 - 1, 2) doubles of default denominators would take 29 TiB
+        problem = _refusal(lambda: SystemSpec(k=10**12, A=np.eye(2)))
+        assert problem == ("invalid system spec: k = 1000000000000 with m = 2 needs "
+                           f"{4 * (10**12 - 1) * 8} bytes of denominator coefficients, "
+                           f"more than the limit of {MAX_RUN_BYTES}")
 
     def test_scalar_params_refuse_infinite_k(self):
         problem = _refusal(lambda: from_scalar_params(float("inf"), 1.0, 0.0, 0.0, 1.0,
