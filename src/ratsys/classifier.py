@@ -109,8 +109,8 @@ def _classification(
     witnesses (impulses on the Perron vector and on (1, 0)) skip the band.
     """
     witness = None
-    if regime == PERIOD_K:
-        _, w = dec.perron or perron_pair(spec.A)
+    if regime == PERIOD_K:  # no dec.perron: dec is eig2's, whose dominant pair perron_pair gives
+        _, w = dec.perron or (dec.eigenvalues[0], dec.eigenvectors[0])
         witness = InitialConditions.impulse(spec.k, w)
     elif regime == PERIOD_2K:
         witness = InitialConditions.impulse(spec.k, np.array([1.0, 0.0]))

@@ -87,8 +87,12 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    spectral_radius: float
     perron: Optional[Tuple[float, np.ndarray]] = None
+
+    @property
+    def spectral_radius(self) -> float:
+        """max_i |lambda_i|, or 0.0 for an empty spectrum."""
+        return float(np.abs(self.eigenvalues).max(initial=0.0))
 
     def residual(self, a: np.ndarray) -> float:
         """max-norm eigenpair residual max_i ||A w_i - lambda_i w_i||_inf."""
@@ -194,8 +198,7 @@ def _decomposition(values: np.ndarray, vectors: np.ndarray) -> EigenDecompositio
     for row in vectors:
         if row[np.argmax(np.abs(row))] < 0.0:
             row *= -1.0
-    rho = float(np.abs(values).max()) if m else 0.0
-    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors, spectral_radius=rho)
+    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
 
 
 def _rescaled(mat: np.ndarray) -> Tuple[np.ndarray, int]:

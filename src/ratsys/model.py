@@ -8,8 +8,9 @@ constant in every denominator is fixed at 1.
 
 The input types check themselves: building a :class:`SystemSpec` that
 breaks a rule of :func:`validate`, or an :class:`InitialConditions` with a
-non-finite or negative value, raises ``ValueError``.  So one that exists
-is valid, and nothing that takes one checks it again.
+non-finite or negative value, raises ``ValueError``.  Each keeps a
+read-only copy of its arrays, which the caller's later writes cannot
+reach.  So one that exists is valid, and nothing that takes one checks it again.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class SystemSpec:
         k = self.k  # a finite integral number becomes an int: 2.0 and np.int64(2) become 2
         if isinstance(k, numbers.Real) and math.isfinite(k) and int(k) == k:
             object.__setattr__(self, "k", int(k))
-        a = np.asarray(self.A, dtype=float)
+        a = np.array(self.A, dtype=float)
         object.__setattr__(self, "A", _readonly(a))
         if self.denom is None:
             m = a.shape[0] if a.ndim == 2 else 0
@@ -62,7 +63,7 @@ class SystemSpec:
                 raise ValueError("invalid system spec: " + problem)
             q = np.zeros((m, _lags(self.k), m))
         else:
-            q = np.asarray(self.denom, dtype=float)
+            q = np.array(self.denom, dtype=float)
         object.__setattr__(self, "denom", _readonly(q))
         problems = validate(self)
         if problems:
@@ -149,7 +150,7 @@ class InitialConditions:
     history: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.history, dtype=float)
+        h = np.array(self.history, dtype=float)
         if not np.isfinite(h).all():
             raise ValueError("invalid initial conditions: initial conditions must be finite")
         if (h < 0).any():
@@ -186,19 +187,22 @@ class Trajectory:
     """A simulated orbit indexed by the recurrence index n.
 
     ``values`` stores rows for n = 1-k, ..., horizon (initial conditions
-    first); ``horizon`` is the last generated index actually stored.  If
-    the run overflowed, ``diverged_at`` is the step that produced a
-    non-finite value and ``values`` ends at that step minus one.
+    first), which give ``horizon``.  If the run overflowed, ``diverged_at``
+    is the step that produced a non-finite value and ``values`` ends at that
+    step minus one.  The values are frozen in place, not copied.
     """
 
     spec: SystemSpec
     values: np.ndarray
-    horizon: int
     diverged_at: Optional[int] = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", _readonly(v))
+
+    @property
+    def horizon(self) -> int:
+        return self.values.shape[0] - self.k
 
     @property
     def k(self) -> int:

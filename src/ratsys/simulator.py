@@ -324,7 +324,7 @@ def _drive(make, spec: SystemSpec, inits, horizon: int, stop_above: Optional[flo
     del step_block
     for b, start in cycles:
         _repeat_rows(values[b], start, 2 * k)
-    return [Trajectory(spec=spec, values=values[b, : k + end], horizon=end, diverged_at=at)
+    return [Trajectory(spec=spec, values=values[b, : k + end], diverged_at=at)
             for b, (end, at) in enumerate(zip(ends, diverged_at))]
 
 
@@ -347,74 +347,64 @@ def _loop_kernel(spec: SystemSpec, values: np.ndarray):
 def _numpy_kernel(spec: SystemSpec, values: np.ndarray):
     """The numpy kernel's ``step_block``: it steps the live trajectories together.
 
-    The live rows' last k rows are loaded from ``values`` into the buffer of
-    a :func:`_numpy_stepper`, which is rebuilt when their count changes.
-    Rows never mix, so a row's first non-finite step can be found after
-    the block; what it computes past that step is cut off.
+    The live rows' last k rows are loaded from ``values`` into a (live,
+    k + _CHECK_EVERY, m) buffer, whose next ``steps`` rows are then filled,
+    each from the k before it.  The buffer, the coefficients tiled for every
+    live row and the term arrays are built for one live count and rebuilt
+    when it changes.  The sums keep the module's order by "accumulate, never
+    reduce": each side's terms lie along a first axis that starts with the
+    0.0 or the 1.0, and ``np.add.accumulate`` along it, in place, leaves the
+    sum in the last element (the first stays, and the products are formed
+    anew each time).  The v_{n-k} of the next k steps are all known, so one
+    multiply and one accumulate form k numerators (at most a block's) at a
+    time; the denominator, which needs v_{n-1}, takes one of each a step,
+    against coefficients tiled to a contiguous (m, k - 1, live, m) array.
+    Rows never mix, so a row's first non-finite step can be found after the
+    block; what it computes past that step is cut off.
     """
-    k = spec.k
-    stepper = {}  # live count -> (buffer, step function)
+    m, k = spec.m, spec.k
+    a = np.ascontiguousarray(spec.A.T)[:, None, None, :]  # a_ic at [c, 0, 0, i]
+    ahead = min(k, _CHECK_EVERY)  # numerators formed at a time
+    # arrays built for the live count len(buf), and the views of them that a step uses
+    buf = q = num_terms = den_terms = den_products = numerators = den_sum = None
 
     def step_block(live, first, last):
+        nonlocal buf, q, num_terms, den_terms, den_products, numerators, den_sum
+        rows = len(live)
+        if buf is None or len(buf) != rows:
+            # drop the old arrays first, so that the new ones can reuse their memory
+            buf = q = num_terms = den_terms = den_products = numerators = den_sum = None
+            buf = np.empty((rows, k + _CHECK_EVERY, m))
+            # q_ijc at [c, j - 1, b, i] for every row b
+            q = np.ascontiguousarray(np.broadcast_to(spec.denom.transpose(2, 1, 0)[:, :, None, :],
+                                                     (m, k - 1, rows, m)))
+            # Before each accumulate, num_terms[:, s, b, i] is 0.0, then a_ic v_{n+s-k,c}
+            # by ascending c; den_terms[:, b, i] is 1.0, then q_ijc v_{n-j,c} by
+            # ascending c and, inside each c, ascending j.
+            num_terms = np.zeros((1 + m, ahead, rows, m))
+            den_terms = np.ones((1 + m * (k - 1), rows, m))
+            den_products = den_terms[1:].reshape(m, k - 1, rows, m, copy=False)
+            numerators, den_sum = num_terms[-1], den_terms[-1]
         steps = last - first + 1
-        if len(live) not in stepper:
-            stepper.clear()  # so that the new buffers can reuse the old ones' memory
-            stepper[len(live)] = _numpy_stepper(spec, len(live))
-        buf, step = stepper[len(live)]
         buf[:, :k] = values[live, first - 1 : first + k - 1]
         with np.errstate(over="ignore", invalid="ignore"):
-            step(steps)
+            for s in range(0, steps, ahead):
+                chunk = min(ahead, steps - s)
+                delayed = buf[:, s : s + chunk].transpose(2, 1, 0)  # v_{n+s-k,c} at [c, s, b]
+                np.multiply(a, delayed[:, :, :, None], out=num_terms[1:, :chunk])
+                np.add.accumulate(num_terms[:, :chunk], axis=0, out=num_terms[:, :chunk])
+                for j in range(chunk):
+                    t = k + s + j  # buffer row of v_n
+                    recent = buf[:, t - 1 : t - k : -1].transpose(2, 1, 0)  # v_{n-j,c} at [c, j - 1, b]
+                    np.multiply(q, recent[:, :, :, None], out=den_products)
+                    np.add.accumulate(den_terms, axis=0, out=den_terms)
+                    np.divide(numerators[j], den_sum, out=buf[:, t])
         block = buf[:, k : k + steps]
         values[live, first + k - 1 : last + k] = block
         finite = np.isfinite(block).all(axis=2)
         return {r: first + int(np.argmin(finite[r])) for r in np.flatnonzero(~finite.all(axis=1))}
 
     return step_block
-
-
-def _numpy_stepper(spec: SystemSpec, live: int):
-    """A (live, k + _CHECK_EVERY, m) buffer and a function ``step(steps)`` that steps it.
-
-    The buffer holds the k rows before a block first; ``step`` fills
-    the next ``steps`` rows, each from the k before it.  The sums keep the
-    module's order by "accumulate, never reduce": each side's terms lie
-    along a first axis that starts with the 0.0 or the 1.0, and
-    ``np.add.accumulate`` along it, in place, leaves the sum in the last
-    element (the first stays, and the products are formed anew each time).
-    The v_{n-k} of the next k steps are all known, so one multiply and one
-    accumulate form k numerators (at most a block's) at a time; the
-    denominator, which needs v_{n-1}, takes one of each a step, against
-    coefficients tiled once to a contiguous (m, k - 1, live, m) array.
-    """
-    m, k = spec.m, spec.k
-    buf = np.empty((live, k + _CHECK_EVERY, m))
-    a = np.ascontiguousarray(spec.A.T)[:, None, None, :]  # a_ic at [c, 0, 0, i]
-    # q_ijc at [c, j - 1, b, i] for every row b
-    q = np.ascontiguousarray(np.broadcast_to(spec.denom.transpose(2, 1, 0)[:, :, None, :],
-                                             (m, k - 1, live, m)))
-    # Before each accumulate, num_terms[:, s, b, i] is 0.0, then a_ic v_{n+s-k,c}
-    # by ascending c; den_terms[:, b, i] is 1.0, then q_ijc v_{n-j,c} by
-    # ascending c and, inside each c, ascending j.
-    ahead = min(k, _CHECK_EVERY)  # numerators formed at a time
-    num_terms = np.zeros((1 + m, ahead, live, m))
-    den_terms = np.ones((1 + m * (k - 1), live, m))
-    den_products = den_terms[1:].reshape(m, k - 1, live, m, copy=False)
-    numerators, den_sum = num_terms[-1], den_terms[-1]
-
-    def step(steps):
-        for s in range(0, steps, ahead):
-            chunk = min(ahead, steps - s)
-            delayed = buf[:, s : s + chunk].transpose(2, 1, 0)  # v_{n+s-k,c} at [c, s, b]
-            np.multiply(a, delayed[:, :, :, None], out=num_terms[1:, :chunk])
-            np.add.accumulate(num_terms[:, :chunk], axis=0, out=num_terms[:, :chunk])
-            for j in range(chunk):
-                t = k + s + j  # buffer row of v_n
-                recent = buf[:, t - 1 : t - k : -1].transpose(2, 1, 0)  # v_{n-j,c} at [c, j - 1, b]
-                np.multiply(q, recent[:, :, :, None], out=den_products)
-                np.add.accumulate(den_terms, axis=0, out=den_terms)
-                np.divide(numerators[j], den_sum, out=buf[:, t])
-
-    return buf, step
 
 
 def _repeat_rows(rows: np.ndarray, start: int, period: int) -> None:

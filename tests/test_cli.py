@@ -446,7 +446,7 @@ class TestTrajectoryCsv:
         if rows == 2 * k + 1:
             values[-1] = values[0]
         horizon = rows - k
-        traj = Trajectory(spec=SystemSpec(k=k, A=np.eye(m)), values=values, horizon=horizon,
+        traj = Trajectory(spec=SystemSpec(k=k, A=np.eye(m)), values=values,
                           diverged_at=horizon + 1 if diverged else None)
         path = tmp_path / "t.csv"
         write_trajectory_csv(str(path), traj)
@@ -491,7 +491,7 @@ class TestTrajectoryCsv:
         if entry is None:
             values[2 * k:] += 1.0  # no row is the row 2k before it
         horizon = rows - k
-        traj = Trajectory(spec=SystemSpec(k=k, A=np.eye(m)), values=values, horizon=horizon,
+        traj = Trajectory(spec=SystemSpec(k=k, A=np.eye(m)), values=values,
                           diverged_at=horizon + 1 if diverged else None)
         path = tmp_path / "t.csv"
         write_trajectory_csv(str(path), traj)
@@ -502,7 +502,7 @@ class TestTrajectoryCsv:
         rows, k = 2 * CSV_CHUNK_ROWS + 7, 2
         values = np.zeros((rows, 2))
         values[1::2] = np.linspace(1.0, 2.0, values[1::2].size).reshape(-1, 2)
-        traj = Trajectory(spec=SystemSpec(k=k, A=np.eye(2)), values=values, horizon=rows - k)
+        traj = Trajectory(spec=SystemSpec(k=k, A=np.eye(2)), values=values)
         path = tmp_path / "t.csv"
         write_trajectory_csv(str(path), traj)
         assert path.read_bytes() == per_value_csv(traj)
@@ -526,7 +526,7 @@ class TestTrajectoryCsv:
         """Write a run whose rows from ``entry`` on repeat the row 2k before; compare."""
         values = cls._repeating(np.random.default_rng(seed), rows, m, k, entry, zeros=False)
         horizon = rows - k
-        traj = Trajectory(spec=SystemSpec(k=k, A=np.eye(m)), values=values, horizon=horizon,
+        traj = Trajectory(spec=SystemSpec(k=k, A=np.eye(m)), values=values,
                           diverged_at=horizon + 1 if diverged else None)
         path = tmp_path / "t.csv"
         write_trajectory_csv(str(path), traj)

@@ -1,5 +1,6 @@
 """Eigensolver, Perron pair, and matrix-fact checks against numpy oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from conftest import oracle_jacobi, symmetric_nonneg_with_rho, symmetric_signed_
 from ratsys import (
     EIG_TOL,
     DegenerateProjectionError,
+    EigenDecomposition,
     check_fact1,
     check_fact2,
     eig2,
@@ -76,6 +78,12 @@ class TestEigSymmetric:
         assert dec.eigenvalues.view(np.uint64).tolist() == np.array([x]).view(np.uint64).tolist()
         assert dec.eigenvectors.tolist() == [[1.0]]
         assert dec.spectral_radius == abs(x)
+
+    def test_spectral_radius_is_read_from_the_eigenvalues(self):
+        dec = EigenDecomposition(eigenvalues=np.array([0.5, -2.0, 1.5]), eigenvectors=np.eye(3))
+        assert dec.spectral_radius == 2.0 and type(dec.spectral_radius) is float
+        assert EigenDecomposition(np.zeros(0), np.zeros((0, 0))).spectral_radius == 0.0
+        assert "spectral_radius" not in [f.name for f in dataclasses.fields(EigenDecomposition)]
 
     def test_ordering_descending_absolute_with_sign_ties(self):
         dec = eig_symmetric(np.diag([-2.0, 2.0, 0.5]))

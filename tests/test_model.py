@@ -1,5 +1,7 @@
 """Spec construction, validation, and trajectory indexing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from ratsys import (
     SystemSpec,
     Trajectory,
     from_scalar_params,
+    simulate_batch,
     validate,
     validate_initial,
 )
@@ -155,6 +158,24 @@ class TestValidOnceBuilt:
         assert _refusal(lambda: InitialConditions(history)) == (
             "invalid initial conditions: initial conditions must be " + problem)
 
+    def test_spec_keeps_its_own_arrays(self):
+        b = np.array([[0.5, 0.2], [0.2, 0.5]])
+        q = np.full((2, 1, 2), 0.1)
+        spec = SystemSpec(k=2, A=b[:, :], denom=q)
+        b[0, 0], q[0, 0, 0] = -3.0, -1.0
+        assert spec.A.tolist() == [[0.5, 0.2], [0.2, 0.5]] and (spec.denom == 0.1).all()
+        assert validate(spec) == []
+        assert b.flags.writeable and q.flags.writeable
+        assert not spec.A.flags.writeable and not spec.denom.flags.writeable
+
+    def test_history_keeps_its_own_array(self):
+        h = np.ones((2, 2))
+        init = InitialConditions(h)
+        (traj,) = simulate_batch(SystemSpec(k=2, A=np.eye(2)), [h], 5)
+        h[0, 0] = -1.0
+        assert (init.history == 1.0).all() and (traj.initial == 1.0).all()
+        assert h.flags.writeable and not init.history.flags.writeable
+
 
 class TestInitialConditions:
     def test_impulse_layout(self):
@@ -177,7 +198,7 @@ class TestTrajectory:
     def test_indexing(self):
         spec = SystemSpec(k=2, A=np.eye(2))
         values = np.arange(10.0).reshape(5, 2)
-        traj = Trajectory(spec=spec, values=values, horizon=3)
+        traj = Trajectory(spec=spec, values=values)
         assert traj.n_first == -1
         np.testing.assert_array_equal(traj.value(-1), values[0])
         np.testing.assert_array_equal(traj.value(0), values[1])
@@ -187,3 +208,9 @@ class TestTrajectory:
             traj.value(4)
         with pytest.raises(IndexError):
             traj.value(-2)
+
+    def test_horizon_is_read_from_the_values(self):
+        spec = SystemSpec(k=3, A=np.eye(2))
+        traj = Trajectory(spec=spec, values=np.zeros((10, 2)), diverged_at=8)
+        assert traj.horizon == 10 - 3 and type(traj.horizon) is int
+        assert [f.name for f in dataclasses.fields(Trajectory)] == ["spec", "values", "diverged_at"]
