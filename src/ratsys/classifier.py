@@ -249,6 +249,10 @@ def verify_classification(
     A run stops once a row's norm passes ``tolerances.growth_threshold``
     (``stop_above`` of :func:`~ratsys.simulator.simulate_batch`): its
     analysis finds growth first, at the same exit step as on the full run.
+    It also stops once its rows are certified to stay at most
+    ``tolerances.zero_tol`` (``stop_below``), which a contracting kernel
+    (rho < 1) allows: its analysis then finds the same exit step or
+    ``converged-to-zero``, as on the full run.
     """
     tol = tolerances or Tolerances()
     regime = classification.regime
@@ -278,7 +282,7 @@ def verify_classification(
         runs.append((f"random-init {t + 1:02d}: {random_text.format(p=period)}",
                      rng.uniform(0.0, init_max, (k, spec.m)), False))
     trajectories = simulate_batch(spec, [history for _, history, _ in runs], horizon,
-                                  stop_above=tol.growth_threshold)
+                                  stop_above=tol.growth_threshold, stop_below=tol.zero_tol)
     checks: List[PredictionCheck] = []
     for (name, history, witness), traj in zip(runs, trajectories):
         report = analyze(traj, tol)

@@ -51,13 +51,14 @@ writes one block of :data:`_CHECK_EVERY` steps of each live trajectory,
 resumed from its last k rows, and reports the first non-finite step of
 each that has one.  After each block the driver tests all live
 trajectories at once and ends one by one rule, in this order: at
-its first non-finite step (it diverged); with ``stop_above``, at the block
-(below); or, when the bytes of its last k rows match those of the k rows
-2k before them, with the rest of the horizon copied from its last 2k rows
-instead of stepped.  An ended trajectory leaves the live list, and stepping
-stops once none is left.  The copy is exact: a step is a pure function of
-the k-row state and of constant coefficients, so a state that recurs is
-followed by the same rows again.  2k catches the limits the paper's
+its first non-finite step (it diverged); with ``stop_above`` or
+``stop_below``, at the block (below); or, when the bytes of its last k
+rows match those of the k rows 2k before them, with the rest of the
+horizon copied from its last 2k rows instead of stepped.  An ended
+trajectory leaves the live list, and stepping stops once none is left.
+The copy is exact: a step is a pure function of the k-row state and of
+constant coefficients, so a state that recurs is followed by the same rows
+again.  2k catches the limits the paper's
 tetrachotomy allows at rho <= 1, since periods 1 (an exact zero), k and 2k
 all divide it; in double precision such a limit is often reached bit for
 bit after a few hundred steps.  Bytes, not ``==``, decide, since ``==``
@@ -74,7 +75,34 @@ from; the test alone decides, since a component above the threshold can
 square to 0.0 (1e-190 against 1e-200).  The stop is exact for ``analyze``:
 it tests growth first, and a row's norm depends on that row alone, so the
 rows kept hold the same first crossing, and the report names the same exit
-step, as the full run.  Every other caller gets the full horizon.
+step, as the full run.
+
+With ``stop_below`` (``verify_classification`` passes its zero tolerance),
+the driver also ends a trajectory at the last step of a check block whose
+last k rows, its state, are certified to keep every later row at most
+``stop_below``.  The certificate, ``linalg.contraction_certificate``, is
+built once per call: a positive x >= 1 and a rate < 1 such that any float
+evaluation of a numerator (A v)_i with 0 <= v <= T x componentwise is at
+most rate T x_i + m 2^-1074.  A denominator starts at 1.0 and adds
+nonnegative terms, so it is at least 1, and a quotient then rounds to at
+most its numerator: every v_{n-k} <= T x gives v_n <= rate T x
++ m 2^-1074 <= T x once T >= m 2^-1074 / (1 - rate).  So a state below
+T x stays below it.  The state is compared with b = stop_below x / max(x),
+rounded down (a factor 1 - 2^-50 covers its three roundings), which gives
+T = stop_below / max(x).  The rule is on only when A has a certificate,
+b lies in the normal range, 2 m 2^-1074 max(x) <= stop_below (1 - rate)
+(the absolute term is then below T), and, with ``stop_above``,
+2 m stop_below <= stop_above.  Every later row then has components at
+most stop_below and a computed norm below 2 m stop_below: it neither
+diverges nor passes the growth threshold, and ends below the zero
+tolerance.  So ``analyze``, with ``zero_tol`` = stop_below and
+``growth_threshold`` = stop_above (without ``stop_above``, any at least
+2 m stop_below), reports the cut run as the full one: the same exit step
+when the kept rows pass the threshold, else ``converged-to-zero``, since
+the kept state lies below ``zero_tol`` as the full run's last k rows do.
+A kernel without a certificate (rho >= 1, or Neumann sums that overflow)
+turns the rule off, and then it costs nothing a block.  Every other caller
+gets the full horizon.
 
 The generated loop keeps the order because each sum is one ``+`` chain,
 which Python evaluates left to right without rearranging float arithmetic.
@@ -97,11 +125,13 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .analysis import rows_above
+from .linalg import contraction_certificate
 from .model import MAX_RUN_BYTES, InitialConditions, SystemSpec, Trajectory, validate_initial
 
 
 #: Steps in a block, which a kernel steps between the driver's checks for
-#: non-finite values, for a pass of ``stop_above`` and for a repeated state.
+#: non-finite values, for a pass of ``stop_above`` or ``stop_below`` and for
+#: a repeated state.
 _CHECK_EVERY = 64
 
 
@@ -239,7 +269,12 @@ def simulate(spec: SystemSpec, init: InitialConditions, horizon: int) -> Traject
 
 
 def simulate_batch(
-    spec: SystemSpec, histories: Sequence, horizon: int, *, stop_above: Optional[float] = None
+    spec: SystemSpec,
+    histories: Sequence,
+    horizon: int,
+    *,
+    stop_above: Optional[float] = None,
+    stop_below: Optional[float] = None,
 ) -> List[Trajectory]:
     """Iterate the rational system for ``horizon`` steps from each (k, m) history.
 
@@ -253,15 +288,39 @@ def simulate_batch(
 
     With ``stop_above``, a trajectory also ends at the last step of a check
     block in which a row's norm exceeds it (the growth test of
-    ``analysis.detect_unbounded``), unless it diverged there; see the module
-    docstring for why ``analyze`` reports such a run as it reports the full one.
+    ``analysis.detect_unbounded``), unless it diverged there.  With
+    ``stop_below``, a trajectory also ends at the last step of a check block
+    after which every row is certified to stay at most ``stop_below``; only
+    a kernel with rho < 1 can have the certificate.  See the module
+    docstring for why ``analyze`` reports such runs as it reports the full
+    ones.
     """
     inits = _validated(spec, histories, horizon)
     loop = len(inits) * (spec.A.size * spec.k + ROW_TERMS) <= MAX_LOOP_TERMS
-    return _drive(_loop_kernel if loop else _numpy_kernel, spec, inits, horizon, stop_above)
+    return _drive(_loop_kernel if loop else _numpy_kernel, spec, inits, horizon, stop_above,
+                  stop_below)
 
 
-def _drive(make, spec: SystemSpec, inits, horizon: int, stop_above: Optional[float]):
+def _below_bound(spec: SystemSpec, stop_below: float,
+                 stop_above: Optional[float]) -> Optional[np.ndarray]:
+    """The bound b of the ``stop_below`` rule, one entry a component, or None when it is off.
+
+    A state whose rows are all at most b stays so, and every later row is at
+    most ``stop_below``; the module docstring gives the conditions and the proof.
+    """
+    cert = contraction_certificate(spec.A)
+    if cert is None:
+        return None
+    m, top = spec.m, float(cert.x.max())
+    bound = stop_below * (cert.x / top) * (1.0 - 2.0**-50)
+    if (bound.min() >= 2.0**-1022 and 2 * m * top * 2.0**-1074 <= stop_below * (1.0 - cert.rate)
+            and (stop_above is None or 2 * m * stop_below <= stop_above)):
+        return bound
+    return None
+
+
+def _drive(make, spec: SystemSpec, inits, horizon: int, stop_above: Optional[float],
+           stop_below: Optional[float] = None):
     """Validated ``inits`` stepped by the kernel that ``make`` builds; one trajectory each.
 
     Trajectory b is ``values[b]`` of one (B, k + horizon, m) array.
@@ -269,13 +328,16 @@ def _drive(make, spec: SystemSpec, inits, horizon: int, stop_above: Optional[flo
     writes v_first, ..., v_last of each trajectory b in the index array
     ``live`` into ``values[b]``, each from the k rows before, and returns
     ``{r: n}`` for each ``live[r]`` whose first non-finite step is n.  After
-    each block the module docstring's rule, tested on all live rows at once,
-    ends trajectories, which leave ``live``; the cycles are copied once
-    stepping has stopped and the kernel is freed.
+    each block the module docstring's rules, tested on all live rows at once
+    (divergence, ``stop_above``, ``stop_below``, exact cycle), end
+    trajectories, which leave ``live``; the cycles are copied once stepping
+    has stopped and the kernel is freed.  The bound of ``stop_below`` is
+    built once, before the first block.
     """
     rows, m, k = len(inits), spec.m, spec.k
     if not rows:
         return []
+    below = None if stop_below is None else _below_bound(spec, stop_below, stop_above)
     # The values get a map of their own rather than a malloc block: glibc
     # raises its mmap threshold to the size of each mapped block freed, so
     # that later blocks of that size come from the heap and stay resident
@@ -308,6 +370,11 @@ def _drive(make, spec: SystemSpec, inits, horizon: int, stop_above: Optional[flo
             for r in (recent[:, -k:].max(axis=(1, 2)) > stop_above).nonzero()[0]:
                 if r not in ended and rows_above(values[live[r], first + k - 1 : last + k],
                                                  stop_above).size:
+                    ends[live[r]] = last
+                    ended.add(r)
+        if below is not None:
+            for r in (recent[:, -k:] <= below).all(axis=(1, 2)).nonzero()[0]:
+                if r not in ended:
                     ends[live[r]] = last
                     ended.add(r)
         if last >= 2 * k:

@@ -135,11 +135,51 @@ DIGESTS = {
 }
 
 
-def run_digest(tmp_path, conf_text, command):
+#: A bench-shaped sweep of c * [[0, 1], [1, 0]] at its own horizon 4000: its
+#: c = 0.77 rows are still near 1e-235 at the horizon, so no exact cycle
+#: ends them.
+BENCH_SWEEP = {
+    "mode": "tetrachotomy",
+    "rng_seed": 41,
+    "system": {"k": 2, "A": [[0.0, 1.0], [1.0, 0.0]],
+               "denom": [{"i": 1, "j": 1, "q": [0.7, 1.2]}, {"i": 2, "j": 1, "q": [1.1, 0.6]}]},
+    "run": {"horizon": 4000, "trials": 4},
+    "sweep": {"c": [0.45, 0.77, 1.0, 1.3, 2.5], "denom_scale": [2.0, 4.0]},
+}
+
+#: A trichotomy verify of 40 trials, stepped in numpy, at rho ~ 0.9 with a
+#: largest row sum of 1.0457: m = 5, k = 4, denominators in [0.5, 1.5].
+CONTRACTING_TRICHO = {
+    "mode": "trichotomy",
+    "rng_seed": 3,
+    "system": {
+        "k": 4,
+        "A": [[0.4546, 0.4092, 0.0909, 0.0455, 0.0455],
+              [0.4092, 0.4546, 0.0909, 0.0455, 0.0455],
+              [0.0909, 0.0909, 0.1364, 0.0455, 0.0455],
+              [0.0455, 0.0455, 0.0455, 0.1364, 0.0455],
+              [0.0455, 0.0455, 0.0455, 0.0455, 0.1364]],
+        "denom": [{"i": i, "j": j, "q": [round(0.5 + 0.1 * ((i + 2 * j + 3 * c) % 11), 1)
+                                         for c in range(5)]}
+                  for i in range(1, 6) for j in range(1, 4)],
+    },
+    "run": {"horizon": 2000, "trials": 40},
+}
+
+#: (config, command) -> sha256 of a run at the config's own horizon and trials.
+FULL_RUN_DIGESTS = {
+    ("bench_sweep", "sweep"):
+        "8bb9c61c5f3de425e19482b1a1a7939e605ac7789fc9be3d9b0caa3a36f8fcd1",
+    ("contracting_tricho", "verify"):
+        "b017ef5a30752ea0626eec749d9380e0ce7d5194131f7f6f502026ea8bc78143",
+}
+
+
+def run_digest(tmp_path, conf_text, command, flags=None):
     """sha256 of the exit code, stdout, stderr and written files of one run."""
     conf = tmp_path / "conf.yaml"
     conf.write_text(conf_text)
-    argv = [command, "--config", str(conf)] + FLAGS[command]
+    argv = [command, "--config", str(conf)] + (FLAGS[command] if flags is None else flags)
     if command != "classify":
         argv += ["--out", str(tmp_path / "out")]
     out, err = io.StringIO(), io.StringIO()
@@ -159,3 +199,10 @@ def run_digest(tmp_path, conf_text, command):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_outputs_match_recorded_digest(tmp_path, name, command):
     assert run_digest(tmp_path, CONFIGS[name], command) == DIGESTS[name, command]
+
+
+@pytest.mark.parametrize("name,command", sorted(FULL_RUN_DIGESTS))
+def test_full_runs_match_recorded_digest(tmp_path, name, command):
+    doc = {"bench_sweep": BENCH_SWEEP, "contracting_tricho": CONTRACTING_TRICHO}[name]
+    digest = run_digest(tmp_path, yaml.safe_dump(doc), command, flags=[])
+    assert digest == FULL_RUN_DIGESTS[name, command]

@@ -384,7 +384,7 @@ class TestVerifyClassification:
         stepped = [live for _, live, _, _ in blocks]  # rows in each block of the batch
         kernels = {kernel for kernel, *_ in blocks}
         monkeypatch.setattr("ratsys.classifier.simulate_batch",
-                            lambda spec, histories, horizon, stop_above: recording(
+                            lambda spec, histories, horizon, **_: recording(
                                 spec, histories, horizon))
         assert stopped == checks()
         ends = [traj.horizon for traj in batches[0]]
@@ -394,6 +394,42 @@ class TestVerifyClassification:
         assert kernels == {"_numpy_kernel" if trials == 40 else "_loop_kernel"}
         assert len(batches[0]) == trials + 1 and stepped[0] == trials + 1
         assert stepped == [sum(end > step for end in ends) for step in range(0, 1300, 64)]
+
+    @pytest.mark.parametrize("trials", [4, 40])  # the loop side and the numpy side
+    def test_certified_zero_runs_check_like_full_ones(self, monkeypatch, trials):
+        # at c = 0.77 a random run falls below zero_tol 1e-8 within about 160
+        # steps, but reaches an exact 0 (an exact cycle) only after about 5700
+        spec = SystemSpec(k=2, A=[[0.0, 0.77], [0.77, 0.0]])
+        cls = classify_tetrachotomy(spec)
+        assert cls.regime == CONVERGES_TO_ZERO
+        batches = []
+
+        def recording(spec, histories, horizon, **kwargs):
+            batches.append(simulate_batch(spec, histories, horizon, **kwargs))
+            return batches[-1]
+
+        def checks():
+            report = verify_classification(spec, cls, horizon=4000, trials=trials, rng_seed=6)
+            return [(c.name, c.status, c.report) for c in report.checks]
+
+        monkeypatch.setattr("ratsys.classifier.simulate_batch", recording)
+        blocks = count_blocks(monkeypatch)
+        stopped = checks()
+        stepped = [live for _, live, _, _ in blocks]  # rows in each block of the batch
+        kernels = {kernel for kernel, *_ in blocks}
+        monkeypatch.setattr("ratsys.classifier.simulate_batch",
+                            lambda spec, histories, horizon, **_: recording(
+                                spec, histories, horizon))
+        assert stopped == checks()
+        assert all(status == PASS for _, status, _ in stopped)
+        ends = [traj.horizon for traj in batches[0]]
+        assert any(end < 4000 for end in ends)
+        assert all(traj.horizon == 4000 for traj in batches[1])
+        # a cut row leaves the batch: the kernel steps it no further
+        assert kernels == {"_numpy_kernel" if trials == 40 else "_loop_kernel"}
+        assert len(batches[0]) == trials and stepped[0] == trials
+        live = [sum(end > step for end in ends) for step in range(0, 4000, 64)]
+        assert stepped == [n for n in live if n]
 
     def test_trichotomy_period_k_verified(self):
         rng = np.random.default_rng(47)

@@ -2,11 +2,17 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import oracle_jacobi, symmetric_nonneg_with_rho, symmetric_signed_with_rho
+from conftest import (
+    oracle_jacobi,
+    symmetric_nonneg_with_rho,
+    symmetric_positive_with_rho,
+    symmetric_signed_with_rho,
+)
 
 from ratsys import (
     EIG_TOL,
@@ -19,7 +25,14 @@ from ratsys import (
     perron_pair,
     spectral_radius,
 )
-from ratsys.linalg import RHO_TOL, _decomposition, _jacobi, _power_iteration, radius_side
+from ratsys.linalg import (
+    RHO_TOL,
+    _decomposition,
+    _jacobi,
+    _power_iteration,
+    contraction_certificate,
+    radius_side,
+)
 
 
 def closed_form_2x2(a):
@@ -427,3 +440,59 @@ class TestFact2:
 
     def test_insufficient_budget_returns_false(self):
         assert not check_fact2([[2.0, 1.0], [1.0, 2.0]], [1.0, 1.0], 1e6, 3)
+
+
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _exactly_contracted(a, cert):
+    """A x <= rate x in exact rational arithmetic, for the certificate's x and rate."""
+    x = [Fraction(v) for v in cert.x.tolist()]
+    rate = Fraction(cert.rate)
+    return all(sum(Fraction(aic) * xc for aic, xc in zip(row, x)) <= rate * xi
+               for row, xi in zip(a.tolist(), x))
+
+
+class TestContractionCertificate:
+    @pytest.mark.parametrize("c", [0.1, 0.45, 0.77, 0.99])
+    def test_unit_vector_certifies_a_scaled_swap(self, c):
+        cert = contraction_certificate(c * SWAP)
+        assert cert.x.tolist() == [1.0, 1.0] and cert.lam == c
+        assert c < cert.rate < c * (1.0 + 1e-14)
+
+    def test_neumann_sum_certifies_a_large_row_sum(self):
+        # row sum 3, rho = sqrt(0.3) ~ 0.55: x = 1 fails, x_2 = 1 + A 1 = (4, 1.1) holds
+        a = np.array([[0.0, 3.0], [0.1, 0.0]])
+        cert = contraction_certificate(a)
+        assert cert.x.tolist() == [4.0, 1.1]
+        assert cert.rate < 1.0 and _exactly_contracted(a, cert)
+
+    def test_zero_kernel(self):
+        cert = contraction_certificate(np.zeros((3, 3)))
+        assert cert.lam == 0.0 and cert.x.tolist() == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("a", [
+        SWAP,  # row sums exactly 1
+        np.eye(3),
+        np.array([[1.0, 1.0], [0.0, 1.0]]),  # a Jordan block
+        np.array([[0.5, 1e308], [0.0, 0.5]]),  # rho = 0.5, but the Neumann sums overflow
+        2.5 * SWAP,
+    ])
+    def test_none_without_a_contraction(self, a):
+        assert contraction_certificate(a) is None
+
+    def test_none_at_unit_radius(self):
+        rng = np.random.default_rng(5)
+        for m in (2, 3, 5, 16):
+            assert contraction_certificate(symmetric_positive_with_rho(rng, m, 1.0)) is None
+
+    def test_rate_bounds_the_exact_product(self):
+        # the rate covers the rounding of lam: A x <= rate x holds in exact arithmetic
+        rng = np.random.default_rng(9)
+        for m in (1, 2, 3, 5, 8):
+            for rho in (0.3, 0.9, 0.99):
+                d = rng.uniform(0.1, 10.0, m)  # D A D^-1 keeps rho but not the row sums
+                a = symmetric_nonneg_with_rho(rng, m, rho) * d[:, None] / d[None, :]
+                cert = contraction_certificate(a)
+                assert cert is not None and cert.rate < 1.0 and (cert.x >= 1.0).all()
+                assert _exactly_contracted(a, cert)

@@ -11,6 +11,7 @@ from conftest import (
     random_init,
     random_spec,
     symmetric_nonneg_with_rho,
+    symmetric_positive_with_rho,
 )
 
 from ratsys import (
@@ -198,10 +199,11 @@ def _same_run(got, want):
     )
 
 
-def _kernel_batch(kernel, spec, histories, horizon, stop_above=None):
+def _kernel_batch(kernel, spec, histories, horizon, stop_above=None, stop_below=None):
     """``histories`` stepped by the simulator kernel named ``kernel``, whatever their terms."""
     inits = [InitialConditions(h) for h in histories]
-    return simulator._drive(getattr(simulator, kernel), spec, inits, horizon, stop_above)
+    return simulator._drive(getattr(simulator, kernel), spec, inits, horizon, stop_above,
+                            stop_below)
 
 
 def _numpy_batch(spec, histories, horizon, stop_above=None):
@@ -769,6 +771,144 @@ class TestStopAbove:
     def test_plain_calls_run_the_horizon(self):
         traj = simulate(DOUBLING, InitialConditions(DOUBLING_HISTORY), 300)
         assert traj.horizon == 300 and traj.diverged_at is None
+
+
+def _swap(c):
+    """c [[0, 1], [1, 0]] with a denominator, k = 2: x = 1 certifies it for c < 1."""
+    return SystemSpec(k=2, A=c * np.array([[0.0, 1.0], [1.0, 0.0]]), denom=np.full((2, 1, 2), 0.25))
+
+
+KERNELS = ["_loop_kernel", "_numpy_kernel"]
+
+
+class TestStopBelow:
+    """With ``stop_below``, a run ends at the check block after which it is certified to stay below.
+
+    ``analyze`` must report each cut run exactly as the full run, with both
+    kernels through the one driver.
+    """
+
+    @staticmethod
+    def _runs(kernel, spec, histories, horizon, zero_tol, stop_above=None):
+        """The cut runs of ``histories``, each checked against its full run."""
+        cut = _kernel_batch(kernel, spec, histories, horizon, stop_above, zero_tol)
+        full = _kernel_batch(kernel, spec, histories, horizon, stop_above)
+        tol = Tolerances(zero_tol=zero_tol, growth_threshold=stop_above or 1e6)
+        for got, want in zip(cut, full):
+            assert analyze(got, tol) == analyze(want, tol)
+            if got.horizon == want.horizon:
+                assert _same_run(got, want)
+                continue
+            # cut at the end of a block, with its state and every row after it below zero_tol
+            end = got.horizon
+            assert got.diverged_at is None and end % 64 == 0
+            assert (got.values.view(np.uint64) == want.values[: spec.k + end].view(np.uint64)).all()
+            assert np.abs(want.values[end:]).max() <= zero_tol
+        return cut
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_cut_is_a_prefix_that_ends_a_block(self, kernel):
+        # at c = 0.77 a run from [0, 10] falls below 1e-8 within about 160
+        # steps, but reaches an exact 0 only after about 5700
+        rng = np.random.default_rng(3)
+        histories = [rng.uniform(0.0, 10.0, (2, 2)) for _ in range(4)] + [np.full((2, 2), 1e-9)]
+        runs = self._runs(kernel, _swap(0.77), histories, 4000, 1e-8)
+        assert [t.horizon for t in runs] == [192, 192, 192, 192, 64]
+        assert [analyze(t).behavior for t in runs] == ["converged-to-zero"] * 5
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_state_below_only_in_part_is_not_cut(self, kernel):
+        # v_n = 0.9 v_{n-2}: the even rows start from v_0 = 1e-12, below 1e-8
+        # in every block, but the odd rows v_{2j-1} = 0.9^j first fall below
+        # it at n = 349, so the state (v_{n-1}, v_n) is below from n = 349 on
+        # and the run ends with that block, at 384
+        spec = SystemSpec(k=2, A=[[0.9]])
+        (traj,) = self._runs(kernel, spec, [np.array([[1.0], [1e-12]])], 1000, 1e-8)
+        assert traj.generated[:64].min() < 1e-8 < traj.generated[:64].max()
+        assert traj.generated[346] > 1e-8 >= traj.generated[348]  # v_347 and v_349
+        assert traj.horizon == 384
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_stop_comes_before_the_cycle_copy(self, kernel):
+        # a zero state repeats and is below zero_tol in the first block: the run ends there
+        (traj,) = self._runs(kernel, _swap(0.5), [np.zeros((2, 2))], 300, 1e-8)
+        assert traj.horizon == 64
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("spec", [
+        _swap(1.0),  # row sums exactly 1
+        SystemSpec(k=2, A=np.eye(2)),
+        SystemSpec(k=2, A=symmetric_positive_with_rho(np.random.default_rng(2), 2, 1.0)),
+        SystemSpec(k=2, A=[[1.0, 1.0], [0.0, 1.0]]),  # a Jordan block
+        SystemSpec(k=2, A=[[0.5, 1e308], [0.0, 0.5]]),  # rho = 0.5; the Neumann sums overflow
+    ], ids=["swap", "identity", "positive", "jordan", "overflow"])
+    def test_off_without_a_certificate(self, kernel, spec):
+        # each state is below zero_tol from the start, yet every run gets the horizon
+        histories = [np.full((2, 2), 1e-20), np.array([[1e-20, 0.0], [1e-20, 0.0]])]
+        runs = self._runs(kernel, spec, histories, 300, 1e-8)
+        assert [t.horizon for t in runs] == [300, 300]
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_off_when_zero_tol_nears_the_growth_threshold(self, kernel):
+        # 2 m zero_tol = 4e-3 passes a growth threshold of 3e-3 but not one of 4e-3
+        spec, history = _swap(0.5), np.full((2, 2), 1e-9)
+        (traj,) = self._runs(kernel, spec, [history], 300, 1e-3, stop_above=3e-3)
+        assert traj.horizon == 300
+        (traj,) = self._runs(kernel, spec, [history], 300, 1e-3, stop_above=4e-3)
+        assert traj.horizon == 64
+
+    def test_drive_defaults_to_no_stop(self):
+        # _drive's positional form from before stop_below
+        inits = [InitialConditions(np.full((2, 2), 1e-9))]
+        (traj,) = simulator._drive(simulator._loop_kernel, _swap(0.5), inits, 300, None)
+        assert traj.horizon == 300
+
+    def test_plain_calls_run_the_horizon(self):
+        traj = simulate(_swap(0.5), InitialConditions(np.full((2, 2), 1e-9)), 300)
+        assert traj.horizon == 300
+
+
+#: History entries of the stop_below fuzz: signed zeros, subnormals and 1e300 among plain draws.
+_SMALL_AND_HUGE = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e300])
+
+
+@st.composite
+def _contracting_batches(draw):
+    """(spec, histories, horizon, zero_tol, stop_above): rho(A) in [0.05, 0.95], m 1-5, k 2-5.
+
+    A symmetric draw scaled to its row sums is conjugated by a diagonal
+    D, which keeps rho but lets the row sums pass 1, so that some kernels
+    need a Neumann sum for their certificate.
+    """
+    m, k = draw(st.integers(1, 5)), draw(st.integers(2, 5))
+    raw = np.reshape(draw(st.lists(st.floats(0.0, 1.0), min_size=m * m, max_size=m * m)), (m, m))
+    raw = raw + raw.T
+    rows = raw.sum(axis=1).max()
+    raw = raw / rows if rows > 0.0 else raw
+    d = np.array(draw(st.lists(st.floats(0.2, 5.0), min_size=m, max_size=m)))
+    a = draw(st.floats(0.05, 0.95)) * raw * d[:, None] / d[None, :]
+    q = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.5)), min_size=m * (k - 1) * m,
+                      max_size=m * (k - 1) * m))
+    spec = SystemSpec(k=k, A=a, denom=np.reshape(q, (m, k - 1, m)))
+    entry = st.one_of(_SMALL_AND_HUGE, st.floats(0.0, 10.0))
+    histories = draw(st.lists(st.lists(entry, min_size=k * m, max_size=k * m),
+                              min_size=1, max_size=4))
+    scales = st.sampled_from([1.0, 1e-6, 1e-12])
+    histories = [np.reshape(h, (k, m)) * draw(scales) for h in histories]
+    horizon = draw(st.integers(1, 400))
+    zero_tol = draw(st.sampled_from([1e-8, 1e-3, 1e-300]))
+    stop_above = draw(st.sampled_from([None, 1e6, 1e-3]))
+    return spec, histories, horizon, zero_tol, stop_above
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_contracting_batches())
+def test_cut_runs_analyze_like_full_runs(case):
+    spec, histories, horizon, zero_tol, stop_above = case
+    loop = TestStopBelow._runs("_loop_kernel", spec, histories, horizon, zero_tol, stop_above)
+    numpy = TestStopBelow._runs("_numpy_kernel", spec, histories, horizon, zero_tol, stop_above)
+    assert all(_same_run(a, b) for a, b in zip(loop, numpy))
 
 
 #: Coefficients and history entries of the kernel fuzz: signed zeros and 1.0
