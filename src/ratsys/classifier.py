@@ -250,8 +250,8 @@ def verify_classification(
     (``stop_above`` of :func:`~ratsys.simulator.simulate_batch`): its
     analysis finds growth first, at the same exit step as on the full run.
     It also stops once its rows are certified to stay at most
-    ``tolerances.zero_tol`` (``stop_below``), which a contracting kernel
-    (rho < 1) allows: its analysis then finds the same exit step or
+    ``tolerances.zero_tol`` (``stop_below``), which a kernel whose rows sum
+    to less than 1 allows: its analysis then finds the same exit step or
     ``converged-to-zero``, as on the full run.
     """
     tol = tolerances or Tolerances()

@@ -6,8 +6,8 @@ nonnegative and every symmetric one), cyclic Jacobi rotations for larger
 symmetric matrices, and a Perron-Frobenius pair for every nonnegative 2x2
 matrix (the closed form) and every strictly positive larger one (power
 iteration).  :func:`radius_side` is the one rule that compares a spectral
-radius to 1.  :func:`contraction_certificate` proves that a nonnegative
-matrix contracts a positive vector, rounding included.  No LAPACK
+radius to 1.  :func:`contraction_rate` proves that a nonnegative matrix
+with row sums below 1 contracts, rounding included.  No LAPACK
 dependency (tests/test_no_lapack.py checks it); results are deterministic
 bit-for-bit for identical inputs.
 """
@@ -26,10 +26,6 @@ EIG_TOL = 1e-10
 RHO_TOL = 1e-9
 #: Iteration budget for the Perron-Frobenius power iteration.
 MAX_POWER_ITERS = 10_000
-
-#: The Neumann sums that :func:`contraction_certificate` tries: x_N for
-#: N = 2, 4, ..., 2**_NEUMANN_DOUBLINGS.
-_NEUMANN_DOUBLINGS = 10
 
 _POWER_RESIDUAL_TOL = 1e-14
 _JACOBI_MAX_SWEEPS = 50
@@ -307,69 +303,33 @@ def perron_pair(a) -> Tuple[float, np.ndarray]:
     return math.ldexp(r, e), x
 
 
-@dataclass(frozen=True)
-class Contraction:
-    """A positive x >= 1 with A x <= lam x for a nonnegative m x m matrix A.
+def contraction_rate(a) -> Optional[float]:
+    """A rate r < 1 that bounds the rounded products of the nonnegative matrix ``a``, or None.
 
-    ``lam`` is max_i (A x)_i / x_i as computed in floating point, from the
-    products a_ic x_c added left to right.  ``rate`` widens it by a proven
-    rounding slack: for every v with 0 <= v <= T x componentwise, any
-    floating-point evaluation of (A v)_i (m rounded products added in any
-    order) is at most rate T x_i + m 2^-1074.  With u = 2^-53:
+    For every v with 0 <= v <= T componentwise, any floating-point
+    evaluation of (A v)_i (m rounded products added in any order) is at
+    most r T + m 2^-1074.  r is lam, the largest row sum as computed,
+    widened by a proven rounding slack.  With u = 2^-53:
 
+    - A sum of nonnegative terms rounds by a relative u at most, so an
+      exact row sum is at most (1 - u)^-(m-1) lam, whatever the order of
+      its additions.
     - A product rounds by a relative u or, below the normal range, by an
-      absolute 2^-1075 at most; a sum of nonnegative terms by a relative u.
-      So the exact (A x)_i is at most (1 - u)^-(m+2) lam x_i
-      + (m + 2) 2^-1075 x_i (the check's m products, m additions and one
-      division, with x_i >= 1 taking the absolute terms into x_i).
-    - A float evaluation of (A v)_i is at most (1 + u)^2m (A v)_i
-      + m 2^-1074, and (A v)_i <= T (A x)_i.
-    - (1 + u)^2m (1 - u)^-(m+2) <= 1 + (3m + 3) u, which the factor
-      1 + (4m + 8) u of ``rate`` covers with the two roundings of ``rate``
-      itself; its (m + 3) 2^-1074 covers the absolute terms.
-    """
+      absolute 2^-1075 at most.  So a float evaluation of (A v)_i is at
+      most (1 + u)^m T (row sum i) + m 2^-1074.
+    - (1 + u)^m (1 - u)^-(m-1) <= 1 + (2m + 2) u, which the factor
+      1 + (4m + 8) u of r covers with the rounding of r itself; the added
+      2^-1074 covers that rounding below the normal range.
 
-    x: np.ndarray
-    lam: float
-
-    @property
-    def rate(self) -> float:
-        """``lam`` with the rounding slack above; a certificate has rate < 1."""
-        m = len(self.x)
-        return self.lam * (1.0 + (m + 2) * 2.0**-51) + (m + 3) * 2.0**-1074
-
-
-def contraction_certificate(a) -> Optional[Contraction]:
-    """A :class:`Contraction` of the nonnegative matrix ``a`` whose rate is below 1, or None.
-
-    x = 1 is tried first; its lam is the largest row sum.  Then the Neumann
-    sums x_N = 1 + A 1 + ... + A^(N-1) 1 for N = 2, 4, ..., 1024, built by
-    repeated squaring (x_2N = x_N + A^N x_N).  Since A x_N = x_N - 1 + A^N 1,
-    A x_N < x_N exactly when A^N 1 < 1, that is when the largest row sum
-    of A^N is below 1.  Every try has x >= 1.  None when no try has a rate
-    below 1, which is always so when rho(A) >= 1 (for a positive x,
-    max_i (A x)_i / x_i >= rho(A)), or when the sums overflow first.  The
-    search also ends at an A^N with a diagonal entry of at least 1, which
-    shows rho(A) >= 1, since rho(A)^N = rho(A^N) >= max_i (A^N)_ii.
+    None when r is not below 1: always so when rho(A) >= 1, since rho(A)
+    is at most the largest row sum, but also for a kernel with rho(A) < 1
+    and a row sum of 1 or more.
     """
     mat = as_matrix(a)
-    x, power = np.ones(mat.shape[0]), mat
-    for doublings in range(_NEUMANN_DOUBLINGS + 1):
-        if doublings:
-            # Products by broadcast sums, not @, which calls BLAS: with @ here the
-            # peak RSS of a sweep and of an m = 16 verify rose by about 0.14 MB.
-            with np.errstate(over="ignore", invalid="ignore"):
-                x, power = x + (power * x).sum(axis=1), (power[:, :, None] * power).sum(axis=1)
-            if not np.isfinite(x).all():
-                return None
-        with np.errstate(over="ignore"):
-            lam = float((np.add.accumulate(mat * x, axis=1)[:, -1] / x).max())
-        cert = Contraction(x=x, lam=lam)
-        if cert.rate < 1.0:
-            return cert
-        if (np.diagonal(power) >= 1.0).any():
-            return None
-    return None
+    with np.errstate(over="ignore"):
+        lam = float(mat.sum(axis=1).max())
+    rate = lam * (1.0 + (mat.shape[0] + 2) * 2.0**-51) + 2.0**-1074
+    return rate if rate < 1.0 else None
 
 
 def check_fact1(a, v, big_l: int) -> Tuple[bool, bool]:

@@ -77,32 +77,30 @@ it tests growth first, and a row's norm depends on that row alone, so the
 rows kept hold the same first crossing, and the report names the same exit
 step, as the full run.
 
-With ``stop_below`` (``verify_classification`` passes its zero tolerance),
-the driver also ends a trajectory at the last step of a check block whose
-last k rows, its state, are certified to keep every later row at most
-``stop_below``.  The certificate, ``linalg.contraction_certificate``, is
-built once per call: a positive x >= 1 and a rate < 1 such that any float
-evaluation of a numerator (A v)_i with 0 <= v <= T x componentwise is at
-most rate T x_i + m 2^-1074.  A denominator starts at 1.0 and adds
-nonnegative terms, so it is at least 1, and a quotient then rounds to at
-most its numerator: every v_{n-k} <= T x gives v_n <= rate T x
-+ m 2^-1074 <= T x once T >= m 2^-1074 / (1 - rate).  So a state below
-T x stays below it.  The state is compared with b = stop_below x / max(x),
-rounded down (a factor 1 - 2^-50 covers its three roundings), which gives
-T = stop_below / max(x).  The rule is on only when A has a certificate,
-b lies in the normal range, 2 m 2^-1074 max(x) <= stop_below (1 - rate)
-(the absolute term is then below T), and, with ``stop_above``,
-2 m stop_below <= stop_above.  Every later row then has components at
-most stop_below and a computed norm below 2 m stop_below: it neither
+With ``stop_below``, which needs ``stop_above`` (``verify_classification``
+passes its zero tolerance and its growth threshold), the driver also ends
+a trajectory at the last step of a check block whose last k rows, its
+state, are all at most ``stop_below``.  The rule is on only when
+``linalg.contraction_rate`` certifies the kernel, once per call: a rate
+r < 1 such that any float evaluation of a numerator (A v)_i with
+0 <= v <= T componentwise is at most r T + m 2^-1074.  A denominator
+starts at 1.0 and adds nonnegative terms, so it is at least 1, and a
+quotient then rounds to at most its numerator: a state at most T gives a
+next row at most r T + m 2^-1074 <= T once m 2^-1074 <= (1 - r) T.  So
+with T = stop_below every later row stays at most stop_below.  The rule
+also needs 2 m 2^-1074 <= stop_below (1 - r), which gives that last
+condition with the rounding of its test, and n = 2 m stop_below with
+n <= stop_above and n^2 finite, so that a row with components at most
+stop_below has a computed norm at most n.  Every later row then neither
 diverges nor passes the growth threshold, and ends below the zero
 tolerance.  So ``analyze``, with ``zero_tol`` = stop_below and
-``growth_threshold`` = stop_above (without ``stop_above``, any at least
-2 m stop_below), reports the cut run as the full one: the same exit step
-when the kept rows pass the threshold, else ``converged-to-zero``, since
-the kept state lies below ``zero_tol`` as the full run's last k rows do.
-A kernel without a certificate (rho >= 1, or Neumann sums that overflow)
-turns the rule off, and then it costs nothing a block.  Every other caller
-gets the full horizon.
+``growth_threshold`` = stop_above, reports the cut run as the full one:
+the same exit step when the kept rows pass the threshold, else
+``converged-to-zero``, since the kept state is at most ``zero_tol`` as the
+full run's last k rows are.  A kernel whose largest row sum is 1 or more
+(every kernel with rho >= 1, and some with rho < 1) turns the rule off,
+and then it costs nothing a block.  Every other caller gets the full
+horizon.
 
 The generated loop keeps the order because each sum is one ``+`` chain,
 which Python evaluates left to right without rearranging float arithmetic.
@@ -125,7 +123,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .analysis import rows_above
-from .linalg import contraction_certificate
+from .linalg import contraction_rate
 from .model import MAX_RUN_BYTES, InitialConditions, SystemSpec, Trajectory, validate_initial
 
 
@@ -289,11 +287,11 @@ def simulate_batch(
     With ``stop_above``, a trajectory also ends at the last step of a check
     block in which a row's norm exceeds it (the growth test of
     ``analysis.detect_unbounded``), unless it diverged there.  With
-    ``stop_below``, a trajectory also ends at the last step of a check block
-    after which every row is certified to stay at most ``stop_below``; only
-    a kernel with rho < 1 can have the certificate.  See the module
-    docstring for why ``analyze`` reports such runs as it reports the full
-    ones.
+    ``stop_below``, which needs ``stop_above``, a trajectory also ends at the
+    last step of a check block after which every row is certified to stay
+    at most ``stop_below``; only a kernel whose rows sum to less than 1 has
+    the certificate.  See the module docstring for why ``analyze`` reports
+    such runs as it reports the full ones.
     """
     inits = _validated(spec, histories, horizon)
     loop = len(inits) * (spec.A.size * spec.k + ROW_TERMS) <= MAX_LOOP_TERMS
@@ -301,22 +299,11 @@ def simulate_batch(
                   stop_below)
 
 
-def _below_bound(spec: SystemSpec, stop_below: float,
-                 stop_above: Optional[float]) -> Optional[np.ndarray]:
-    """The bound b of the ``stop_below`` rule, one entry a component, or None when it is off.
-
-    A state whose rows are all at most b stays so, and every later row is at
-    most ``stop_below``; the module docstring gives the conditions and the proof.
-    """
-    cert = contraction_certificate(spec.A)
-    if cert is None:
-        return None
-    m, top = spec.m, float(cert.x.max())
-    bound = stop_below * (cert.x / top) * (1.0 - 2.0**-50)
-    if (bound.min() >= 2.0**-1022 and 2 * m * top * 2.0**-1074 <= stop_below * (1.0 - cert.rate)
-            and (stop_above is None or 2 * m * stop_below <= stop_above)):
-        return bound
-    return None
+def _stops_below(spec: SystemSpec, stop_below: float, stop_above: float) -> bool:
+    """Whether the ``stop_below`` rule is on; the module docstring has the conditions and proof."""
+    rate, norm = contraction_rate(spec.A), 2 * spec.m * stop_below
+    return (rate is not None and 2 * spec.m * 2.0**-1074 <= stop_below * (1.0 - rate)
+            and norm <= stop_above and norm * norm < np.inf)
 
 
 def _drive(make, spec: SystemSpec, inits, horizon: int, stop_above: Optional[float],
@@ -331,13 +318,15 @@ def _drive(make, spec: SystemSpec, inits, horizon: int, stop_above: Optional[flo
     each block the module docstring's rules, tested on all live rows at once
     (divergence, ``stop_above``, ``stop_below``, exact cycle), end
     trajectories, which leave ``live``; the cycles are copied once stepping
-    has stopped and the kernel is freed.  The bound of ``stop_below`` is
-    built once, before the first block.
+    has stopped and the kernel is freed.  Whether ``stop_below`` is on is
+    decided once, before the first block.
     """
+    if stop_below is not None and stop_above is None:
+        raise ValueError("stop_below needs stop_above")
     rows, m, k = len(inits), spec.m, spec.k
     if not rows:
         return []
-    below = None if stop_below is None else _below_bound(spec, stop_below, stop_above)
+    below = stop_below is not None and _stops_below(spec, stop_below, stop_above)
     # The values get a map of their own rather than a malloc block: glibc
     # raises its mmap threshold to the size of each mapped block freed, so
     # that later blocks of that size come from the heap and stay resident
@@ -372,8 +361,8 @@ def _drive(make, spec: SystemSpec, inits, horizon: int, stop_above: Optional[flo
                                                  stop_above).size:
                     ends[live[r]] = last
                     ended.add(r)
-        if below is not None:
-            for r in (recent[:, -k:] <= below).all(axis=(1, 2)).nonzero()[0]:
+        if below:
+            for r in (recent[:, -k:] <= stop_below).all(axis=(1, 2)).nonzero()[0]:
                 if r not in ended:
                     ends[live[r]] = last
                     ended.add(r)

@@ -148,7 +148,8 @@ BENCH_SWEEP = {
 }
 
 #: A trichotomy verify of 40 trials, stepped in numpy, at rho ~ 0.9 with a
-#: largest row sum of 1.0457: m = 5, k = 4, denominators in [0.5, 1.5].
+#: largest row sum of 1.0457, so no stop below zero_tol applies: m = 5,
+#: k = 4, denominators in [0.5, 1.5].
 CONTRACTING_TRICHO = {
     "mode": "trichotomy",
     "rng_seed": 3,

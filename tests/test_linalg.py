@@ -30,7 +30,7 @@ from ratsys.linalg import (
     _decomposition,
     _jacobi,
     _power_iteration,
-    contraction_certificate,
+    contraction_rate,
     radius_side,
 )
 
@@ -445,54 +445,44 @@ class TestFact2:
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def _exactly_contracted(a, cert):
-    """A x <= rate x in exact rational arithmetic, for the certificate's x and rate."""
-    x = [Fraction(v) for v in cert.x.tolist()]
-    rate = Fraction(cert.rate)
-    return all(sum(Fraction(aic) * xc for aic, xc in zip(row, x)) <= rate * xi
-               for row, xi in zip(a.tolist(), x))
+def _exactly_contracted(a, rate):
+    """Each row sum of ``a`` at most ``rate`` in exact rational arithmetic."""
+    return all(sum(Fraction(aic) for aic in row) <= Fraction(rate) for row in a.tolist())
 
 
-class TestContractionCertificate:
+class TestContractionRate:
     @pytest.mark.parametrize("c", [0.1, 0.45, 0.77, 0.99])
-    def test_unit_vector_certifies_a_scaled_swap(self, c):
-        cert = contraction_certificate(c * SWAP)
-        assert cert.x.tolist() == [1.0, 1.0] and cert.lam == c
-        assert c < cert.rate < c * (1.0 + 1e-14)
-
-    def test_neumann_sum_certifies_a_large_row_sum(self):
-        # row sum 3, rho = sqrt(0.3) ~ 0.55: x = 1 fails, x_2 = 1 + A 1 = (4, 1.1) holds
-        a = np.array([[0.0, 3.0], [0.1, 0.0]])
-        cert = contraction_certificate(a)
-        assert cert.x.tolist() == [4.0, 1.1]
-        assert cert.rate < 1.0 and _exactly_contracted(a, cert)
+    def test_row_sum_of_a_scaled_swap(self, c):
+        assert c < contraction_rate(c * SWAP) < c * (1.0 + 1e-14)
 
     def test_zero_kernel(self):
-        cert = contraction_certificate(np.zeros((3, 3)))
-        assert cert.lam == 0.0 and cert.x.tolist() == [1.0, 1.0, 1.0]
+        # the row sums are 0; only the absolute slack is left
+        assert contraction_rate(np.zeros((3, 3))) == 2.0**-1074
 
     @pytest.mark.parametrize("a", [
         SWAP,  # row sums exactly 1
         np.eye(3),
         np.array([[1.0, 1.0], [0.0, 1.0]]),  # a Jordan block
-        np.array([[0.5, 1e308], [0.0, 0.5]]),  # rho = 0.5, but the Neumann sums overflow
+        np.array([[0.0, 3.0], [0.1, 0.0]]),  # rho ~ 0.55, but a row sum of 3
+        np.array([[0.5, 1e308], [0.0, 0.5]]),
+        np.array([[1e308, 1e308], [0.0, 0.0]]),  # the row sum overflows
         2.5 * SWAP,
     ])
-    def test_none_without_a_contraction(self, a):
-        assert contraction_certificate(a) is None
+    def test_none_without_row_sums_below_one(self, a):
+        assert contraction_rate(a) is None
 
     def test_none_at_unit_radius(self):
         rng = np.random.default_rng(5)
         for m in (2, 3, 5, 16):
-            assert contraction_certificate(symmetric_positive_with_rho(rng, m, 1.0)) is None
+            assert contraction_rate(symmetric_positive_with_rho(rng, m, 1.0)) is None
 
-    def test_rate_bounds_the_exact_product(self):
-        # the rate covers the rounding of lam: A x <= rate x holds in exact arithmetic
+    def test_rate_bounds_the_exact_row_sums(self):
+        # the rate covers the rounding of the row sums, up to a rate just below 1
         rng = np.random.default_rng(9)
-        for m in (1, 2, 3, 5, 8):
-            for rho in (0.3, 0.9, 0.99):
-                d = rng.uniform(0.1, 10.0, m)  # D A D^-1 keeps rho but not the row sums
-                a = symmetric_nonneg_with_rho(rng, m, rho) * d[:, None] / d[None, :]
-                cert = contraction_certificate(a)
-                assert cert is not None and cert.rate < 1.0 and (cert.x >= 1.0).all()
-                assert _exactly_contracted(a, cert)
+        for m in (1, 2, 3, 5, 8, 16):
+            for top in (0.3, 0.9, 1.0 - 2.0**-40):
+                a = rng.uniform(0.0, 1.0, (m, m))
+                a = a * (top / a.sum(axis=1).max())
+                rate = contraction_rate(a)
+                assert rate is not None and top <= rate < 1.0
+                assert _exactly_contracted(a, rate)

@@ -789,11 +789,11 @@ class TestStopBelow:
     """
 
     @staticmethod
-    def _runs(kernel, spec, histories, horizon, zero_tol, stop_above=None):
+    def _runs(kernel, spec, histories, horizon, zero_tol, stop_above=1e6):
         """The cut runs of ``histories``, each checked against its full run."""
         cut = _kernel_batch(kernel, spec, histories, horizon, stop_above, zero_tol)
         full = _kernel_batch(kernel, spec, histories, horizon, stop_above)
-        tol = Tolerances(zero_tol=zero_tol, growth_threshold=stop_above or 1e6)
+        tol = Tolerances(zero_tol=zero_tol, growth_threshold=stop_above)
         for got, want in zip(cut, full):
             assert analyze(got, tol) == analyze(want, tol)
             if got.horizon == want.horizon:
@@ -840,9 +840,9 @@ class TestStopBelow:
         SystemSpec(k=2, A=np.eye(2)),
         SystemSpec(k=2, A=symmetric_positive_with_rho(np.random.default_rng(2), 2, 1.0)),
         SystemSpec(k=2, A=[[1.0, 1.0], [0.0, 1.0]]),  # a Jordan block
-        SystemSpec(k=2, A=[[0.5, 1e308], [0.0, 0.5]]),  # rho = 0.5; the Neumann sums overflow
-    ], ids=["swap", "identity", "positive", "jordan", "overflow"])
-    def test_off_without_a_certificate(self, kernel, spec):
+        SystemSpec(k=2, A=[[0.0, 3.0], [0.1, 0.0]]),  # rho ~ 0.55, but a row sum of 3
+    ], ids=["swap", "identity", "positive", "jordan", "row-sum"])
+    def test_off_without_row_sums_below_one(self, kernel, spec):
         # each state is below zero_tol from the start, yet every run gets the horizon
         histories = [np.full((2, 2), 1e-20), np.array([[1e-20, 0.0], [1e-20, 0.0]])]
         runs = self._runs(kernel, spec, histories, 300, 1e-8)
@@ -856,6 +856,19 @@ class TestStopBelow:
         assert traj.horizon == 300
         (traj,) = self._runs(kernel, spec, [history], 300, 1e-3, stop_above=4e-3)
         assert traj.horizon == 64
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_off_when_a_norm_could_overflow(self, kernel):
+        # the norm bound 2 m zero_tol = 4e160 squares to inf, though it is below the threshold
+        spec, history = _swap(0.5), np.full((2, 2), 1e-9)
+        (traj,) = self._runs(kernel, spec, [history], 300, 1e160, stop_above=1e300)
+        assert traj.horizon == 300
+        (traj,) = self._runs(kernel, spec, [history], 300, 1e150, stop_above=1e300)
+        assert traj.horizon == 64
+
+    def test_needs_stop_above(self):
+        with pytest.raises(ValueError, match="stop_below needs stop_above"):
+            simulate_batch(_swap(0.5), [np.full((2, 2), 1e-9)], 300, stop_below=1e-8)
 
     def test_drive_defaults_to_no_stop(self):
         # _drive's positional form from before stop_below
@@ -874,19 +887,11 @@ _SMALL_AND_HUGE = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e300])
 
 @st.composite
 def _contracting_batches(draw):
-    """(spec, histories, horizon, zero_tol, stop_above): rho(A) in [0.05, 0.95], m 1-5, k 2-5.
-
-    A symmetric draw scaled to its row sums is conjugated by a diagonal
-    D, which keeps rho but lets the row sums pass 1, so that some kernels
-    need a Neumann sum for their certificate.
-    """
+    """(spec, histories, horizon, zero_tol, stop_above): m 1-5, k 2-5, row sums below 0.95."""
     m, k = draw(st.integers(1, 5)), draw(st.integers(2, 5))
     raw = np.reshape(draw(st.lists(st.floats(0.0, 1.0), min_size=m * m, max_size=m * m)), (m, m))
-    raw = raw + raw.T
     rows = raw.sum(axis=1).max()
-    raw = raw / rows if rows > 0.0 else raw
-    d = np.array(draw(st.lists(st.floats(0.2, 5.0), min_size=m, max_size=m)))
-    a = draw(st.floats(0.05, 0.95)) * raw * d[:, None] / d[None, :]
+    a = draw(st.floats(0.05, 0.95)) * (raw / rows if rows > 0.0 else raw)
     q = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.5)), min_size=m * (k - 1) * m,
                       max_size=m * (k - 1) * m))
     spec = SystemSpec(k=k, A=a, denom=np.reshape(q, (m, k - 1, m)))
@@ -897,7 +902,7 @@ def _contracting_batches(draw):
     histories = [np.reshape(h, (k, m)) * draw(scales) for h in histories]
     horizon = draw(st.integers(1, 400))
     zero_tol = draw(st.sampled_from([1e-8, 1e-3, 1e-300]))
-    stop_above = draw(st.sampled_from([None, 1e6, 1e-3]))
+    stop_above = draw(st.sampled_from([1e6, 1e-3, 1e300]))
     return spec, histories, horizon, zero_tol, stop_above
 
 
