@@ -69,8 +69,8 @@ class AnalysisReport:
 
 
 def detect_zero_limit(traj: Trajectory, zero_tol: float = ZERO_TOL) -> bool:
-    """True iff the final k stored vectors are all below ``zero_tol`` in max norm."""
-    tail = traj.values[-traj.k:]
+    """True iff the final k vectors are all below ``zero_tol`` in max norm."""
+    tail = traj.rows(traj.horizon - traj.k + 1, traj.horizon)
     return bool(np.abs(tail).max() <= zero_tol)
 
 
@@ -93,15 +93,12 @@ def detect_period(
         raise ValueError(
             f"window * max_period = {n_tail} exceeds the horizon {traj.horizon}"
         )
-    vals = traj.values
     horizon = traj.horizon
-    last = traj.index(horizon)
+    first = max(horizon - n_tail + 1 - max_period, traj.n_first)
+    rows = traj.rows(first, horizon)  # each p compares rows n_start.. with the rows p before
     for p in range(1, max_period + 1):
-        n_start = max(horizon - n_tail + 1, traj.n_first + p)
-        lo = traj.index(n_start)
-        a = vals[lo : last + 1]
-        b = vals[lo - p : last + 1 - p]
-        if np.abs(a - b).max() <= per_tol:
+        lo = max(horizon - n_tail + 1, traj.n_first + p) - first
+        if np.abs(rows[lo:] - rows[lo - p : len(rows) - p]).max() <= per_tol:
             return p
     return None
 
@@ -128,9 +125,15 @@ def detect_unbounded(
     Falls back to the overflow step when the simulator diverged before
     crossing the threshold; returns None for bounded runs.
     """
-    hits = rows_above(traj.generated, growth_threshold)
-    if hits.size:
-        return int(hits[0]) + 1
+    # The stored rows alone: a row past them repeats one of them, so it crosses
+    # only where that did.  64 kB of them at a time: a temporary of glibc's
+    # initial mmap threshold (128 kB) or more is mapped, and freeing it raises
+    # the threshold, so that later ones stay resident in the heap.
+    stored, block = traj.values[traj.k :], max(1, 8192 // traj.m)
+    for start in range(0, len(stored), block):
+        hits = rows_above(stored[start : start + block], growth_threshold)
+        if hits.size:
+            return start + int(hits[0]) + 1
     return traj.diverged_at
 
 
@@ -144,7 +147,7 @@ def residual_linear(traj: Trajectory, a) -> np.ndarray:
     kernel = np.asarray(a, dtype=float)
     if kernel.shape != (traj.m, traj.m):
         raise ValueError(f"matrix shape {kernel.shape} does not match dimension {traj.m}")
-    vals = traj.values
+    vals = traj.rows(traj.n_first, traj.horizon)
     delayed = vals[: traj.horizon]
     predicted = np.zeros((traj.horizon, traj.m))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -178,7 +181,7 @@ def envelope_check(traj: Trajectory, a) -> bool:
         raise ValueError(
             f"envelope check requires spectral radius <= 1, got {dec.spectral_radius!r}"
         )
-    vals = traj.values
+    vals = traj.rows(traj.n_first, traj.horizon)
     k = traj.k
     h = (vals * vals).sum(axis=1)
     av = vals @ kernel.T
@@ -202,10 +205,8 @@ def domination_check(traj: Trajectory, a, power_l: int, q: int) -> bool:
         raise ValueError("no indices n >= kL inside the horizon")
     aq = np.linalg.matrix_power(kernel, q)
     aql = np.linalg.matrix_power(kernel, q + power_l)
-    lo = traj.index(n_start)
-    hi = traj.index(traj.horizon)
-    lhs = traj.values[lo : hi + 1] @ aq.T
-    rhs = traj.values[lo - k * power_l : hi + 1 - k * power_l] @ aql.T
+    lhs = traj.rows(n_start, traj.horizon) @ aq.T
+    rhs = traj.rows(n_start - k * power_l, traj.horizon - k * power_l) @ aql.T
     return bool((lhs <= rhs + INEQ_SLACK).all())
 
 

@@ -61,37 +61,37 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     # of the row 2k before it (periods 1, k and 2k all divide 2k) repeats
     # that row's text after the index, so each chunk formats only the rows
     # that do not repeat and copies the text of the others.  Bits, not ==,
-    # pick the rows, since -0.0 == 0.0 but prints as -0.  From ``cycle``, the
-    # first row of the trailing run of repeats (the exact cycle that the
-    # simulator copied), every row's text is periodic with period 2k.  The
-    # rows before ``split``, the first row at or past it whose index n is a
-    # multiple of 10 and >= 10, are written row by row; _write_cycle writes
-    # the rest ten rows per join.  A run that never cycles bit for bit has
-    # no such rows.
+    # pick the rows, since -0.0 == 0.0 but prints as -0.  A run that ended
+    # in an exact cycle stores its rows up to some step, and each later row
+    # is the row 2k before it.  Its rows before ``n_split``, the first
+    # multiple of 10 at or past its first row not stored (>= 10, as that
+    # row's n is >= 1), are written row by row; _write_cycle writes the
+    # rest ten rows per join.  Any other run stores every row, so its
+    # ``n_split`` is ``n_end`` and every row is written row by row.
     period = 2 * traj.k
     row_format = ",".join(["%.17g"] * traj.m) + "\n"
+    n_end = traj.horizon + 1
+    n_split = min(-(-(traj.n_first + len(traj.values)) // 10) * 10, n_end)
+    head = traj.rows(traj.n_first, n_split - 1)
     # each row's bytes as one item, so the comparison makes no (rows, m) array
-    bits = traj.values.view(np.dtype((np.void, 8 * traj.m))).ravel()
+    bits = head.view(np.dtype((np.void, 8 * traj.m))).ravel()
     repeats = np.zeros(len(bits), dtype=bool)  # the first 2k rows repeat nothing
     repeats[period:] = bits[period:] == bits[:-period]
-    cycle = len(repeats) - int(np.argmin(repeats[::-1]))  # row 0 is never a repeat
-    n_split = -(-(traj.n_first + cycle) // 10) * 10  # >= 10, as cycle >= k = 1 - n_first
-    split = min(n_split - traj.n_first, len(bits))
     texts: List[str] = []  # the text after the index of each row, the last 2k kept
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("n," + ",".join(f"v{i + 1}" for i in range(traj.m)) + "\n")
-        for start in range(0, split, CSV_CHUNK_ROWS):
-            mask = repeats[start : min(start + CSV_CHUNK_ROWS, split)]
+        for start in range(0, len(bits), CSV_CHUNK_ROWS):
+            mask = repeats[start : start + CSV_CHUNK_ROWS]
             # reversed, so pop() yields the rows in order and leaves no chunk
             # of floats or strings alive while the next chunk's are made
-            fresh = traj.values[start : start + len(mask)][~mask][::-1].tolist()
+            fresh = head[start : start + len(mask)][~mask][::-1].tolist()
             for repeat in mask.tolist():
                 texts.append(texts[-period] if repeat else row_format % tuple(fresh.pop()))
             first = traj.n_first + start
             fh.write("".join([f"{n},{text}" for n, text in enumerate(texts[-len(mask):], first)]))
             del texts[:-period]
-        if split < len(bits):
-            _write_cycle(fh, texts, n_split, traj.n_first + len(bits))
+        if n_split < n_end:
+            _write_cycle(fh, texts, n_split, n_end)
         if traj.diverged_at is not None:
             fh.write(f"# diverged at n={traj.diverged_at}\n")
 

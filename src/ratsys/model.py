@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -182,27 +182,60 @@ def validate_initial(init: InitialConditions, spec: SystemSpec) -> List[str]:
     return []
 
 
+#: Why a run ended, the ``reason`` of its :class:`RunEnd`.
+HORIZON = "horizon"
+DIVERGED = "diverged"
+GROWTH_STOP = "growth stop"
+ZERO_STOP = "zero stop"
+EXACT_CYCLE = "exact cycle"
+
+
+class RunEnd(NamedTuple):
+    """How a run ended: its last step n, the horizon, and the reason it ended there."""
+
+    reason: str
+    step: int
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """A simulated orbit indexed by the recurrence index n.
+    """A simulated orbit indexed by the recurrence index n, for n = 1-k, ..., horizon.
 
-    ``values`` stores rows for n = 1-k, ..., horizon (initial conditions
-    first), which give ``horizon``.  If the run overflowed, ``diverged_at``
-    is the step that produced a non-finite value and ``values`` ends at that
-    step minus one.  The values are frozen in place, not copied.
+    ``end`` records how the run ended, with ``end.step`` its horizon:
+    :data:`HORIZON`, it ran the steps asked for; :data:`DIVERGED`, step
+    horizon + 1 produced a non-finite value; :data:`GROWTH_STOP` or
+    :data:`ZERO_STOP`, a stop rule of the simulator ended it; or
+    :data:`EXACT_CYCLE`, its state repeated the one 2k steps before.
+    ``values`` stores its rows from n = 1-k on (initial conditions first):
+    every row, except after an exact cycle, which stores its rows up to
+    some step and none of the later ones, each the row 2k before it.  So
+    read the run through :meth:`rows`, :meth:`value` or :meth:`index`,
+    which reach every n of it; ``values`` alone may end early.  Without
+    ``end`` the run ends at its last stored row, by :data:`HORIZON`.  The
+    values are frozen in place, not copied.
     """
 
     spec: SystemSpec
     values: np.ndarray
-    diverged_at: Optional[int] = None
+    end: Optional[RunEnd] = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
+        stored = len(v) - self.k
+        end = self.end or RunEnd(HORIZON, stored)
+        if end.step != stored and not (end.reason == EXACT_CYCLE and end.step > stored >= self.k):
+            raise ValueError(f"{end} does not fit values that end at step {stored}")
         object.__setattr__(self, "values", _readonly(v))
+        object.__setattr__(self, "end", end)
 
     @property
     def horizon(self) -> int:
-        return self.values.shape[0] - self.k
+        return self.end.step
+
+    @property
+    def diverged_at(self) -> Optional[int]:
+        """The step that produced a non-finite value, if the run diverged."""
+        return self.end.step + 1 if self.end.reason == DIVERGED else None
 
     @property
     def k(self) -> int:
@@ -216,20 +249,37 @@ class Trajectory:
     def n_first(self) -> int:
         return 1 - self.k
 
+    def _stored(self, i):
+        """Row numbers ``i`` of the run (v_{1-k} is row 0) as rows of ``values``.
+
+        A row past the stored ones (only an exact cycle has such rows) is
+        the row 2k j before it, for the least j that reaches a stored row.
+        """
+        stored, period = len(self.values), 2 * self.k
+        return np.where(i < stored, i, stored - period + (i - stored) % period)
+
     def index(self, n: int) -> int:
-        """Row index of v_n (n = 1-k maps to row 0)."""
-        i = n + self.k - 1
-        if i < 0 or i >= self.values.shape[0]:
-            raise IndexError(f"n = {n} outside stored range [{self.n_first}, {self.horizon}]")
-        return i
+        """Row of ``values`` that holds v_n (n = 1-k maps to row 0), stored or not."""
+        if not self.n_first <= n <= self.horizon:
+            raise IndexError(f"n = {n} outside the run's range [{self.n_first}, {self.horizon}]")
+        return int(self._stored(n + self.k - 1))
 
     def value(self, n: int) -> np.ndarray:
         return self.values[self.index(n)]
 
+    def rows(self, first: int, last: int) -> np.ndarray:
+        """v_first, ..., v_last: a view of ``values`` where they are stored, else gathered."""
+        if first < self.n_first or last > self.horizon:
+            raise IndexError(f"n = {first}..{last} outside the run's range "
+                             f"[{self.n_first}, {self.horizon}]")
+        lo, hi = first + self.k - 1, last + self.k
+        return (self.values[lo:hi] if hi <= len(self.values)
+                else self.values[self._stored(np.arange(lo, hi))])
+
     @property
     def generated(self) -> np.ndarray:
-        """Rows for n >= 1 (excludes the initial conditions)."""
-        return self.values[self.k:]
+        """Rows for n = 1, ..., horizon (excludes the initial conditions)."""
+        return self.rows(1, self.horizon)
 
     @property
     def initial(self) -> np.ndarray:

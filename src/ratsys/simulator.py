@@ -9,10 +9,7 @@ numerator starts from 0.0 and adds a_ic * v_{n-k,c} by ascending component
 index c; the denominator starts from 1.0 and adds its terms grouped by
 component, with delays ascending inside each group.  Pinning the order makes
 runs bit-reproducible across platforms and lets the m = 2 path agree exactly
-with a scalar evaluation of the two defining equations.  Two callers rely on
-it: :func:`step` is one step of :func:`simulate`, and
-``analysis.residual_linear`` recomputes A v_{n-k} in the numerator order, so
-a denominator-free run has an exactly zero linear residual.
+with a scalar evaluation of the two defining equations.
 
 Two kernels evaluate it, bit for bit alike; :func:`simulate_batch`, the one
 entry point, picks one per call.  A call of B histories runs a loop generated
@@ -53,12 +50,16 @@ each that has one.  After each block the driver tests all live
 trajectories at once and ends one by one rule, in this order: at
 its first non-finite step (it diverged); with ``stop_above`` or
 ``stop_below``, at the block (below); or, when the bytes of its last k
-rows match those of the k rows 2k before them, with the rest of the
-horizon copied from its last 2k rows instead of stepped.  An ended
+rows match those of the k rows 2k before them, in an exact cycle.  Each
+trajectory's ``end`` records the rule and its horizon.  An ended
 trajectory leaves the live list, and stepping stops once none is left.
-The copy is exact: a step is a pure function of the k-row state and of
-constant coefficients, so a state that recurs is followed by the same rows
-again.  2k catches the limits the paper's
+A cycled trajectory keeps its rows through the block in which its state
+repeated and has the full horizon: every later row is the row 2k before
+it, which ``Trajectory`` reads from the stored rows, so nothing is copied
+and the rows past the block are never written (the values' map makes
+only written pages resident).  That is exact: a step is a pure function
+of the k-row state and of constant coefficients, so a state that recurs
+is followed by the same rows again.  2k catches the limits the paper's
 tetrachotomy allows at rho <= 1, since periods 1 (an exact zero), k and 2k
 all divide it; in double precision such a limit is often reached bit for
 bit after a few hundred steps.  Bytes, not ``==``, decide, since ``==``
@@ -124,7 +125,8 @@ import numpy as np
 
 from .analysis import rows_above
 from .linalg import contraction_rate
-from .model import MAX_RUN_BYTES, InitialConditions, SystemSpec, Trajectory, validate_initial
+from .model import (DIVERGED, EXACT_CYCLE, GROWTH_STOP, HORIZON, MAX_RUN_BYTES, ZERO_STOP,
+                    InitialConditions, RunEnd, SystemSpec, Trajectory, validate_initial)
 
 
 #: Steps in a block, which a kernel steps between the driver's checks for
@@ -259,8 +261,9 @@ def simulate(spec: SystemSpec, init: InitialConditions, horizon: int) -> Traject
     """Iterate the rational system for ``horizon`` steps: :func:`simulate_batch` of one history.
 
     Deterministic: identical inputs produce bit-identical trajectories.
-    On overflow the partial trajectory up to the failing step is returned
-    with ``diverged_at`` set instead of raising.
+    On overflow the partial trajectory up to the failing step is returned,
+    its ``end`` reason ``diverged``, instead of raising.  A run that reaches
+    an exact cycle stores its rows up to it once and reads on from them.
     """
     (traj,) = simulate_batch(spec, [init.history], horizon)
     return traj
@@ -281,8 +284,9 @@ def simulate_batch(
     history at a time; a larger one together in numpy.  Either way
     :func:`_drive` stores the trajectories in one (B, k + horizon, m) array
     and ends each by the module docstring's rule, so they are the same bit
-    for bit, ``diverged_at`` and cut included, with read-only C-contiguous
-    values.
+    for bit, end record and cut included, with read-only C-contiguous
+    values.  A trajectory that ends in an exact cycle stores its rows only
+    through the block that found it; read it through ``Trajectory.rows``.
 
     With ``stop_above``, a trajectory also ends at the last step of a check
     block in which a row's norm exceeds it (the growth test of
@@ -295,7 +299,7 @@ def simulate_batch(
     """
     inits = _validated(spec, histories, horizon)
     loop = len(inits) * (spec.A.size * spec.k + ROW_TERMS) <= MAX_LOOP_TERMS
-    return _drive(_loop_kernel if loop else _numpy_kernel, spec, inits, horizon, stop_above,
+    return _drive(_loop_kernel if loop else _numpy_kernel, spec, inits, int(horizon), stop_above,
                   stop_below)
 
 
@@ -317,9 +321,9 @@ def _drive(make, spec: SystemSpec, inits, horizon: int, stop_above: Optional[flo
     ``{r: n}`` for each ``live[r]`` whose first non-finite step is n.  After
     each block the module docstring's rules, tested on all live rows at once
     (divergence, ``stop_above``, ``stop_below``, exact cycle), end
-    trajectories, which leave ``live``; the cycles are copied once stepping
-    has stopped and the kernel is freed.  Whether ``stop_below`` is on is
-    decided once, before the first block.
+    trajectories, which leave ``live``; each trajectory's ``end`` names the
+    rule.  Whether ``stop_below`` is on is decided once, before the first
+    block.
     """
     if stop_below is not None and stop_above is None:
         raise ValueError("stop_below needs stop_above")
@@ -341,15 +345,14 @@ def _drive(make, spec: SystemSpec, inits, horizon: int, stop_above: Optional[flo
     for b, init in enumerate(inits):
         values[b, :k] = init.history
     step_block = make(spec, values)
-    diverged_at: List[Optional[int]] = [None] * rows
-    ends = [horizon] * rows  # the last step each trajectory keeps
-    cycles = []  # (trajectory, first row to copy) of each that reached an exact cycle
+    # why each trajectory ended, and the last step it stores
+    reasons, kept = [HORIZON] * rows, [horizon] * rows
     live = np.arange(rows)
     for first in range(1, horizon + 1, _CHECK_EVERY):
         last = min(first + _CHECK_EVERY - 1, horizon)
         diverged = step_block(live, first, last)
         for r, at in diverged.items():
-            diverged_at[live[r]], ends[live[r]] = at, at - 1  # before the step it diverged at
+            reasons[live[r]], kept[live[r]] = DIVERGED, at - 1  # before the step it diverged at
         if last == horizon:
             break
         ended = set(diverged)  # positions in live
@@ -359,29 +362,27 @@ def _drive(make, spec: SystemSpec, inits, horizon: int, stop_above: Optional[flo
             for r in (recent[:, -k:].max(axis=(1, 2)) > stop_above).nonzero()[0]:
                 if r not in ended and rows_above(values[live[r], first + k - 1 : last + k],
                                                  stop_above).size:
-                    ends[live[r]] = last
+                    reasons[live[r]], kept[live[r]] = GROWTH_STOP, last
                     ended.add(r)
         if below:
             for r in (recent[:, -k:] <= stop_below).all(axis=(1, 2)).nonzero()[0]:
                 if r not in ended:
-                    ends[live[r]] = last
+                    reasons[live[r]], kept[live[r]] = ZERO_STOP, last
                     ended.add(r)
         if last >= 2 * k:
             # each k rows as one item of their bytes: the state, and 2k rows before it
             states = recent.reshape(len(live), 3, k * m).view(np.dtype((np.void, 8 * k * m)))
             for r in (states[:, 2, 0] == states[:, 0, 0]).nonzero()[0]:
                 if r not in ended:
-                    cycles.append((live[r], k + last))
+                    reasons[live[r]], kept[live[r]] = EXACT_CYCLE, last
                     ended.add(r)
         if ended:
             live = np.delete(live, list(ended))
             if not len(live):
                 break
-    del step_block
-    for b, start in cycles:
-        _repeat_rows(values[b], start, 2 * k)
-    return [Trajectory(spec=spec, values=values[b, : k + end], diverged_at=at)
-            for b, (end, at) in enumerate(zip(ends, diverged_at))]
+    return [Trajectory(spec=spec, values=values[b, : k + last],
+                       end=RunEnd(why, horizon if why == EXACT_CYCLE else last))
+            for b, (why, last) in enumerate(zip(reasons, kept))]
 
 
 def _loop_kernel(spec: SystemSpec, values: np.ndarray):
@@ -461,20 +462,6 @@ def _numpy_kernel(spec: SystemSpec, values: np.ndarray):
         return {r: first + int(np.argmin(finite[r])) for r in np.flatnonzero(~finite.all(axis=1))}
 
     return step_block
-
-
-def _repeat_rows(rows: np.ndarray, start: int, period: int) -> None:
-    """Fill ``rows[start:]`` so that each row is the one ``period`` rows before it.
-
-    The pieces double: each copies all that is filled since
-    ``start - period``, so a horizon of H rows takes about log2(H / period)
-    copies and no buffer.
-    """
-    base, pos, end = start - period, start, len(rows)
-    while pos < end:
-        n = min(pos - base, end - pos)
-        rows[pos : pos + n] = rows[base : base + n]
-        pos += n
 
 
 def simulate_linear(a, k: int, init: InitialConditions, horizon: int) -> Trajectory:

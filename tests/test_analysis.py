@@ -30,6 +30,7 @@ from ratsys import (
     simulate,
 )
 from ratsys.analysis import residue_limits
+from ratsys.model import EXACT_CYCLE, Trajectory
 
 
 def tail_max(seq, fraction=0.2):
@@ -123,6 +124,20 @@ class TestDetectUnbounded:
     def test_unit_radius_positive_is_bounded(self, positive_unit_run):
         _, traj = positive_unit_run
         assert detect_unbounded(traj, 1e6) is None
+
+    @pytest.mark.parametrize("m", [1, 3, 16])
+    def test_crossing_found_in_any_block(self, m):
+        # the norms are taken a block of rows at a time; the first crossing
+        # is the whole run's, before, at and past each block's edge
+        block = max(1, 8192 // m)
+        spec = SystemSpec(k=2, A=np.eye(m))
+        for n in (1, block - 1, block, block + 1, 2 * block + 5, 3 * block):
+            values = np.zeros((2 + 3 * block, m))
+            values[1 + n] = 1.0  # v_n
+            values[1 + n + 7 :: 5] = 2.0  # later crossings only
+            traj = Trajectory(spec=spec, values=values)
+            assert detect_unbounded(traj, 0.5) == n
+        assert detect_unbounded(traj, 2.5 * math.sqrt(m)) is None
 
     def test_reports_diverged_step(self):
         spec = SystemSpec(k=2, A=np.full((2, 2), 4.0))
@@ -274,3 +289,73 @@ class TestAnalyze:
                     ns = [n for n in range(1, horizon + 1) if n % p == a][-10:]
                     rows = traj.values[[traj.index(n) for n in ns]]
                     np.testing.assert_array_equal(limits[a], rows.mean(axis=0))
+
+
+def _m3_orbit():
+    """A positive symmetric 3 x 3 kernel at rho = 1, k = 3: an exact cycle found at step 2368."""
+    rng = np.random.default_rng(3)
+    spec = SystemSpec(k=3, A=symmetric_positive_with_rho(rng, 3, 1.0), denom=np.full((3, 2, 3), 0.5))
+    return spec, rng.uniform(0.0, 5.0, (3, 3))
+
+
+#: name -> (spec, history, horizon, last stored step) of runs that end in an exact cycle
+STORED_ONCE = {
+    # v_n = v_{n-2}: period 2 = k from the start, found in the first block
+    "m1-first-block": (SystemSpec(k=2, A=[[1.0]]), [[1.0], [2.0]], 5000, 64),
+    # v_n = 0.5 v_{n-2} / (1 + 0.5 v_{n-1}) reaches an exact 0; found in the
+    # last block checked, with one step not stored
+    "m1-last-block": (SystemSpec(k=2, A=[[0.5]], denom=[[[0.5]]]), [[1.0], [2.0]], 2177, 2176),
+    # settles in an exact period-2 cycle; analyze's tail window (n = 801 ..)
+    # starts before the stored end
+    "m2-tail-window": (SystemSpec(k=2, A=[[0.3, 0.7], [0.7, 0.3]], denom=np.full((2, 1, 2), 0.8)),
+                       [[3.0, 0.5], [1.0, 7.0]], 1000, 960),
+    # v_{n+2} = (2 y, x / 2) for v_n = (x, y): period 2k from the start, and
+    # the last k rows of the run (n = 1001, 1002) have max 2 where the last
+    # stored ones (n = 63, 64) have max 1
+    "m2-period-2k": (SystemSpec(k=2, A=[[0.0, 2.0], [0.5, 0.0]]), np.ones((2, 2)), 1002, 64),
+    # the identity: period k = 3 from the start, found in the first block
+    "m3-first-block": (SystemSpec(k=3, A=np.eye(3)), np.arange(9.0).reshape(3, 3), 700, 64),
+    # found in the last block checked; the final block of 64 steps is not stored
+    "m3-last-block": (*_m3_orbit(), 2432, 2368),
+}
+
+
+@pytest.mark.parametrize("name", list(STORED_ONCE))
+def test_cycled_runs_read_like_their_expanded_twins(name):
+    # A cycled run stores its rows once, up to its cycle; each reader must
+    # see the whole run.  Its twin stores every row and ends by "horizon".
+    spec, history, horizon, stored = STORED_ONCE[name]
+    k = spec.k
+    traj = simulate(spec, InitialConditions(history), horizon)
+    assert traj.end == (EXACT_CYCLE, horizon) and len(traj.values) == k + stored
+    twin = Trajectory(spec=spec, values=traj.rows(traj.n_first, horizon))
+    assert twin.end == ("horizon", horizon) and len(twin.values) == k + horizon
+
+    def same(read):
+        got, want = read(traj), read(twin)
+        if isinstance(want, np.ndarray):
+            assert got.shape == want.shape and (got.view(np.uint64) == want.view(np.uint64)).all()
+        else:
+            assert got == want
+
+    # max_period 3 at k = 2 is a period that does not divide 2k
+    for tol in (Tolerances(), Tolerances(max_period=3), Tolerances(per_tol=0.0, max_period=2 * k + 1),
+                Tolerances(zero_tol=0.0, growth_threshold=1.5)):
+        same(lambda t: analyze(t, tol))
+    for zero_tol in (1e-8, 0.0, 1.5, 3.0):
+        same(lambda t: detect_zero_limit(t, zero_tol))
+    for threshold in (1e6, 1.5, 1e-3):
+        same(lambda t: detect_unbounded(t, threshold))
+    for p in range(1, 2 * k + 2):
+        # windows that start past the stored end, before it, and at the first row
+        for window in (1, 10, horizon // p):
+            for per_tol in (1e-7, 0.0):
+                same(lambda t: detect_period(t, p, per_tol, window))
+        same(lambda t: residual_shift(t, p))
+        same(lambda t: residue_limits(t, p))
+    same(lambda t: residual_linear(t, spec.A))
+    if (spec.A == spec.A.T).all():  # the envelope chain needs a symmetric kernel
+        same(lambda t: envelope_check(t, spec.A))
+    for power_l in range(3):
+        for q in range(3):
+            same(lambda t: domination_check(t, spec.A, power_l, q))

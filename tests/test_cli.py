@@ -16,6 +16,7 @@ from ratsys import cli
 from ratsys.cli import CSV_CHUNK_ROWS, main, write_trajectory_csv
 from ratsys import SystemSpec, InitialConditions, Trajectory, simulate, verify_classification
 from ratsys.analysis import UNDETERMINED
+from ratsys.model import DIVERGED, EXACT_CYCLE, RunEnd
 from ratsys.simulator import simulate_batch
 
 IDENTITY_CONF = """
@@ -422,7 +423,7 @@ K_SPLIT_AT_CHUNK = (CSV_CHUNK_ROWS - 1) % 10 + 2
 def per_value_csv(traj):
     """A trajectory CSV with one ``format(x, ".17g")`` call per value, as one string."""
     lines = ["n," + ",".join(f"v{i + 1}" for i in range(traj.m))]
-    for offset, row in enumerate(traj.values):
+    for offset, row in enumerate(traj.rows(traj.n_first, traj.horizon)):
         lines.append(f"{traj.n_first + offset}," + ",".join(format(float(x), ".17g") for x in row))
     if traj.diverged_at is not None:
         lines.append(f"# diverged at n={traj.diverged_at}")
@@ -447,7 +448,7 @@ class TestTrajectoryCsv:
             values[-1] = values[0]
         horizon = rows - k
         traj = Trajectory(spec=SystemSpec(k=k, A=np.eye(m)), values=values,
-                          diverged_at=horizon + 1 if diverged else None)
+                          end=RunEnd(DIVERGED, horizon) if diverged else None)
         path = tmp_path / "t.csv"
         write_trajectory_csv(str(path), traj)
         assert path.read_bytes() == per_value_csv(traj)
@@ -492,7 +493,7 @@ class TestTrajectoryCsv:
             values[2 * k:] += 1.0  # no row is the row 2k before it
         horizon = rows - k
         traj = Trajectory(spec=SystemSpec(k=k, A=np.eye(m)), values=values,
-                          diverged_at=horizon + 1 if diverged else None)
+                          end=RunEnd(DIVERGED, horizon) if diverged else None)
         path = tmp_path / "t.csv"
         write_trajectory_csv(str(path), traj)
         assert path.read_bytes() == per_value_csv(traj)
@@ -523,11 +524,21 @@ class TestTrajectoryCsv:
 
     @classmethod
     def _check_cycle(cls, tmp_path, m, k, rows, entry, diverged=False, seed=0):
-        """Write a run whose rows from ``entry`` on repeat the row 2k before; compare."""
+        """Write a run whose rows from ``entry`` on repeat the row 2k before; compare.
+
+        Unless it diverged, the run ends in an exact cycle that stores only
+        its rows before max(entry, 2k), as the simulator stores the rows up
+        to its cycle; a run that diverged stores them all.
+        """
         values = cls._repeating(np.random.default_rng(seed), rows, m, k, entry, zeros=False)
-        horizon = rows - k
-        traj = Trajectory(spec=SystemSpec(k=k, A=np.eye(m)), values=values,
-                          diverged_at=horizon + 1 if diverged else None)
+        horizon, stored = rows - k, max(entry, 2 * k)
+        if diverged:
+            traj = Trajectory(spec=SystemSpec(k=k, A=np.eye(m)), values=values,
+                              end=RunEnd(DIVERGED, horizon))
+        else:
+            traj = Trajectory(spec=SystemSpec(k=k, A=np.eye(m)), values=values[:stored],
+                              end=RunEnd(EXACT_CYCLE, horizon) if stored < rows else None)
+            assert (traj.rows(traj.n_first, horizon) == values).all()
         path = tmp_path / "t.csv"
         write_trajectory_csv(str(path), traj)
         assert path.read_bytes() == per_value_csv(traj)
@@ -555,7 +566,9 @@ class TestTrajectoryCsv:
         self._check_cycle(tmp_path, m, k, rows, entry, diverged, seed=k + rows + entry)
 
     def test_cycle_tail_starts_at_the_split(self, tmp_path, monkeypatch):
-        # a cycle entering at n = 13 is written ten rows per join from n = 20
+        # the split is the first n >= 10 past the stored rows that is a
+        # multiple of 10: a cycle stored through n = 12 is written ten rows
+        # per join from n = 20
         calls = []
         write_cycle = cli._write_cycle
         monkeypatch.setattr(cli, "_write_cycle", lambda fh, texts, n_start, n_end: (
@@ -564,6 +577,23 @@ class TestTrajectoryCsv:
         k, rows = K_SPLIT_AT_CHUNK, 2 * CSV_CHUNK_ROWS
         self._check_cycle(tmp_path, 1, k, rows, CSV_CHUNK_ROWS - 9)
         assert calls == [(4, 20, 100), (2 * k, CSV_CHUNK_ROWS + 1 - k, rows + 1 - k)]
+        # a simulated swap cycles from its first block, which it stores alone;
+        # the rows stored by the runs that diverged or ran their horizon are
+        # written row by row, whatever repeats they hold
+        calls.clear()
+        swap = SystemSpec(k=2, A=[[0.0, 1.0], [1.0, 0.0]])
+        traj = simulate(swap, InitialConditions([[1.0, 2.0], [3.0, 4.0]]), 1000)
+        assert traj.end == (EXACT_CYCLE, 1000) and len(traj.values) == 2 + 64
+        path = tmp_path / "swap.csv"
+        write_trajectory_csv(str(path), traj)
+        assert path.read_bytes() == per_value_csv(traj)
+        assert calls == [(4, 70, 1001)]
+        calls.clear()
+        for end in (None, RunEnd(DIVERGED, 1000)):
+            full = Trajectory(spec=swap, values=traj.rows(-1, 1000), end=end)
+            write_trajectory_csv(str(path), full)
+            assert path.read_bytes() == per_value_csv(full)
+        assert calls == []
 
     @settings(derandomize=True, max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

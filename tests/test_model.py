@@ -14,7 +14,7 @@ from ratsys import (
     validate,
     validate_initial,
 )
-from ratsys.model import MAX_RUN_BYTES
+from ratsys.model import DIVERGED, EXACT_CYCLE, HORIZON, MAX_RUN_BYTES, RunEnd
 
 
 class TestFromScalarParams:
@@ -209,8 +209,34 @@ class TestTrajectory:
         with pytest.raises(IndexError):
             traj.value(-2)
 
-    def test_horizon_is_read_from_the_values(self):
+    def test_horizon_is_held_in_the_end_record(self):
         spec = SystemSpec(k=3, A=np.eye(2))
-        traj = Trajectory(spec=spec, values=np.zeros((10, 2)), diverged_at=8)
-        assert traj.horizon == 10 - 3 and type(traj.horizon) is int
-        assert [f.name for f in dataclasses.fields(Trajectory)] == ["spec", "values", "diverged_at"]
+        values = np.arange(20.0).reshape(10, 2)
+        traj = Trajectory(spec=spec, values=values)
+        assert traj.end == RunEnd(HORIZON, 7) and traj.horizon == 10 - 3
+        assert type(traj.horizon) is int and traj.diverged_at is None
+        diverged = Trajectory(spec=spec, values=values, end=RunEnd(DIVERGED, 7))
+        assert diverged.horizon == 7 and diverged.diverged_at == 8
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            diverged.diverged_at = 9
+        assert [f.name for f in dataclasses.fields(Trajectory)] == ["spec", "values", "end"]
+        # an exact cycle reads each n past its stored rows as n - 2k j
+        cycle = Trajectory(spec=spec, values=values, end=RunEnd(EXACT_CYCLE, 100))
+        assert cycle.horizon == 100 and cycle.diverged_at is None and len(cycle.values) == 10
+        for n in (8, 9, 13, 14, 99, 100):
+            np.testing.assert_array_equal(cycle.value(n), cycle.value(n - 6))
+            assert cycle.index(n) == cycle.index(n - 6) < 10
+        assert [cycle.index(n) for n in (7, 8, 13, 100)] == [9, 4, 9, 6]
+        np.testing.assert_array_equal(cycle.rows(5, 10), values[[7, 8, 9, 4, 5, 6]])
+        np.testing.assert_array_equal(cycle.rows(1, 7), cycle.generated[:7])
+        assert cycle.generated.shape == (100, 2) and np.shares_memory(cycle.rows(-2, 7), values)
+        with pytest.raises(IndexError, match="the run's range"):
+            cycle.value(101)
+        with pytest.raises(IndexError, match="the run's range"):
+            cycle.rows(90, 101)
+        # a record that does not fit the stored rows is refused
+        for end in (RunEnd(HORIZON, 8), RunEnd(DIVERGED, 6), RunEnd(EXACT_CYCLE, 6)):
+            with pytest.raises(ValueError, match="does not fit values that end at step 7"):
+                Trajectory(spec=spec, values=values, end=end)
+        with pytest.raises(ValueError, match="does not fit"):  # fewer than 2k rows to repeat
+            Trajectory(spec=spec, values=values[:5], end=RunEnd(EXACT_CYCLE, 100))

@@ -26,6 +26,7 @@ from ratsys import (
 )
 from ratsys import classify_tetrachotomy, simulator, verify_classification
 from ratsys.analysis import Tolerances, analyze, rows_above
+from ratsys.model import DIVERGED, EXACT_CYCLE, GROWTH_STOP, HORIZON, ZERO_STOP
 from ratsys.simulator import MAX_LOOP_TERMS, MAX_RUN_BYTES, ROW_TERMS
 
 
@@ -190,13 +191,19 @@ class TestSimulate:
 
 
 def _same_run(got, want):
-    """Bit-for-bit equal values, equal horizon and equal diverged_at."""
+    """Bit-for-bit equal stored values, equal horizon, equal diverged_at and equal end record."""
     return (
         got.values.shape == want.values.shape
         and (got.values.view(np.uint64) == want.values.view(np.uint64)).all()
         and got.horizon == want.horizon
         and got.diverged_at == want.diverged_at
+        and got.end == want.end
     )
+
+
+def _whole(traj):
+    """Every row of the run, n = 1-k .. horizon, stored or not."""
+    return traj.rows(traj.n_first, traj.horizon)
 
 
 def _kernel_batch(kernel, spec, histories, horizon, stop_above=None, stop_below=None):
@@ -330,8 +337,8 @@ class TestGeneratedKernel:
             rows, diverged_at = oracle_simulate(spec, history, horizon)
             assert got.diverged_at == diverged_at
             assert got.horizon == len(rows) - k
-            assert got.values.shape == rows.shape
-            assert (got.values.view(np.uint64) == rows.view(np.uint64)).all()
+            assert _whole(got).shape == rows.shape
+            assert (_whole(got).view(np.uint64) == rows.view(np.uint64)).all()
             (batch,) = _numpy_batch(spec, [history], horizon)
             assert _same_run(got, batch)
 
@@ -354,7 +361,7 @@ class TestGeneratedKernel:
             spec = SystemSpec(k=3, A=a, denom=np.full((2, 2, 2), scale))
             rows, _ = oracle_simulate(spec, history, 20)
             got = simulate(spec, InitialConditions(history), 20)
-            assert (got.values.view(np.uint64) == rows.view(np.uint64)).all()
+            assert (_whole(got).view(np.uint64) == rows.view(np.uint64)).all()
 
     def test_values_are_contiguous_read_only(self):
         rng = np.random.default_rng(4)
@@ -381,7 +388,7 @@ class TestGeneratedKernel:
         got = simulate(spec, InitialConditions(history), 3)
         rows, diverged_at = oracle_simulate(spec, history, 3)
         assert got.diverged_at is diverged_at is None
-        assert (got.values.view(np.uint64) == rows.view(np.uint64)).all()
+        assert (_whole(got).view(np.uint64) == rows.view(np.uint64)).all()
         (batch,) = _numpy_batch(spec, [history], 3)
         assert _same_run(got, batch)
 
@@ -408,8 +415,8 @@ class TestGeneratedKernel:
             nonzero = np.count_nonzero(spec.A) + np.count_nonzero(spec.denom)
             assert source.count("*x") == nonzero < spec.A.size * k
             rows, diverged_at = oracle_simulate(spec, history, 200)
-            assert got.diverged_at == diverged_at and got.values.shape == rows.shape
-            assert (got.values.view(np.uint64) == rows.view(np.uint64)).all()
+            assert got.diverged_at == diverged_at and _whole(got).shape == rows.shape
+            assert (_whole(got).view(np.uint64) == rows.view(np.uint64)).all()
             (batch,) = _numpy_batch(spec, [history], 200)
             assert _same_run(got, batch)
         # a kernel of zeros and -0.0 leaves each sum its literal alone
@@ -418,7 +425,7 @@ class TestGeneratedKernel:
         got = simulate(spec, InitialConditions([[1.0, -0.0], [2.0, 3.0]]), 10)
         assert "*x" not in sources[0]
         rows, _ = oracle_simulate(spec, [[1.0, -0.0], [2.0, 3.0]], 10)
-        assert (got.values.view(np.uint64) == rows.view(np.uint64)).all()
+        assert (_whole(got).view(np.uint64) == rows.view(np.uint64)).all()
 
     def test_large_specs_compile_no_loop(self, monkeypatch):
         # compiling a loop takes about 1.3 kB a term: 100 MB at m = 16, k = 300
@@ -513,11 +520,15 @@ def _cycle_entry(values, k):
 
 
 class TestExactCycles:
-    """Once the k-row state repeats the one 2k rows before, the driver copies rows, not steps."""
+    """Once the k-row state repeats the one 2k rows before, the driver records the cycle and stops."""
 
     @staticmethod
     def _assert_oracle_prefixes(spec, history, horizons):
-        """Each horizon's run is bit for bit the oracle's first rows, on both kernels."""
+        """Each horizon's run is bit for bit the oracle's first rows, on both kernels.
+
+        A run that ends in an exact cycle stores its rows only through the
+        block in which its state repeated; every other run stores them all.
+        """
         rows, diverged_at = oracle_simulate(spec, history, max(horizons))
         for horizon in horizons:
             want = rows[: spec.k + horizon]
@@ -526,8 +537,13 @@ class TestExactCycles:
             (batch,) = _numpy_batch(spec, [history], horizon)
             for got in (loop, batch):
                 assert got.diverged_at == at and got.horizon == len(want) - spec.k
-                assert got.values.shape == want.shape
-                assert (got.values.view(np.uint64) == want.view(np.uint64)).all(), horizon
+                assert _whole(got).shape == want.shape
+                assert (_whole(got).view(np.uint64) == want.view(np.uint64)).all(), horizon
+                stored = len(got.values) - spec.k
+                if got.end.reason == EXACT_CYCLE:
+                    assert stored % 64 == 0 and 2 * spec.k <= stored < got.horizon
+                else:
+                    assert stored == got.horizon
         return rows
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -595,15 +611,31 @@ class TestExactCycles:
         swap = SystemSpec(k=2, A=[[0.0, 1.0], [1.0, 0.0]])
         traj = simulate(swap, InitialConditions([[1.0, 2.0], [3.0, 4.0]]), 100_000)
         assert blocks == [("_loop_kernel", 1, 1, 64)] and traj.horizon == 100_000
-        np.testing.assert_array_equal(traj.values[-4:],
+        assert traj.end == (EXACT_CYCLE, 100_000) and len(traj.values) == 2 + 64
+        np.testing.assert_array_equal(traj.rows(99_997, 100_000),
                                       [[2.0, 1.0], [4.0, 3.0], [1.0, 2.0], [3.0, 4.0]])
+        self._assert_stored_once(traj)
         blocks.clear()
         spec = SystemSpec(k=2, A=[[0.3, 0.7], [0.7, 0.3]], denom=np.full((2, 1, 2), 0.8))
         traj = simulate(spec, InitialConditions([[3.0, 0.5], [1.0, 7.0]]), 100_000)
+        # the rows past the stored ones repeat, so the entry is among the stored rows
         entry = _cycle_entry(traj.values, 2)
         assert traj.horizon == 100_000 and entry < 3000
+        assert traj.end == (EXACT_CYCLE, 100_000)
         assert [first for _, _, first, _ in blocks] == list(range(1, 64 * len(blocks), 64))
         assert blocks[-1][3] <= entry + 3 * 64
+        self._assert_stored_once(traj)
+
+    @staticmethod
+    def _assert_stored_once(traj):
+        """``traj`` stores its rows through the block of its cycle, and reads on past them."""
+        period = 2 * traj.k
+        entry = _cycle_entry(traj.values, traj.k)
+        assert len(traj.values) <= entry + period + 64
+        stored = len(traj.values) + traj.n_first  # the first n not stored
+        for n in [*range(stored, stored + 2 * period), 50_001, 99_999, 100_000]:
+            np.testing.assert_array_equal(traj.value(n), traj.value(n - period))
+            assert traj.index(n) == traj.index(n - period) < len(traj.values)
 
     # v_n = diag(1e10, 0.5, 1) v_{n-2}: the first component passes 3e150
     # about 2 (15 - log10 x_0) steps on and overflows about 16 steps after
@@ -625,6 +657,7 @@ class TestExactCycles:
         assert blocks == [("_numpy_kernel", *block) for block in self.MIXED_BLOCKS]
         assert [(t.horizon, t.diverged_at) for t in got] == [(300, None), (100, 101), (64, None),
                                                               (300, None)]
+        assert [t.end.reason for t in got] == [EXACT_CYCLE, DIVERGED, GROWTH_STOP, HORIZON]
         for history, traj in zip(histories, got):
             (alone,) = _numpy_batch(spec, [history], 300, stop_above=3e150)
             (loop,) = simulate_batch(spec, [history], 300, stop_above=3e150)
@@ -689,7 +722,8 @@ class TestStopAbove:
             end = got.horizon
             assert got.diverged_at is None and end % 64 == 0
             assert rows_above(got.generated[end - 64:], threshold).size
-            assert (got.values.view(np.uint64) == want.values[: spec.k + end].view(np.uint64)).all()
+            assert got.end.reason == GROWTH_STOP
+            assert (got.values.view(np.uint64) == want.rows(want.n_first, end).view(np.uint64)).all()
         return stopped
 
     @pytest.mark.parametrize("side", ["loop", "numpy"])
@@ -698,6 +732,7 @@ class TestStopAbove:
         threshold = _first_passed_at(n)
         (traj, *_) = self._runs(monkeypatch, side, DOUBLING, [DOUBLING_HISTORY], 300, threshold)
         assert traj.horizon == end and traj.diverged_at is None
+        assert traj.end.reason == GROWTH_STOP
         assert analyze(traj, Tolerances(growth_threshold=threshold)).exit_step == n
 
     @pytest.mark.parametrize("side", ["loop", "numpy"])
@@ -711,6 +746,7 @@ class TestStopAbove:
         history = np.full((2, 1), start)
         (traj, *_) = self._runs(monkeypatch, side, spec, [history], 300, 3e150)
         assert traj.diverged_at == diverged and traj.horizon == diverged - 1
+        assert traj.end.reason == DIVERGED
         assert analyze(traj, Tolerances(growth_threshold=3e150)).exit_step == passed
 
     @pytest.mark.parametrize("side", ["loop", "numpy"])
@@ -722,7 +758,7 @@ class TestStopAbove:
         history = np.hstack([DOUBLING_HISTORY, DOUBLING_HISTORY])
         (traj, *_) = self._runs(monkeypatch, side, spec, [history], 300, threshold)
         assert traj.generated[:128].max() < threshold < traj.generated[128].max()
-        assert traj.horizon == 192
+        assert traj.horizon == 192 and traj.end.reason == GROWTH_STOP
         assert analyze(traj, Tolerances(growth_threshold=threshold)).exit_step == 128
 
     @pytest.mark.parametrize("side", ["loop", "numpy"])
@@ -733,12 +769,12 @@ class TestStopAbove:
         constant, growing = SystemSpec(k=2, A=[[1.0]]), SystemSpec(k=2, A=[[1.5]])
         history = np.full((2, 1), 1e-190)
         (traj, *_) = self._runs(monkeypatch, side, constant, [history], 300, 1e-200)
-        assert traj.horizon == 300
+        assert traj.horizon == 300 and traj.end.reason == EXACT_CYCLE  # v_n = v_{n-2}
         assert analyze(traj, Tolerances(growth_threshold=1e-200)).behavior == (
             "converged-to-zero")
         (traj, *_) = self._runs(monkeypatch, side, growing, [history], 600, 1e-200)
         exit_step = analyze(traj, Tolerances(growth_threshold=1e-200)).exit_step
-        assert 128 < exit_step <= traj.horizon < 600
+        assert 128 < exit_step <= traj.horizon < 600 and traj.end.reason == GROWTH_STOP
 
     @pytest.mark.parametrize("side", ["loop", "numpy"])
     def test_stopped_and_full_rows_mixed(self, monkeypatch, side):
@@ -748,6 +784,7 @@ class TestStopAbove:
         histories = [DOUBLING_HISTORY * 2.0**-e for e in (0, 30, 80, 200)] + [np.zeros((2, 1))]
         runs = self._runs(monkeypatch, side, DOUBLING, histories, 300, threshold)
         assert [t.horizon for t in runs[:5]] == [64, 128, 256, 300, 300]
+        assert [t.end.reason for t in runs[:5]] == [GROWTH_STOP] * 3 + [HORIZON, EXACT_CYCLE]
 
     @pytest.mark.parametrize("side", ["loop", "numpy"])
     def test_stop_comes_before_the_cycle_copy(self, monkeypatch, side):
@@ -756,6 +793,7 @@ class TestStopAbove:
         spec = SystemSpec(k=2, A=[[1.0]])
         (traj, *_) = self._runs(monkeypatch, side, spec, [np.full((2, 1), 1e10)], 300, 1e3)
         assert traj.horizon == 64 and traj.diverged_at is None
+        assert traj.end.reason == GROWTH_STOP
 
     def test_kernels_stop_alike(self):
         rng = np.random.default_rng(31)
@@ -770,7 +808,7 @@ class TestStopAbove:
 
     def test_plain_calls_run_the_horizon(self):
         traj = simulate(DOUBLING, InitialConditions(DOUBLING_HISTORY), 300)
-        assert traj.horizon == 300 and traj.diverged_at is None
+        assert traj.horizon == 300 and traj.diverged_at is None and traj.end.reason == HORIZON
 
 
 def _swap(c):
@@ -801,9 +839,9 @@ class TestStopBelow:
                 continue
             # cut at the end of a block, with its state and every row after it below zero_tol
             end = got.horizon
-            assert got.diverged_at is None and end % 64 == 0
-            assert (got.values.view(np.uint64) == want.values[: spec.k + end].view(np.uint64)).all()
-            assert np.abs(want.values[end:]).max() <= zero_tol
+            assert got.diverged_at is None and end % 64 == 0 and got.end.reason == ZERO_STOP
+            assert (got.values.view(np.uint64) == want.rows(want.n_first, end).view(np.uint64)).all()
+            assert np.abs(want.rows(end + want.n_first, want.horizon)).max() <= zero_tol
         return cut
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -814,6 +852,7 @@ class TestStopBelow:
         histories = [rng.uniform(0.0, 10.0, (2, 2)) for _ in range(4)] + [np.full((2, 2), 1e-9)]
         runs = self._runs(kernel, _swap(0.77), histories, 4000, 1e-8)
         assert [t.horizon for t in runs] == [192, 192, 192, 192, 64]
+        assert [t.end.reason for t in runs] == [ZERO_STOP] * 5
         assert [analyze(t).behavior for t in runs] == ["converged-to-zero"] * 5
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -826,45 +865,47 @@ class TestStopBelow:
         (traj,) = self._runs(kernel, spec, [np.array([[1.0], [1e-12]])], 1000, 1e-8)
         assert traj.generated[:64].min() < 1e-8 < traj.generated[:64].max()
         assert traj.generated[346] > 1e-8 >= traj.generated[348]  # v_347 and v_349
-        assert traj.horizon == 384
+        assert traj.horizon == 384 and traj.end.reason == ZERO_STOP
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_stop_comes_before_the_cycle_copy(self, kernel):
         # a zero state repeats and is below zero_tol in the first block: the run ends there
         (traj,) = self._runs(kernel, _swap(0.5), [np.zeros((2, 2))], 300, 1e-8)
-        assert traj.horizon == 64
+        assert traj.horizon == 64 and traj.end.reason == ZERO_STOP
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("spec", [
-        _swap(1.0),  # row sums exactly 1
-        SystemSpec(k=2, A=np.eye(2)),
-        SystemSpec(k=2, A=symmetric_positive_with_rho(np.random.default_rng(2), 2, 1.0)),
-        SystemSpec(k=2, A=[[1.0, 1.0], [0.0, 1.0]]),  # a Jordan block
-        SystemSpec(k=2, A=[[0.0, 3.0], [0.1, 0.0]]),  # rho ~ 0.55, but a row sum of 3
+    @pytest.mark.parametrize("spec,reasons", [
+        (_swap(1.0), [EXACT_CYCLE] * 2),  # row sums exactly 1
+        (SystemSpec(k=2, A=np.eye(2)), [EXACT_CYCLE] * 2),
+        (SystemSpec(k=2, A=symmetric_positive_with_rho(np.random.default_rng(2), 2, 1.0)),
+         [EXACT_CYCLE] * 2),
+        (SystemSpec(k=2, A=[[1.0, 1.0], [0.0, 1.0]]), [HORIZON, EXACT_CYCLE]),  # a Jordan block
+        (SystemSpec(k=2, A=[[0.0, 3.0], [0.1, 0.0]]), [HORIZON] * 2),  # rho ~ 0.55, row sum 3
     ], ids=["swap", "identity", "positive", "jordan", "row-sum"])
-    def test_off_without_row_sums_below_one(self, kernel, spec):
+    def test_off_without_row_sums_below_one(self, kernel, spec, reasons):
         # each state is below zero_tol from the start, yet every run gets the horizon
         histories = [np.full((2, 2), 1e-20), np.array([[1e-20, 0.0], [1e-20, 0.0]])]
         runs = self._runs(kernel, spec, histories, 300, 1e-8)
         assert [t.horizon for t in runs] == [300, 300]
+        assert [t.end.reason for t in runs] == reasons
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_off_when_zero_tol_nears_the_growth_threshold(self, kernel):
         # 2 m zero_tol = 4e-3 passes a growth threshold of 3e-3 but not one of 4e-3
         spec, history = _swap(0.5), np.full((2, 2), 1e-9)
         (traj,) = self._runs(kernel, spec, [history], 300, 1e-3, stop_above=3e-3)
-        assert traj.horizon == 300
+        assert traj.horizon == 300 and traj.end.reason == HORIZON
         (traj,) = self._runs(kernel, spec, [history], 300, 1e-3, stop_above=4e-3)
-        assert traj.horizon == 64
+        assert traj.horizon == 64 and traj.end.reason == ZERO_STOP
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_off_when_a_norm_could_overflow(self, kernel):
         # the norm bound 2 m zero_tol = 4e160 squares to inf, though it is below the threshold
         spec, history = _swap(0.5), np.full((2, 2), 1e-9)
         (traj,) = self._runs(kernel, spec, [history], 300, 1e160, stop_above=1e300)
-        assert traj.horizon == 300
+        assert traj.horizon == 300 and traj.end.reason == HORIZON
         (traj,) = self._runs(kernel, spec, [history], 300, 1e150, stop_above=1e300)
-        assert traj.horizon == 64
+        assert traj.horizon == 64 and traj.end.reason == ZERO_STOP
 
     def test_needs_stop_above(self):
         with pytest.raises(ValueError, match="stop_below needs stop_above"):
@@ -874,11 +915,11 @@ class TestStopBelow:
         # _drive's positional form from before stop_below
         inits = [InitialConditions(np.full((2, 2), 1e-9))]
         (traj,) = simulator._drive(simulator._loop_kernel, _swap(0.5), inits, 300, None)
-        assert traj.horizon == 300
+        assert traj.horizon == 300 and traj.end.reason == HORIZON
 
     def test_plain_calls_run_the_horizon(self):
         traj = simulate(_swap(0.5), InitialConditions(np.full((2, 2), 1e-9)), 300)
-        assert traj.horizon == 300
+        assert traj.horizon == 300 and traj.end.reason == HORIZON
 
 
 #: History entries of the stop_below fuzz: signed zeros, subnormals and 1e300 among plain draws.
@@ -954,7 +995,7 @@ def test_kernels_agree_on_random_batches(case):
         for history, traj in zip(histories, loop):
             rows, diverged_at = oracle_simulate(spec, history, horizon)
             assert traj.diverged_at == diverged_at and traj.horizon == len(rows) - spec.k
-            assert (traj.values.view(np.uint64) == rows.view(np.uint64)).all()
+            assert (_whole(traj).view(np.uint64) == rows.view(np.uint64)).all()
 
 
 class TestHorizonType:
