@@ -19,7 +19,6 @@ from .analysis import (
     detect_period,
     detect_unbounded,
     detect_zero_limit,
-    domination_check,
     envelope_check,
     residual_linear,
     residual_shift,
@@ -49,15 +48,11 @@ from .linalg import (
     EIG_TOL,
     MAX_POWER_ITERS,
     RHO_TOL,
-    DegenerateProjectionError,
     EigenDecomposition,
     PowerIterationError,
-    check_fact1,
-    check_fact2,
     eig2,
     eig_symmetric,
     perron_pair,
-    spectral_radius,
 )
 from .model import (
     InitialConditions,
@@ -67,7 +62,7 @@ from .model import (
     validate,
     validate_initial,
 )
-from .simulator import Diverged, simulate, simulate_batch, simulate_linear, step
+from .simulator import simulate, simulate_batch
 
 __version__ = "0.1.0"
 
@@ -78,8 +73,6 @@ __all__ = [
     "ConfigError",
     "CONVERGED_TO_ZERO",
     "CONVERGES_TO_ZERO",
-    "DegenerateProjectionError",
-    "Diverged",
     "EIG_TOL",
     "EigenDecomposition",
     "EVENTUALLY_PERIODIC",
@@ -100,8 +93,6 @@ __all__ = [
     "UNDETERMINED",
     "VerificationReport",
     "analyze",
-    "check_fact1",
-    "check_fact2",
     "classify_tetrachotomy",
     "classify_trichotomy",
     "construct_period2k_seed",
@@ -110,7 +101,6 @@ __all__ = [
     "detect_period",
     "detect_unbounded",
     "detect_zero_limit",
-    "domination_check",
     "eig2",
     "eig_symmetric",
     "envelope_check",
@@ -123,9 +113,6 @@ __all__ = [
     "resolve_init",
     "simulate",
     "simulate_batch",
-    "simulate_linear",
-    "spectral_radius",
-    "step",
     "validate",
     "validate_initial",
     "verify_classification",

@@ -2,8 +2,8 @@
 
 Detection of zero limits, limit cycles, and unbounded growth, plus direct
 numerical checks of the proof machinery: the linear residual
-||v_n - A v_{n-k}||, shifted residuals ||v_n - v_{n-shift}||, the squared-norm
-envelope chain, and the matrix-power domination inequality.
+||v_n - A v_{n-k}||, shifted residuals ||v_n - v_{n-shift}|| and the
+squared-norm envelope chain.
 :func:`analyze` sums one trajectory up as an :class:`AnalysisReport`, which
 a verify check carries as the evidence for its status.
 """
@@ -27,7 +27,7 @@ GROWTH_THRESHOLD = 1e6
 #: MIN_WINDOW_BLOCKS blocks of max_period samples.
 TAIL_FRACTION = 0.2
 MIN_WINDOW_BLOCKS = 10
-#: Slack for the envelope and domination inequality checks.
+#: Slack for the envelope check's inequalities.
 INEQ_SLACK = 1e-12
 
 CONVERGED_TO_ZERO = "converged-to-zero"
@@ -38,18 +38,27 @@ UNDETERMINED = "undetermined"
 
 @dataclass(frozen=True)
 class Tolerances:
+    """The detection thresholds; building one that no run could meet raises ``ValueError``."""
+
     zero_tol: float = ZERO_TOL
     per_tol: float = PER_TOL
     growth_threshold: float = GROWTH_THRESHOLD
     max_period: Optional[int] = None  # see period_limit
 
+    def __post_init__(self):
+        for name in ("zero_tol", "per_tol"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if not 0.0 < self.growth_threshold < math.inf:
+            raise ValueError(f"growth_threshold must be finite and > 0, "
+                             f"got {self.growth_threshold!r}")
+        if self.max_period is not None and self.max_period < 1:
+            raise ValueError("max_period must be >= 1")
+
     def period_limit(self, k: int) -> int:
         """The largest period ``analyze`` scans for in a system of order k: 2k by default."""
-        if self.max_period is None:
-            return 2 * k
-        if self.max_period < 1:
-            raise ValueError("max_period must be >= 1")
-        return self.max_period
+        return 2 * k if self.max_period is None else self.max_period
 
 
 @dataclass
@@ -192,35 +201,6 @@ def envelope_check(traj: Trajectory, a) -> bool:
         and (h_av[:-k] <= h[:-k] + INEQ_SLACK).all()
     )
     return bool(ok)
-
-
-def domination_check(traj: Trajectory, a, power_l: int, q: int) -> bool:
-    """Componentwise A^q v_n <= A^{q+L} v_{n-kL} over all stored n >= max(kL, 1)."""
-    if power_l < 0 or q < 0:
-        raise ValueError("L and q must be nonnegative")
-    kernel = np.asarray(a, dtype=float)
-    k = traj.k
-    n_start = max(k * power_l, 1)
-    if n_start > traj.horizon:
-        raise ValueError("no indices n >= kL inside the horizon")
-    aq = np.linalg.matrix_power(kernel, q)
-    aql = np.linalg.matrix_power(kernel, q + power_l)
-    lhs = traj.rows(n_start, traj.horizon) @ aq.T
-    rhs = traj.rows(n_start - k * power_l, traj.horizon - k * power_l) @ aql.T
-    return bool((lhs <= rhs + INEQ_SLACK).all())
-
-
-def residue_limits(traj: Trajectory, period: int, samples: int = 10) -> np.ndarray:
-    """One estimated limit vector per residue class mod ``period``.
-
-    Row a is the mean of the last ``samples`` values of the subsequence
-    {v_n : n = a mod period}.
-    """
-    # Class a starts at generated row (a - 1) mod period.  The tail is copied: a
-    # mean over the strided view raised peak RSS of an m = 16 verify by ~0.25 MB.
-    gen = traj.generated
-    return np.array([gen[(a - 1) % period :: period][-samples:].copy().mean(axis=0)
-                     for a in range(period)])
 
 
 def analyze(traj: Trajectory, tolerances: Optional[Tolerances] = None) -> AnalysisReport:

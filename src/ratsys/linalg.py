@@ -36,10 +36,6 @@ class PowerIterationError(RuntimeError):
     """Power iteration did not reach the residual target within the budget."""
 
 
-class DegenerateProjectionError(ValueError):
-    """A vector is numerically orthogonal to one of the eigenvectors."""
-
-
 def as_matrix(a) -> np.ndarray:
     """Coerce to a square float64 matrix with finite entries."""
     m = np.asarray(a, dtype=float)
@@ -68,7 +64,7 @@ def radius_side(rho: float, rho_tol: float = RHO_TOL) -> int:
 
     Radius 1 is the closed band [1 - rho_tol, 1 + rho_tol], compared in
     floating point.  Every radius-1 decision in the package goes through
-    this rule: the regime, the witness seeds and the proof checks.
+    this rule: the regime, the witness seeds and the envelope check.
     """
     if rho < 1.0 - rho_tol:
         return -1
@@ -237,11 +233,6 @@ def eig_symmetric(a) -> EigenDecomposition:
     return _decomposition(np.ldexp(values, e), vectors)
 
 
-def spectral_radius(a) -> float:
-    """max_i |lambda_i| of a symmetric matrix."""
-    return eig_symmetric(a).spectral_radius
-
-
 def _power_iteration(mat: np.ndarray, shift: float) -> Optional[Tuple[float, np.ndarray]]:
     """Power iteration on ``mat + shift * I``, judged on ``mat`` itself.
 
@@ -330,56 +321,3 @@ def contraction_rate(a) -> Optional[float]:
         lam = float(mat.sum(axis=1).max())
     rate = lam * (1.0 + (mat.shape[0] + 2) * 2.0**-51) + 2.0**-1074
     return rate if rate < 1.0 else None
-
-
-def check_fact1(a, v, big_l: int) -> Tuple[bool, bool]:
-    """Norm non-expansion of powers of a symmetric matrix with radius 1.
-
-    Returns two flags for ``w = A^L v``: whether ``<w, w> <= <v, v>``
-    holds (within ``EIG_TOL``) and whether equality holds within
-    ``EIG_TOL``.  Equality is expected exactly when v has negligible
-    projection onto the eigenvectors with |lambda| < 1.
-    """
-    mat = as_matrix(a)
-    dec = eig_symmetric(mat)
-    if radius_side(dec.spectral_radius) != 0:
-        raise ValueError("check_fact1 requires spectral radius 1")
-    if big_l < 1:
-        raise ValueError("L must be a positive integer")
-    vec = np.asarray(v, dtype=float)
-    w = np.linalg.matrix_power(mat, big_l) @ vec
-    lhs = float(w @ w)
-    rhs = float(vec @ vec)
-    return lhs <= rhs + EIG_TOL, abs(lhs - rhs) <= EIG_TOL
-
-
-def check_fact2(a, v, growth_threshold: float, max_l: int) -> bool:
-    """Unbounded growth of ||A^L v|| when the spectral radius exceeds 1.
-
-    Requires v to have nonzero projection (above ``EIG_TOL``) on every
-    eigenvector whose eigenvalue lies outside the unit disc, since those
-    directions carry the growth; raises
-    :class:`DegenerateProjectionError` otherwise.  Returns True iff
-    ||A^L v|| exceeds ``growth_threshold`` for some L <= ``max_l``.
-    """
-    mat = as_matrix(a)
-    dec = eig_symmetric(mat)
-    if radius_side(dec.spectral_radius) != 1:
-        raise ValueError("check_fact2 requires spectral radius greater than 1")
-    vec = np.asarray(v, dtype=float)
-    projections = dec.eigenvectors @ vec
-    small = [
-        i
-        for i, (lam, p) in enumerate(zip(dec.eigenvalues, projections))
-        if radius_side(abs(lam)) == 1 and abs(p) <= EIG_TOL
-    ]
-    if small:
-        raise DegenerateProjectionError(
-            f"vector is orthogonal to expanding eigenvector(s) {small}"
-        )
-    w = vec.copy()
-    for _ in range(max_l):
-        w = mat @ w
-        if float(np.linalg.norm(w)) > growth_threshold:
-            return True
-    return False

@@ -158,10 +158,6 @@ class InitialConditions:
         object.__setattr__(self, "history", _readonly(h))
 
     @classmethod
-    def zeros(cls, k: int, m: int) -> "InitialConditions":
-        return cls(np.zeros((k, m)))
-
-    @classmethod
     def impulse(cls, k: int, vector: Sequence[float]) -> "InitialConditions":
         """All-zero history except v_{1-k}, which is set to ``vector``."""
         v = np.asarray(vector, dtype=float)

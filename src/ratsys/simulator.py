@@ -1,4 +1,4 @@
-"""Forward iteration of the rational system and its linear comparison system.
+"""Forward iteration of the rational system.
 
 The update for component i of v_n is
 
@@ -17,10 +17,10 @@ per spec, which spells out every nonzero term with the coefficients as float
 literals and steps each trajectory on Python floats, when its count
 B (m^2 k + :data:`ROW_TERMS`), the terms of a step plus a charge for each
 history, is at most :data:`MAX_LOOP_TERMS`; a larger call steps all B at
-once in numpy.  :func:`simulate`, :func:`step` and :func:`simulate_linear`
-make calls of one history, ``verify_classification`` one per verify run or
-sweep cell.  Microseconds a step, interleaved best of 9, horizon 2000,
-2-vCPU Intel Xeon, with the count in parentheses:
+once in numpy.  :func:`simulate` makes calls of one history,
+``verify_classification`` one per verify run or sweep cell.  Microseconds a
+step, interleaved best of 9, horizon 2000, 2-vCPU Intel Xeon, with the
+count in parentheses:
 
     m, k,  B (count)   loop  numpy        m, k,  B (count)   loop  numpy
     3, 3,  5   (155)    7.8   17.3        1, 2, 48   (288)   16.5   15.9
@@ -135,15 +135,6 @@ from .model import (DIVERGED, EXACT_CYCLE, GROWTH_STOP, HORIZON, MAX_RUN_BYTES, 
 _CHECK_EVERY = 64
 
 
-class Diverged(RuntimeError):
-    """A step produced a non-finite value (expected under unbounded growth)."""
-
-    def __init__(self, step: Optional[int] = None):
-        self.step = step
-        where = f" at step n = {step}" if step is not None else ""
-        super().__init__(f"non-finite value produced{where}")
-
-
 #: Largest count B (m^2 k + ROW_TERMS) of a call of B histories that
 #: :func:`simulate_batch` runs in the generated loop (m^2 k: m numerator and
 #: m (k - 1) denominator terms for each of m components); the module
@@ -209,27 +200,15 @@ def _step_loop(spec: SystemSpec):
 def _compiled(source: str):
     """The function ``run`` that ``source`` defines, compiled once per source text.
 
-    Repeated :func:`step` calls on one spec reuse it: the 10 000 steps of
-    ``test_criterion_8_oracle_equivalence`` (50 a spec) take 1.1 s with
-    this cache and 3.6 s without it on a 2-vCPU Intel Xeon VM.
+    A CLI run makes one call for each spec it builds (a sweep, one a cell),
+    so the cache saves it nothing.  It serves the test suite's one-step
+    helper, which calls :func:`simulate` on one spec many times: the
+    10 000 steps of ``test_criterion_8_oracle_equivalence`` (50 a spec)
+    take 1.1 s with it and 3.6 s without it on a 2-vCPU Intel Xeon VM.
     """
     namespace: dict = {}
     exec(compile(source, "<ratsys step loop>", "exec"), namespace)
     return namespace["run"]
-
-
-def step(spec: SystemSpec, window: Sequence[Sequence[float]]) -> np.ndarray:
-    """Evaluate v_n from the previous k vectors v_{n-k}, ..., v_{n-1}.
-
-    One step of :func:`simulate` with ``window`` as the initial conditions,
-    so it validates the same way.  The denominator is at least 1, so the
-    result is always defined for nonnegative finite input; overflow to a
-    non-finite value raises :class:`Diverged`.
-    """
-    traj = simulate(spec, InitialConditions(window), 1)
-    if traj.diverged_at is not None:
-        raise Diverged()
-    return traj.values[-1].copy()
 
 
 def _validated(spec: SystemSpec, histories, horizon: int) -> List[InitialConditions]:
@@ -462,14 +441,3 @@ def _numpy_kernel(spec: SystemSpec, values: np.ndarray):
         return {r: first + int(np.argmin(finite[r])) for r in np.flatnonzero(~finite.all(axis=1))}
 
     return step_block
-
-
-def simulate_linear(a, k: int, init: InitialConditions, horizon: int) -> Trajectory:
-    """Iterate the comparison system u_n = A u_{n-k}.
-
-    Implemented as the rational system with all denominator coefficients
-    zero, which shares the arithmetic of :func:`simulate` exactly, so that
-    u_{kn+b} = A^n u_b holds step for step.
-    """
-    spec = SystemSpec(k=k, A=np.asarray(a, dtype=float), denom=None)
-    return simulate(spec, init, horizon)

@@ -1,10 +1,18 @@
-"""Shared generators, independent oracles and probes for the test suite."""
+"""Shared generators, independent oracles, probes and proof checks for the test suite.
+
+The proof checks (the paper's Facts 1 and 2, the domination inequality and
+the per-residue limits) and the one-step evaluator ``step`` are read by
+tests only, so they live here rather than in the package.
+"""
 
 import math
+from typing import Tuple
 
 import numpy as np
 
 from ratsys import InitialConditions, SystemSpec, simulator
+from ratsys.analysis import INEQ_SLACK
+from ratsys.linalg import EIG_TOL, as_matrix, eig_symmetric, radius_side
 
 
 def symmetric_from(rng, m, low=0.0, high=1.0):
@@ -202,3 +210,115 @@ def oracle_jacobi(a0):
                 v[:, p] = c * vp - s * vq
                 v[:, q] = s * vp + c * vq
     raise ArithmeticError("Jacobi iteration did not converge")
+
+
+def zero_init(k, m):
+    """The all-zero history of k vectors of dimension m."""
+    return InitialConditions(np.zeros((k, m)))
+
+
+class Diverged(RuntimeError):
+    """A step produced a non-finite value (expected under unbounded growth)."""
+
+    def __init__(self, step=None):
+        self.step = step
+        where = f" at step n = {step}" if step is not None else ""
+        super().__init__(f"non-finite value produced{where}")
+
+
+def step(spec, window):
+    """Evaluate v_n from the previous k vectors v_{n-k}, ..., v_{n-1}.
+
+    One step of ``simulate`` with ``window`` as the initial conditions, so
+    it validates the same way.  The denominator is at least 1, so the
+    result is always defined for nonnegative finite input; overflow to a
+    non-finite value raises :class:`Diverged`.
+    """
+    traj = simulator.simulate(spec, InitialConditions(window), 1)
+    if traj.diverged_at is not None:
+        raise Diverged()
+    return traj.values[-1].copy()
+
+
+class DegenerateProjectionError(ValueError):
+    """A vector is numerically orthogonal to one of the eigenvectors."""
+
+
+def check_fact1(a, v, big_l: int) -> Tuple[bool, bool]:
+    """Norm non-expansion of powers of a symmetric matrix with radius 1 (Fact 1).
+
+    Returns two flags for ``w = A^L v``: whether ``<w, w> <= <v, v>``
+    holds (within ``EIG_TOL``) and whether equality holds within
+    ``EIG_TOL``.  Equality is expected exactly when v has negligible
+    projection onto the eigenvectors with |lambda| < 1.
+    """
+    mat = as_matrix(a)
+    dec = eig_symmetric(mat)
+    if radius_side(dec.spectral_radius) != 0:
+        raise ValueError("check_fact1 requires spectral radius 1")
+    if big_l < 1:
+        raise ValueError("L must be a positive integer")
+    vec = np.asarray(v, dtype=float)
+    w = np.linalg.matrix_power(mat, big_l) @ vec
+    lhs = float(w @ w)
+    rhs = float(vec @ vec)
+    return lhs <= rhs + EIG_TOL, abs(lhs - rhs) <= EIG_TOL
+
+
+def check_fact2(a, v, growth_threshold: float, max_l: int) -> bool:
+    """Unbounded growth of ||A^L v|| when the spectral radius exceeds 1 (Fact 2).
+
+    Requires v to have nonzero projection (above ``EIG_TOL``) on every
+    eigenvector whose eigenvalue lies outside the unit disc, since those
+    directions carry the growth; raises
+    :class:`DegenerateProjectionError` otherwise.  Returns True iff
+    ||A^L v|| exceeds ``growth_threshold`` for some L <= ``max_l``.
+    """
+    mat = as_matrix(a)
+    dec = eig_symmetric(mat)
+    if radius_side(dec.spectral_radius) != 1:
+        raise ValueError("check_fact2 requires spectral radius greater than 1")
+    vec = np.asarray(v, dtype=float)
+    projections = dec.eigenvectors @ vec
+    small = [
+        i
+        for i, (lam, p) in enumerate(zip(dec.eigenvalues, projections))
+        if radius_side(abs(lam)) == 1 and abs(p) <= EIG_TOL
+    ]
+    if small:
+        raise DegenerateProjectionError(
+            f"vector is orthogonal to expanding eigenvector(s) {small}"
+        )
+    w = vec.copy()
+    for _ in range(max_l):
+        w = mat @ w
+        if float(np.linalg.norm(w)) > growth_threshold:
+            return True
+    return False
+
+
+def domination_check(traj, a, power_l: int, q: int) -> bool:
+    """Componentwise A^q v_n <= A^{q+L} v_{n-kL} over all n >= max(kL, 1) of the run."""
+    if power_l < 0 or q < 0:
+        raise ValueError("L and q must be nonnegative")
+    kernel = np.asarray(a, dtype=float)
+    k = traj.k
+    n_start = max(k * power_l, 1)
+    if n_start > traj.horizon:
+        raise ValueError("no indices n >= kL inside the horizon")
+    aq = np.linalg.matrix_power(kernel, q)
+    aql = np.linalg.matrix_power(kernel, q + power_l)
+    lhs = traj.rows(n_start, traj.horizon) @ aq.T
+    rhs = traj.rows(n_start - k * power_l, traj.horizon - k * power_l) @ aql.T
+    return bool((lhs <= rhs + INEQ_SLACK).all())
+
+
+def residue_limits(traj, period: int, samples: int = 10):
+    """One estimated limit vector per residue class mod ``period``.
+
+    Row a is the mean of the last ``samples`` values of the subsequence
+    {v_n : n = a mod period}.
+    """
+    gen = traj.generated  # class a starts at generated row (a - 1) mod period
+    return np.array([gen[(a - 1) % period :: period][-samples:].copy().mean(axis=0)
+                     for a in range(period)])

@@ -13,10 +13,15 @@ import numpy as np
 import pytest
 
 from conftest import (
+    check_fact1,
+    check_fact2,
+    domination_check,
     oracle_step_from_spec,
     random_init,
     random_spec,
     rank_one_unit,
+    residue_limits,
+    step,
     symmetric_nonneg_with_rho,
     symmetric_positive_with_rho,
     symmetric_signed_with_rho,
@@ -30,21 +35,16 @@ from ratsys import (
     UNBOUNDED_EXISTS,
     SystemSpec,
     analyze,
-    check_fact1,
-    check_fact2,
     classify_trichotomy,
     construct_period2k_seed,
     construct_unbounded_seed,
     detect_zero_limit,
-    domination_check,
     envelope_check,
     perron_pair,
     residual_linear,
     residual_shift,
     simulate,
-    step,
 )
-from ratsys.analysis import residue_limits
 from ratsys.cli import main
 
 HORIZON_LONG = 10_000

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_init, random_spec, symmetric_positive_with_rho
+from conftest import (
+    domination_check,
+    random_init,
+    random_spec,
+    residue_limits,
+    symmetric_positive_with_rho,
+    zero_init,
+)
 
 from ratsys import (
     CONVERGED_TO_ZERO,
@@ -22,14 +29,12 @@ from ratsys import (
     detect_period,
     detect_unbounded,
     detect_zero_limit,
-    domination_check,
     envelope_check,
     perron_pair,
     residual_linear,
     residual_shift,
     simulate,
 )
-from ratsys.analysis import residue_limits
 from ratsys.model import EXACT_CYCLE, Trajectory
 
 
@@ -73,7 +78,7 @@ class TestDetectZeroLimit:
 
     def test_zero_trajectory(self):
         spec = SystemSpec(k=2, A=np.eye(2))
-        traj = simulate(spec, InitialConditions.zeros(2, 2), 50)
+        traj = simulate(spec, zero_init(2, 2), 50)
         assert detect_zero_limit(traj, 1e-8)
 
 
@@ -100,7 +105,7 @@ class TestDetectPeriod:
 
     def test_window_must_fit(self):
         spec = SystemSpec(k=2, A=np.eye(2))
-        traj = simulate(spec, InitialConditions.zeros(2, 2), 10)
+        traj = simulate(spec, zero_init(2, 2), 10)
         with pytest.raises(ValueError, match="horizon"):
             detect_period(traj, max_period=4, per_tol=1e-7, window=5)
 
@@ -200,12 +205,12 @@ class TestEnvelopeCheck:
 
     def test_zero_trajectory(self):
         spec = SystemSpec(k=2, A=0.5 * np.eye(2))
-        traj = simulate(spec, InitialConditions.zeros(2, 2), 20)
+        traj = simulate(spec, zero_init(2, 2), 20)
         assert envelope_check(traj, spec.A)
 
     def test_rejects_expanding_kernel(self):
         spec = SystemSpec(k=2, A=2.0 * np.eye(2))
-        traj = simulate(spec, InitialConditions.zeros(2, 2), 20)
+        traj = simulate(spec, zero_init(2, 2), 20)
         with pytest.raises(ValueError, match="radius"):
             envelope_check(traj, spec.A)
 
@@ -232,9 +237,27 @@ class TestDominationCheck:
 
     def test_empty_range_rejected(self):
         spec = SystemSpec(k=2, A=0.5 * np.eye(2))
-        traj = simulate(spec, InitialConditions.zeros(2, 2), 3)
+        traj = simulate(spec, zero_init(2, 2), 3)
         with pytest.raises(ValueError, match="kL"):
             domination_check(traj, spec.A, 5, 0)
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("field, value", [
+        ("zero_tol", math.nan), ("zero_tol", math.inf), ("zero_tol", -1.0),
+        ("per_tol", math.nan), ("per_tol", math.inf), ("per_tol", -1e-9),
+        ("growth_threshold", math.nan), ("growth_threshold", math.inf),
+        ("growth_threshold", 0.0), ("growth_threshold", -1.0),
+        ("max_period", 0), ("max_period", -2),
+    ])
+    def test_bad_value_is_refused_when_built(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            Tolerances(**{field: value})
+
+    def test_edge_values_are_kept(self):
+        tol = Tolerances(zero_tol=0.0, per_tol=0.0, growth_threshold=5e-324, max_period=1)
+        assert (tol.zero_tol, tol.per_tol, tol.growth_threshold) == (0.0, 0.0, 5e-324)
+        assert tol.period_limit(3) == 1 and Tolerances().period_limit(3) == 6
 
 
 class TestAnalyze:

@@ -13,7 +13,6 @@ from ratsys import (
     UNBOUNDED_EXISTS,
     SystemSpec,
     Tolerances,
-    analyze,
     classify_tetrachotomy,
     classify_trichotomy,
     construct_period2k_seed,
@@ -335,17 +334,9 @@ class TestVerifyClassification:
         assert failures and failures[0].init is not None
 
     def test_max_period_zero_is_refused(self):
-        # 0 is a limit, not "unset": it must not scan up to 2k
-        zero = Tolerances(max_period=0)
-        for a in (HALF, [[0.3, 0.2], [0.2, 0.3]]):  # with a witness run, with random runs only
-            spec = SystemSpec(k=2, A=a)
-            with pytest.raises(ValueError, match="max_period must be >= 1"):
-                verify_classification(spec, classify_tetrachotomy(spec), horizon=100, trials=2,
-                                      rng_seed=1, tolerances=zero)
-        spec = SystemSpec(k=2, A=HALF)
-        traj = simulate(spec, classify_tetrachotomy(spec).witness, 100)
+        # 0 is a limit, not "unset": it must not scan up to 2k, so it is refused when built
         with pytest.raises(ValueError, match="max_period must be >= 1"):
-            analyze(traj, zero)
+            Tolerances(max_period=0)
 
     def test_no_gated_check_is_refused(self):
         from dataclasses import replace

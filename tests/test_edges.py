@@ -14,7 +14,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ratsys import (
     BoundaryAmbiguous,
     ConfigError,
-    Diverged,
     EIG_TOL,
     InitialConditions,
     SystemSpec,
@@ -24,8 +23,8 @@ from ratsys import (
     load_config,
     regime_from_spectrum,
     simulate,
-    step,
 )
+from conftest import Diverged, step
 from ratsys.cli import write_trajectory_csv
 from test_byte_identity import CONFIGS as IDENTITY_CONFIGS
 from test_cli import CONFIG_PROBES, PROBE_BASE, read_trajectory_csv

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import (
+    DegenerateProjectionError,
+    check_fact1,
+    check_fact2,
     oracle_jacobi,
     symmetric_nonneg_with_rho,
     symmetric_positive_with_rho,
@@ -16,14 +19,10 @@ from conftest import (
 
 from ratsys import (
     EIG_TOL,
-    DegenerateProjectionError,
     EigenDecomposition,
-    check_fact1,
-    check_fact2,
     eig2,
     eig_symmetric,
     perron_pair,
-    spectral_radius,
 )
 from ratsys.linalg import (
     RHO_TOL,
@@ -252,10 +251,10 @@ class TestEig2:
 class TestSpectralRadius:
     def test_examples(self):
         # closed form (0.6 +/- sqrt(0.16)) / 2 = {0.5, 0.1}
-        assert abs(spectral_radius([[0.3, 0.2], [0.2, 0.3]]) - 0.5) <= EIG_TOL
+        assert abs(eig_symmetric([[0.3, 0.2], [0.2, 0.3]]).spectral_radius - 0.5) <= EIG_TOL
         # closed form (2 +/- 2) / 2 = {2, 0}
-        assert abs(spectral_radius([[1.0, 1.0], [1.0, 1.0]]) - 2.0) <= EIG_TOL
-        assert spectral_radius(np.zeros((2, 2))) == 0.0
+        assert abs(eig_symmetric([[1.0, 1.0], [1.0, 1.0]]).spectral_radius - 2.0) <= EIG_TOL
+        assert eig_symmetric(np.zeros((2, 2))).spectral_radius == 0.0
 
     def test_scaling_covariance(self):
         rng = np.random.default_rng(11)
@@ -264,7 +263,8 @@ class TestSpectralRadius:
             b = rng.uniform(-1.0, 1.0, (m, m))
             a = 0.5 * (b + b.T)
             c = float(rng.uniform(0.0, 4.0))
-            assert abs(spectral_radius(c * a) - c * spectral_radius(a)) <= 1e-9
+            scaled, plain = eig_symmetric(c * a), eig_symmetric(a)
+            assert abs(scaled.spectral_radius - c * plain.spectral_radius) <= 1e-9
 
 
 class TestRadiusSide:

@@ -5,24 +5,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from conftest import (
+    Diverged,
     count_blocks,
     oracle_simulate,
     oracle_step_from_spec,
     random_init,
     random_spec,
+    step,
     symmetric_nonneg_with_rho,
     symmetric_positive_with_rho,
 )
 
 from ratsys import (
-    Diverged,
     InitialConditions,
     SystemSpec,
     construct_unbounded_seed,
     simulate,
     simulate_batch,
-    simulate_linear,
-    step,
 )
 from ratsys import classify_tetrachotomy, simulator, verify_classification
 from ratsys.analysis import Tolerances, analyze, rows_above
@@ -103,7 +102,7 @@ class TestSimulate:
         spec = SystemSpec(k=2, A=np.full((2, 2), 1.0), denom=np.full((2, 1, 2), 0.7))
         seed = construct_unbounded_seed(spec)
         traj = simulate(spec, seed, 20)
-        linear = simulate_linear(spec.A, spec.k, seed, 20)
+        linear = simulate(SystemSpec(k=spec.k, A=spec.A), seed, 20)
         for n in range(1, 21):
             if n % 2 == 1:
                 np.testing.assert_array_equal(traj.value(n), linear.value(n))
@@ -121,7 +120,7 @@ class TestSimulate:
             init = InitialConditions.impulse(k, start)
             horizon = 6 * k
             traj = simulate(spec, init, horizon)
-            linear = simulate_linear(spec.A, k, init, horizon)
+            linear = simulate(SystemSpec(k=k, A=spec.A), init, horizon)
             for n in range(1, horizon + 1):
                 if n % k == 1 % k:
                     np.testing.assert_array_equal(traj.value(n), linear.value(n))
@@ -136,7 +135,7 @@ class TestSimulate:
             spec = random_spec(rng, m, k, float(rng.uniform(0.3, 1.2)))
             init = random_init(rng, k, m)
             traj = simulate(spec, init, 200)
-            linear = simulate_linear(spec.A, k, init, 200)
+            linear = simulate(SystemSpec(k=k, A=spec.A), init, 200)
             assert (traj.generated <= linear.generated + 1e-12).all()
 
     def test_nonnegativity_closure(self):
@@ -1019,20 +1018,23 @@ class TestHorizonType:
 
 
 class TestSimulateLinear:
+    """The comparison system u_n = A u_{n-k}: a spec with no denominator terms."""
+
     def test_zero_matrix(self):
-        traj = simulate_linear(np.zeros((2, 2)), 2, InitialConditions(np.ones((2, 2))), 10)
+        init = InitialConditions(np.ones((2, 2)))
+        traj = simulate(SystemSpec(k=2, A=np.zeros((2, 2))), init, 10)
         assert not traj.generated.any()
 
     def test_period_four_rotation(self):
         init = InitialConditions(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        traj = simulate_linear([[0.0, 1.0], [1.0, 0.0]], 2, init, 8)
+        traj = simulate(SystemSpec(k=2, A=[[0.0, 1.0], [1.0, 0.0]]), init, 8)
         np.testing.assert_array_equal(traj.value(1), [0.0, 1.0])
         np.testing.assert_array_equal(traj.value(3), [1.0, 0.0])
         np.testing.assert_array_equal(traj.value(5), [0.0, 1.0])
 
     def test_scalar_scaling(self):
         init = InitialConditions(np.array([[4.0, 8.0], [2.0, 2.0]]))
-        traj = simulate_linear(0.5 * np.eye(2), 2, init, 10)
+        traj = simulate(SystemSpec(k=2, A=0.5 * np.eye(2)), init, 10)
         for n in range(1, 11):
             np.testing.assert_allclose(traj.value(n), 0.5 * traj.value(n - 2), rtol=0, atol=0)
 
@@ -1044,7 +1046,7 @@ class TestSimulateLinear:
             a = rng.uniform(0.0, 1.0, (m, m))
             init = random_init(rng, k, m, 5.0)
             horizon = 5 * k
-            traj = simulate_linear(a, k, init, horizon)
+            traj = simulate(SystemSpec(k=k, A=a), init, horizon)
             for n in range(1, horizon + 1):
                 # u_{kq+b} = A^q u_b with b the residue of n
                 q, b = divmod(n - (1 - k), k)

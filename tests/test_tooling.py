@@ -35,6 +35,35 @@ def test_every_traced_function_exists():
     assert not missing, missing
 
 
+def test_export_list_resolves_and_star_import_binds_it():
+    ratsys = importlib.import_module("ratsys")
+    assert len(set(ratsys.__all__)) == len(ratsys.__all__)
+    missing = [name for name in ratsys.__all__ if not hasattr(ratsys, name)]
+    assert not missing, missing
+    namespace = {}
+    exec("from ratsys import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(ratsys.__all__)
+
+
+#: Proof checks and wrappers that only tests call: the helpers in tests/conftest.py
+#: hold the checks, and the wrappers' callers call what they wrapped.
+TEST_ONLY = {
+    "ratsys.linalg": ("check_fact1", "check_fact2", "DegenerateProjectionError",
+                      "spectral_radius"),
+    "ratsys.analysis": ("domination_check", "residue_limits"),
+    "ratsys.simulator": ("step", "Diverged", "simulate_linear"),
+}
+
+
+def test_test_only_names_are_not_in_the_package():
+    ratsys = importlib.import_module("ratsys")
+    found = [f"{module}.{name}" for module, names in TEST_ONLY.items() for name in names
+             if hasattr(importlib.import_module(module), name) or hasattr(ratsys, name)]
+    assert not found, found
+    assert not hasattr(ratsys.InitialConditions, "zeros")
+
+
 def test_numpy_floor_has_reshape_copy():
     # The numpy kernel calls ndarray.reshape(..., copy=False), new in NumPy 2.1.
     tomllib = pytest.importorskip("tomllib")
