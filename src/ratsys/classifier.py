@@ -18,7 +18,7 @@ records each run's verdict once, as a :class:`PredictionCheck`: a status
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .analysis import (
     Tolerances,
     analyze,
 )
-from .constructors import construct_unbounded_seed, _is_case3_kernel
+from .constructors import construct_unbounded_seed, uniform_draws, _is_case3_kernel
 from .linalg import (
     RHO_TOL,
     EigenDecomposition,
@@ -224,7 +224,7 @@ def verify_classification(
     horizon: int,
     trials: int,
     *,
-    rng_seed: int = 0,
+    rng_seed: Union[int, Tuple[int, ...]] = 0,
     init_max: float = 10.0,
     tolerances: Optional[Tolerances] = None,
 ) -> VerificationReport:
@@ -232,19 +232,25 @@ def verify_classification(
 
     Runs the witness seed (when the classification has one) plus
     ``trials`` random nonnegative initial conditions drawn uniformly from
-    [0, init_max]^m with a seeded PCG64 generator as one
-    :func:`~ratsys.simulator.simulate_batch`, analyzes each run, and
-    records one check per run, with the run's status (:data:`PASS`,
-    :data:`FAIL` or :data:`INFO`) and its :class:`AnalysisReport`; the
-    witness check, when present, comes first.  For the unbounded regime
-    only the witness can fail; random runs are :data:`INFO`.  A call whose
-    runs could not fail (no witness, and no trials or only informational
-    ones) raises ValueError instead of passing vacuously, and so does one
-    whose witness must show a period (k or 2k) that ``analyze`` cannot
-    report: one above ``tolerances.period_limit(k)``, or any when the
-    horizon is shorter than that limit.  Random runs are not refused so:
-    they also pass by converging to zero or by a period that divides the
-    predicted one.
+    [0, init_max]^m as one :func:`~ratsys.simulator.simulate_batch`,
+    analyzes each run, and records one check per run, with the run's status
+    (:data:`PASS`, :data:`FAIL` or :data:`INFO`) and its
+    :class:`AnalysisReport`; the witness check, when present, comes first.
+    For the unbounded regime only the witness can fail; random runs are
+    :data:`INFO`.  A call whose runs could not fail (no witness, and no
+    trials or only informational ones) raises ValueError instead of passing
+    vacuously, and so does one whose witness must show a period (k or 2k)
+    that ``analyze`` cannot report: one above
+    ``tolerances.period_limit(k)``, or any when the horizon is shorter than
+    that limit.  Random runs are not refused so: they also pass by
+    converging to zero or by a period that divides the predicted one.
+
+    The histories are the ``trials * k * m`` values of
+    :func:`~ratsys.constructors.uniform_draws` with entropy ``rng_seed``, a
+    nonnegative int or a tuple of them, taken in order, k rows of m per
+    trial: the stream of ``numpy.random.default_rng(rng_seed)``.  So a call
+    is reproducible, and ``rng_seed=None`` raises TypeError rather than
+    reading OS entropy.
 
     A run stops once a row's norm passes ``tolerances.growth_threshold``
     (``stop_above`` of :func:`~ratsys.simulator.simulate_batch`): its
@@ -277,10 +283,9 @@ def verify_classification(
             raise ValueError(f"run.horizon: {horizon} is below max_period {max_period}, so the "
                              f"witness run can never show the period {period} that {regime} predicts")
     check_run_size(len(runs) + trials, spec, horizon)
-    rng = np.random.default_rng(rng_seed)
+    draws = np.array(uniform_draws(rng_seed, init_max, trials * k * spec.m)).reshape(trials, k, spec.m)
     for t in range(trials):
-        runs.append((f"random-init {t + 1:02d}: {random_text.format(p=period)}",
-                     rng.uniform(0.0, init_max, (k, spec.m)), False))
+        runs.append((f"random-init {t + 1:02d}: {random_text.format(p=period)}", draws[t], False))
     trajectories = simulate_batch(spec, [history for _, history, _ in runs], horizon,
                                   stop_above=tol.growth_threshold, stop_below=tol.zero_tol)
     checks: List[PredictionCheck] = []

@@ -208,7 +208,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: str) -> int:
             a, denom = c * cfg.spec.A, scale * cfg.spec.denom
         cell_spec = SystemSpec(k=cfg.spec.k, A=a, denom=denom)
         cls = _classify(cfg, cell_spec)
-        report = _verify(cfg, cell_spec, cls, np.random.SeedSequence([cfg.rng_seed, cell_index]))
+        report = _verify(cfg, cell_spec, cls, (cfg.rng_seed, cell_index))  # per-cell entropy
         witness = report.checks[0].report  # a periodic regime's first check is its witness
         period = ""
         if cls.regime in (PERIOD_K, PERIOD_2K) and witness.period is not None:

@@ -333,6 +333,29 @@ class TestVerifyClassification:
         failures = report.failures()
         assert failures and failures[0].init is not None
 
+    @pytest.mark.parametrize("seed", [4, np.int64(4), (4, 1)])
+    def test_random_histories_are_the_default_rng_stream(self, seed):
+        # every random run fails a wrong prediction, so each check keeps its history
+        from dataclasses import replace
+
+        spec = SystemSpec(k=2, A=HALF, denom=np.full((2, 1, 2), 0.25))
+        wrong = replace(classify_tetrachotomy(spec), regime=CONVERGES_TO_ZERO, witness=None)
+        report = verify_classification(spec, wrong, horizon=200, trials=3, rng_seed=seed,
+                                       init_max=5.0)
+        rng = np.random.default_rng(np.random.SeedSequence(list(seed)) if isinstance(seed, tuple)
+                                    else seed)
+        for check in report.checks:
+            np.testing.assert_array_equal(check.init, rng.uniform(0.0, 5.0, (2, 2)))
+
+    @pytest.mark.parametrize("seed, error", [(None, TypeError), (True, TypeError),
+                                             (1.5, TypeError), ((1, -1), ValueError)])
+    def test_seed_that_is_no_nonnegative_int_is_refused(self, seed, error):
+        # numpy read None as OS entropy, so two equal calls drew different trials
+        spec = SystemSpec(k=2, A=[[0.3, 0.2], [0.2, 0.3]])
+        cls = classify_tetrachotomy(spec)
+        with pytest.raises(error, match="int|nonnegative"):
+            verify_classification(spec, cls, horizon=50, trials=2, rng_seed=seed)
+
     def test_max_period_zero_is_refused(self):
         # 0 is a limit, not "unset": it must not scan up to 2k, so it is refused when built
         with pytest.raises(ValueError, match="max_period must be >= 1"):

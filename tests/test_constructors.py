@@ -15,6 +15,8 @@ from ratsys import (
     construct_unbounded_seed,
     simulate,
 )
+from ratsys import constructors
+from ratsys.constructors import uniform_draws
 
 
 def max_shift_residual(traj, shift):
@@ -138,6 +140,23 @@ class TestUnboundedSeed:
         seed = construct_unbounded_seed(spec)
         np.testing.assert_array_equal(seed.history[0], [1.0, 2.0])
 
+    def test_random_candidate_after_both_fixed_ones_fail(self):
+        # The eigenvector (1, -2, 1) is orthogonal to (1, 1, 1) and to (1, 2, 3),
+        # so the cascade reaches its first random vector.
+        a = np.array([[1.5, 1.0, 0.5], [1.0, 1.0, 1.0], [0.5, 1.0, 1.5]])
+        np.testing.assert_array_equal(a @ [1.0, -2.0, 1.0], 0.0)
+        seed = construct_unbounded_seed(SystemSpec(k=2, A=a))
+        expected = np.random.default_rng(1093).uniform(0.0, 1.0, (3, 3))[0]
+        np.testing.assert_array_equal(seed.history, InitialConditions.impulse(2, expected).history)
+
+    def test_fixed_candidates_draw_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew random candidates")
+
+        monkeypatch.setattr(constructors, "uniform_draws", refuse)
+        seed = construct_unbounded_seed(SystemSpec(k=2, A=[[2.0, 1.0], [1.0, 2.0]]))
+        np.testing.assert_array_equal(seed.history[0], [1.0, 2.0])
+
     def test_rejects_radius_below_one(self):
         spec = SystemSpec(k=2, A=0.9 * np.eye(2))
         with pytest.raises(ValueError, match="radius"):
@@ -168,3 +187,67 @@ class TestUnboundedSeed:
             assert isinstance(seed, InitialConditions)
             assert seed.history[0].any()
             assert not seed.history[1:].any()
+
+
+#: Seeds at the 32- and 64-bit word edges and far past a pool of four words.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 17]
+HIGHS = [0.0, 1.0, 10.0, 1e300, 5e-324]
+
+
+def numpy_draws(entropy, high, count):
+    seed = np.random.SeedSequence(list(entropy)) if isinstance(entropy, tuple) else entropy
+    return np.random.default_rng(seed).uniform(0.0, high, count).tolist()
+
+
+class TestUniformDraws:
+    """``uniform_draws`` is numpy's ``default_rng(...).uniform(0.0, high, n)`` stream."""
+
+    @pytest.mark.parametrize("high", HIGHS)
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_edge_seeds_match_numpy(self, seed, high):
+        assert uniform_draws(seed, high, 20) == numpy_draws(seed, high, 20)
+
+    def test_random_seeds_match_numpy(self):
+        rng = np.random.default_rng(127)
+        for _ in range(300):
+            seed = int.from_bytes(rng.bytes(40), "little") >> int(rng.integers(0, 320))
+            high = float(rng.choice(HIGHS))
+            assert uniform_draws(seed, high, 7) == numpy_draws(seed, high, 7), seed
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**32, 2**64 + 3])
+    def test_sweep_cell_entropy_matches_seed_sequence(self, seed):
+        for cell in range(12):
+            assert uniform_draws((seed, cell), 10.0, 9) == numpy_draws((seed, cell), 10.0, 9)
+
+    def test_one_call_is_the_sequential_trials(self):
+        trials, k, m = 5, 3, 4
+        rng = np.random.default_rng(8)
+        sequential = np.array([rng.uniform(0.0, 10.0, (k, m)) for _ in range(trials)])
+        one_call = np.array(uniform_draws(8, 10.0, trials * k * m)).reshape(trials, k, m)
+        np.testing.assert_array_equal(one_call, sequential)
+
+    def test_golden_doubles(self):
+        # Fixed here, so the stream stays even if numpy's Generator.uniform changes.
+        assert uniform_draws(0, 1.0, 3) == [0.6369616873214543, 0.2697867137638703,
+                                            0.04097352393619469]
+        assert uniform_draws((3, 11), 10.0, 3) == [6.832464599213415, 0.8836917844028669,
+                                                   3.935738326182002]
+        assert uniform_draws(2**200 + 17, 1e300, 2) == [1.3682592594543386e+299,
+                                                        4.1940827906337774e+299]
+        assert uniform_draws(1093, 1.0, 3) == [0.7472665055808757, 0.539840349952322,
+                                               0.7667532295079307]
+
+    def test_numpy_integer_seeds(self):
+        assert uniform_draws(np.int64(7), 1.0, 5) == uniform_draws(7, 1.0, 5)
+        assert uniform_draws((np.uint64(7), np.int32(2)), 1.0, 5) == uniform_draws((7, 2), 1.0, 5)
+
+    @pytest.mark.parametrize("entropy", [None, True, False, np.True_, 1.0, "5", (1, None),
+                                         (1, True), (2.0,)])
+    def test_non_integers_are_refused(self, entropy):
+        with pytest.raises(TypeError, match="int"):
+            uniform_draws(entropy, 1.0, 3)
+
+    @pytest.mark.parametrize("entropy", [-1, np.int64(-1), (1, -2), (-1,)])
+    def test_negative_ints_are_refused(self, entropy):
+        with pytest.raises(ValueError, match="nonnegative"):
+            uniform_draws(entropy, 1.0, 3)

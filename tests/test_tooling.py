@@ -1,10 +1,14 @@
 """The bench tracer's function table names functions that exist, the
-declared dependency floors cover the APIs the package calls, and the
-simulator adds its sums left to right."""
+declared dependency floors cover the APIs the package calls, the
+simulator adds its sums left to right, and the package never loads
+numpy.random."""
 
 import ast
 import importlib
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,3 +118,92 @@ def test_reducing_sums_are_found(source):
 
 def test_accumulate_is_no_reducing_sum():
     assert reducing_sums("np.add.accumulate(x, axis=0, out=y)\ns = x[-1] + y") == []
+
+
+PACKAGE = SIMULATOR.parent
+
+#: Names that reach numpy's random generators; ``ratsys.constructors.uniform_draws``
+#: draws the same stream in pure Python.
+NUMPY_RANDOM = {"default_rng", "SeedSequence"}
+
+
+def numpy_random_uses(source):
+    """(line, what) for each place ``source`` names numpy.random or its generators."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "random"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.append((node.lineno, node.value.id + ".random"))
+        elif isinstance(node, ast.Name) and node.id in NUMPY_RANDOM:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in NUMPY_RANDOM:
+            found.append((node.lineno, "." + node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.startswith("numpy.random")
+                or node.module == "numpy" and any(a.name == "random" for a in node.names)):
+            found.append((node.lineno, "from " + node.module))
+        elif isinstance(node, ast.alias) and (node.name in NUMPY_RANDOM
+                                              or node.name.startswith("numpy.random")):
+            found.append((getattr(node, "lineno", 0), "import " + node.name))
+    return found
+
+
+def test_package_never_names_numpy_random():
+    found = {path.name: uses for path in sorted(PACKAGE.glob("*.py"))
+             if (uses := numpy_random_uses(path.read_text()))}
+    assert found == {}
+
+
+@pytest.mark.parametrize("source", [
+    "r = np.random.default_rng(1)", "r = numpy.random", "import numpy.random",
+    "from numpy import random", "from numpy.random import PCG64", "s = SeedSequence([1, 2])",
+    "from numpy.random import default_rng as rng",
+])
+def test_numpy_random_uses_are_found(source):
+    assert numpy_random_uses(source)
+
+
+def test_other_random_names_are_no_numpy_random():
+    assert numpy_random_uses("import random\nx = random.random()\ny = uniform_draws(1, 2.0, 3)") == []
+
+
+#: One process runs a verify and a three-regime sweep, then names what it loaded.
+LOADED_PROBE = """
+import json, sys
+from ratsys.cli import main
+config, out = sys.argv[1:]
+codes = [main(["verify", "--config", config]), main(["sweep", "--config", config, "--out", out])]
+print(json.dumps([codes, sorted({"numpy.random", "secrets", "_hashlib"} & set(sys.modules))]))
+"""
+
+PROBE_CONFIG = """
+mode: tetrachotomy
+rng_seed: 5
+system:
+  k: 2
+  A: [[0.5, 0.5], [0.5, 0.5]]
+  denom:
+    - {i: 1, j: 1, q: [0.25, 0.25]}
+    - {i: 2, j: 1, q: [0.25, 0.25]}
+run:
+  horizon: 1500
+  trials: 3
+init:
+  seed: periodic
+sweep:
+  c: [0.5, 1.0, 2.0]
+"""
+
+
+def test_verify_and_sweep_leave_numpy_random_unloaded(tmp_path):
+    """Importing numpy.random loads ``secrets`` and, through ``hmac``, OpenSSL's
+    ``_hashlib``: about 5.6 MB more peak RSS for a verify or sweep process
+    (30.4 -> 36.1 MB for ``import ratsys.cli`` on one Linux x86-64 VM),
+    to draw a few hundred doubles that ``uniform_draws`` draws in pure Python."""
+    config = tmp_path / "probe.yaml"
+    config.write_text(PROBE_CONFIG)
+    proc = subprocess.run([sys.executable, "-c", LOADED_PROBE, str(config), str(tmp_path / "sweep")],
+                          capture_output=True, text=True, check=True)
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert loaded == []
