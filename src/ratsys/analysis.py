@@ -11,12 +11,13 @@ a verify check carries as the evidence for its status.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .linalg import eig_symmetric, radius_side
+from .linalg import RHO_TOL, eig_symmetric, radius_side
 from .model import Trajectory
 
 #: Default detection thresholds (parameters assumed O(1)).
@@ -38,23 +39,36 @@ UNDETERMINED = "undetermined"
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The detection thresholds; building one that no run could meet raises ``ValueError``."""
+    """Every threshold of a run; building one that no run could meet raises ``ValueError``.
+
+    The one owner of these rules, from the config file down to the
+    simulator: each refusal starts with the field's name and names the
+    value.  ``rho_tol`` is the half-width of the band [1 - rho_tol,
+    1 + rho_tol] that the classifier and the seed constructors count as
+    radius 1.  ``growth_threshold``, ``zero_tol``, ``per_tol`` and
+    ``max_period`` are ``analyze``'s tests for the behaviours, and
+    ``simulator.simulate_batch`` also ends a run by the first two.
+    """
 
     zero_tol: float = ZERO_TOL
     per_tol: float = PER_TOL
     growth_threshold: float = GROWTH_THRESHOLD
     max_period: Optional[int] = None  # see period_limit
+    rho_tol: float = RHO_TOL
 
     def __post_init__(self):
-        for name in ("zero_tol", "per_tol"):
+        for name in ("zero_tol", "per_tol", "rho_tol"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if not 0.0 < self.growth_threshold < math.inf:
             raise ValueError(f"growth_threshold must be finite and > 0, "
                              f"got {self.growth_threshold!r}")
-        if self.max_period is not None and self.max_period < 1:
-            raise ValueError("max_period must be >= 1")
+        period = self.max_period
+        if type(period) is bool or not isinstance(period, (numbers.Integral, type(None))):
+            raise ValueError(f"max_period must be an integer, got {period!r}")
+        if period is not None and period < 1:
+            raise ValueError(f"max_period must be >= 1, got {period!r}")
 
     def period_limit(self, k: int) -> int:
         """The largest period ``analyze`` scans for in a system of order k: 2k by default."""

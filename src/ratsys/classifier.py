@@ -252,13 +252,9 @@ def verify_classification(
     is reproducible, and ``rng_seed=None`` raises TypeError rather than
     reading OS entropy.
 
-    A run stops once a row's norm passes ``tolerances.growth_threshold``
-    (``stop_above`` of :func:`~ratsys.simulator.simulate_batch`): its
-    analysis finds growth first, at the same exit step as on the full run.
-    It also stops once its rows are certified to stay at most
-    ``tolerances.zero_tol`` (``stop_below``), which a kernel whose rows sum
-    to less than 1 allows: its analysis then finds the same exit step or
-    ``converged-to-zero``, as on the full run.
+    The runs are simulated with ``tolerances``, whose growth and zero stops
+    end a run early only where its analysis with the same tolerances finds
+    what it finds on the full run (:func:`~ratsys.simulator.simulate_batch`).
     """
     tol = tolerances or Tolerances()
     regime = classification.regime
@@ -286,8 +282,7 @@ def verify_classification(
     draws = np.array(uniform_draws(rng_seed, init_max, trials * k * spec.m)).reshape(trials, k, spec.m)
     for t in range(trials):
         runs.append((f"random-init {t + 1:02d}: {random_text.format(p=period)}", draws[t], False))
-    trajectories = simulate_batch(spec, [history for _, history, _ in runs], horizon,
-                                  stop_above=tol.growth_threshold, stop_below=tol.zero_tol)
+    trajectories = simulate_batch(spec, [h for _, h, _ in runs], horizon, tolerances=tol)
     checks: List[PredictionCheck] = []
     for (name, history, witness), traj in zip(runs, trajectories):
         report = analyze(traj, tol)

@@ -119,9 +119,9 @@ def _write_cycle(fh, texts: List[str], n_start: int, n_end: int) -> None:
 
 def _classify(cfg: RunConfig, spec: SystemSpec) -> Classification:
     if cfg.mode == "tetrachotomy":
-        return classify_tetrachotomy(spec, cfg.rho_tol)
+        return classify_tetrachotomy(spec, cfg.tolerances.rho_tol)
     if cfg.mode == "trichotomy":
-        return classify_trichotomy(spec, cfg.rho_tol)
+        return classify_trichotomy(spec, cfg.tolerances.rho_tol)
     raise ConfigError("mode must be set to tetrachotomy or trichotomy")
 
 

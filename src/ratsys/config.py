@@ -5,24 +5,26 @@ with optional denominator vectors or in scalar two-equation form),
 ``run`` (horizon, trials, init_max), ``init`` (an explicit history or a
 constructor directive), ``tolerances``, ``sweep`` (grid of kernel
 multipliers), and ``verify`` (optional expected-regime override).
-Random draws use numpy's seeded PCG64 generator, so a config plus its
-``rng_seed`` reproduces a run byte for byte.
+Random draws come from ratsys's own pure-Python PCG64, equal bit for bit
+to ``numpy.random.default_rng``, so a config plus its ``rng_seed``
+reproduces a run byte for byte.  The ``tolerances`` section becomes one
+:class:`~ratsys.analysis.Tolerances`, which holds the defaults and value
+rules of its fields.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional
 
 import numpy as np
 import yaml
 
-from .analysis import GROWTH_THRESHOLD, PER_TOL, ZERO_TOL, Tolerances
+from .analysis import Tolerances
 from .classifier import CONVERGES_TO_ZERO, PERIOD_2K, PERIOD_K, UNBOUNDED_EXISTS
 from .constructors import construct_period2k_seed, construct_periodic_seed, construct_unbounded_seed
-from .linalg import RHO_TOL
 from .model import (InitialConditions, SystemSpec, denom_size_problem, from_scalar_params,
                     validate_initial)
 
@@ -39,6 +41,7 @@ class ConfigError(ValueError):
 
 #: Every scalar setting, the command-line overrides included:
 #: dotted path -> (type, default or REQUIRED, rule, text naming the rule).
+#: A tolerances.* row holds only its type: Tolerances holds its default and rule.
 FIELDS = {
     "mode": (str, None, MODES.__contains__, f"must be one of {MODES}"),
     "rng_seed": (int, 0, lambda v: v >= 0, "must be >= 0"),
@@ -46,11 +49,11 @@ FIELDS = {
     "run.horizon": (int, 1000, lambda v: v >= 1, "must be >= 1"),
     "run.trials": (int, 20, lambda v: v >= 0, "must be >= 0"),
     "run.init_max": (float, 10.0, lambda v: v >= 0, "must be >= 0"),
-    "tolerances.zero_tol": (float, ZERO_TOL, lambda v: v >= 0, "must be >= 0"),
-    "tolerances.per_tol": (float, PER_TOL, lambda v: v >= 0, "must be >= 0"),
-    "tolerances.growth_threshold": (float, GROWTH_THRESHOLD, lambda v: v > 0, "must be > 0"),
-    "tolerances.rho_tol": (float, RHO_TOL, lambda v: v >= 0, "must be >= 0"),
-    "tolerances.max_period": (int, None, lambda v: v >= 1, "must be >= 1"),
+    "tolerances.zero_tol": (float, None, None, None),
+    "tolerances.per_tol": (float, None, None, None),
+    "tolerances.growth_threshold": (float, None, None, None),
+    "tolerances.rho_tol": (float, None, None, None),
+    "tolerances.max_period": (int, None, None, None),
     "init.seed": (str, REQUIRED, SEED_DIRECTIVES.__contains__, f"must be one of {SEED_DIRECTIVES}"),
     "init.a": (float, REQUIRED, lambda v: v >= 0, "must be >= 0"),  # read for period2k only
     "init.b": (float, REQUIRED, lambda v: v >= 0, "must be >= 0"),
@@ -66,7 +69,7 @@ class SweepGrid:
 
 @dataclass
 class RunConfig:
-    """A loaded config; the defaults of its settings are in :data:`FIELDS`."""
+    """A loaded config; the defaults of its settings are in :data:`FIELDS`, or in Tolerances."""
 
     spec: SystemSpec
     mode: Optional[str]
@@ -75,7 +78,6 @@ class RunConfig:
     trials: int
     init_max: float
     tolerances: Tolerances
-    rho_tol: float
     expect_regime: Optional[str]
     seed_directive: Optional[str] = None
     seed_a: Optional[float] = None  # period2k seeds only
@@ -134,7 +136,7 @@ def check(path: str, value):
         raise ConfigError(f"{path} must be of type {kind.__name__}, got {value!r}{note}")
     if kind is float and not abs(value) <= sys.float_info.max:  # NaN, inf, huge ints
         raise ConfigError(f"{path} must be finite, got {value!r}")
-    if not rule(value):
+    if rule and not rule(value):
         raise ConfigError(f"{path} {text}, got {value!r}")
     return float(value) if kind is float else value
 
@@ -225,6 +227,17 @@ def _parse_system(doc) -> SystemSpec:
     return SystemSpec(k=k, A=a, denom=denom)
 
 
+def _tolerances(doc: dict) -> Tolerances:
+    """The ``tolerances`` section: the fields it gives, checked for type, in one Tolerances."""
+    section = _section(doc, "tolerances")
+    given = {f.name: check("tolerances." + f.name, section[f.name])
+             for f in fields(Tolerances) if f.name in section}
+    try:
+        return Tolerances(**given)
+    except ValueError as exc:  # its message starts with the field's name
+        raise ConfigError(f"tolerances.{exc}") from exc
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a config file; raises :class:`ConfigError`."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -245,13 +258,7 @@ def load_config(path) -> RunConfig:
         horizon=_get(doc, "run.horizon"),
         trials=_get(doc, "run.trials"),
         init_max=_get(doc, "run.init_max"),
-        tolerances=Tolerances(
-            zero_tol=_get(doc, "tolerances.zero_tol"),
-            per_tol=_get(doc, "tolerances.per_tol"),
-            growth_threshold=_get(doc, "tolerances.growth_threshold"),
-            max_period=_get(doc, "tolerances.max_period"),
-        ),
-        rho_tol=_get(doc, "tolerances.rho_tol"),
+        tolerances=_tolerances(doc),
         expect_regime=_get(doc, "verify.expect"),
     )
 
@@ -285,7 +292,7 @@ def resolve_init(cfg: RunConfig) -> InitialConditions:
     if cfg.seed_directive == "explicit":
         return InitialConditions(cfg.explicit_history)
     if cfg.seed_directive == "periodic":
-        return construct_periodic_seed(cfg.spec, rho_tol=cfg.rho_tol)
+        return construct_periodic_seed(cfg.spec, cfg.tolerances.rho_tol)
     if cfg.seed_directive == "period2k":
-        return construct_period2k_seed(cfg.spec, cfg.seed_a, cfg.seed_b, rho_tol=cfg.rho_tol)
-    return construct_unbounded_seed(cfg.spec, rho_tol=cfg.rho_tol)
+        return construct_period2k_seed(cfg.spec, cfg.seed_a, cfg.seed_b, cfg.tolerances.rho_tol)
+    return construct_unbounded_seed(cfg.spec, cfg.tolerances.rho_tol)

@@ -48,9 +48,9 @@ writes one block of :data:`_CHECK_EVERY` steps of each live trajectory,
 resumed from its last k rows, and reports the first non-finite step of
 each that has one.  After each block the driver tests all live
 trajectories at once and ends one by one rule, in this order: at
-its first non-finite step (it diverged); with ``stop_above`` or
-``stop_below``, at the block (below); or, when the bytes of its last k
-rows match those of the k rows 2k before them, in an exact cycle.  Each
+its first non-finite step (it diverged); given ``tolerances``, at the
+block by its growth or zero stop (below); or, when the bytes of its last
+k rows match those of the k rows 2k before them, in an exact cycle.  Each
 trajectory's ``end`` records the rule and its horizon.  An ended
 trajectory leaves the live list, and stepping stops once none is left.
 A cycled trajectory keeps its rows through the block in which its state
@@ -65,43 +65,40 @@ all divide it; in double precision such a limit is often reached bit for
 bit after a few hundred steps.  Bytes, not ``==``, decide, since ``==``
 holds between -0.0 and 0.0.
 
-With ``stop_above`` (``verify_classification`` passes its growth threshold),
-the driver also ends a trajectory at the last step of a check block in
-which ``analysis.rows_above``, the growth test of
-``analysis.detect_unbounded``, finds a row whose norm exceeds the
-threshold; a block that diverges ends where it diverges, as without the
-rule.  The test runs only on a block whose last k rows have a component
-above the threshold, a cheap look at the state the next block starts
-from; the test alone decides, since a component above the threshold can
-square to 0.0 (1e-190 against 1e-200).  The stop is exact for ``analyze``:
-it tests growth first, and a row's norm depends on that row alone, so the
-rows kept hold the same first crossing, and the report names the same exit
-step, as the full run.
+Given ``tolerances`` (``verify_classification`` passes its own), the
+driver also ends a trajectory at the last step of a check block in which
+``analysis.rows_above``, the growth test of ``analysis.detect_unbounded``,
+finds a row whose norm exceeds ``growth_threshold``: the growth stop.  A
+block that diverges ends where it diverges, as without the stop.  The test
+runs only on a block whose last k rows have a component above the
+threshold, a cheap look at the state the next block starts from; the test
+alone decides, since a component above the threshold can square to 0.0
+(1e-190 against 1e-200).  The stop is exact for ``analyze``: it tests
+growth first, and a row's norm depends on that row alone, so the rows kept
+hold the same first crossing, and the report names the same exit step, as
+the full run.
 
-With ``stop_below``, which needs ``stop_above`` (``verify_classification``
-passes its zero tolerance and its growth threshold), the driver also ends
-a trajectory at the last step of a check block whose last k rows, its
-state, are all at most ``stop_below``.  The rule is on only when
+The zero stop ends a trajectory at the last step of a check block whose
+last k rows, its state, are all at most ``zero_tol``.  It is on only when
 ``linalg.contraction_rate`` certifies the kernel, once per call: a rate
 r < 1 such that any float evaluation of a numerator (A v)_i with
 0 <= v <= T componentwise is at most r T + m 2^-1074.  A denominator
 starts at 1.0 and adds nonnegative terms, so it is at least 1, and a
 quotient then rounds to at most its numerator: a state at most T gives a
 next row at most r T + m 2^-1074 <= T once m 2^-1074 <= (1 - r) T.  So
-with T = stop_below every later row stays at most stop_below.  The rule
-also needs 2 m 2^-1074 <= stop_below (1 - r), which gives that last
-condition with the rounding of its test, and n = 2 m stop_below with
-n <= stop_above and n^2 finite, so that a row with components at most
-stop_below has a computed norm at most n.  Every later row then neither
-diverges nor passes the growth threshold, and ends below the zero
-tolerance.  So ``analyze``, with ``zero_tol`` = stop_below and
-``growth_threshold`` = stop_above, reports the cut run as the full one:
-the same exit step when the kept rows pass the threshold, else
-``converged-to-zero``, since the kept state is at most ``zero_tol`` as the
-full run's last k rows are.  A kernel whose largest row sum is 1 or more
-(every kernel with rho >= 1, and some with rho < 1) turns the rule off,
-and then it costs nothing a block.  Every other caller gets the full
-horizon.
+with T = zero_tol every later row stays at most zero_tol.  The stop also
+needs 2 m 2^-1074 <= zero_tol (1 - r), which gives that last condition
+with the rounding of its test, and n = 2 m zero_tol with
+n <= growth_threshold and n^2 finite, so that a row with components at
+most zero_tol has a computed norm at most n.  Every later row then
+neither diverges nor passes the growth threshold, and ends below the zero
+tolerance.  So ``analyze``, with the same tolerances, reports the cut run
+as the full one: the same exit step when the kept rows pass the
+threshold, else ``converged-to-zero``, since the kept state is at most
+``zero_tol`` as the full run's last k rows are.  A kernel whose largest
+row sum is 1 or more (every kernel with rho >= 1, and some with rho < 1),
+or a ``zero_tol`` of 0, turns the zero stop off, and then it costs
+nothing a block.  A call without ``tolerances`` gets the full horizon.
 
 The generated loop keeps the order because each sum is one ``+`` chain,
 which Python evaluates left to right without rearranging float arithmetic.
@@ -123,15 +120,14 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .analysis import rows_above
+from .analysis import Tolerances, rows_above
 from .linalg import contraction_rate
 from .model import (DIVERGED, EXACT_CYCLE, GROWTH_STOP, HORIZON, MAX_RUN_BYTES, ZERO_STOP,
                     InitialConditions, RunEnd, SystemSpec, Trajectory, validate_initial)
 
 
 #: Steps in a block, which a kernel steps between the driver's checks for
-#: non-finite values, for a pass of ``stop_above`` or ``stop_below`` and for
-#: a repeated state.
+#: non-finite values, for a growth or zero stop and for a repeated state.
 _CHECK_EVERY = 64
 
 
@@ -253,8 +249,7 @@ def simulate_batch(
     histories: Sequence,
     horizon: int,
     *,
-    stop_above: Optional[float] = None,
-    stop_below: Optional[float] = None,
+    tolerances: Optional[Tolerances] = None,
 ) -> List[Trajectory]:
     """Iterate the rational system for ``horizon`` steps from each (k, m) history.
 
@@ -267,30 +262,27 @@ def simulate_batch(
     values.  A trajectory that ends in an exact cycle stores its rows only
     through the block that found it; read it through ``Trajectory.rows``.
 
-    With ``stop_above``, a trajectory also ends at the last step of a check
-    block in which a row's norm exceeds it (the growth test of
-    ``analysis.detect_unbounded``), unless it diverged there.  With
-    ``stop_below``, which needs ``stop_above``, a trajectory also ends at the
-    last step of a check block after which every row is certified to stay
-    at most ``stop_below``; only a kernel whose rows sum to less than 1 has
-    the certificate.  See the module docstring for why ``analyze`` reports
-    such runs as it reports the full ones.
+    Given ``tolerances``, a trajectory also ends at the last step of a
+    check block in which a row's norm exceeds its ``growth_threshold`` (the
+    growth test of ``analysis.detect_unbounded``), unless it diverged
+    there, or after which every row is certified to stay at most its
+    ``zero_tol``; only a kernel whose rows sum to less than 1 has the
+    certificate.  See the module docstring for why ``analyze``, with the
+    same tolerances, reports such runs as it reports the full ones.
     """
     inits = _validated(spec, histories, horizon)
     loop = len(inits) * (spec.A.size * spec.k + ROW_TERMS) <= MAX_LOOP_TERMS
-    return _drive(_loop_kernel if loop else _numpy_kernel, spec, inits, int(horizon), stop_above,
-                  stop_below)
+    return _drive(_loop_kernel if loop else _numpy_kernel, spec, inits, int(horizon), tolerances)
 
 
-def _stops_below(spec: SystemSpec, stop_below: float, stop_above: float) -> bool:
-    """Whether the ``stop_below`` rule is on; the module docstring has the conditions and proof."""
-    rate, norm = contraction_rate(spec.A), 2 * spec.m * stop_below
-    return (rate is not None and 2 * spec.m * 2.0**-1074 <= stop_below * (1.0 - rate)
-            and norm <= stop_above and norm * norm < np.inf)
+def _stops_below(spec: SystemSpec, tol: Tolerances) -> bool:
+    """Whether the zero stop is on; the module docstring has the conditions and proof."""
+    rate, norm = contraction_rate(spec.A), 2 * spec.m * tol.zero_tol
+    return (rate is not None and 2 * spec.m * 2.0**-1074 <= tol.zero_tol * (1.0 - rate)
+            and norm <= tol.growth_threshold and norm * norm < np.inf)
 
 
-def _drive(make, spec: SystemSpec, inits, horizon: int, stop_above: Optional[float],
-           stop_below: Optional[float] = None):
+def _drive(make, spec: SystemSpec, inits, horizon: int, tolerances: Optional[Tolerances] = None):
     """Validated ``inits`` stepped by the kernel that ``make`` builds; one trajectory each.
 
     Trajectory b is ``values[b]`` of one (B, k + horizon, m) array.
@@ -299,17 +291,15 @@ def _drive(make, spec: SystemSpec, inits, horizon: int, stop_above: Optional[flo
     ``live`` into ``values[b]``, each from the k rows before, and returns
     ``{r: n}`` for each ``live[r]`` whose first non-finite step is n.  After
     each block the module docstring's rules, tested on all live rows at once
-    (divergence, ``stop_above``, ``stop_below``, exact cycle), end
-    trajectories, which leave ``live``; each trajectory's ``end`` names the
-    rule.  Whether ``stop_below`` is on is decided once, before the first
-    block.
+    (divergence, the growth and zero stops of ``tolerances``, exact cycle),
+    end trajectories, which leave ``live``; each trajectory's ``end`` names
+    the rule.  Whether the zero stop is on is decided once, before the
+    first block.
     """
-    if stop_below is not None and stop_above is None:
-        raise ValueError("stop_below needs stop_above")
     rows, m, k = len(inits), spec.m, spec.k
     if not rows:
         return []
-    below = stop_below is not None and _stops_below(spec, stop_below, stop_above)
+    below = tolerances is not None and _stops_below(spec, tolerances)
     # The values get a map of their own rather than a malloc block: glibc
     # raises its mmap threshold to the size of each mapped block freed, so
     # that later blocks of that size come from the heap and stay resident
@@ -337,14 +327,14 @@ def _drive(make, spec: SystemSpec, inits, horizon: int, stop_above: Optional[flo
         ended = set(diverged)  # positions in live
         # the last 3k rows of each live trajectory (fewer before step 2k); the state is the last k
         recent = values[:, max(last - 2 * k, 0) : last + k].take(live, axis=0)
-        if stop_above is not None:
-            for r in (recent[:, -k:].max(axis=(1, 2)) > stop_above).nonzero()[0]:
+        if tolerances is not None:
+            for r in (recent[:, -k:].max(axis=(1, 2)) > tolerances.growth_threshold).nonzero()[0]:
                 if r not in ended and rows_above(values[live[r], first + k - 1 : last + k],
-                                                 stop_above).size:
+                                                 tolerances.growth_threshold).size:
                     reasons[live[r]], kept[live[r]] = GROWTH_STOP, last
                     ended.add(r)
         if below:
-            for r in (recent[:, -k:] <= stop_below).all(axis=(1, 2)).nonzero()[0]:
+            for r in (recent[:, -k:] <= tolerances.zero_tol).all(axis=(1, 2)).nonzero()[0]:
                 if r not in ended:
                     reasons[live[r]], kept[live[r]] = ZERO_STOP, last
                     ended.add(r)

@@ -1,6 +1,7 @@
 """Behavior detection, residual sequences, and proof-machinery inequalities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -249,10 +250,23 @@ class TestTolerances:
         ("growth_threshold", math.nan), ("growth_threshold", math.inf),
         ("growth_threshold", 0.0), ("growth_threshold", -1.0),
         ("max_period", 0), ("max_period", -2),
+        ("rho_tol", math.nan), ("rho_tol", math.inf), ("rho_tol", -1.0),
+        ("max_period", 2.5), ("max_period", True), ("max_period", 4.0), ("max_period", "4"),
     ])
     def test_bad_value_is_refused_when_built(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be"):
+        with pytest.raises(ValueError, match=f"{field} must be .*, got {re.escape(repr(value))}$"):
             Tolerances(**{field: value})
+
+    def test_max_period_is_an_integer(self):
+        # 2.5 made analyze raise IndexError; True read as a limit of 1, so the
+        # period-4 orbit of the swap from (1, 2), (3, 4) was reported undetermined
+        spec = SystemSpec(k=2, A=[[0.0, 1.0], [1.0, 0.0]])
+        traj = simulate(spec, InitialConditions([[1.0, 2.0], [3.0, 4.0]]), 100)
+        report = analyze(traj, Tolerances(max_period=np.int64(4)))
+        assert (report.behavior, report.period) == (EVENTUALLY_PERIODIC, 4)
+        for value in (np.float64(4.0), np.bool_(True)):
+            with pytest.raises(ValueError, match="max_period must be an integer"):
+                Tolerances(max_period=value)
 
     def test_edge_values_are_kept(self):
         tol = Tolerances(zero_tol=0.0, per_tol=0.0, growth_threshold=5e-324, max_period=1)

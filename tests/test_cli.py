@@ -15,7 +15,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ratsys import cli
 from ratsys.cli import CSV_CHUNK_ROWS, main, write_trajectory_csv
 from ratsys import SystemSpec, InitialConditions, Trajectory, simulate, verify_classification
-from ratsys.analysis import UNDETERMINED
+from ratsys.analysis import UNDETERMINED, Tolerances
+from ratsys.config import ConfigError, load_config
 from ratsys.model import DIVERGED, EXACT_CYCLE, RunEnd
 from ratsys.simulator import simulate_batch
 
@@ -269,6 +270,31 @@ class TestConfigErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: run.horizon must be of type int"), err
         assert err[0].endswith(f"; write {digits}") if digits else "write" not in err[0], err
+
+    @pytest.mark.parametrize("key,value", [
+        ("zero_tol", -1), ("per_tol", -1e-9), ("growth_threshold", 0), ("growth_threshold", -1),
+        ("rho_tol", -1), ("max_period", 0), ("max_period", -2),
+    ])
+    def test_tolerance_refusal_is_the_types_own(self, tmp_path, key, value):
+        # Tolerances states each rule once; the config only names the section
+        doc = copy.deepcopy(PROBE_BASE)
+        doc["tolerances"][key] = value
+        typed = value if key == "max_period" else float(value)
+        with pytest.raises(ValueError) as own:
+            Tolerances(**{key: typed})
+        with pytest.raises(ConfigError) as refused:
+            load_config(write_conf(tmp_path, yaml.safe_dump(doc)))
+        message = str(refused.value)
+        assert message == f"tolerances.{own.value}" and "\n" not in message
+        assert message.startswith(f"tolerances.{key} ") and message.endswith(f", got {typed!r}")
+
+    def test_tolerances_left_out_are_the_types_defaults(self, tmp_path):
+        doc = copy.deepcopy(PROBE_BASE)
+        doc["tolerances"] = {"per_tol": 1.0e-6, "rho_tol": 1.0e-7}
+        cfg = load_config(write_conf(tmp_path, yaml.safe_dump(doc)))
+        assert cfg.tolerances == Tolerances(per_tol=1.0e-6, rho_tol=1.0e-7)
+        del doc["tolerances"]
+        assert load_config(write_conf(tmp_path, yaml.safe_dump(doc))).tolerances == Tolerances()
 
     def test_quoted_number_is_named_as_text(self, tmp_path, capsys):
         doc = copy.deepcopy(PROBE_BASE)

@@ -205,16 +205,20 @@ def _whole(traj):
     return traj.rows(traj.n_first, traj.horizon)
 
 
-def _kernel_batch(kernel, spec, histories, horizon, stop_above=None, stop_below=None):
+def _kernel_batch(kernel, spec, histories, horizon, tolerances=None):
     """``histories`` stepped by the simulator kernel named ``kernel``, whatever their terms."""
     inits = [InitialConditions(h) for h in histories]
-    return simulator._drive(getattr(simulator, kernel), spec, inits, horizon, stop_above,
-                            stop_below)
+    return simulator._drive(getattr(simulator, kernel), spec, inits, horizon, tolerances)
 
 
-def _numpy_batch(spec, histories, horizon, stop_above=None):
+def _numpy_batch(spec, histories, horizon, tolerances=None):
     """The numpy kernel on ``histories``, whatever their number of terms a step."""
-    return _kernel_batch("_numpy_kernel", spec, histories, horizon, stop_above)
+    return _kernel_batch("_numpy_kernel", spec, histories, horizon, tolerances)
+
+
+def _growth_stop(threshold):
+    """Tolerances that stop a run only by its growth: a zero_tol of 0 turns the zero stop off."""
+    return Tolerances(zero_tol=0.0, growth_threshold=threshold)
 
 
 WILD_SCALES = 10.0 ** np.array([300, 285, 270, 200, 100, 0, -100])
@@ -652,21 +656,21 @@ class TestExactCycles:
     def test_numpy_rows_leave_the_batch_as_they_end(self, monkeypatch):
         spec, histories = self.MIXED, self.MIXED_HISTORIES
         blocks = count_blocks(monkeypatch)
-        got = _numpy_batch(spec, histories, 300, stop_above=3e150)
+        got = _numpy_batch(spec, histories, 300, _growth_stop(3e150))
         assert blocks == [("_numpy_kernel", *block) for block in self.MIXED_BLOCKS]
         assert [(t.horizon, t.diverged_at) for t in got] == [(300, None), (100, 101), (64, None),
                                                               (300, None)]
         assert [t.end.reason for t in got] == [EXACT_CYCLE, DIVERGED, GROWTH_STOP, HORIZON]
         for history, traj in zip(histories, got):
-            (alone,) = _numpy_batch(spec, [history], 300, stop_above=3e150)
-            (loop,) = simulate_batch(spec, [history], 300, stop_above=3e150)
+            (alone,) = _numpy_batch(spec, [history], 300, _growth_stop(3e150))
+            (loop,) = simulate_batch(spec, [history], 300, tolerances=_growth_stop(3e150))
             assert _same_run(traj, alone) and _same_run(traj, loop)
 
     def test_kernels_step_a_mixed_batch_alike(self, monkeypatch):
         # the cycling, diverging, stopping and full rows above, forced through
         # each kernel: the same blocks, each with the same rows, and the same bits
         blocks = count_blocks(monkeypatch)
-        runs = [_kernel_batch(kernel, self.MIXED, self.MIXED_HISTORIES, 300, stop_above=3e150)
+        runs = [_kernel_batch(kernel, self.MIXED, self.MIXED_HISTORIES, 300, _growth_stop(3e150))
                 for kernel in ("_loop_kernel", "_numpy_kernel")]
         assert blocks == [(kernel, *block) for kernel in ("_loop_kernel", "_numpy_kernel")
                           for block in self.MIXED_BLOCKS]
@@ -692,7 +696,7 @@ def _first_passed_at(n):
 
 
 class TestStopAbove:
-    """With ``stop_above``, a run ends at the check block where a row's norm first passes it.
+    """With the growth stop, a run ends at the check block where a row's norm first passes it.
 
     ``analyze`` must report each stopped run exactly as the full run, on the
     loop side and the numpy side of ``simulate_batch``.
@@ -709,7 +713,7 @@ class TestStopAbove:
             histories = list(histories) + [np.zeros((spec.k, spec.m))] * MAX_LOOP_TERMS
         other = "_loop_kernel" if side == "numpy" else "_numpy_kernel"
         TestKernelChoice._refuse(monkeypatch, other)
-        stopped = simulate_batch(spec, histories, horizon, stop_above=threshold)
+        stopped = simulate_batch(spec, histories, horizon, tolerances=_growth_stop(threshold))
         full = simulate_batch(spec, histories, horizon)
         tol = Tolerances(growth_threshold=threshold)
         for got, want in zip(stopped, full):
@@ -801,8 +805,8 @@ class TestStopAbove:
                               denom=rng.uniform(0.0, 0.5, (m, k - 1, m)))
             histories = [rng.uniform(0.0, 10.0, (k, m)) * s for s in (1.0, 1e-3, 1e-6, 0.0)]
             for threshold in (1e3, 1e6, 1e-200):
-                loop = simulate_batch(spec, histories, 400, stop_above=threshold)
-                batch = _numpy_batch(spec, histories, 400, stop_above=threshold)
+                loop = simulate_batch(spec, histories, 400, tolerances=_growth_stop(threshold))
+                batch = _numpy_batch(spec, histories, 400, _growth_stop(threshold))
                 assert all(_same_run(g, w) for g, w in zip(loop, batch))
 
     def test_plain_calls_run_the_horizon(self):
@@ -819,18 +823,18 @@ KERNELS = ["_loop_kernel", "_numpy_kernel"]
 
 
 class TestStopBelow:
-    """With ``stop_below``, a run ends at the check block after which it is certified to stay below.
+    """With the zero stop, a run ends at the check block after which it is certified to stay below.
 
     ``analyze`` must report each cut run exactly as the full run, with both
     kernels through the one driver.
     """
 
     @staticmethod
-    def _runs(kernel, spec, histories, horizon, zero_tol, stop_above=1e6):
+    def _runs(kernel, spec, histories, horizon, zero_tol, growth_threshold=1e6):
         """The cut runs of ``histories``, each checked against its full run."""
-        cut = _kernel_batch(kernel, spec, histories, horizon, stop_above, zero_tol)
-        full = _kernel_batch(kernel, spec, histories, horizon, stop_above)
-        tol = Tolerances(zero_tol=zero_tol, growth_threshold=stop_above)
+        tol = Tolerances(zero_tol=zero_tol, growth_threshold=growth_threshold)
+        cut = _kernel_batch(kernel, spec, histories, horizon, tol)
+        full = _kernel_batch(kernel, spec, histories, horizon, _growth_stop(growth_threshold))
         for got, want in zip(cut, full):
             assert analyze(got, tol) == analyze(want, tol)
             if got.horizon == want.horizon:
@@ -892,26 +896,22 @@ class TestStopBelow:
     def test_off_when_zero_tol_nears_the_growth_threshold(self, kernel):
         # 2 m zero_tol = 4e-3 passes a growth threshold of 3e-3 but not one of 4e-3
         spec, history = _swap(0.5), np.full((2, 2), 1e-9)
-        (traj,) = self._runs(kernel, spec, [history], 300, 1e-3, stop_above=3e-3)
+        (traj,) = self._runs(kernel, spec, [history], 300, 1e-3, growth_threshold=3e-3)
         assert traj.horizon == 300 and traj.end.reason == HORIZON
-        (traj,) = self._runs(kernel, spec, [history], 300, 1e-3, stop_above=4e-3)
+        (traj,) = self._runs(kernel, spec, [history], 300, 1e-3, growth_threshold=4e-3)
         assert traj.horizon == 64 and traj.end.reason == ZERO_STOP
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_off_when_a_norm_could_overflow(self, kernel):
         # the norm bound 2 m zero_tol = 4e160 squares to inf, though it is below the threshold
         spec, history = _swap(0.5), np.full((2, 2), 1e-9)
-        (traj,) = self._runs(kernel, spec, [history], 300, 1e160, stop_above=1e300)
+        (traj,) = self._runs(kernel, spec, [history], 300, 1e160, growth_threshold=1e300)
         assert traj.horizon == 300 and traj.end.reason == HORIZON
-        (traj,) = self._runs(kernel, spec, [history], 300, 1e150, stop_above=1e300)
+        (traj,) = self._runs(kernel, spec, [history], 300, 1e150, growth_threshold=1e300)
         assert traj.horizon == 64 and traj.end.reason == ZERO_STOP
 
-    def test_needs_stop_above(self):
-        with pytest.raises(ValueError, match="stop_below needs stop_above"):
-            simulate_batch(_swap(0.5), [np.full((2, 2), 1e-9)], 300, stop_below=1e-8)
-
     def test_drive_defaults_to_no_stop(self):
-        # _drive's positional form from before stop_below
+        # _drive without tolerances
         inits = [InitialConditions(np.full((2, 2), 1e-9))]
         (traj,) = simulator._drive(simulator._loop_kernel, _swap(0.5), inits, 300, None)
         assert traj.horizon == 300 and traj.end.reason == HORIZON
@@ -921,13 +921,13 @@ class TestStopBelow:
         assert traj.horizon == 300 and traj.end.reason == HORIZON
 
 
-#: History entries of the stop_below fuzz: signed zeros, subnormals and 1e300 among plain draws.
+#: History entries of the zero-stop fuzz: signed zeros, subnormals and 1e300 among plain draws.
 _SMALL_AND_HUGE = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e300])
 
 
 @st.composite
 def _contracting_batches(draw):
-    """(spec, histories, horizon, zero_tol, stop_above): m 1-5, k 2-5, row sums below 0.95."""
+    """(spec, histories, horizon, zero_tol, growth_threshold): m 1-5, k 2-5, row sums below 0.95."""
     m, k = draw(st.integers(1, 5)), draw(st.integers(2, 5))
     raw = np.reshape(draw(st.lists(st.floats(0.0, 1.0), min_size=m * m, max_size=m * m)), (m, m))
     rows = raw.sum(axis=1).max()
@@ -942,17 +942,16 @@ def _contracting_batches(draw):
     histories = [np.reshape(h, (k, m)) * draw(scales) for h in histories]
     horizon = draw(st.integers(1, 400))
     zero_tol = draw(st.sampled_from([1e-8, 1e-3, 1e-300]))
-    stop_above = draw(st.sampled_from([1e6, 1e-3, 1e300]))
-    return spec, histories, horizon, zero_tol, stop_above
+    growth_threshold = draw(st.sampled_from([1e6, 1e-3, 1e300]))
+    return spec, histories, horizon, zero_tol, growth_threshold
 
 
 @settings(derandomize=True, max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(case=_contracting_batches())
 def test_cut_runs_analyze_like_full_runs(case):
-    spec, histories, horizon, zero_tol, stop_above = case
-    loop = TestStopBelow._runs("_loop_kernel", spec, histories, horizon, zero_tol, stop_above)
-    numpy = TestStopBelow._runs("_numpy_kernel", spec, histories, horizon, zero_tol, stop_above)
+    loop = TestStopBelow._runs("_loop_kernel", *case)
+    numpy = TestStopBelow._runs("_numpy_kernel", *case)
     assert all(_same_run(a, b) for a, b in zip(loop, numpy))
 
 
@@ -963,7 +962,7 @@ _EDGE_VALUES = st.sampled_from([0.0, -0.0, 1.0])
 
 @st.composite
 def _kernel_batches(draw):
-    """(spec, histories, horizon, stop_above) with m 1-4, k 2-5 and starts up to 1e300."""
+    """(spec, histories, horizon, tolerances) with m 1-4, k 2-5 and starts up to 1e300."""
     m, k = draw(st.integers(1, 4)), draw(st.integers(2, 5))
     # 1e10 makes a run overflow within a few dozen steps
     a = draw(st.lists(st.one_of(_EDGE_VALUES, st.floats(0.0, 2.0), st.just(1e10)),
@@ -977,8 +976,8 @@ def _kernel_batches(draw):
     scales = st.sampled_from([1.0, 1.0, 1e-100, 1e-200])
     histories = [np.reshape(h, (k, m)) * draw(scales) for h in histories]
     horizon = draw(st.integers(1, 200))
-    stop_above = draw(st.sampled_from([None, 1e3, 1e150, 1e-200]))
-    return spec, histories, horizon, stop_above
+    threshold = draw(st.sampled_from([None, 1e3, 1e150, 1e-200]))
+    return spec, histories, horizon, threshold and _growth_stop(threshold)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None,
@@ -986,11 +985,11 @@ def _kernel_batches(draw):
 @given(case=_kernel_batches())
 def test_kernels_agree_on_random_batches(case):
     # both kernels through the one driver, and the oracle on runs with no stop
-    spec, histories, horizon, stop_above = case
-    loop = _kernel_batch("_loop_kernel", spec, histories, horizon, stop_above)
-    numpy = _kernel_batch("_numpy_kernel", spec, histories, horizon, stop_above)
+    spec, histories, horizon, tolerances = case
+    loop = _kernel_batch("_loop_kernel", spec, histories, horizon, tolerances)
+    numpy = _kernel_batch("_numpy_kernel", spec, histories, horizon, tolerances)
     assert all(_same_run(a, b) for a, b in zip(loop, numpy)) and len(loop) == len(histories)
-    if stop_above is None:
+    if tolerances is None:
         for history, traj in zip(histories, loop):
             rows, diverged_at = oracle_simulate(spec, history, horizon)
             assert traj.diverged_at == diverged_at and traj.horizon == len(rows) - spec.k
