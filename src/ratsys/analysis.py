@@ -43,7 +43,8 @@ class Tolerances:
 
     The one owner of these rules, from the config file down to the
     simulator: each refusal starts with the field's name and names the
-    value.  ``rho_tol`` is the half-width of the band [1 - rho_tol,
+    value.  A bool is no number here, and the float fields take any other
+    real number.  ``rho_tol`` is the half-width of the band [1 - rho_tol,
     1 + rho_tol] that the classifier and the seed constructors count as
     radius 1.  ``growth_threshold``, ``zero_tol``, ``per_tol`` and
     ``max_period`` are ``analyze``'s tests for the behaviours, and
@@ -57,6 +58,10 @@ class Tolerances:
     rho_tol: float = RHO_TOL
 
     def __post_init__(self):
+        for name in ("zero_tol", "per_tol", "rho_tol", "growth_threshold"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         for name in ("zero_tol", "per_tol", "rho_tol"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:

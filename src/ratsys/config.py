@@ -86,6 +86,16 @@ class RunConfig:
     sweep: Optional[SweepGrid] = None
 
 
+#: Longest text of a value that a refusal echoes whole; a longer one is cut to this many
+#: characters, its last three ``...``, so that a 400-digit int stays a short line.
+_ECHO_CHARS = 60
+
+
+def _cut(text: str) -> str:
+    """``text``, cut to :data:`_ECHO_CHARS` characters ending in ``...`` if longer."""
+    return text if len(text) <= _ECHO_CHARS else text[: _ECHO_CHARS - 3] + "..."
+
+
 #: A decimal number as Python reads it: sign, mantissa, exponent letter, sign, digits.
 _DECIMAL = re.compile(r"([-+]?)([0-9]+\.?[0-9]*|\.[0-9]+)(?:([eE])([-+]?)([0-9]+))?")
 
@@ -107,10 +117,10 @@ def _yaml_number_note(value) -> str:
     spelling = sign + mantissa + ("" if "." in mantissa else ".0")
     if e:
         spelling += e + (exp_sign or "+") + digits
+    read = f"; YAML read {_cut(repr(value))} as text, since it"
     if spelling == value:
-        return f"; YAML read {value!r} as text, since it is quoted: write it without quotes"
-    return (f"; YAML read {value!r} as text, since it reads a float only with a dot "
-            f"and a signed exponent: write {spelling}")
+        return f"{read} is quoted: write it without quotes"
+    return f"{read} reads a float only with a dot and a signed exponent: write {_cut(spelling)}"
 
 
 def _int_note(value) -> str:
@@ -133,11 +143,11 @@ def check(path: str, value):
     kind, _, rule, text = FIELDS[path]
     if type(value) is not kind and not (kind is float and type(value) is int):
         note = _yaml_number_note(value) if kind is float else _int_note(value) if kind is int else ""
-        raise ConfigError(f"{path} must be of type {kind.__name__}, got {value!r}{note}")
+        raise ConfigError(f"{path} must be of type {kind.__name__}, got {_cut(repr(value))}{note}")
     if kind is float and not abs(value) <= sys.float_info.max:  # NaN, inf, huge ints
-        raise ConfigError(f"{path} must be finite, got {value!r}")
+        raise ConfigError(f"{path} must be finite, got {_cut(repr(value))}")
     if rule and not rule(value):
-        raise ConfigError(f"{path} {text}, got {value!r}")
+        raise ConfigError(f"{path} {text}, got {_cut(repr(value))}")
     return float(value) if kind is float else value
 
 

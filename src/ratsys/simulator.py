@@ -19,27 +19,26 @@ B (m^2 k + :data:`ROW_TERMS`), the terms of a step plus a charge for each
 history, is at most :data:`MAX_LOOP_TERMS`; a larger call steps all B at
 once in numpy.  :func:`simulate` makes calls of one history,
 ``verify_classification`` one per verify run or sweep cell.  Microseconds a
-step, interleaved best of 9, horizon 2000, 2-vCPU Intel Xeon, with the
-count in parentheses:
+step, best of 9 interleaved runs of each kernel in each of 3 processes,
+horizon 2000, on orbits that reach no exact cycle (symmetric positive
+kernels at rho = 0.99), 2-vCPU Intel Xeon, numpy 2.4, with the count in
+parentheses:
 
     m, k,  B (count)   loop  numpy        m, k,  B (count)   loop  numpy
-    3, 3,  5   (155)    7.8   17.3        1, 2, 48   (288)   16.5   15.9
-    2, 2, 21   (252)   16.2   15.7        1, 2, 64   (384)   19.2   19.0
-    8, 4,  1   (260)   12.2   16.1        1, 2, 72   (432)   22.4   19.0
-    4, 4,  5   (340)   16.0   18.0        1, 2, 128  (768)   42.6   15.6
-    3, 4,  9   (360)   14.8   18.2        1, 4, 40   (320)   15.0   15.7
-    2, 2, 32   (384)   24.7   20.3        1, 4, 48   (384)   21.2   18.9
-    2, 4, 21   (420)   24.2   22.9        2, 2, 64   (768)   47.4   27.0
-   16, 4,  1  (1028)   20.0*   9.1*
-   16, 4,  5  (5140)   98.6*  27.9*
+    3, 3,  5   (155)    4.8    7.5        1, 2, 48   (288)    7.6    7.7
+    2, 2, 21   (252)    9.4    9.3        1, 2, 64   (384)   10.1    8.0
+    8, 4,  1   (260)    6.5    6.6        1, 2, 72   (432)   11.0    7.9
+    4, 4,  5   (340)    9.0    7.6        1, 2, 128  (768)   20.3    9.1
+    3, 4,  9   (360)    9.8    7.6        1, 4, 40   (320)    9.8    6.9
+    2, 2, 32   (384)   12.5    9.3        1, 4, 48   (384)   11.6    6.9
+    2, 4, 21   (420)   12.2    8.0        2, 2, 64   (768)   25.6   12.3
+   16, 4,  1  (1028)   22.5    8.3
+   16, 4,  5  (5140)  105.6   13.6
 
-* Measured on the same VM in a faster spell than the other rows, on
-  orbits that reach no exact cycle: compare these two rows only with each
-  other.
-
-The loop's cost grows with the terms and, by about 0.2 us a step, with the
-histories, where numpy's stays near 16-20 us a step up to a few thousand
-terms.  Near the limit the two kernels are within about 20 % of each other.
+The loop's cost grows with the terms and with the histories, where
+numpy's stays near 7-9 us a step up to a thousand terms.  The two kernels
+cross near 260-290 terms, below :data:`MAX_LOOP_TERMS`: from 320 terms to
+the limit numpy is 15-40 % faster.
 
 Either kernel is handed to one driver, :func:`_drive`, which owns the
 trajectories' values (one (B, k + horizon, m) array), the index array of
@@ -102,13 +101,20 @@ nothing a block.  A call without ``tolerances`` gets the full horizon.
 
 The generated loop keeps the order because each sum is one ``+`` chain,
 which Python evaluates left to right without rearranging float arithmetic.
-The batched kernel keeps the order by the rule "accumulate, never reduce":
-one ``np.multiply`` per side forms the terms along a term axis that starts
-with the 0.0 or 1.0 (the numerators of k steps at once, since their v_{n-k}
-are known), and each sum is the last element of ``np.add.accumulate`` along
-that axis, which adds strictly left to right.  ``sum``, ``np.add.reduce``,
-``@``, ``dot`` and ``einsum`` may add pairwise, compensated or in BLAS
-order, so this module calls none of them (tests/test_tooling.py checks).
+The batched kernel forms each side's terms with one ``np.multiply``, along
+a term axis that starts with the 0.0 or 1.0 (the numerators of k steps at
+once, since their v_{n-k} are known), and adds that axis with
+:func:`_ordered_sum`, the one place in this module that may reduce.
+numpy documents no order for ``np.add.reduce``: over the first axis of
+an array with more than one lane (element of the rest) it adds left to
+right, but a single lane of more than a few terms it sums pairwise.  So the kernel, whenever it
+builds its term arrays, probes numpy on their shapes
+(:func:`_reduces_in_order`) and reduces only a shape that passes; it sums
+any other shape with ``np.add.accumulate``, which adds strictly left to
+right on every shape, and takes its last element.  ``sum``, ``@``,
+``dot``, ``einsum`` and ``fsum`` may add pairwise, compensated or in BLAS
+order, so this module calls none of them (tests/test_tooling.py checks
+both rules).
 """
 
 from __future__ import annotations
@@ -133,18 +139,19 @@ _CHECK_EVERY = 64
 
 #: Largest count B (m^2 k + ROW_TERMS) of a call of B histories that
 #: :func:`simulate_batch` runs in the generated loop (m^2 k: m numerator and
-#: m (k - 1) denominator terms for each of m components); the module
-#: docstring's table puts the kernels' crossover near it.  It also bounds the
+#: m (k - 1) denominator terms for each of m components).  It was set at the
+#: kernels' crossover before the numpy kernel reduced its sums; the module
+#: docstring's table now puts the crossover near 260-290.  It also bounds the
 #: loop's compile cost, about 1.3 kB a term (100 MB at m = 16, k = 300),
 #: where numpy needs a few arrays of the spec's size.
 MAX_LOOP_TERMS = 384
 
-#: The charge for each history of a call, in terms.  The table's 2 x 2 and
-#: m = 1 rows fit the loop's cost a step as 0.07 us a term plus 0.19 us a
-#: history, 2.5 terms.  A charge of 4 with a limit of 384 leaves every m >= 2
-#: call of the table on the kernel that a limit of 256 terms and no charge
-#: picks, and sends m = 1 calls of more than 64 histories at k = 2 (48 at
-#: k = 4) to numpy.
+#: The charge for each history of a call, in terms.  An earlier measurement
+#: of the table's 2 x 2 and m = 1 rows fit the loop's cost a step as 0.07 us
+#: a term plus 0.19 us a history, 2.5 terms.  A charge of 4 with a limit of
+#: 384 leaves every m >= 2 call of the table on the kernel that a limit of
+#: 256 terms and no charge picks, and sends m = 1 calls of more than 64
+#: histories at k = 2 (48 at k = 4) to numpy.
 ROW_TERMS = 4
 
 
@@ -370,6 +377,39 @@ def _loop_kernel(spec: SystemSpec, values: np.ndarray):
     return step_block
 
 
+def _ordered_sum(terms: np.ndarray, out: np.ndarray, by_reduce: bool) -> None:
+    """Write the sums of ``terms`` along axis 0 into ``out``; the one place this module reduces.
+
+    With ``by_reduce``, ``np.add.reduce``, which adds left to right only on
+    the shapes that :func:`_reduces_in_order` passes; else
+    ``np.add.accumulate`` in place, which adds left to right on any shape
+    and leaves ``terms[1:]`` overwritten, and a copy of its last element.
+    """
+    if by_reduce:
+        np.add.reduce(terms, axis=0, out=out)
+    else:
+        np.add.accumulate(terms, axis=0, out=terms)
+        out[...] = terms[-1]
+
+
+def _reduces_in_order(shape) -> bool:
+    """Whether ``np.add.reduce`` adds axis 0 of a float array of ``shape`` left to right.
+
+    The probe's first term is 1.0 and every other term 2^-53, half an ulp
+    of 1.0.  Added left to right, each sum rounds back to 1.0 (ties go to
+    even), as accumulate's last element shows; any grouping that adds two
+    small terms first gives more.  numpy documents no order for reduce.
+    With one lane (one element after axis 0), it sums an axis of more than
+    a few terms pairwise, and the probe fails.
+    """
+    terms = np.full(shape, 2.0**-53)
+    terms[0] = 1.0
+    reduced, accumulated = np.empty(shape[1:]), np.empty(shape[1:])
+    _ordered_sum(terms, reduced, True)
+    _ordered_sum(terms, accumulated, False)
+    return bool((reduced == accumulated).all())
+
+
 def _numpy_kernel(spec: SystemSpec, values: np.ndarray):
     """The numpy kernel's ``step_block``: it steps the live trajectories together.
 
@@ -377,14 +417,15 @@ def _numpy_kernel(spec: SystemSpec, values: np.ndarray):
     k + _CHECK_EVERY, m) buffer, whose next ``steps`` rows are then filled,
     each from the k before it.  The buffer, the coefficients tiled for every
     live row and the term arrays are built for one live count and rebuilt
-    when it changes.  The sums keep the module's order by "accumulate, never
-    reduce": each side's terms lie along a first axis that starts with the
-    0.0 or the 1.0, and ``np.add.accumulate`` along it, in place, leaves the
-    sum in the last element (the first stays, and the products are formed
-    anew each time).  The v_{n-k} of the next k steps are all known, so one
-    multiply and one accumulate form k numerators (at most a block's) at a
-    time; the denominator, which needs v_{n-1}, takes one of each a step,
-    against coefficients tiled to a contiguous (m, k - 1, live, m) array.
+    when it changes.  Each side's terms lie along a first axis that starts
+    with the 0.0 or the 1.0, and :func:`_ordered_sum` adds that axis left
+    to right into the side's own output array: by reduce if the probe that
+    runs when the arrays are built passes the shape, else by accumulate in
+    place (the first term stays, and the products are formed anew each
+    time).  The v_{n-k} of the next k steps are all known, so one multiply
+    and one sum form k numerators (at most a block's) at a time; the
+    denominator, which needs v_{n-1}, takes one of each a step, against
+    coefficients tiled to a contiguous (m, k - 1, live, m) array.
     Rows never mix, so a row's first non-finite step can be found after the
     block; what it computes past that step is cut off.
     """
@@ -393,9 +434,11 @@ def _numpy_kernel(spec: SystemSpec, values: np.ndarray):
     ahead = min(k, _CHECK_EVERY)  # numerators formed at a time
     # arrays built for the live count len(buf), and the views of them that a step uses
     buf = q = num_terms = den_terms = den_products = numerators = den_sum = None
+    num_reduce = den_reduce = False  # whether each sum may reduce, probed on its shape
 
     def step_block(live, first, last):
         nonlocal buf, q, num_terms, den_terms, den_products, numerators, den_sum
+        nonlocal num_reduce, den_reduce
         rows = len(live)
         if buf is None or len(buf) != rows:
             # drop the old arrays first, so that the new ones can reuse their memory
@@ -404,13 +447,15 @@ def _numpy_kernel(spec: SystemSpec, values: np.ndarray):
             # q_ijc at [c, j - 1, b, i] for every row b
             q = np.ascontiguousarray(np.broadcast_to(spec.denom.transpose(2, 1, 0)[:, :, None, :],
                                                      (m, k - 1, rows, m)))
-            # Before each accumulate, num_terms[:, s, b, i] is 0.0, then a_ic v_{n+s-k,c}
+            # Before each sum, num_terms[:, s, b, i] is 0.0, then a_ic v_{n+s-k,c}
             # by ascending c; den_terms[:, b, i] is 1.0, then q_ijc v_{n-j,c} by
             # ascending c and, inside each c, ascending j.
             num_terms = np.zeros((1 + m, ahead, rows, m))
             den_terms = np.ones((1 + m * (k - 1), rows, m))
             den_products = den_terms[1:].reshape(m, k - 1, rows, m, copy=False)
-            numerators, den_sum = num_terms[-1], den_terms[-1]
+            numerators, den_sum = np.empty((ahead, rows, m)), np.empty((rows, m))
+            num_reduce = _reduces_in_order(num_terms.shape)
+            den_reduce = _reduces_in_order(den_terms.shape)
         steps = last - first + 1
         buf[:, :k] = values[live, first - 1 : first + k - 1]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -418,12 +463,14 @@ def _numpy_kernel(spec: SystemSpec, values: np.ndarray):
                 chunk = min(ahead, steps - s)
                 delayed = buf[:, s : s + chunk].transpose(2, 1, 0)  # v_{n+s-k,c} at [c, s, b]
                 np.multiply(a, delayed[:, :, :, None], out=num_terms[1:, :chunk])
-                np.add.accumulate(num_terms[:, :chunk], axis=0, out=num_terms[:, :chunk])
+                # all ahead sums, so that the shape summed is the one probed; those
+                # past chunk add the products of an earlier chunk and are not read
+                _ordered_sum(num_terms, numerators, num_reduce)
                 for j in range(chunk):
                     t = k + s + j  # buffer row of v_n
                     recent = buf[:, t - 1 : t - k : -1].transpose(2, 1, 0)  # v_{n-j,c} at [c, j - 1, b]
                     np.multiply(q, recent[:, :, :, None], out=den_products)
-                    np.add.accumulate(den_terms, axis=0, out=den_terms)
+                    _ordered_sum(den_terms, den_sum, den_reduce)
                     np.divide(numerators[j], den_sum, out=buf[:, t])
         block = buf[:, k : k + steps]
         values[live, first + k - 1 : last + k] = block

@@ -5,14 +5,27 @@ the per-residue limits) and the one-step evaluator ``step`` are read by
 tests only, so they live here rather than in the package.
 """
 
+import gc
 import math
 from typing import Tuple
 
 import numpy as np
+import pytest
 
 from ratsys import InitialConditions, SystemSpec, simulator
 from ratsys.analysis import INEQ_SLACK
 from ratsys.linalg import EIG_TOL, as_matrix, eig_symmetric, radius_side
+
+
+@pytest.fixture(autouse=True)
+def unfreeze_after_test():
+    """Undo ``cli.main``'s ``gc.freeze()`` after each test, so its frozen objects can go.
+
+    Without it, each in-process ``main`` call would pin every object then
+    alive, earlier tests' garbage among them, for the rest of the session.
+    """
+    yield
+    gc.unfreeze()
 
 
 def symmetric_from(rng, m, low=0.0, high=1.0):

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -252,6 +253,8 @@ class TestTolerances:
         ("max_period", 0), ("max_period", -2),
         ("rho_tol", math.nan), ("rho_tol", math.inf), ("rho_tol", -1.0),
         ("max_period", 2.5), ("max_period", True), ("max_period", 4.0), ("max_period", "4"),
+        ("growth_threshold", True), ("zero_tol", False), ("zero_tol", "x"), ("per_tol", None),
+        ("rho_tol", np.bool_(True)), ("growth_threshold", "1e6"), ("zero_tol", 1j),
     ])
     def test_bad_value_is_refused_when_built(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be .*, got {re.escape(repr(value))}$"):
@@ -267,6 +270,17 @@ class TestTolerances:
         for value in (np.float64(4.0), np.bool_(True)):
             with pytest.raises(ValueError, match="max_period must be an integer"):
                 Tolerances(max_period=value)
+
+    def test_bools_are_no_numbers(self):
+        # True and False were built as a growth threshold of 1 and a zero tolerance of 0
+        with pytest.raises(ValueError, match="^zero_tol must be a real number, got False$"):
+            Tolerances(growth_threshold=True, zero_tol=False)
+
+    def test_real_values_of_any_type_are_kept(self):
+        tol = Tolerances(zero_tol=np.float64(1e-9), per_tol=0, growth_threshold=np.int64(10),
+                         rho_tol=Fraction(1, 8))
+        kept = (tol.zero_tol, tol.per_tol, tol.growth_threshold, tol.rho_tol)
+        assert kept == (1e-9, 0, 10, 0.125)
 
     def test_edge_values_are_kept(self):
         tol = Tolerances(zero_tol=0.0, per_tol=0.0, growth_threshold=5e-324, max_period=1)

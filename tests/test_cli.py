@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: configs, CSV round-trips, exit codes, determinism."""
 
 import copy
+import gc
 import math
 import re
 import subprocess
@@ -16,7 +17,7 @@ from ratsys import cli
 from ratsys.cli import CSV_CHUNK_ROWS, main, write_trajectory_csv
 from ratsys import SystemSpec, InitialConditions, Trajectory, simulate, verify_classification
 from ratsys.analysis import UNDETERMINED, Tolerances
-from ratsys.config import ConfigError, load_config
+from ratsys.config import ConfigError, check, load_config
 from ratsys.model import DIVERGED, EXACT_CYCLE, RunEnd
 from ratsys.simulator import simulate_batch
 
@@ -295,6 +296,44 @@ class TestConfigErrors:
         assert cfg.tolerances == Tolerances(per_tol=1.0e-6, rho_tol=1.0e-7)
         del doc["tolerances"]
         assert load_config(write_conf(tmp_path, yaml.safe_dump(doc))).tolerances == Tolerances()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("tolerances", "zero_tol", 10**400),
+        ("run", "init_max", -(10**400)),
+        ("rng_seed", None, -(10**100)),
+        ("run", "horizon", "x" * 100),
+    ], ids=["zero_tol-400-digits", "init_max-400-digits", "rng_seed-100-digits", "horizon-text"])
+    def test_long_value_is_echoed_cut(self, tmp_path, capsys, section, key, value):
+        # a 400-digit zero_tol echoed every digit in a 449-byte line
+        doc = copy.deepcopy(PROBE_BASE)
+        if key is None:
+            doc[section] = value
+        else:
+            doc[section][key] = value
+        assert main(["classify", "--config", write_conf(tmp_path, yaml.safe_dump(doc))]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and len(err[0]) < 150, err
+        assert err[0].endswith(", got " + repr(value)[:57] + "..."), err
+
+    def test_long_number_text_is_echoed_cut(self, tmp_path, capsys):
+        # the value and the spelling to use are cut in the note too
+        doc = copy.deepcopy(PROBE_BASE)
+        doc["run"]["init_max"] = value = "1" + "0" * 400 + "e5"
+        text = yaml.safe_dump(doc)
+        assert "'" not in text  # written unquoted, so YAML reads it as text
+        assert main(["classify", "--config", write_conf(tmp_path, text)]) == 1
+        shown = repr(value)[:57] + "..."
+        assert capsys.readouterr().err == (
+            f"error: run.init_max must be of type float, got {shown}; YAML read {shown} as text, "
+            f"since it reads a float only with a dot and a signed exponent: write {'1' + '0' * 56}...\n")
+
+    @pytest.mark.parametrize("digits", [59, 60, 61])
+    def test_echo_cut_starts_past_its_limit(self, digits):
+        value = -(10 ** (digits - 2))  # a repr of `digits` characters
+        with pytest.raises(ConfigError) as refused:
+            check("rng_seed", value)
+        shown = repr(value) if digits <= 60 else repr(value)[:57] + "..."
+        assert str(refused.value) == f"rng_seed must be >= 0, got {shown}"
 
     def test_quoted_number_is_named_as_text(self, tmp_path, capsys):
         doc = copy.deepcopy(PROBE_BASE)
@@ -748,6 +787,14 @@ class TestClassifyCommand:
 
 
 class TestVerifyCommand:
+    def test_main_freezes_what_is_alive_when_it_starts(self, tmp_path):
+        # the objects alive then (numpy's import heap among them) skip every
+        # later collection, the interpreter's exit-time passes included
+        gc.unfreeze()
+        conf = write_conf(tmp_path, RANK_ONE_CONF)
+        assert main(["verify", "--config", conf, "--trials", "1"]) == 0
+        assert gc.get_freeze_count() > 0
+
     def test_period_k_all_pass(self, tmp_path, capsys):
         conf = write_conf(tmp_path, RANK_ONE_CONF)
         assert main(["verify", "--config", conf]) == 0

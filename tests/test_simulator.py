@@ -303,6 +303,47 @@ class TestSimulateBatch:
 EDGE_COEFFICIENTS = np.array([0.0, 5e-324, 1e308])
 
 
+def _shape_id(shape):
+    return "x".join(map(str, shape))
+
+
+def _left_to_right(terms):
+    """The sums of ``terms`` along axis 0, added one term at a time."""
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
+
+
+class TestOrderedSum:
+    """numpy reduces a sum only on the shapes it is probed to add left to right."""
+
+    @pytest.mark.parametrize("shape", [(49, 1, 1), (200, 1, 1), (9, 1, 1, 1), (3, 1, 1),
+                                       (49, 5, 16), (49, 1, 2), (49, 2, 1), (200, 1, 3),
+                                       (17, 4, 5, 16), (2, 4, 1, 1)], ids=_shape_id)
+    def test_probe_matches_left_to_right_sums(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        in_order = simulator._reduces_in_order(shape)
+        same = []
+        for _ in range(100):
+            terms = rng.uniform(0.0, 1.0, shape)
+            reduced = np.empty(shape[1:])
+            simulator._ordered_sum(terms, reduced, True)
+            same.append((reduced.view(np.uint64) == _left_to_right(terms).view(np.uint64)).all())
+        assert all(same) if in_order else not all(same)
+        if shape in ((49, 1, 1), (200, 1, 1)):  # one lane: numpy sums it pairwise
+            assert not in_order
+
+    @pytest.mark.parametrize("shape", [(49, 1, 1), (49, 5, 16)], ids=_shape_id)
+    def test_accumulate_adds_left_to_right_on_any_shape(self, shape):
+        rng = np.random.default_rng(7)
+        terms = rng.uniform(0.0, 1.0, shape)
+        want = _left_to_right(terms)
+        out = np.empty(shape[1:])
+        simulator._ordered_sum(terms, out, False)
+        assert (out.view(np.uint64) == want.view(np.uint64)).all()
+
+
 class TestGeneratedKernel:
     """A small call runs a step loop generated per spec; it must add like the oracle and numpy."""
 
@@ -377,13 +418,23 @@ class TestGeneratedKernel:
         assert diverged.diverged_at == 1 and diverged.values.shape == (2, 1)
         assert diverged.values.flags.c_contiguous and not diverged.values.flags.writeable
 
-    @pytest.mark.parametrize("m,k", [(1, 256), (1, 257), (1, MAX_LOOP_TERMS - ROW_TERMS),
-                                     (1, MAX_LOOP_TERMS - ROW_TERMS + 1), (16, 300)])
-    def test_long_sums_match_oracle_and_batch(self, m, k):
+    @pytest.mark.parametrize("m,k,probe_fails", [
+        pytest.param(1, 256, False, id="1-256"),
+        pytest.param(1, 257, False, id="1-257"),
+        pytest.param(1, MAX_LOOP_TERMS - ROW_TERMS, False, id=f"1-{MAX_LOOP_TERMS - ROW_TERMS}"),
+        pytest.param(1, MAX_LOOP_TERMS - ROW_TERMS + 1, False,
+                     id=f"1-{MAX_LOOP_TERMS - ROW_TERMS + 1}"),
+        pytest.param(16, 300, False, id="16-300"),
+        pytest.param(16, 300, True, id="16-300-probe-fails"),
+    ])
+    def test_long_sums_match_oracle_and_batch(self, monkeypatch, m, k, probe_fails):
         # k = 380 at m = 1 is the longest sum a generated loop adds, and 381
         # the shortest that a call of one history leaves to numpy; m = 16,
         # k = 300 has 4784 denominator terms a component, more than CPython
-        # compiles as one expression
+        # compiles as one expression.  The numpy kernel reduces the sums of
+        # 16 lanes; with its probe failing, it accumulates them.
+        if probe_fails:
+            monkeypatch.setattr(simulator, "_reduces_in_order", lambda shape: False)
         rng = np.random.default_rng(m + k)
         spec = SystemSpec(k=k, A=symmetric_nonneg_with_rho(rng, m, 1.0),
                           denom=rng.uniform(0.0, 1e-3, (m, k - 1, m)))
