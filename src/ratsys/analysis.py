@@ -122,7 +122,7 @@ def detect_period(
             f"window * max_period = {n_tail} exceeds the horizon {traj.horizon}"
         )
     horizon = traj.horizon
-    first = max(horizon - n_tail + 1 - max_period, traj.n_first)
+    first = max(horizon - _tail_rows(window, max_period) + 1, traj.n_first)
     rows = traj.rows(first, horizon)  # each p compares rows n_start.. with the rows p before
     for p in range(1, max_period + 1):
         lo = max(horizon - n_tail + 1, traj.n_first + p) - first
@@ -131,14 +131,36 @@ def detect_period(
     return None
 
 
+def _window(horizon: int, max_period: int) -> int:
+    """The blocks of ``max_period`` that :func:`analyze` passes :func:`detect_period`."""
+    blocks = max(math.ceil(TAIL_FRACTION * horizon / max_period), MIN_WINDOW_BLOCKS)
+    return min(blocks, horizon // max_period)
+
+
+def _tail_rows(window: int, max_period: int) -> int:
+    """The rows :func:`detect_period` reads: ``window`` blocks and one before."""
+    return (window + 1) * max_period
+
+
+def rows_read(horizon: int, k: int, tolerances: Optional[Tolerances] = None) -> int:
+    """The trailing rows :func:`analyze` reads of a run of order k that reaches ``horizon``.
+
+    A run that ends earlier is reported before its period is sought, and
+    :func:`detect_unbounded`, which reads every held row, finds no crossing
+    in the rows the simulator releases.
+    """
+    max_period = (tolerances or Tolerances()).period_limit(k)
+    return max(_tail_rows(_window(horizon, max_period), max_period), k)
+
+
 def rows_above(rows: np.ndarray, threshold: float) -> np.ndarray:
     """The indices, ascending, of the rows whose Euclidean norm exceeds ``threshold``.
 
     The growth test of :func:`detect_unbounded`, which the simulator also
-    runs on a block of a verify run's rows to stop stepping it once it has
-    crossed.  A row's norm depends on that row's values alone (the numpy
-    sum of a C-contiguous row does not change with the number of rows), so
-    a block finds the crossings the whole trajectory shows there.
+    runs on each block of a verify run's rows to stop stepping it once it
+    has crossed.  A row's norm depends on that row's values alone (the
+    numpy sum of a C-contiguous row does not change with the number of
+    rows), so a block finds the crossings the whole trajectory shows there.
     """
     with np.errstate(over="ignore"):  # squared huge-but-finite values -> inf is fine
         norms = np.sqrt((rows * rows).sum(axis=1))
@@ -153,15 +175,16 @@ def detect_unbounded(
     Falls back to the overflow step when the simulator diverged before
     crossing the threshold; returns None for bounded runs.
     """
-    # The stored rows alone: a row past them repeats one of them, so it crosses
+    # The held rows alone: a row past them repeats one of them, so it crosses
     # only where that did.  64 kB of them at a time: a temporary of glibc's
     # initial mmap threshold (128 kB) or more is mapped, and freeing it raises
     # the threshold, so that later ones stay resident in the heap.
-    stored, block = traj.values[traj.k :], max(1, 8192 // traj.m)
-    for start in range(0, len(stored), block):
-        hits = rows_above(stored[start : start + block], growth_threshold)
+    first = max(traj.held_from, 1)
+    held, block = traj.values[first - traj.held_from :], max(1, 8192 // traj.m)
+    for start in range(0, len(held), block):
+        hits = rows_above(held[start : start + block], growth_threshold)
         if hits.size:
-            return start + int(hits[0]) + 1
+            return first + start + int(hits[0])
     return traj.diverged_at
 
 
@@ -236,11 +259,7 @@ def analyze(traj: Trajectory, tolerances: Optional[Tolerances] = None) -> Analys
     if detect_zero_limit(traj, tol.zero_tol):
         return AnalysisReport(behavior=CONVERGED_TO_ZERO)
     max_period = tol.period_limit(traj.k)
-    blocks = max(
-        math.ceil(TAIL_FRACTION * traj.horizon / max_period),
-        MIN_WINDOW_BLOCKS,
-    )
-    blocks = min(blocks, traj.horizon // max_period)
+    blocks = _window(traj.horizon, max_period)
     period = None
     if blocks >= 1:
         period = detect_period(traj, max_period, tol.per_tol, blocks)

@@ -202,27 +202,34 @@ class Trajectory:
     horizon + 1 produced a non-finite value; :data:`GROWTH_STOP` or
     :data:`ZERO_STOP`, a stop rule of the simulator ended it; or
     :data:`EXACT_CYCLE`, its state repeated the one 2k steps before.
-    ``values`` stores its rows from n = 1-k on (initial conditions first):
-    every row, except after an exact cycle, which stores its rows up to
+    ``values`` holds its rows from n = ``held_from`` on (by default 1-k,
+    the initial conditions first; a verify run holds only its last rows):
+    every row, except after an exact cycle, which holds its rows up to
     some step and none of the later ones, each the row 2k before it.  So
     read the run through :meth:`rows`, :meth:`value` or :meth:`index`,
-    which reach every n of it; ``values`` alone may end early.  Without
-    ``end`` the run ends at its last stored row, by :data:`HORIZON`.  The
-    values are frozen in place, not copied.
+    which reach every n of it from ``held_from`` on; ``values`` alone may
+    end early.  Without ``end`` the run ends at its last held row, by
+    :data:`HORIZON`.  The values are frozen in place, not copied.
     """
 
     spec: SystemSpec
     values: np.ndarray
     end: Optional[RunEnd] = None
+    held_from: Optional[int] = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        stored = len(v) - self.k
+        held = self.n_first if self.held_from is None else self.held_from
+        if not isinstance(held, numbers.Integral) or held < self.n_first:
+            raise ValueError(f"held_from = {held!r} is not an n >= {self.n_first}")
+        stored = int(held) + len(v) - 1  # the last step held
         end = self.end or RunEnd(HORIZON, stored)
-        if end.step != stored and not (end.reason == EXACT_CYCLE and end.step > stored >= self.k):
+        if end.step != stored and not (end.reason == EXACT_CYCLE and end.step > stored
+                                       and len(v) >= 2 * self.k):
             raise ValueError(f"{end} does not fit values that end at step {stored}")
         object.__setattr__(self, "values", _readonly(v))
         object.__setattr__(self, "end", end)
+        object.__setattr__(self, "held_from", int(held))
 
     @property
     def horizon(self) -> int:
@@ -245,32 +252,35 @@ class Trajectory:
     def n_first(self) -> int:
         return 1 - self.k
 
-    def _stored(self, i):
-        """Row numbers ``i`` of the run (v_{1-k} is row 0) as rows of ``values``.
+    def _held(self, n):
+        """Steps ``n`` of the run as rows of ``values``.
 
-        A row past the stored ones (only an exact cycle has such rows) is
-        the row 2k j before it, for the least j that reaches a stored row.
+        A step past the held ones (only an exact cycle has such steps) is
+        the step 2k j before it, for the least j that reaches a held one.
         """
-        stored, period = len(self.values), 2 * self.k
-        return np.where(i < stored, i, stored - period + (i - stored) % period)
+        last, period = self.held_from + len(self.values) - 1, 2 * self.k
+        return np.where(n <= last, n, last - period + 1 + (n - last - 1) % period) - self.held_from
+
+    def _check(self, first: int, last: int) -> None:
+        if first < self.held_from or last > self.horizon:
+            span = first if first == last else f"{first}..{last}"
+            raise IndexError(f"n = {span} outside the run's range [{self.n_first}, "
+                             f"{self.horizon}], held from {self.held_from}")
 
     def index(self, n: int) -> int:
-        """Row of ``values`` that holds v_n (n = 1-k maps to row 0), stored or not."""
-        if not self.n_first <= n <= self.horizon:
-            raise IndexError(f"n = {n} outside the run's range [{self.n_first}, {self.horizon}]")
-        return int(self._stored(n + self.k - 1))
+        """Row of ``values`` that holds v_n, held or repeated."""
+        self._check(n, n)
+        return int(self._held(n))
 
     def value(self, n: int) -> np.ndarray:
         return self.values[self.index(n)]
 
     def rows(self, first: int, last: int) -> np.ndarray:
-        """v_first, ..., v_last: a view of ``values`` where they are stored, else gathered."""
-        if first < self.n_first or last > self.horizon:
-            raise IndexError(f"n = {first}..{last} outside the run's range "
-                             f"[{self.n_first}, {self.horizon}]")
-        lo, hi = first + self.k - 1, last + self.k
+        """v_first, ..., v_last: a view of ``values`` where they are held, else gathered."""
+        self._check(first, last)
+        lo, hi = first - self.held_from, last - self.held_from + 1
         return (self.values[lo:hi] if hi <= len(self.values)
-                else self.values[self._stored(np.arange(lo, hi))])
+                else self.values[self._held(np.arange(first, last + 1))])
 
     @property
     def generated(self) -> np.ndarray:
@@ -279,4 +289,4 @@ class Trajectory:
 
     @property
     def initial(self) -> np.ndarray:
-        return self.values[: self.k]
+        return self.rows(self.n_first, 0)

@@ -25,20 +25,25 @@ kernels at rho = 0.99), 2-vCPU Intel Xeon, numpy 2.4, with the count in
 parentheses:
 
     m, k,  B (count)   loop  numpy        m, k,  B (count)   loop  numpy
-    3, 3,  5   (155)    4.8    7.5        1, 2, 48   (288)    7.6    7.7
-    2, 2, 21   (252)    9.4    9.3        1, 2, 64   (384)   10.1    8.0
-    8, 4,  1   (260)    6.5    6.6        1, 2, 72   (432)   11.0    7.9
-    4, 4,  5   (340)    9.0    7.6        1, 2, 128  (768)   20.3    9.1
-    3, 4,  9   (360)    9.8    7.6        1, 4, 40   (320)    9.8    6.9
-    2, 2, 32   (384)   12.5    9.3        1, 4, 48   (384)   11.6    6.9
-    2, 4, 21   (420)   12.2    8.0        2, 2, 64   (768)   25.6   12.3
-   16, 4,  1  (1028)   22.5    8.3
-   16, 4,  5  (5140)  105.6   13.6
+    2, 2,  5    (60)    2.2    7.8        1, 4, 38   (304)   10.2    7.5
+    3, 3,  5   (155)    4.6    7.5        5, 4,  3   (312)    8.5    7.9
+    2, 2, 16   (192)    6.8    8.7        1, 4, 40   (320)   10.7    7.4
+    7, 4,  1   (200)    5.1    6.6        4, 4,  5   (340)    9.8    8.3
+    2, 2, 21   (252)    8.8    9.0        3, 4,  9   (360)   11.5    8.2
+    8, 4,  1   (260)    6.5    7.2        2, 2, 32   (384)   13.3   10.5
+    4, 4,  4   (272)    9.2    8.8        1, 4, 48   (384)   12.1    7.3
+    1, 2, 48   (288)    8.4    8.9        2, 4, 21   (420)   13.5   10.1
+    6, 4,  2   (296)    8.2    8.3        2, 2, 64   (768)   29.6   13.4
+    1, 2, 50   (300)    8.9    8.6       16, 4,  1  (1028)   24.7   10.0
+    2, 2, 25   (300)   11.5   10.4       16, 4,  5  (5140)  155.6   16.4
+   10, 3,  1   (304)    8.0   10.1
 
 The loop's cost grows with the terms and with the histories, where
-numpy's stays near 7-9 us a step up to a thousand terms.  The two kernels
-cross near 260-290 terms, below :data:`MAX_LOOP_TERMS`: from 320 terms to
-the limit numpy is 15-40 % faster.
+numpy's stays near 7-10 us a step up to a thousand terms.  The two
+kernels cross near 270-300 terms, where :data:`MAX_LOOP_TERMS` lies: past
+it numpy is faster, or within 2 %, on every call of the table but the one
+history at m = 10, k = 3 (26 % slower), and up to it the loop is faster or
+within 5 %.
 
 Either kernel is handed to one driver, :func:`_drive`, which owns the
 trajectories' values (one (B, k + horizon, m) array), the index array of
@@ -54,28 +59,25 @@ trajectory's ``end`` records the rule and its horizon.  An ended
 trajectory leaves the live list, and stepping stops once none is left.
 A cycled trajectory keeps its rows through the block in which its state
 repeated and has the full horizon: every later row is the row 2k before
-it, which ``Trajectory`` reads from the stored rows, so nothing is copied
-and the rows past the block are never written (the values' map makes
-only written pages resident).  That is exact: a step is a pure function
-of the k-row state and of constant coefficients, so a state that recurs
-is followed by the same rows again.  2k catches the limits the paper's
-tetrachotomy allows at rho <= 1, since periods 1 (an exact zero), k and 2k
-all divide it; in double precision such a limit is often reached bit for
-bit after a few hundred steps.  Bytes, not ``==``, decide, since ``==``
-holds between -0.0 and 0.0.
+it, which ``Trajectory`` reads from the held rows, so nothing is copied
+and the rows past the block are never written (only the written pages of
+the values' map, less those released below, are resident).  That is
+exact: a step is a pure function of the k-row state and of constant
+coefficients, so a state that recurs is followed by the same rows again.
+2k catches the limits the paper's tetrachotomy allows at rho <= 1, since
+periods 1 (an exact zero), k and 2k all divide it; in double precision
+such a limit is often reached bit for bit after a few hundred steps.
+Bytes, not ``==``, decide, since ``==`` holds between -0.0 and 0.0.
 
 Given ``tolerances`` (``verify_classification`` passes its own), the
 driver also ends a trajectory at the last step of a check block in which
 ``analysis.rows_above``, the growth test of ``analysis.detect_unbounded``,
 finds a row whose norm exceeds ``growth_threshold``: the growth stop.  A
 block that diverges ends where it diverges, as without the stop.  The test
-runs only on a block whose last k rows have a component above the
-threshold, a cheap look at the state the next block starts from; the test
-alone decides, since a component above the threshold can square to 0.0
-(1e-190 against 1e-200).  The stop is exact for ``analyze``: it tests
-growth first, and a row's norm depends on that row alone, so the rows kept
-hold the same first crossing, and the report names the same exit step, as
-the full run.
+runs on every block, so a run ends with the block of its first crossing.
+The stop is exact for ``analyze``: it tests growth first, and a row's
+norm depends on that row alone, so the rows kept hold the same first
+crossing, and the report names the same exit step, as the full run.
 
 The zero stop ends a trajectory at the last step of a check block whose
 last k rows, its state, are all at most ``zero_tol``.  It is on only when
@@ -98,6 +100,13 @@ threshold, else ``converged-to-zero``, since the kept state is at most
 row sum is 1 or more (every kernel with rho >= 1, and some with rho < 1),
 or a ``zero_tol`` of 0, turns the zero stop off, and then it costs
 nothing a block.  A call without ``tolerances`` gets the full horizon.
+
+Given ``tolerances`` a call also holds only the rows ``analyze`` reads
+(``analysis.rows_read``, at least the 3k of the cycle test) and a block
+more: after each block it releases (``MADV_DONTNEED``) the whole pages of
+each live trajectory before them, and the ``Trajectory`` starts past
+those pages.  Released rows never crossed the growth threshold, so the
+report is unchanged.  The map is still sized by the full horizon.
 
 The generated loop keeps the order because each sum is one ``+`` chain,
 which Python evaluates left to right without rearranging float arithmetic.
@@ -126,7 +135,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .analysis import Tolerances, rows_above
+from .analysis import Tolerances, rows_above, rows_read
 from .linalg import contraction_rate
 from .model import (DIVERGED, EXACT_CYCLE, GROWTH_STOP, HORIZON, MAX_RUN_BYTES, ZERO_STOP,
                     InitialConditions, RunEnd, SystemSpec, Trajectory, validate_initial)
@@ -139,19 +148,16 @@ _CHECK_EVERY = 64
 
 #: Largest count B (m^2 k + ROW_TERMS) of a call of B histories that
 #: :func:`simulate_batch` runs in the generated loop (m^2 k: m numerator and
-#: m (k - 1) denominator terms for each of m components).  It was set at the
-#: kernels' crossover before the numpy kernel reduced its sums; the module
-#: docstring's table now puts the crossover near 260-290.  It also bounds the
-#: loop's compile cost, about 1.3 kB a term (100 MB at m = 16, k = 300),
-#: where numpy needs a few arrays of the spec's size.
-MAX_LOOP_TERMS = 384
+#: m (k - 1) denominator terms for each of m components): the kernels'
+#: crossover in the module docstring's table.  It also bounds the loop's
+#: compile cost, about 1.3 kB a term, where numpy needs a few arrays of the
+#: spec's size.
+MAX_LOOP_TERMS = 288
 
 #: The charge for each history of a call, in terms.  An earlier measurement
-#: of the table's 2 x 2 and m = 1 rows fit the loop's cost a step as 0.07 us
-#: a term plus 0.19 us a history, 2.5 terms.  A charge of 4 with a limit of
-#: 384 leaves every m >= 2 call of the table on the kernel that a limit of
-#: 256 terms and no charge picks, and sends m = 1 calls of more than 64
-#: histories at k = 2 (48 at k = 4) to numpy.
+#: of the 2 x 2 and m = 1 calls fit the loop's cost a step as 0.07 us a term
+#: plus 0.19 us a history, 2.5 terms.  With a charge of 4 the limit sends
+#: m = 1 calls of more than 48 histories at k = 2 (36 at k = 4) to numpy.
 ROW_TERMS = 4
 
 
@@ -274,8 +280,10 @@ def simulate_batch(
     growth test of ``analysis.detect_unbounded``), unless it diverged
     there, or after which every row is certified to stay at most its
     ``zero_tol``; only a kernel whose rows sum to less than 1 has the
-    certificate.  See the module docstring for why ``analyze``, with the
-    same tolerances, reports such runs as it reports the full ones.
+    certificate.  It also holds only the rows ``analyze`` reads, from
+    ``Trajectory.held_from`` on.  See the module docstring for why
+    ``analyze``, with the same tolerances, reports such runs as it reports
+    the full ones.
     """
     inits = _validated(spec, histories, horizon)
     loop = len(inits) * (spec.A.size * spec.k + ROW_TERMS) <= MAX_LOOP_TERMS
@@ -301,7 +309,8 @@ def _drive(make, spec: SystemSpec, inits, horizon: int, tolerances: Optional[Tol
     (divergence, the growth and zero stops of ``tolerances``, exact cycle),
     end trajectories, which leave ``live``; each trajectory's ``end`` names
     the rule.  Whether the zero stop is on is decided once, before the
-    first block.
+    first block.  Given ``tolerances``, the pages of each live trajectory
+    before the rows it holds are then released.
     """
     rows, m, k = len(inits), spec.m, spec.k
     if not rows:
@@ -311,16 +320,18 @@ def _drive(make, spec: SystemSpec, inits, horizon: int, tolerances: Optional[Tol
     # raises its mmap threshold to the size of each mapped block freed, so
     # that later blocks of that size come from the heap and stay resident
     # once freed (0.2-0.4 MB more peak RSS in a sweep, whose cells take
-    # 320 kB each).  A private map's pages are resident only once written
-    # and go back whole with the last view of it.  Huge pages are asked
-    # for as numpy asks for them on its own large arrays.
-    region = mmap.mmap(-1, rows * (k + horizon) * m * 8, access=mmap.ACCESS_COPY)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
-        region.madvise(mmap.MADV_HUGEPAGE)
+    # 320 kB each).  A private map's pages are resident only once written,
+    # until released, and go back whole with the last view of it.
+    size, row = (k + horizon) * m * 8, m * 8
+    region = mmap.mmap(-1, rows * size, access=mmap.ACCESS_COPY)
     values = np.frombuffer(region).reshape(rows, k + horizon, m)
     for b, init in enumerate(inits):
         values[b, :k] = init.history
     step_block = make(spec, values)
+    # rows held behind the newest: analyze's, the next cycle test's and a block
+    keep = (max(rows_read(horizon, k, tolerances), 3 * k) + _CHECK_EVERY
+            if tolerances is not None and hasattr(mmap, "MADV_DONTNEED") else None)
+    released = [b * size for b in range(rows)]  # where b's released pages end
     # why each trajectory ended, and the last step it stores
     reasons, kept = [HORIZON] * rows, [horizon] * rows
     live = np.arange(rows)
@@ -335,11 +346,14 @@ def _drive(make, spec: SystemSpec, inits, horizon: int, tolerances: Optional[Tol
         # the last 3k rows of each live trajectory (fewer before step 2k); the state is the last k
         recent = values[:, max(last - 2 * k, 0) : last + k].take(live, axis=0)
         if tolerances is not None:
-            for r in (recent[:, -k:].max(axis=(1, 2)) > tolerances.growth_threshold).nonzero()[0]:
-                if r not in ended and rows_above(values[live[r], first + k - 1 : last + k],
-                                                 tolerances.growth_threshold).size:
-                    reasons[live[r]], kept[live[r]] = GROWTH_STOP, last
-                    ended.add(r)
+            # each crossing's trajectory, on Python ints (numpy's integer // or
+            # np.unique would add 64 kB to 0.4 MB of peak RSS)
+            steps = last - first + 1
+            new = values[:, first + k - 1 : last + k].take(live, axis=0).reshape(-1, m)
+            crossed = {h // steps for h in rows_above(new, tolerances.growth_threshold).tolist()}
+            for r in crossed - ended:
+                reasons[live[r]], kept[live[r]] = GROWTH_STOP, last
+                ended.add(r)
         if below:
             for r in (recent[:, -k:] <= tolerances.zero_tol).all(axis=(1, 2)).nonzero()[0]:
                 if r not in ended:
@@ -356,8 +370,18 @@ def _drive(make, spec: SystemSpec, inits, horizon: int, tolerances: Optional[Tol
             live = np.delete(live, list(ended))
             if not len(live):
                 break
-    return [Trajectory(spec=spec, values=values[b, : k + last],
-                       end=RunEnd(why, horizon if why == EXACT_CYCLE else last))
+        if keep is not None:
+            page = mmap.PAGESIZE
+            for b in live.tolist():
+                lo = max(released[b], -(-b * size // page) * page)
+                hi = (b * size + (last + k - keep) * row) // page * page
+                if hi > lo:
+                    region.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
+                    released[b] = hi
+    held = [-(-(released[b] - b * size) // row) for b in range(rows)]
+    return [Trajectory(spec=spec, values=values[b, held[b] : k + last],
+                       end=RunEnd(why, horizon if why == EXACT_CYCLE else last),
+                       held_from=held[b] + 1 - k)
             for b, (why, last) in enumerate(zip(reasons, kept))]
 
 

@@ -219,7 +219,8 @@ class TestTrajectory:
         assert diverged.horizon == 7 and diverged.diverged_at == 8
         with pytest.raises(dataclasses.FrozenInstanceError):
             diverged.diverged_at = 9
-        assert [f.name for f in dataclasses.fields(Trajectory)] == ["spec", "values", "end"]
+        assert [f.name for f in dataclasses.fields(Trajectory)] == ["spec", "values", "end",
+                                                                    "held_from"]
         # an exact cycle reads each n past its stored rows as n - 2k j
         cycle = Trajectory(spec=spec, values=values, end=RunEnd(EXACT_CYCLE, 100))
         assert cycle.horizon == 100 and cycle.diverged_at is None and len(cycle.values) == 10
@@ -240,3 +241,30 @@ class TestTrajectory:
                 Trajectory(spec=spec, values=values, end=end)
         with pytest.raises(ValueError, match="does not fit"):  # fewer than 2k rows to repeat
             Trajectory(spec=spec, values=values[:5], end=RunEnd(EXACT_CYCLE, 100))
+
+    def test_rows_held_from_a_later_n(self):
+        spec = SystemSpec(k=3, A=np.eye(2))
+        values = np.arange(20.0).reshape(10, 2)
+        full = Trajectory(spec=spec, values=values)
+        assert full.held_from == full.n_first == -2
+        traj = Trajectory(spec=spec, values=values[4:], held_from=2)
+        assert traj.end == RunEnd(HORIZON, 7) and traj.horizon == 7
+        for n in range(2, 8):
+            np.testing.assert_array_equal(traj.value(n), full.value(n))
+            assert traj.index(n) == n - 2
+        np.testing.assert_array_equal(traj.rows(2, 7), values[4:])
+        for read in (lambda: traj.value(1), lambda: traj.index(-2), lambda: traj.rows(1, 7),
+                     lambda: traj.generated, lambda: traj.initial):
+            with pytest.raises(IndexError, match="held from 2"):
+                read()
+        # a cycle repeats from its held rows
+        cycle = Trajectory(spec=spec, values=values[4:], end=RunEnd(EXACT_CYCLE, 100), held_from=2)
+        whole = Trajectory(spec=spec, values=values, end=RunEnd(EXACT_CYCLE, 100))
+        for n in (8, 9, 13, 100):
+            assert cycle.index(n) == whole.index(n) - 4
+            np.testing.assert_array_equal(cycle.value(n), cycle.value(n - 6))
+        with pytest.raises(ValueError, match="does not fit"):  # fewer than 2k rows to repeat
+            Trajectory(spec=spec, values=values[5:], end=RunEnd(EXACT_CYCLE, 100), held_from=3)
+        for bad in (-3, 1.5, "0"):
+            with pytest.raises(ValueError, match="held_from"):
+                Trajectory(spec=spec, values=values, held_from=bad)

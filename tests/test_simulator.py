@@ -1,5 +1,10 @@
 """Forward iteration: hand examples, oracle agreement, and order properties."""
 
+import mmap
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -24,7 +29,7 @@ from ratsys import (
     simulate_batch,
 )
 from ratsys import classify_tetrachotomy, simulator, verify_classification
-from ratsys.analysis import Tolerances, analyze, rows_above
+from ratsys.analysis import Tolerances, analyze, rows_above, rows_read
 from ratsys.model import DIVERGED, EXACT_CYCLE, GROWTH_STOP, HORIZON, ZERO_STOP
 from ratsys.simulator import MAX_LOOP_TERMS, MAX_RUN_BYTES, ROW_TERMS
 
@@ -200,6 +205,12 @@ def _same_run(got, want):
     )
 
 
+def _held_match(got, want):
+    """``got``'s held rows are bit for bit ``want``'s rows at the same n."""
+    rows = want.rows(got.held_from, got.held_from + len(got.values) - 1)
+    return (got.values.view(np.uint64) == rows.view(np.uint64)).all()
+
+
 def _whole(traj):
     """Every row of the run, n = 1-k .. horizon, stored or not."""
     return traj.rows(traj.n_first, traj.horizon)
@@ -301,6 +312,38 @@ class TestSimulateBatch:
 
 
 EDGE_COEFFICIENTS = np.array([0.0, 5e-324, 1e308])
+
+
+#: A child process's RSS growth (bytes) across a 4-row simulate_batch of 10^7 steps.
+RSS_PROBE = """
+import numpy as np
+from ratsys import SystemSpec, simulate_batch
+
+def rss():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmRSS:")) * 1024
+
+spec = SystemSpec(k=2, A=[[0.40104798350772575, 0.584714959446296],
+                          [0.584714959446296, 0.4291836835235136]],
+                  denom=[[[0.8578833008407367, 1.240947186100519]],
+                         [[1.0440957016180341, 1.269879853856804]]])
+history = np.array([[1.6057962728565267, 3.9161646876546765],
+                    [0.5469876739957924, 6.537918848088456]])
+simulate_batch(spec, [history] * 4, 2000)  # compile the loop, warm the allocator
+before = rss()
+runs = simulate_batch(spec, [history] * 4, 10**7)
+assert all(t.end.reason == "exact cycle" for t in runs)
+print(rss() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmRSS from /proc")
+def test_unwritten_pages_stay_out_of_memory():
+    # 640 MB of values are mapped, but each row cycles within about 960 steps
+    # and writes only its first pages; huge pages would fault in 2 MB a row
+    proc = subprocess.run([sys.executable, "-c", RSS_PROBE], capture_output=True, text=True,
+                          check=True)
+    assert int(proc.stdout) < 2 * 2**20
 
 
 def _shape_id(shape):
@@ -428,7 +471,7 @@ class TestGeneratedKernel:
         pytest.param(16, 300, True, id="16-300-probe-fails"),
     ])
     def test_long_sums_match_oracle_and_batch(self, monkeypatch, m, k, probe_fails):
-        # k = 380 at m = 1 is the longest sum a generated loop adds, and 381
+        # k = 284 at m = 1 is the longest sum a generated loop adds, and 285
         # the shortest that a call of one history leaves to numpy; m = 16,
         # k = 300 has 4784 denominator terms a component, more than CPython
         # compiles as one expression.  The numpy kernel reduces the sums of
@@ -517,7 +560,7 @@ class TestKernelChoice:
     def test_at_the_limit_one_loop_and_no_numpy(self, monkeypatch):
         rng = np.random.default_rng(8)
         spec = random_spec(rng, 2, 2, 1.0)
-        histories = [rng.uniform(0.0, 10.0, (2, 2)) for _ in range(32)]  # 32 x (8 + 4) = 384
+        histories = [rng.uniform(0.0, 10.0, (2, 2)) for _ in range(24)]  # 24 x (8 + 4) = 288
         want = _numpy_batch(spec, histories, 100)
         loops = self._count(monkeypatch, "_step_loop")
         self._refuse(monkeypatch, "_numpy_kernel")
@@ -528,19 +571,20 @@ class TestKernelChoice:
     def test_past_the_limit_no_loop(self, monkeypatch):
         rng = np.random.default_rng(9)
         spec = random_spec(rng, 2, 2, 1.0)
-        histories = [rng.uniform(0.0, 10.0, (2, 2)) for _ in range(33)]
+        histories = [rng.uniform(0.0, 10.0, (2, 2)) for _ in range(25)]
         self._refuse(monkeypatch, "_step_loop")
         batches = self._count(monkeypatch, "_numpy_kernel")
-        assert len(simulate_batch(spec, histories, 100)) == 33
+        assert len(simulate_batch(spec, histories, 100)) == 25
         assert batches == [spec]
 
     @pytest.mark.parametrize("k,rows,kernel", [
-        (2, 64, "_step_loop"), (2, 65, "_numpy_kernel"), (2, 128, "_numpy_kernel"),
-        (4, 48, "_step_loop"), (4, 49, "_numpy_kernel"),
+        (2, 48, "_step_loop"), (2, 49, "_numpy_kernel"), (2, 65, "_numpy_kernel"),
+        (2, 128, "_numpy_kernel"), (4, 36, "_step_loop"), (4, 37, "_numpy_kernel"),
+        (4, 49, "_numpy_kernel"),
     ])
     def test_m1_rows_count_toward_the_limit(self, monkeypatch, k, rows, kernel):
         # at m = 1 a step has k terms a history, and each history adds ROW_TERMS:
-        # 64 x (2 + 4) = 384 = 48 x (4 + 4) is the limit
+        # 48 x (2 + 4) = 288 = 36 x (4 + 4) is the limit
         rng = np.random.default_rng(k * rows)
         spec = SystemSpec(k=k, A=[[1.0]], denom=rng.uniform(0.5, 1.5, (1, k - 1, 1)))
         histories = [rng.uniform(0.0, 10.0, (k, 1)) for _ in range(rows)]
@@ -769,15 +813,16 @@ class TestStopAbove:
         tol = Tolerances(growth_threshold=threshold)
         for got, want in zip(stopped, full):
             assert analyze(got, tol) == analyze(want, tol)
+            # the rows it holds (all but those before the ones analyze reads) are the full run's
+            assert _held_match(got, want)
             if got.horizon == want.horizon:
-                assert _same_run(got, want)
+                assert got.end == want.end
                 continue
             # stopped at the end of a block that passed the threshold
             end = got.horizon
             assert got.diverged_at is None and end % 64 == 0
-            assert rows_above(got.generated[end - 64:], threshold).size
+            assert rows_above(got.rows(end - 63, end), threshold).size
             assert got.end.reason == GROWTH_STOP
-            assert (got.values.view(np.uint64) == want.rows(want.n_first, end).view(np.uint64)).all()
         return stopped
 
     @pytest.mark.parametrize("side", ["loop", "numpy"])
@@ -806,13 +851,14 @@ class TestStopAbove:
     @pytest.mark.parametrize("side", ["loop", "numpy"])
     def test_pass_seen_only_in_the_norm(self, monkeypatch, side):
         # both components of v_n are DOUBLING's: the norm sqrt(2) v_n first
-        # passes 1.9 * 2^64 at n = 128, while no component does before n = 129
+        # passes 1.9 * 2^64 at n = 128, while no component does before n = 129;
+        # the growth test of every block ends the run with the block of the pass
         spec = SystemSpec(k=2, A=2.0 * np.eye(2))
         threshold = 1.9 * 2.0**64
         history = np.hstack([DOUBLING_HISTORY, DOUBLING_HISTORY])
         (traj, *_) = self._runs(monkeypatch, side, spec, [history], 300, threshold)
-        assert traj.generated[:128].max() < threshold < traj.generated[128].max()
-        assert traj.horizon == 192 and traj.end.reason == GROWTH_STOP
+        assert _doubling(128) < threshold < _doubling(129)
+        assert traj.horizon == 128 and traj.end.reason == GROWTH_STOP
         assert analyze(traj, Tolerances(growth_threshold=threshold)).exit_step == 128
 
     @pytest.mark.parametrize("side", ["loop", "numpy"])
@@ -882,20 +928,25 @@ class TestStopBelow:
 
     @staticmethod
     def _runs(kernel, spec, histories, horizon, zero_tol, growth_threshold=1e6):
-        """The cut runs of ``histories``, each checked against its full run."""
+        """The cut runs of ``histories``, each checked against its full run.
+
+        The full run has the growth stop alone; the plain run, no stop, holds
+        every row, which the cut run's held rows are checked against.
+        """
         tol = Tolerances(zero_tol=zero_tol, growth_threshold=growth_threshold)
         cut = _kernel_batch(kernel, spec, histories, horizon, tol)
         full = _kernel_batch(kernel, spec, histories, horizon, _growth_stop(growth_threshold))
-        for got, want in zip(cut, full):
-            assert analyze(got, tol) == analyze(want, tol)
+        plain = _kernel_batch(kernel, spec, histories, horizon)
+        for got, want, whole in zip(cut, full, plain):
+            assert analyze(got, tol) == analyze(want, tol) == analyze(whole, tol)
+            assert _held_match(got, whole)
             if got.horizon == want.horizon:
                 assert _same_run(got, want)
                 continue
             # cut at the end of a block, with its state and every row after it below zero_tol
             end = got.horizon
             assert got.diverged_at is None and end % 64 == 0 and got.end.reason == ZERO_STOP
-            assert (got.values.view(np.uint64) == want.rows(want.n_first, end).view(np.uint64)).all()
-            assert np.abs(want.rows(end + want.n_first, want.horizon)).max() <= zero_tol
+            assert np.abs(whole.rows(end + whole.n_first, whole.horizon)).max() <= zero_tol
         return cut
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -970,6 +1021,121 @@ class TestStopBelow:
     def test_plain_calls_run_the_horizon(self):
         traj = simulate(_swap(0.5), InitialConditions(np.full((2, 2), 1e-9)), 300)
         assert traj.horizon == 300 and traj.end.reason == HORIZON
+
+
+def _rho1_batch(seed):
+    """A 4 x 4 positive kernel at rho = 1 with denominators, k = 2, and three histories.
+
+    Run to 6000 steps, rng seed 1's first row cycles exactly at step 4928,
+    inside the window that analyze reads, its second at 1216 and its third
+    reaches the horizon; seed 4's rows cycle at 1600, 1664 and 3520, before
+    the window.  Each row approaches a period-2 orbit.
+    """
+    rng = np.random.default_rng(seed)
+    spec = SystemSpec(k=2, A=symmetric_positive_with_rho(rng, 4, 1.0),
+                      denom=rng.uniform(0.0, 0.5, (4, 1, 4)))
+    return spec, [rng.uniform(0.0, 10.0, (2, 4)) for _ in range(3)]
+
+
+def _pulse_chain(m=101):
+    """v_{n,i+1} = v_{n-2,i} down m - 1 components, the last scaled by 1e300; k = 2.
+
+    A pulse of 1e10 in component 0 reaches the last component at step 199,
+    where it overflows: no row before has a norm above 1e300.
+    """
+    a = np.eye(m, k=-1)
+    a[m - 1, m - 2] = 1e300
+    history = np.zeros((2, m))
+    history[:, 0] = 1e10
+    return SystemSpec(k=2, A=a), [history]
+
+
+class TestHeldRows:
+    """A batch given tolerances holds only the rows analyze reads, and analyze reports it unchanged.
+
+    Each case runs on both kernels with and without tolerances; on 4 kB
+    pages every run marked to release pages releases some before it ends.
+    """
+
+    # (spec, histories, horizon, tolerances, each run's end reason, whether it releases)
+    CASES = {
+        "horizon-and-cycles": (*_rho1_batch(1), 6000, Tolerances(),
+                               [EXACT_CYCLE, EXACT_CYCLE, HORIZON], [True, False, True]),
+        "cycles-before-the-window": (*_rho1_batch(4), 6000, Tolerances(), [EXACT_CYCLE] * 3,
+                                     [True] * 3),
+        "zero-stop": (_swap(0.99), [np.full((2, 2), 10.0)], 8000, Tolerances(), [ZERO_STOP],
+                      [True]),
+        # DOUBLING's run scaled by 2^-1000, so 2000 steps later: it first
+        # passes its threshold mid-block, at 2100
+        "growth-stop": (DOUBLING, [DOUBLING_HISTORY * 2.0**-1000], 3000,
+                        Tolerances(growth_threshold=_first_passed_at(100)),
+                        [GROWTH_STOP], [True]),
+        # test_pass_seen_only_in_the_norm's run 2048 steps later: the norm passes
+        # at 2176, the end of a block, and no component does before 2177
+        "growth-stop-by-the-norm": (SystemSpec(k=2, A=2.0 * np.eye(2)),
+                                    [np.hstack([DOUBLING_HISTORY] * 2) * 2.0**-1024], 3000,
+                                    Tolerances(growth_threshold=1.9 * 2.0**64), [GROWTH_STOP],
+                                    [True]),
+        "divergence": (*_pulse_chain(), 300, Tolerances(growth_threshold=1e300), [DIVERGED],
+                       [True]),
+    }
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_analyze_reads_only_held_rows(self, kernel, case):
+        spec, histories, horizon, tol, reasons, releases = self.CASES[case]
+        held = _kernel_batch(kernel, spec, histories, horizon, tol)
+        full = _kernel_batch(kernel, spec, histories, horizon)
+        assert [t.end.reason for t in held] == reasons
+        for got, want, release in zip(held, full, releases):
+            assert analyze(got, tol) == analyze(want, tol)
+            assert _held_match(got, want)
+            # the rows analyze reads, and the last 2k of a cycle, are held
+            last = got.held_from + len(got.values) - 1
+            assert got.held_from <= min(got.horizon - rows_read(horizon, spec.k, tol) + 1,
+                                        last - 2 * spec.k + 1)
+            if mmap.PAGESIZE == 4096:
+                assert (got.held_from > got.n_first) == release
+        exits = [analyze(t, tol).exit_step for t in held]
+        if case == "growth-stop":
+            assert exits == [2100] and held[0].horizon == 2112
+        if case == "growth-stop-by-the-norm":
+            assert _doubling(2176 - 2048) < 1.9 * 2.0**64 < _doubling(2177 - 2048)
+            assert exits == [2176] and held[0].horizon == 2176
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_rows_before_the_held_ones_raise(self, kernel):
+        spec, histories, horizon, tol, *_ = self.CASES["zero-stop"]
+        (traj,) = _kernel_batch(kernel, spec, histories, horizon, tol)
+        first = traj.held_from
+        assert first > traj.n_first and traj.values.shape == (traj.horizon - first + 1, 2)
+        np.testing.assert_array_equal(traj.value(first), traj.values[0])
+        for read in (lambda: traj.value(first - 1), lambda: traj.index(traj.n_first),
+                     lambda: traj.rows(first - 1, first), lambda: traj.generated,
+                     lambda: traj.initial):
+            with pytest.raises(IndexError, match=f"held from {first}"):
+                read()
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_horizon_within_the_window_releases_nothing(self, kernel):
+        # analyze reads all 88 trailing rows of an 80-step run at k = 4 (a
+        # window of 10 blocks of 8 and one before it): every row is held
+        rng = np.random.default_rng(7)
+        spec = SystemSpec(k=4, A=symmetric_positive_with_rho(rng, 16, 1.0),
+                          denom=rng.uniform(0.0, 0.1, (16, 3, 16)))
+        histories = [rng.uniform(0.0, 10.0, (4, 16)) for _ in range(5)]
+        assert rows_read(80, 4) >= 80 + 4
+        for horizon in (80, 2000):
+            held = _kernel_batch(kernel, spec, histories, horizon, Tolerances())
+            full = _kernel_batch(kernel, spec, histories, horizon)
+            for got, want in zip(held, full):
+                assert got.end == want.end and _held_match(got, want)
+                assert (got.held_from == got.n_first) == (horizon == 80)
+
+    def test_calls_without_tolerances_hold_every_row(self):
+        spec, histories, horizon, *_ = self.CASES["horizon-and-cycles"]
+        for traj in simulate_batch(spec, histories, horizon):
+            assert traj.held_from == traj.n_first
 
 
 #: History entries of the zero-stop fuzz: signed zeros, subnormals and 1e300 among plain draws.
