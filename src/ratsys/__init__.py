@@ -19,7 +19,6 @@ from .analysis import (
     detect_period,
     detect_unbounded,
     detect_zero_limit,
-    envelope_check,
     residual_linear,
     residual_shift,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "detect_zero_limit",
     "eig2",
     "eig_symmetric",
-    "envelope_check",
     "from_scalar_params",
     "load_config",
     "perron_pair",

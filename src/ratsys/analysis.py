@@ -2,8 +2,7 @@
 
 Detection of zero limits, limit cycles, and unbounded growth, plus direct
 numerical checks of the proof machinery: the linear residual
-||v_n - A v_{n-k}||, shifted residuals ||v_n - v_{n-shift}|| and the
-squared-norm envelope chain.
+||v_n - A v_{n-k}|| and shifted residuals ||v_n - v_{n-shift}||.
 :func:`analyze` sums one trajectory up as an :class:`AnalysisReport`, which
 a verify check carries as the evidence for its status.
 """
@@ -17,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import RHO_TOL, eig_symmetric, radius_side
+from .linalg import RHO_TOL
 from .model import Trajectory
 
 #: Default detection thresholds (parameters assumed O(1)).
@@ -28,8 +27,6 @@ GROWTH_THRESHOLD = 1e6
 #: MIN_WINDOW_BLOCKS blocks of max_period samples.
 TAIL_FRACTION = 0.2
 MIN_WINDOW_BLOCKS = 10
-#: Slack for the envelope check's inequalities.
-INEQ_SLACK = 1e-12
 
 CONVERGED_TO_ZERO = "converged-to-zero"
 EVENTUALLY_PERIODIC = "eventually-periodic"
@@ -218,31 +215,6 @@ def residual_shift(traj: Trajectory, shift: int) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         diff = gen[shift:] - gen[:-shift]
         return np.sqrt((diff * diff).sum(axis=1))
-
-
-def envelope_check(traj: Trajectory, a) -> bool:
-    """Verify h(A v_n) <= h(v_n) <= h(A v_{n-k}) <= h(v_{n-k}) for all n >= 1.
-
-    h is the squared Euclidean norm; the chain requires a symmetric kernel
-    with spectral radius at most 1 and holds with ``INEQ_SLACK`` slack.
-    """
-    kernel = np.asarray(a, dtype=float)
-    dec = eig_symmetric(kernel)  # validates symmetry
-    if radius_side(dec.spectral_radius) == 1:
-        raise ValueError(
-            f"envelope check requires spectral radius <= 1, got {dec.spectral_radius!r}"
-        )
-    vals = traj.rows(traj.n_first, traj.horizon)
-    k = traj.k
-    h = (vals * vals).sum(axis=1)
-    av = vals @ kernel.T
-    h_av = (av * av).sum(axis=1)
-    ok = (
-        (h_av[k:] <= h[k:] + INEQ_SLACK).all()
-        and (h[k:] <= h_av[:-k] + INEQ_SLACK).all()
-        and (h_av[:-k] <= h[:-k] + INEQ_SLACK).all()
-    )
-    return bool(ok)
 
 
 def analyze(traj: Trajectory, tolerances: Optional[Tolerances] = None) -> AnalysisReport:

@@ -64,7 +64,7 @@ def radius_side(rho: float, rho_tol: float = RHO_TOL) -> int:
 
     Radius 1 is the closed band [1 - rho_tol, 1 + rho_tol], compared in
     floating point.  Every radius-1 decision in the package goes through
-    this rule: the regime, the witness seeds and the envelope check.
+    this rule: the regime and the witness seeds.
     """
     if rho < 1.0 - rho_tol:
         return -1

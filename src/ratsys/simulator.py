@@ -305,12 +305,11 @@ def _drive(make, spec: SystemSpec, inits, horizon: int, tolerances: Optional[Tol
     writes v_first, ..., v_last of each trajectory b in the index array
     ``live`` into ``values[b]``, each from the k rows before, and returns
     ``{r: n}`` for each ``live[r]`` whose first non-finite step is n.  After
-    each block the module docstring's rules, tested on all live rows at once
-    (divergence, the growth and zero stops of ``tolerances``, exact cycle),
-    end trajectories, which leave ``live``; each trajectory's ``end`` names
-    the rule.  Whether the zero stop is on is decided once, before the
-    first block.  Given ``tolerances``, the pages of each live trajectory
-    before the rows it holds are then released.
+    each block the module docstring's rules, in its order and tested on all
+    live rows at once, end trajectories, which leave ``live``; the first
+    rule to claim one names its ``end``.  Whether the zero stop is on is
+    decided once, before the first block.  Given ``tolerances``, the pages
+    of each live trajectory before the rows it holds are then released.
     """
     rows, m, k = len(inits), spec.m, spec.k
     if not rows:
@@ -332,44 +331,36 @@ def _drive(make, spec: SystemSpec, inits, horizon: int, tolerances: Optional[Tol
     keep = (max(rows_read(horizon, k, tolerances), 3 * k) + _CHECK_EVERY
             if tolerances is not None and hasattr(mmap, "MADV_DONTNEED") else None)
     released = [b * size for b in range(rows)]  # where b's released pages end
-    # why each trajectory ended, and the last step it stores
-    reasons, kept = [HORIZON] * rows, [horizon] * rows
+    ends = [(HORIZON, horizon)] * rows  # why each trajectory ended, and the last step it stores
     live = np.arange(rows)
     for first in range(1, horizon + 1, _CHECK_EVERY):
         last = min(first + _CHECK_EVERY - 1, horizon)
-        diverged = step_block(live, first, last)
-        for r, at in diverged.items():
-            reasons[live[r]], kept[live[r]] = DIVERGED, at - 1  # before the step it diverged at
-        if last == horizon:
+        # (reason, last stored step) by position in live: the first rule to claim one decides
+        claims = {r: (DIVERGED, at - 1) for r, at in step_block(live, first, last).items()}
+        if last < horizon:
+            # each live trajectory's last 3k rows (fewer before step 2k); its state is the last k
+            recent = values[:, max(last - 2 * k, 0) : last + k].take(live, axis=0)
+            if tolerances is not None:
+                # each crossing's trajectory, on Python ints (numpy's integer // or
+                # np.unique would add 64 kB to 0.4 MB of peak RSS)
+                steps = last - first + 1
+                new = values[:, first + k - 1 : last + k].take(live, axis=0).reshape(-1, m)
+                for h in rows_above(new, tolerances.growth_threshold).tolist():
+                    claims.setdefault(h // steps, (GROWTH_STOP, last))
+            if below:
+                for r in (recent[:, -k:] <= tolerances.zero_tol).all(axis=(1, 2)).nonzero()[0]:
+                    claims.setdefault(r, (ZERO_STOP, last))
+            if last >= 2 * k:
+                # each k rows as one item of their bytes: the state, and 2k rows before it
+                states = recent.reshape(len(live), 3, k * m).view(np.dtype((np.void, 8 * k * m)))
+                for r in (states[:, 2, 0] == states[:, 0, 0]).nonzero()[0]:
+                    claims.setdefault(r, (EXACT_CYCLE, last))
+        if claims:
+            for r, end in claims.items():
+                ends[live[r]] = end
+            live = np.delete(live, list(claims))
+        if last == horizon or not len(live):
             break
-        ended = set(diverged)  # positions in live
-        # the last 3k rows of each live trajectory (fewer before step 2k); the state is the last k
-        recent = values[:, max(last - 2 * k, 0) : last + k].take(live, axis=0)
-        if tolerances is not None:
-            # each crossing's trajectory, on Python ints (numpy's integer // or
-            # np.unique would add 64 kB to 0.4 MB of peak RSS)
-            steps = last - first + 1
-            new = values[:, first + k - 1 : last + k].take(live, axis=0).reshape(-1, m)
-            crossed = {h // steps for h in rows_above(new, tolerances.growth_threshold).tolist()}
-            for r in crossed - ended:
-                reasons[live[r]], kept[live[r]] = GROWTH_STOP, last
-                ended.add(r)
-        if below:
-            for r in (recent[:, -k:] <= tolerances.zero_tol).all(axis=(1, 2)).nonzero()[0]:
-                if r not in ended:
-                    reasons[live[r]], kept[live[r]] = ZERO_STOP, last
-                    ended.add(r)
-        if last >= 2 * k:
-            # each k rows as one item of their bytes: the state, and 2k rows before it
-            states = recent.reshape(len(live), 3, k * m).view(np.dtype((np.void, 8 * k * m)))
-            for r in (states[:, 2, 0] == states[:, 0, 0]).nonzero()[0]:
-                if r not in ended:
-                    reasons[live[r]], kept[live[r]] = EXACT_CYCLE, last
-                    ended.add(r)
-        if ended:
-            live = np.delete(live, list(ended))
-            if not len(live):
-                break
         if keep is not None:
             page = mmap.PAGESIZE
             for b in live.tolist():
@@ -382,7 +373,7 @@ def _drive(make, spec: SystemSpec, inits, horizon: int, tolerances: Optional[Tol
     return [Trajectory(spec=spec, values=values[b, held[b] : k + last],
                        end=RunEnd(why, horizon if why == EXACT_CYCLE else last),
                        held_from=held[b] + 1 - k)
-            for b, (why, last) in enumerate(zip(reasons, kept))]
+            for b, (why, last) in enumerate(ends)]
 
 
 def _loop_kernel(spec: SystemSpec, values: np.ndarray):

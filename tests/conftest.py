@@ -1,8 +1,9 @@
 """Shared generators, independent oracles, probes and proof checks for the test suite.
 
-The proof checks (the paper's Facts 1 and 2, the domination inequality and
-the per-residue limits) and the one-step evaluator ``step`` are read by
-tests only, so they live here rather than in the package.
+The proof checks (the paper's Facts 1 and 2, the squared-norm envelope
+chain, the domination inequality and the per-residue limits) and the
+one-step evaluator ``step`` are read by tests only, so they live here
+rather than in the package.
 """
 
 import gc
@@ -13,8 +14,10 @@ import numpy as np
 import pytest
 
 from ratsys import InitialConditions, SystemSpec, simulator
-from ratsys.analysis import INEQ_SLACK
 from ratsys.linalg import EIG_TOL, as_matrix, eig_symmetric, radius_side
+
+#: Slack for the envelope and domination checks' inequalities.
+INEQ_SLACK = 1e-12
 
 
 @pytest.fixture(autouse=True)
@@ -308,6 +311,31 @@ def check_fact2(a, v, growth_threshold: float, max_l: int) -> bool:
         if float(np.linalg.norm(w)) > growth_threshold:
             return True
     return False
+
+
+def envelope_check(traj, a) -> bool:
+    """Verify h(A v_n) <= h(v_n) <= h(A v_{n-k}) <= h(v_{n-k}) for all n >= 1.
+
+    h is the squared Euclidean norm; the chain requires a symmetric kernel
+    with spectral radius at most 1 and holds with ``INEQ_SLACK`` slack.
+    """
+    kernel = np.asarray(a, dtype=float)
+    dec = eig_symmetric(kernel)  # validates symmetry
+    if radius_side(dec.spectral_radius) == 1:
+        raise ValueError(
+            f"envelope check requires spectral radius <= 1, got {dec.spectral_radius!r}"
+        )
+    vals = traj.rows(traj.n_first, traj.horizon)
+    k = traj.k
+    h = (vals * vals).sum(axis=1)
+    av = vals @ kernel.T
+    h_av = (av * av).sum(axis=1)
+    ok = (
+        (h_av[k:] <= h[k:] + INEQ_SLACK).all()
+        and (h[k:] <= h_av[:-k] + INEQ_SLACK).all()
+        and (h_av[:-k] <= h[:-k] + INEQ_SLACK).all()
+    )
+    return bool(ok)
 
 
 def domination_check(traj, a, power_l: int, q: int) -> bool:

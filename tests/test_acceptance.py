@@ -16,6 +16,7 @@ from conftest import (
     check_fact1,
     check_fact2,
     domination_check,
+    envelope_check,
     oracle_step_from_spec,
     random_init,
     random_spec,
@@ -39,7 +40,6 @@ from ratsys import (
     construct_period2k_seed,
     construct_unbounded_seed,
     detect_zero_limit,
-    envelope_check,
     perron_pair,
     residual_linear,
     residual_shift,

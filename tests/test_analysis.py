@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     domination_check,
+    envelope_check,
     random_init,
     random_spec,
     residue_limits,
@@ -31,7 +32,6 @@ from ratsys import (
     detect_period,
     detect_unbounded,
     detect_zero_limit,
-    envelope_check,
     perron_pair,
     residual_linear,
     residual_shift,

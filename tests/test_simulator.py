@@ -30,7 +30,7 @@ from ratsys import (
 )
 from ratsys import classify_tetrachotomy, simulator, verify_classification
 from ratsys.analysis import Tolerances, analyze, rows_above, rows_read
-from ratsys.model import DIVERGED, EXACT_CYCLE, GROWTH_STOP, HORIZON, ZERO_STOP
+from ratsys.model import DIVERGED, EXACT_CYCLE, GROWTH_STOP, HORIZON, ZERO_STOP, RunEnd
 from ratsys.simulator import MAX_LOOP_TERMS, MAX_RUN_BYTES, ROW_TERMS
 
 
@@ -977,6 +977,16 @@ class TestStopBelow:
         # a zero state repeats and is below zero_tol in the first block: the run ends there
         (traj,) = self._runs(kernel, _swap(0.5), [np.zeros((2, 2))], 300, 1e-8)
         assert traj.horizon == 64 and traj.end.reason == ZERO_STOP
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_growth_stop_comes_before_the_zero_stop(self, kernel):
+        # v_n = 1e-3 v_{n-2}, swapped, from 1e12: the norm passes 1e6 at step 1,
+        # and the state is below 1e-8 by step 64, so both stops claim the first block
+        spec = SystemSpec(k=2, A=[[0.0, 1e-3], [1e-3, 0.0]])
+        (traj,) = _kernel_batch(kernel, spec, [np.full((2, 2), 1e12)], 500, Tolerances())
+        assert np.abs(traj.rows(63, 64)).max() <= Tolerances().zero_tol
+        assert traj.end == RunEnd(GROWTH_STOP, 64)
+        assert analyze(traj).describe() == "unbounded (exit step 1)"
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("spec,reasons", [

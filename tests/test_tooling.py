@@ -1,7 +1,8 @@
 """The bench tracer's function table names functions that exist, the
 declared dependency floors cover the APIs the package calls, the
-simulator reduces only where numpy is probed to add left to right, and
-the package never loads numpy.random."""
+simulator reduces only where numpy is probed to add left to right, the
+package never loads numpy.random, and its modules import only what they
+use."""
 
 import ast
 import importlib
@@ -55,7 +56,7 @@ def test_export_list_resolves_and_star_import_binds_it():
 TEST_ONLY = {
     "ratsys.linalg": ("check_fact1", "check_fact2", "DegenerateProjectionError",
                       "spectral_radius"),
-    "ratsys.analysis": ("domination_check", "residue_limits"),
+    "ratsys.analysis": ("domination_check", "residue_limits", "envelope_check", "INEQ_SLACK"),
     "ratsys.simulator": ("step", "Diverged", "simulate_linear"),
 }
 
@@ -173,6 +174,43 @@ def test_numpy_random_uses_are_found(source):
 
 def test_other_random_names_are_no_numpy_random():
     assert numpy_random_uses("import random\nx = random.random()\ny = uniform_draws(1, 2.0, 3)") == []
+
+
+def unused_imports(source):
+    """(line, name) for each name that an import of ``source`` binds and nothing reads.
+
+    A name is read where it appears as an ``ast.Name``, which the base of
+    an attribute chain (``np`` in ``np.add.reduce``) is too.
+    """
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")
+                                          if path.name != "__init__.py"))
+def test_package_modules_use_every_import(module):
+    assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize("source,unused", [
+    ("import os", ["os"]),
+    ("import os.path", ["os"]),
+    ("import numpy as np\nx = 1", ["np"]),
+    ("from .linalg import RHO_TOL, radius_side\nt = RHO_TOL", ["radius_side"]),
+    ("from __future__ import annotations", []),
+    ("import numpy as np\nnp.add.reduce(x)", []),
+    ("from typing import Optional\ndef f(x: Optional[int]): pass", []),
+])
+def test_unused_imports_are_found(source, unused):
+    assert [name for _, name in unused_imports(source)] == unused
 
 
 #: One process runs a verify and a three-regime sweep, then names what it loaded.
