@@ -144,7 +144,7 @@ def rows_read(horizon: int, k: int, tolerances: Optional[Tolerances] = None) -> 
 
     A run that ends earlier is reported before its period is sought, and
     :func:`detect_unbounded`, which reads every held row, finds no crossing
-    in the rows the simulator releases.
+    in the rows the simulator does not hold.
     """
     max_period = (tolerances or Tolerances()).period_limit(k)
     return max(_tail_rows(_window(horizon, max_period), max_period), k)

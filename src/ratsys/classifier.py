@@ -17,6 +17,7 @@ records each run's verdict once, as a :class:`PredictionCheck`: a status
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple, Union
 
@@ -256,6 +257,8 @@ def verify_classification(
     end a run early only where its analysis with the same tolerances finds
     what it finds on the full run (:func:`~ratsys.simulator.simulate_batch`).
     """
+    if type(trials) is bool or not isinstance(trials, numbers.Integral) or trials < 0:
+        raise ValueError(f"trials must be an integer >= 0, got {trials!r}")
     tol = tolerances or Tolerances()
     regime = classification.regime
     k = spec.k

@@ -46,11 +46,11 @@ history at m = 10, k = 3 (26 % slower), and up to it the loop is faster or
 within 5 %.
 
 Either kernel is handed to one driver, :func:`_drive`, which owns the
-trajectories' values (one (B, k + horizon, m) array), the index array of
+trajectories' values (one (B, rows, m) window), the index array of
 those still live and the rule that ends one.  A kernel only steps: it
-writes one block of :data:`_CHECK_EVERY` steps of each live trajectory,
-resumed from its last k rows, and reports the first non-finite step of
-each that has one.  After each block the driver tests all live
+writes one block of :data:`_CHECK_EVERY` rows of each live trajectory's
+window, resumed from its last k rows, and reports the first non-finite
+row of each that has one.  After each block the driver tests all live
 trajectories at once and ends one by one rule, in this order: at
 its first non-finite step (it diverged); given ``tolerances``, at the
 block by its growth or zero stop (below); or, when the bytes of its last
@@ -61,9 +61,9 @@ A cycled trajectory keeps its rows through the block in which its state
 repeated and has the full horizon: every later row is the row 2k before
 it, which ``Trajectory`` reads from the held rows, so nothing is copied
 and the rows past the block are never written (only the written pages of
-the values' map, less those released below, are resident).  That is
-exact: a step is a pure function of the k-row state and of constant
-coefficients, so a state that recurs is followed by the same rows again.
+the window's map are resident).  That is exact: a step is a pure
+function of the k-row state and of constant coefficients, so a state
+that recurs is followed by the same rows again.
 2k catches the limits the paper's tetrachotomy allows at rho <= 1, since
 periods 1 (an exact zero), k and 2k all divide it; in double precision
 such a limit is often reached bit for bit after a few hundred steps.
@@ -103,10 +103,11 @@ nothing a block.  A call without ``tolerances`` gets the full horizon.
 
 Given ``tolerances`` a call also holds only the rows ``analyze`` reads
 (``analysis.rows_read``, at least the 3k of the cycle test) and a block
-more: after each block it releases (``MADV_DONTNEED``) the whole pages of
-each live trajectory before them, and the ``Trajectory`` starts past
-those pages.  Released rows never crossed the growth threshold, so the
-report is unchanged.  The map is still sized by the full horizon.
+more, at most k + horizon rows: before a block that does not fit, it
+copies those last rows of each live trajectory to the front of its
+window, and a ``Trajectory`` starts at the first row its window holds.
+Dropped rows never crossed the growth threshold, so the report is
+unchanged.
 
 The generated loop keeps the order because each sum is one ``+`` chain,
 which Python evaluates left to right without rearranging float arithmetic.
@@ -162,14 +163,13 @@ ROW_TERMS = 4
 
 
 def _step_loop(spec: SystemSpec):
-    """A function ``run(out, first, last)`` that steps ``spec`` on Python floats.
+    """A function ``run(out, start, steps)`` that steps ``spec`` on Python floats.
 
-    ``out`` is one trajectory's values as a flat memoryview, m values a
-    row from v_{1-k} on.  ``run`` reads v_{first-k}, ..., v_{first-1} from
-    it, writes v_n for n = first, ..., last in their places and returns the
-    first step n with a non-finite component (nothing of it is written), or
-    None; ``y - y != 0.0`` holds for an inf or nan y and no other.  Its
-    source spells out every nonzero term of every component, with the
+    ``out`` is one trajectory's window as a flat memoryview, m values a
+    row.  ``run`` writes its ``steps`` rows from row ``start`` on, each from
+    the k before it, and returns the first row with a non-finite component
+    (nothing of it is written), or None; ``y - y != 0.0`` holds for an inf
+    or nan y and no other.  Its source spells out every nonzero term of every component, with the
     window in local variables ``x{j}_{c}`` (v_{n-k+j}, component c) and
     each coefficient as the literal ``repr`` of its float.  A term whose
     coefficient is 0.0 or -0.0 is left out, which changes no bit: window
@@ -189,16 +189,16 @@ def _step_loop(spec: SystemSpec):
         body.append(f"y{i} = ({num}) / ({den})")
     body += [
         "if " + " or ".join(f"{y} - {y} != 0.0" for y in outs) + ":",
-        "    return n",
+        "    return t",
         *(f"out[i + {c}] = {y}" if c else f"out[i] = {y}" for c, y in enumerate(outs)),
         f"i += {m}",
         ", ".join(window) + " = " + ", ".join(window[m:] + outs),
     ]
     source = "\n".join([
-        "def run(out, first, last):",
-        f"    i = (first + {k - 1}) * {m}",  # the place of v_first
+        "def run(out, start, steps):",
+        f"    i = start * {m}",  # the place of row start
         "    " + ", ".join(window) + f" = out[i - {k * m} : i]",
-        "    for n in range(first, last + 1):",
+        "    for t in range(start, start + steps):",
         *("        " + line for line in body),
         "    return None",
     ])
@@ -227,7 +227,7 @@ def _validated(spec: SystemSpec, histories, horizon: int) -> List[InitialConditi
         problems = validate_initial(init, spec)
         if problems:
             raise ValueError("invalid initial conditions: " + "; ".join(problems))
-    if not isinstance(horizon, numbers.Integral):
+    if type(horizon) is bool or not isinstance(horizon, numbers.Integral):
         raise ValueError(f"horizon must be an integer, not {type(horizon).__name__}")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -269,7 +269,7 @@ def simulate_batch(
     A call of B histories with B (m^2 k + :data:`ROW_TERMS`) at most
     :data:`MAX_LOOP_TERMS` is stepped by the spec's generated loop, one
     history at a time; a larger one together in numpy.  Either way
-    :func:`_drive` stores the trajectories in one (B, k + horizon, m) array
+    :func:`_drive` stores the trajectories in one (B, rows, m) window
     and ends each by the module docstring's rule, so they are the same bit
     for bit, end record and cut included, with read-only C-contiguous
     values.  A trajectory that ends in an exact cycle stores its rows only
@@ -300,51 +300,57 @@ def _stops_below(spec: SystemSpec, tol: Tolerances) -> bool:
 def _drive(make, spec: SystemSpec, inits, horizon: int, tolerances: Optional[Tolerances] = None):
     """Validated ``inits`` stepped by the kernel that ``make`` builds; one trajectory each.
 
-    Trajectory b is ``values[b]`` of one (B, k + horizon, m) array.
-    ``make(spec, values)`` returns ``step_block(live, first, last)``, which
-    writes v_first, ..., v_last of each trajectory b in the index array
-    ``live`` into ``values[b]``, each from the k rows before, and returns
-    ``{r: n}`` for each ``live[r]`` whose first non-finite step is n.  After
-    each block the module docstring's rules, in its order and tested on all
-    live rows at once, end trajectories, which leave ``live``; the first
-    rule to claim one names its ``end``.  Whether the zero stop is on is
-    decided once, before the first block.  Given ``tolerances``, the pages
-    of each live trajectory before the rows it holds are then released.
+    Trajectory b is ``values[b]`` of one (B, rows, m) window, whose row t
+    holds v_{base + t + 1 - k}.  ``make(spec, values)`` returns
+    ``step_block(live, start, steps)``, which writes ``steps`` rows from
+    row ``start`` of each trajectory b in the index array ``live``, each
+    from the k before, and returns ``{r: t}`` for each ``live[r]`` whose
+    first non-finite row is t.  After each block the module docstring's
+    rules, in its order and tested on all live rows at once, end
+    trajectories, which leave ``live``; the first rule to claim one names
+    its ``end``.  Whether the zero stop is on is decided once.  A block that
+    does not fit first moves each live trajectory's last ``hold`` rows to
+    the front of its window; an ended trajectory is not moved.
     """
     rows, m, k = len(inits), spec.m, spec.k
     if not rows:
         return []
     below = tolerances is not None and _stops_below(spec, tolerances)
-    # The values get a map of their own rather than a malloc block: glibc
-    # raises its mmap threshold to the size of each mapped block freed, so
-    # that later blocks of that size come from the heap and stay resident
-    # once freed (0.2-0.4 MB more peak RSS in a sweep, whose cells take
-    # 320 kB each).  A private map's pages are resident only once written,
-    # until released, and go back whole with the last view of it.
-    size, row = (k + horizon) * m * 8, m * 8
-    region = mmap.mmap(-1, rows * size, access=mmap.ACCESS_COPY)
-    values = np.frombuffer(region).reshape(rows, k + horizon, m)
+    # rows held behind the next block: analyze's and the next cycle test's, or every row
+    hold = k + horizon if tolerances is None else max(rows_read(horizon, k, tolerances), 3 * k)
+    width = min(hold + _CHECK_EVERY, k + horizon)
+    # The window gets a map of its own rather than a malloc block: glibc raises
+    # its mmap threshold to the size of each mapped block freed, so that later
+    # blocks of that size come from the heap and stay resident once freed
+    # (0.2-0.4 MB more peak RSS, measured on a sweep of 320 kB cells); and
+    # numpy asks for huge pages on blocks of 4 MB or more, so that a row's
+    # first write would make 2 MB resident.  A private map's pages are
+    # resident only once written, and go back whole with its last view.
+    region = mmap.mmap(-1, rows * width * m * 8, flags=mmap.MAP_PRIVATE)
+    values = np.frombuffer(region).reshape(rows, width, m)
+    flat = values.reshape(rows, -1)  # a row's copy within itself makes no temporary here
     for b, init in enumerate(inits):
         values[b, :k] = init.history
     step_block = make(spec, values)
-    # rows held behind the newest: analyze's, the next cycle test's and a block
-    keep = (max(rows_read(horizon, k, tolerances), 3 * k) + _CHECK_EVERY
-            if tolerances is not None and hasattr(mmap, "MADV_DONTNEED") else None)
-    released = [b * size for b in range(rows)]  # where b's released pages end
     ends = [(HORIZON, horizon)] * rows  # why each trajectory ended, and the last step it stores
-    live = np.arange(rows)
+    base, bases, live = 0, [0] * rows, np.arange(rows)  # bases[b]: the base b's window holds
     for first in range(1, horizon + 1, _CHECK_EVERY):
         last = min(first + _CHECK_EVERY - 1, horizon)
+        start, steps = first + k - 1 - base, last - first + 1  # window row of v_first
+        if start + steps > width:  # move each live trajectory's last hold rows to the front
+            for b in live.tolist():
+                flat[b, : hold * m] = flat[b, (start - hold) * m : start * m]
+                bases[b] += start - hold
+            base, start = base + start - hold, hold
         # (reason, last stored step) by position in live: the first rule to claim one decides
-        claims = {r: (DIVERGED, at - 1) for r, at in step_block(live, first, last).items()}
+        claims = {r: (DIVERGED, base + t - k) for r, t in step_block(live, start, steps).items()}
         if last < horizon:
             # each live trajectory's last 3k rows (fewer before step 2k); its state is the last k
-            recent = values[:, max(last - 2 * k, 0) : last + k].take(live, axis=0)
+            recent = values[:, max(start + steps - 3 * k, 0) : start + steps].take(live, axis=0)
             if tolerances is not None:
                 # each crossing's trajectory, on Python ints (numpy's integer // or
                 # np.unique would add 64 kB to 0.4 MB of peak RSS)
-                steps = last - first + 1
-                new = values[:, first + k - 1 : last + k].take(live, axis=0).reshape(-1, m)
+                new = values[:, start : start + steps].take(live, axis=0).reshape(-1, m)
                 for h in rows_above(new, tolerances.growth_threshold).tolist():
                     claims.setdefault(h // steps, (GROWTH_STOP, last))
             if below:
@@ -361,18 +367,9 @@ def _drive(make, spec: SystemSpec, inits, horizon: int, tolerances: Optional[Tol
             live = np.delete(live, list(claims))
         if last == horizon or not len(live):
             break
-        if keep is not None:
-            page = mmap.PAGESIZE
-            for b in live.tolist():
-                lo = max(released[b], -(-b * size // page) * page)
-                hi = (b * size + (last + k - keep) * row) // page * page
-                if hi > lo:
-                    region.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
-                    released[b] = hi
-    held = [-(-(released[b] - b * size) // row) for b in range(rows)]
-    return [Trajectory(spec=spec, values=values[b, held[b] : k + last],
+    return [Trajectory(spec=spec, values=values[b, : k + last - bases[b]],
                        end=RunEnd(why, horizon if why == EXACT_CYCLE else last),
-                       held_from=held[b] + 1 - k)
+                       held_from=bases[b] + 1 - k)
             for b, (why, last) in enumerate(ends)]
 
 
@@ -381,10 +378,10 @@ def _loop_kernel(spec: SystemSpec, values: np.ndarray):
     run = _step_loop(spec)
     flat = [memoryview(row.reshape(-1)) for row in values]
 
-    def step_block(live, first, last):
+    def step_block(live, start, steps):
         diverged = {}
         for r, b in enumerate(live):
-            at = run(flat[b], first, last)
+            at = run(flat[b], start, steps)
             if at is not None:
                 diverged[r] = at
         return diverged
@@ -451,7 +448,7 @@ def _numpy_kernel(spec: SystemSpec, values: np.ndarray):
     buf = q = num_terms = den_terms = den_products = numerators = den_sum = None
     num_reduce = den_reduce = False  # whether each sum may reduce, probed on its shape
 
-    def step_block(live, first, last):
+    def step_block(live, start, steps):
         nonlocal buf, q, num_terms, den_terms, den_products, numerators, den_sum
         nonlocal num_reduce, den_reduce
         rows = len(live)
@@ -471,8 +468,7 @@ def _numpy_kernel(spec: SystemSpec, values: np.ndarray):
             numerators, den_sum = np.empty((ahead, rows, m)), np.empty((rows, m))
             num_reduce = _reduces_in_order(num_terms.shape)
             den_reduce = _reduces_in_order(den_terms.shape)
-        steps = last - first + 1
-        buf[:, :k] = values[live, first - 1 : first + k - 1]
+        buf[:, :k] = values[live, start - k : start]
         with np.errstate(over="ignore", invalid="ignore"):
             for s in range(0, steps, ahead):
                 chunk = min(ahead, steps - s)
@@ -488,8 +484,8 @@ def _numpy_kernel(spec: SystemSpec, values: np.ndarray):
                     _ordered_sum(den_terms, den_sum, den_reduce)
                     np.divide(numerators[j], den_sum, out=buf[:, t])
         block = buf[:, k : k + steps]
-        values[live, first + k - 1 : last + k] = block
+        values[live, start : start + steps] = block
         finite = np.isfinite(block).all(axis=2)
-        return {r: first + int(np.argmin(finite[r])) for r in np.flatnonzero(~finite.all(axis=1))}
+        return {r: start + int(np.argmin(finite[r])) for r in np.flatnonzero(~finite.all(axis=1))}
 
     return step_block

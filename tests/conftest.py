@@ -166,7 +166,9 @@ def count_blocks(monkeypatch):
 
     ``kernel`` names the function that made the block's ``step_block``,
     ``"_loop_kernel"`` or ``"_numpy_kernel"``: the kernel that
-    ``simulator._drive`` received.
+    ``simulator._drive`` received.  A kernel sees window rows only; each
+    block of a call steps on from the one before, from step 1, so its
+    steps n are counted here.
     """
     blocks = []
     drive = simulator._drive
@@ -174,10 +176,13 @@ def count_blocks(monkeypatch):
     def counting_drive(make, *args):
         def counting_make(spec, values):
             step_block = make(spec, values)
+            done = 0  # the last step of the call's blocks so far
 
-            def counted(live, first, last):
-                blocks.append((make.__name__, len(live), first, last))
-                return step_block(live, first, last)
+            def counted(live, start, steps):
+                nonlocal done
+                blocks.append((make.__name__, len(live), done + 1, done + steps))
+                done += steps
+                return step_block(live, start, steps)
 
             return counted
 

@@ -356,6 +356,15 @@ class TestVerifyClassification:
         with pytest.raises(error, match="int|nonnegative"):
             verify_classification(spec, cls, horizon=50, trials=2, rng_seed=seed)
 
+    @pytest.mark.parametrize("trials", [-1, True, False, 2.0, "2", None])
+    def test_trials_that_is_no_nonnegative_int_is_refused(self, trials):
+        # the witness leaves a check at any count, so no other refusal comes first
+        spec = SystemSpec(k=2, A=[[0.0, 1.0], [1.0, 0.0]], denom=np.full((2, 1, 2), 0.25))
+        cls = classify_tetrachotomy(spec)
+        assert cls.witness is not None
+        with pytest.raises(ValueError, match=f"trials must be an integer >= 0, got {trials!r}"):
+            verify_classification(spec, cls, horizon=50, trials=trials)
+
     def test_max_period_zero_is_refused(self):
         # 0 is a limit, not "unset": it must not scan up to 2k, so it is refused when built
         with pytest.raises(ValueError, match="max_period must be >= 1"):
