@@ -102,12 +102,11 @@ or a ``zero_tol`` of 0, turns the zero stop off, and then it costs
 nothing a block.  A call without ``tolerances`` gets the full horizon.
 
 Given ``tolerances`` a call also holds only the rows ``analyze`` reads
-(``analysis.rows_read``, at least the 3k of the cycle test) and a block
-more, at most k + horizon rows: before a block that does not fit, it
-copies those last rows of each live trajectory to the front of its
-window, and a ``Trajectory`` starts at the first row its window holds.
-Dropped rows never crossed the growth threshold, so the report is
-unchanged.
+(``analysis.rows_read``, at least the 3k of the cycle test), with room
+for a block more and one per 8 held, at most k + horizon rows: a block
+that does not fit first copies those rows of each live trajectory to its
+window's front (under 8 rows a step).  Dropped rows never crossed the
+growth threshold, so the report is unchanged.
 
 The generated loop keeps the order because each sum is one ``+`` chain,
 which Python evaluates left to right without rearranging float arithmetic.
@@ -165,17 +164,17 @@ ROW_TERMS = 4
 def _step_loop(spec: SystemSpec):
     """A function ``run(out, start, steps)`` that steps ``spec`` on Python floats.
 
-    ``out`` is one trajectory's window as a flat memoryview, m values a
-    row.  ``run`` writes its ``steps`` rows from row ``start`` on, each from
-    the k before it, and returns the first row with a non-finite component
+    ``out`` is one trajectory's window as a flat memoryview, m values a row.
+    ``run`` writes its ``steps`` rows from row ``start`` on, each from the k
+    before it, and returns the first row with a non-finite component
     (nothing of it is written), or None; ``y - y != 0.0`` holds for an inf
-    or nan y and no other.  Its source spells out every nonzero term of every component, with the
-    window in local variables ``x{j}_{c}`` (v_{n-k+j}, component c) and
-    each coefficient as the literal ``repr`` of its float.  A term whose
-    coefficient is 0.0 or -0.0 is left out, which changes no bit: window
-    values are finite and nonnegative or -0.0, so such a term is +-0.0;
-    each sum starts from its literal 0.0 or 1.0 and so is never -0.0; and
-    s + +-0.0 is s for any other s.
+    or nan y and no other.  Its source spells out every nonzero term of
+    every component, with the window in local variables ``x{j}_{c}``
+    (v_{n-k+j}, component c) and each coefficient as the literal ``repr`` of
+    its float.  A term whose coefficient is 0.0 or -0.0 is left out, which
+    changes no bit: window values are finite and nonnegative or -0.0, so
+    such a term is +-0.0; each sum starts from its literal 0.0 or 1.0 and so
+    is never -0.0; and s + +-0.0 is s for any other s.
     """
     k, m = spec.k, spec.m
     a, q = spec.A.tolist(), spec.denom.tolist()
@@ -308,9 +307,9 @@ def _drive(make, spec: SystemSpec, inits, horizon: int, tolerances: Optional[Tol
     first non-finite row is t.  After each block the module docstring's
     rules, in its order and tested on all live rows at once, end
     trajectories, which leave ``live``; the first rule to claim one names
-    its ``end``.  Whether the zero stop is on is decided once.  A block that
-    does not fit first moves each live trajectory's last ``hold`` rows to
-    the front of its window; an ended trajectory is not moved.
+    its ``end``.  Whether the zero stop is on is decided once.  A block
+    that does not fit first moves each live trajectory's last ``hold``
+    rows to the front of its window; an ended one is not moved.
     """
     rows, m, k = len(inits), spec.m, spec.k
     if not rows:
@@ -318,15 +317,15 @@ def _drive(make, spec: SystemSpec, inits, horizon: int, tolerances: Optional[Tol
     below = tolerances is not None and _stops_below(spec, tolerances)
     # rows held behind the next block: analyze's and the next cycle test's, or every row
     hold = k + horizon if tolerances is None else max(rows_read(horizon, k, tolerances), 3 * k)
-    width = min(hold + _CHECK_EVERY, k + horizon)
-    # The window gets a map of its own rather than a malloc block: glibc raises
-    # its mmap threshold to the size of each mapped block freed, so that later
-    # blocks of that size come from the heap and stay resident once freed
-    # (0.2-0.4 MB more peak RSS, measured on a sweep of 320 kB cells); and
-    # numpy asks for huge pages on blocks of 4 MB or more, so that a row's
-    # first write would make 2 MB resident.  A private map's pages are
-    # resident only once written, and go back whole with its last view.
-    region = mmap.mmap(-1, rows * width * m * 8, flags=mmap.MAP_PRIVATE)
+    # and a block per 8 held: a slide copies hold rows at most every hold / 8 steps
+    width = min(hold + _CHECK_EVERY * (1 + hold // (8 * _CHECK_EVERY)), k + horizon)
+    # A map of its own rather than a malloc block: glibc raises its mmap
+    # threshold to each freed mapped block's size, so later blocks that size
+    # come from the heap and stay resident once freed (0.2-0.4 MB more peak
+    # RSS in a sweep of 320 kB cells), and numpy asks for huge pages on blocks
+    # of 4 MB or more (2 MB resident at a row's first write).  A private map's
+    # pages are resident only once written, and go back whole with its last view.
+    region = mmap.mmap(-1, rows * width * m * 8, access=mmap.ACCESS_COPY)
     values = np.frombuffer(region).reshape(rows, width, m)
     flat = values.reshape(rows, -1)  # a row's copy within itself makes no temporary here
     for b, init in enumerate(inits):

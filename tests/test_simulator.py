@@ -1099,8 +1099,9 @@ class TestHeldRows:
             # the rows analyze reads, and the last 2k of a cycle, are held
             last = got.held_from + len(got.values) - 1
             assert got.held_from <= min(got.horizon - read + 1, last - 2 * spec.k + 1)
-            # and at most a block more than those and the cycle test's 3k
-            assert read <= len(got.values) <= max(read, 3 * spec.k) + 64
+            # and at most an eighth and a block more than those and the cycle test's 3k
+            hold = max(read, 3 * spec.k)
+            assert read <= len(got.values) <= hold + hold // 8 + 64
         exits = [analyze(t, tol).exit_step for t in held]
         if case == "growth-stop":
             assert exits == [2100] and held[0].horizon == 2112
@@ -1136,6 +1137,27 @@ class TestHeldRows:
             for got, want in zip(held, full):
                 assert got.end == want.end and _held_match(got, want)
                 assert (got.held_from == got.n_first) == (horizon == 80)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_slides_copy_under_eight_rows_a_step(self, kernel):
+        # each slide copies the held rows, so slides come at most every eighth of them
+        spec, histories = _rho1_batch(1)
+        make, blocks = getattr(simulator, kernel), []  # (start, steps) of each block
+
+        def recording(spec, values):
+            step_block = make(spec, values)
+
+            def recorded(live, start, steps):
+                blocks.append((start, steps))
+                return step_block(live, start, steps)
+
+            return recorded
+
+        tol = Tolerances()
+        (traj,) = simulator._drive(recording, spec, [InitialConditions(histories[2])], 6000, tol)
+        assert traj.end.reason == HORIZON and sum(steps for _, steps in blocks) == 6000
+        slides = sum(start < before + steps for (before, steps), (start, _) in zip(blocks, blocks[1:]))
+        assert slides > 0 and slides * max(rows_read(6000, 2, tol), 6) < 8 * 6000
 
     def test_calls_without_tolerances_hold_every_row(self):
         spec, histories, horizon, *_ = self.CASES["horizon-and-cycles"]
