@@ -281,7 +281,7 @@ def verify_classification(
         if horizon < max_period:
             raise ValueError(f"run.horizon: {horizon} is below max_period {max_period}, so the "
                              f"witness run can never show the period {period} that {regime} predicts")
-    check_run_size(len(runs) + trials, spec, horizon)
+    check_run_size(len(runs) + trials, spec, horizon, tol)
     draws = np.array(uniform_draws(rng_seed, init_max, trials * k * spec.m)).reshape(trials, k, spec.m)
     for t in range(trials):
         runs.append((f"random-init {t + 1:02d}: {random_text.format(p=period)}", draws[t], False))

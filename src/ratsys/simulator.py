@@ -106,7 +106,8 @@ Given ``tolerances`` a call also holds only the rows ``analyze`` reads
 for a block more and one per 8 held, at most k + horizon rows: a block
 that does not fit first copies those rows of each live trajectory to its
 window's front (under 8 rows a step).  Dropped rows never crossed the
-growth threshold, so the report is unchanged.
+growth threshold, so the report is unchanged.  :func:`check_run_size`
+sizes that window, or all rows without ``tolerances``, and refuses by it.
 
 The generated loop keeps the order because each sum is one ``+`` chain,
 which Python evaluates left to right without rearranging float arithmetic.
@@ -131,7 +132,7 @@ from __future__ import annotations
 import mmap
 import numbers
 from functools import lru_cache
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -220,7 +221,7 @@ def _compiled(source: str):
 
 
 def _validated(spec: SystemSpec, histories, horizon: int) -> List[InitialConditions]:
-    """The histories as initial conditions, once their values, shapes and size check out."""
+    """The histories as initial conditions, once they and the horizon check out (not the size)."""
     inits = [InitialConditions(h) for h in histories]
     for init in inits:
         problems = validate_initial(init, spec)
@@ -230,18 +231,27 @@ def _validated(spec: SystemSpec, histories, horizon: int) -> List[InitialConditi
         raise ValueError(f"horizon must be an integer, not {type(horizon).__name__}")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    check_run_size(len(inits), spec, horizon)
     return inits
 
 
-def check_run_size(rows: int, spec: SystemSpec, horizon: int) -> None:
-    """Refuse, before anything is allocated, ``rows`` runs over :data:`MAX_RUN_BYTES`."""
-    size = rows * (spec.k + int(horizon)) * spec.m * 8
+def check_run_size(rows: int, spec: SystemSpec, horizon: int,
+                   tolerances: Optional[Tolerances] = None) -> Tuple[int, int]:
+    """The one size rule of a call of ``rows`` runs: ``(hold, width)``, which :func:`_drive` maps.
+
+    Each run holds ``hold`` rows behind its next block in ``width`` window rows, both k + horizon
+    without ``tolerances``.  Refuses, before any allocation, windows over :data:`MAX_RUN_BYTES`.
+    """
+    k, horizon = spec.k, int(horizon)
+    # rows held behind the next block: analyze's and the next cycle test's, or every row
+    hold = (k + horizon if tolerances is None or horizon >> 1000  # rows_read overflows by 2^1024
+            else max(rows_read(horizon, k, tolerances), 3 * k))
+    # and a block per 8 held: a slide copies hold rows at most every hold / 8 steps
+    width = min(hold + _CHECK_EVERY * (1 + hold // (8 * _CHECK_EVERY)), k + horizon)
+    size = rows * width * spec.m * 8
     if size > MAX_RUN_BYTES:
-        raise ValueError(
-            f"{rows} x {spec.k + horizon} x {spec.m} trajectory values need {size} bytes, "
-            f"more than the limit of {MAX_RUN_BYTES}"
-        )
+        raise ValueError(f"{rows} x {width} x {spec.m} trajectory values need {size} bytes, "
+                         f"more than the limit of {MAX_RUN_BYTES}")
+    return hold, width
 
 
 def simulate(spec: SystemSpec, init: InitialConditions, horizon: int) -> Trajectory:
@@ -315,10 +325,7 @@ def _drive(make, spec: SystemSpec, inits, horizon: int, tolerances: Optional[Tol
     if not rows:
         return []
     below = tolerances is not None and _stops_below(spec, tolerances)
-    # rows held behind the next block: analyze's and the next cycle test's, or every row
-    hold = k + horizon if tolerances is None else max(rows_read(horizon, k, tolerances), 3 * k)
-    # and a block per 8 held: a slide copies hold rows at most every hold / 8 steps
-    width = min(hold + _CHECK_EVERY * (1 + hold // (8 * _CHECK_EVERY)), k + horizon)
+    hold, width = check_run_size(rows, spec, horizon, tolerances)
     # A map of its own rather than a malloc block: glibc raises its mmap
     # threshold to each freed mapped block's size, so later blocks that size
     # come from the heap and stay resident once freed (0.2-0.4 MB more peak

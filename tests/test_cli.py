@@ -915,6 +915,19 @@ class TestSizeLimit:
         assert len(err) == 1 and err[0].startswith("error: system.k ") and "limit" in err[0], err
 
 
+class TestWindowSize:
+    def test_verify_past_a_full_horizon_over_the_limit(self, tmp_path, capsys):
+        # 4 x (2 + 3e7) x 2 values would pass the limit; the window is under a quarter of them
+        doc = {"mode": "tetrachotomy", "system": {"k": 2, "A": [[0.0, 0.5], [0.5, 0.0]]},
+               "run": {"trials": 4}}
+        conf = write_conf(tmp_path, yaml.safe_dump(doc))
+        argv = ["verify", "--config", conf, "--horizon", "30000000", "--out", str(tmp_path / "r")]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count(" PASS ") == 4 and "FAIL" not in out
+        assert out.endswith("verdict: all predictions pass\n")
+
+
 class TestSweepCommand:
     def test_overflowing_cell_is_one_line(self, tmp_path):
         # c * A overflows in the second cell; the product raises no RuntimeWarning

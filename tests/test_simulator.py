@@ -1165,6 +1165,35 @@ class TestHeldRows:
             assert traj.held_from == traj.n_first
 
 
+class TestRunSize:
+    """A call is refused by the rows it maps: its window given tolerances, else every row."""
+
+    SPEC = SystemSpec(k=2, A=[[0.0, 0.5], [0.5, 0.0]])
+    HISTORIES = [np.full((2, 2), float(i)) for i in range(1, 6)]
+
+    def test_a_window_under_the_limit_runs_past_a_full_horizon_over_it(self):
+        horizon = 3 * 10**7
+        trajs = simulate_batch(self.SPEC, self.HISTORIES, horizon, tolerances=Tolerances())
+        assert [t.end for t in trajs] == [RunEnd(ZERO_STOP, 64)] * 5
+        # without tolerances the call holds, and is refused by, every row
+        with pytest.raises(ValueError) as refused:
+            simulate_batch(self.SPEC, self.HISTORIES, horizon)
+        assert str(refused.value) == (
+            "5 x 30000002 x 2 trajectory values need 2400000160 bytes, "
+            f"more than the limit of {MAX_RUN_BYTES}")
+
+    def test_a_window_over_the_limit_is_refused_by_its_rows(self):
+        # rows_read's 200 000 000 004 rows and a block per 8 held
+        with pytest.raises(ValueError) as refused:
+            simulate_batch(self.SPEC, self.HISTORIES, 10**12, tolerances=Tolerances())
+        assert str(refused.value) == (
+            "5 x 225000000068 x 2 trajectory values need 18000000005440 bytes, "
+            f"more than the limit of {MAX_RUN_BYTES}")
+        # past the float range rows_read cannot size a window: every row is refused
+        with pytest.raises(ValueError, match=f"5 x {10**400 + 2} x 2 .* more than the limit"):
+            simulate_batch(self.SPEC, self.HISTORIES, 10**400, tolerances=Tolerances())
+
+
 #: History entries of the zero-stop fuzz: signed zeros, subnormals and 1e300 among plain draws.
 _SMALL_AND_HUGE = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e300])
 

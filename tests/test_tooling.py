@@ -115,6 +115,21 @@ def test_simulator_reduces_only_in_ordered_sum():
     assert [(line, what) for line, what in found if line not in inside] == []
 
 
+def test_window_is_sized_in_one_place():
+    # simulator.check_run_size is the one size rule of a call: it computes
+    # the rows each run holds and its window's rows, refuses the call by
+    # them, and _drive maps what it returns, so no other code in the module
+    # reads analyze's window rule or the limit.
+    source = SIMULATOR.read_text()
+    (rule,) = [node for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef) and node.name == "check_run_size"]
+    inside = range(rule.lineno, rule.end_lineno + 1)
+    reads = [(node.lineno, node.id) for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Name) and node.id in ("rows_read", "MAX_RUN_BYTES")]
+    assert {name for line, name in reads if line in inside} == {"rows_read", "MAX_RUN_BYTES"}
+    assert [(line, name) for line, name in reads if line not in inside] == []
+
+
 @pytest.mark.parametrize("source", [
     "s = sum(x)", "s = x.sum(axis=0)", "s = np.add.reduce(x)", "s = np.add.reduceat(x, i)",
     "s = np.dot(a, b)", "s = a.dot(b)", "s = np.einsum('i,i', a, b)", "s = np.matmul(a, b)",
