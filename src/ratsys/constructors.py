@@ -19,7 +19,15 @@ from typing import Iterator, List, Tuple, Union
 
 import numpy as np
 
-from .linalg import EIG_TOL, RHO_TOL, eig2, eig_symmetric, perron_pair, radius_side
+from .linalg import (
+    EIG_TOL,
+    RHO_TOL,
+    eig2,
+    eig_symmetric,
+    ordered_products,
+    perron_pair,
+    radius_side,
+)
 from .model import InitialConditions, SystemSpec
 
 #: Entropy of :func:`uniform_draws` for the randomized tail of the unbounded-seed cascade.
@@ -160,6 +168,8 @@ def construct_unbounded_seed(spec: SystemSpec, rho_tol: float = RHO_TOL) -> Init
     vectors).  Along the surviving residue class the orbit is
     A^{L+1} v_{1-k}, which is unbounded by the spectral gap.  Beyond
     m = 2 the kernel must be symmetric, so that A^T has A's eigenvectors.
+    Each projection is :func:`~ratsys.linalg.ordered_products`' sum by
+    ascending index.
     """
     a = spec.A
     dec = eig2(a.T) if spec.m == 2 else eig_symmetric(a)
@@ -167,9 +177,10 @@ def construct_unbounded_seed(spec: SystemSpec, rho_tol: float = RHO_TOL) -> Init
         raise ValueError(
             f"spectral radius must exceed 1, got {dec.spectral_radius!r}"
         )
+    rows = dec.eigenvectors.tolist()
     for cand in _candidates(spec.m):
-        projections = dec.eigenvectors @ cand
-        if (np.abs(projections) > EIG_TOL).all():
+        projections = ordered_products(rows, cand.tolist())
+        if all(abs(p) > EIG_TOL for p in projections):
             return InitialConditions.impulse(spec.k, cand)
     raise SeedConstructionError(
         "no candidate start vector has nonzero projection on every eigenvector"

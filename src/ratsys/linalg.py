@@ -10,13 +10,24 @@ radius to 1.  :func:`contraction_rate` proves that a nonnegative matrix
 with row sums below 1 contracts, rounding included.  No LAPACK
 dependency (tests/test_no_lapack.py checks it); results are deterministic
 bit-for-bit for identical inputs.
+
+No BLAS call either (tests/test_tooling.py checks it): every sum of
+products (the eigenpair residual, each step of power iteration, the
+unbounded seed's projections) goes through :func:`ordered_products`,
+which rounds each product once and adds the terms by ascending index, on
+Python floats.  numpy hands ``@``, ``dot`` and ``linalg.norm`` to BLAS,
+whose kernel, picked per CPU at run time, orders the additions, so their
+last bits could differ between machines; the first such call also pages
+in BLAS's kernels and buffers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from functools import reduce
+from operator import add, mul
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +70,18 @@ def is_positive(a: np.ndarray) -> bool:
     return bool((a > 0.0).all())
 
 
+def ordered_products(rows: Sequence[Sequence[float]], x: Sequence[float]) -> List[float]:
+    """``sum_j row[j] * x[j]`` for each row, in a fixed order of operations.
+
+    Each product is rounded once, and the terms are added by ascending j
+    from the first, each addition rounded once: ``(r0 x0 + r1 x1) + r2 x2
+    ...`` on Python floats, which CPython never fuses into a multiply-add.
+    So the result is the same bit for bit on every machine and numpy
+    build.  A row of inf or nan terms gives inf or nan, with no warning.
+    """
+    return [reduce(add, map(mul, row, x)) for row in rows]
+
+
 def radius_side(rho: float, rho_tol: float = RHO_TOL) -> int:
     """Side of 1 that a spectral radius lies on: -1 below, 0 at, 1 above.
 
@@ -93,9 +116,20 @@ class EigenDecomposition:
         return float(np.abs(self.eigenvalues).max(initial=0.0))
 
     def residual(self, a: np.ndarray) -> float:
-        """max-norm eigenpair residual max_i ||A w_i - lambda_i w_i||_inf."""
-        r = self.eigenvectors @ a.T - self.eigenvalues[:, None] * self.eigenvectors
-        return float(np.abs(r).max())
+        """max-norm eigenpair residual max_i ||A w_i - lambda_i w_i||_inf.
+
+        Each (A w_i)_j is :func:`ordered_products`' sum of a_jc w_ic by
+        ascending c, and lambda_i w_ij is subtracted from it, so the
+        residual does not depend on the BLAS build.  A nan difference
+        gives nan.
+        """
+        rows = a.tolist()
+        diffs = [
+            y - lam * x
+            for lam, w in zip(self.eigenvalues.tolist(), self.eigenvectors.tolist())
+            for y, x in zip(ordered_products(rows, w), w)
+        ]
+        return float(np.abs(diffs).max())
 
 
 def eig2(a) -> EigenDecomposition:
@@ -215,6 +249,17 @@ def _rescaled(mat: np.ndarray) -> Tuple[np.ndarray, int]:
     return np.ldexp(mat, -e), e
 
 
+def _scaled_back(values, e: int):
+    """``values * 2**e``, exact, or +-inf where that passes the largest float.
+
+    A spectral radius can pass it while every entry is finite: 5e307
+    [[1, 2, 1], [2, 1, 1], [1, 1, 3]] has radius 2.2e308.  It is then inf,
+    with no warning, as eig2 gives at m = 2.
+    """
+    with np.errstate(over="ignore"):
+        return np.ldexp(values, e)
+
+
 def eig_symmetric(a) -> EigenDecomposition:
     """Eigendecomposition of a real symmetric matrix.
 
@@ -230,7 +275,7 @@ def eig_symmetric(a) -> EigenDecomposition:
         return eig2(mat)
     scaled, e = _rescaled(mat)
     values, vectors = _jacobi(scaled)
-    return _decomposition(np.ldexp(values, e), vectors)
+    return _decomposition(_scaled_back(values, e), vectors)
 
 
 def _power_iteration(mat: np.ndarray, shift: float) -> Optional[Tuple[float, np.ndarray]]:
@@ -239,20 +284,25 @@ def _power_iteration(mat: np.ndarray, shift: float) -> Optional[Tuple[float, np.
     Returns ``(r, x)`` once ``||A x - r x||_inf`` with the Rayleigh
     quotient ``r = x . A x`` falls below the residual target, or None
     when the iteration budget runs out first.  With ``shift = 0`` the
-    update is plain power iteration on A.
+    update is plain power iteration on A.  The iterate is a list of
+    Python floats; ``A x``, ``x . A x`` and the squared norm are
+    :func:`ordered_products`' sums by ascending index.
     """
-    m = mat.shape[0]
-    x = np.full(m, 1.0 / math.sqrt(m))
+    rows = mat.tolist()
+    m = len(rows)
+    x = [1.0 / math.sqrt(m)] * m
     for _ in range(MAX_POWER_ITERS):
-        y = mat @ x
-        r = float(x @ y)
-        if float(np.abs(y - r * x).max()) <= _POWER_RESIDUAL_TOL * max(1.0, abs(r)):
-            return r, x
-        y = y + shift * x
-        norm = float(np.linalg.norm(y))
+        y = ordered_products(rows, x)
+        (r,) = ordered_products((x,), y)
+        worst = max(abs(yi - r * xi) for yi, xi in zip(y, x))
+        if worst <= _POWER_RESIDUAL_TOL * max(1.0, abs(r)):
+            return r, np.array(x)
+        y = [yi + shift * xi for yi, xi in zip(y, x)]
+        (square,) = ordered_products((y,), y)
+        norm = math.sqrt(square)
         if norm == 0.0 or not math.isfinite(norm):
             raise PowerIterationError("power iteration degenerated")
-        x = y / norm
+        x = [yi / norm for yi in y]
     return None
 
 
@@ -272,7 +322,10 @@ def perron_pair(a) -> Tuple[float, np.ndarray]:
     same eigenvectors, and the eigenvalue near ``-r`` becomes one near
     ``sigma - r``, far below the dominant ``r + sigma``.  Entries near
     the ends of the float range are rescaled first, as in
-    :func:`eig_symmetric`.
+    :func:`eig_symmetric`, and a radius past the largest float is inf.
+    Each step's ``A x``, its Rayleigh quotient ``x . A x`` and its squared
+    norm add their products by ascending index (:func:`ordered_products`),
+    so ``r`` and ``w`` are the same bit for bit on every machine.
     """
     mat = as_matrix(a)
     if mat.shape == (2, 2) and is_nonnegative(mat):
@@ -291,7 +344,7 @@ def perron_pair(a) -> Tuple[float, np.ndarray]:
     r, x = pair
     if float(x.min()) <= 0.0:
         raise PowerIterationError("iterate lost strict positivity")
-    return math.ldexp(r, e), x
+    return float(_scaled_back(r, e)), x
 
 
 def contraction_rate(a) -> Optional[float]:

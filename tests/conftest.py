@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ratsys import InitialConditions, SystemSpec, simulator
-from ratsys.linalg import EIG_TOL, as_matrix, eig_symmetric, radius_side
+from ratsys.linalg import EIG_TOL, MAX_POWER_ITERS, as_matrix, eig_symmetric, radius_side
 
 #: Slack for the envelope and domination checks' inequalities.
 INEQ_SLACK = 1e-12
@@ -231,6 +231,58 @@ def oracle_jacobi(a0):
                 v[:, p] = c * vp - s * vq
                 v[:, q] = s * vp + c * vq
     raise ArithmeticError("Jacobi iteration did not converge")
+
+
+def left_to_right_products(rows, x):
+    """Reference for ``linalg.ordered_products``: for each row, the sum of
+    row[j] * x[j] with each product rounded and the terms added one at a
+    time from j = 0, on plain Python floats."""
+    out = []
+    for row in rows:
+        total = row[0] * x[0]
+        for j in range(1, len(x)):
+            total = total + row[j] * x[j]
+        out.append(total)
+    return out
+
+
+def oracle_residual(dec, a):
+    """max over i, j of |(A w_i)_j - lambda_i w_ij|, each (A w_i)_j summed left to right."""
+    rows = np.asarray(a, dtype=float).tolist()
+    return max(abs(y - lam * x)
+               for lam, w in zip(dec.eigenvalues.tolist(), dec.eigenvectors.tolist())
+               for y, x in zip(left_to_right_products(rows, w), w))
+
+
+def oracle_power_iteration(a, shift):
+    """Power iteration on a + shift I on plain Python floats, judged on a: (r, x) or None.
+
+    Every sum of products (A x, x . A x and the squared norm) is a
+    ``left_to_right_products`` sum; the stop rule is ``linalg``'s, a
+    residual within 1e-14 max(1, |r|).
+    """
+    rows = np.asarray(a, dtype=float).tolist()
+    m = len(rows)
+    x = [1.0 / math.sqrt(m)] * m
+    for _ in range(MAX_POWER_ITERS):
+        y = left_to_right_products(rows, x)
+        (r,) = left_to_right_products([x], y)
+        if max(abs(y[i] - r * x[i]) for i in range(m)) <= 1e-14 * max(1.0, abs(r)):
+            return r, x
+        y = [y[i] + shift * x[i] for i in range(m)]
+        norm = math.sqrt(left_to_right_products([y], y)[0])
+        x = [v / norm for v in y]
+    return None
+
+
+def oracle_perron_pair(a):
+    """``perron_pair`` of a strictly positive m >= 3 matrix whose largest entry
+    lies in [2**-500, 2**500]: plain iteration, then the iteration shifted by
+    the largest row sum, as numpy sums the rows."""
+    pair = oracle_power_iteration(a, 0.0)
+    if pair is None:
+        pair = oracle_power_iteration(a, float(np.asarray(a).sum(axis=1).max()))
+    return pair
 
 
 def zero_init(k, m):

@@ -743,10 +743,11 @@ class TestClassifyCommand:
         assert "regime: period-k" in out and "perron: r=" in out
 
     @pytest.mark.parametrize("command", ["classify", "verify"])
-    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e-200])
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 5e307, 1e-200])
     def test_kernel_near_the_ends_of_the_float_range(self, tmp_path, capsys, command, scale):
         # Jacobi and power iteration square entries, which overflow or
-        # underflow here unless the kernel is rescaled first
+        # underflow here unless the kernel is rescaled first; at 5e307 the
+        # radius passes the largest float and reads inf, as it does at m = 2
         a = (scale * np.array([[1.0, 2.0, 1.0], [2.0, 1.0, 1.0], [1.0, 1.0, 3.0]])).tolist()
         doc = {"mode": "trichotomy", "system": {"k": 2, "A": a},
                "run": {"horizon": 300, "trials": 3}}

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_spec, symmetric_positive_with_rho
+from conftest import left_to_right_products, random_spec, symmetric_positive_with_rho
 
 from ratsys import (
     InitialConditions,
@@ -13,9 +13,11 @@ from ratsys import (
     construct_period2k_seed,
     construct_periodic_seed,
     construct_unbounded_seed,
+    eig2,
+    eig_symmetric,
     simulate,
 )
-from ratsys import constructors
+from ratsys import constructors, linalg
 from ratsys.constructors import uniform_draws
 
 
@@ -148,6 +150,28 @@ class TestUnboundedSeed:
         seed = construct_unbounded_seed(SystemSpec(k=2, A=a))
         expected = np.random.default_rng(1093).uniform(0.0, 1.0, (3, 3))[0]
         np.testing.assert_array_equal(seed.history, InitialConditions.impulse(2, expected).history)
+
+    @pytest.mark.parametrize("a, tried", [
+        ([[1.5, 1.0, 0.5], [1.0, 1.0, 1.0], [0.5, 1.0, 1.5]], 3),
+        ([[3.0, 1.0], [2.0, 2.0]], 2),  # projected on eig2's eigenvectors of A^T
+    ])
+    def test_projections_are_left_to_right_sums(self, monkeypatch, a, tried):
+        projected = []
+
+        def recording(rows, x):
+            out = linalg.ordered_products(rows, x)
+            projected.append((rows, x, out))
+            return out
+
+        monkeypatch.setattr(constructors, "ordered_products", recording)
+        seed = construct_unbounded_seed(SystemSpec(k=2, A=a))
+        a = np.array(a)
+        dec = eig2(a.T) if len(a) == 2 else eig_symmetric(a)
+        assert len(projected) == tried
+        for rows, x, out in projected:
+            assert rows == dec.eigenvectors.tolist()
+            assert [p.hex() for p in out] == [p.hex() for p in left_to_right_products(rows, x)]
+        assert projected[-1][1] == seed.history[0].tolist()
 
     def test_fixed_candidates_draw_nothing(self, monkeypatch):
         def refuse(*args):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,11 @@ from conftest import (
     DegenerateProjectionError,
     check_fact1,
     check_fact2,
+    left_to_right_products,
     oracle_jacobi,
+    oracle_perron_pair,
+    oracle_power_iteration,
+    oracle_residual,
     symmetric_nonneg_with_rho,
     symmetric_positive_with_rho,
     symmetric_signed_with_rho,
@@ -30,6 +35,7 @@ from ratsys.linalg import (
     _jacobi,
     _power_iteration,
     contraction_rate,
+    ordered_products,
     radius_side,
 )
 
@@ -336,6 +342,55 @@ class TestPerronPair:
         assert abs(r - 1.0) <= 1e-14
 
 
+def hexes(values):
+    """The exact bits of each float, as text that shows them on a failure."""
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def near_bipartite(e):
+    """[[e, 1, 1], [1, e, e], [1, e, e]] scaled to rho = 1: eigenvalues near +-1."""
+    a = np.array([[e, 1.0, 1.0], [1.0, e, e], [1.0, e, e]])
+    return a / np.abs(np.linalg.eigvalsh(a)).max()
+
+
+class TestOrderedProducts:
+    """Every sum of products in ratsys.linalg adds its terms by ascending
+    index, each product and each addition rounded once, so no BLAS build
+    or CPU changes a bit."""
+
+    def test_terms_are_added_from_the_first(self):
+        # each 2^-53 added to 1.0 alone is a tie that rounds back to 1.0; any
+        # order that first adds the small terms together gives more
+        assert ordered_products([[1.0] + [2.0**-53] * 20], [1.0] * 21) == [1.0]
+        assert ordered_products([[2.0**-53] * 20 + [1.0]], [1.0] * 21) == [1.0 + 20 * 2.0**-53]
+
+    def test_matches_the_left_to_right_reference(self):
+        rng = np.random.default_rng(71)
+        for m in (1, 2, 3, 8, 16, 33):
+            rows = (rng.standard_normal((m, m)) * 10.0 ** rng.integers(-8, 8, (m, m))).tolist()
+            x = (rng.standard_normal(m) * 10.0 ** rng.integers(-8, 8, m)).tolist()
+            assert hexes(ordered_products(rows, x)) == hexes(left_to_right_products(rows, x))
+
+    @pytest.mark.parametrize("a, shifted", [
+        (symmetric_positive_with_rho(np.random.default_rng(73), 5, 1.0), False),
+        (np.random.default_rng(74).uniform(0.1, 1.0, (4, 4)), False),
+        (near_bipartite(1e-6), True),  # plain iteration stalls; the shifted one settles it
+    ], ids=["positive-5", "nonsymmetric-4", "near-bipartite"])
+    def test_perron_pair_matches_the_reference(self, a, shifted):
+        assert (oracle_power_iteration(a, 0.0) is None) == shifted
+        want_r, want_w = oracle_perron_pair(a)
+        r, w = perron_pair(a)
+        assert hexes([r]) == hexes([want_r])
+        assert hexes(w) == hexes(want_w)
+
+    @pytest.mark.parametrize("m", [2, 3, 6, 16])
+    def test_residual_matches_the_reference(self, m):
+        rng = np.random.default_rng(79 + m)
+        a = symmetric_signed_with_rho(rng, m, 1.3)
+        dec = eig_symmetric(a)
+        assert hexes([dec.residual(a)]) == hexes([oracle_residual(dec, a)])
+
+
 #: A positive symmetric kernel (eigenvalues 3 + sqrt 2, 3 - sqrt 2, -1) over 4,
 #: so that its largest entry, 3/4, lies in [0.5, 1).
 SCALE_PROBE = np.array([[1.0, 2.0, 1.0], [2.0, 1.0, 1.0], [1.0, 1.0, 3.0]]) / 4
@@ -369,6 +424,18 @@ class TestExtremeScales:
         np.testing.assert_allclose(dec.eigenvalues, want, rtol=1e-14, atol=0)
         r, w = perron_pair(c * SCALE_PROBE)
         assert r == pytest.approx(want[0], rel=1e-14, abs=0)
+        np.testing.assert_allclose(w, [0.5, 0.5, math.sqrt(0.5)], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("c", [5e307, 2.0**1022])
+    def test_radius_past_the_largest_float_is_inf(self, c):
+        # every entry is finite, but 3 + sqrt 2 times c is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = eig_symmetric(c * (4 * SCALE_PROBE))
+            r, w = perron_pair(c * (4 * SCALE_PROBE))
+        assert dec.spectral_radius == r == math.inf
+        want = np.array([3.0 - math.sqrt(2.0), -1.0]) * c
+        np.testing.assert_allclose(dec.eigenvalues[1:], want, rtol=1e-14, atol=0)
         np.testing.assert_allclose(w, [0.5, 0.5, math.sqrt(0.5)], rtol=0, atol=1e-13)
 
 

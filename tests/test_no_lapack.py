@@ -6,7 +6,8 @@ This test parses every module of the package and fails on a call into
 ``numpy.linalg`` that LAPACK backs (``eig*``, ``det``, ``solve``, ``inv``,
 ``svd``, ``qr``, ``lstsq``, ``cholesky`` and their relatives), however
 ``numpy.linalg`` was imported.  ``norm`` and ``matrix_power`` are not
-LAPACK calls and stay allowed.
+LAPACK calls, so this checker passes them; they are BLAS calls, which
+tests/test_tooling.py::test_package_makes_no_blas_call refuses.
 """
 
 import ast

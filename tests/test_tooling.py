@@ -1,8 +1,8 @@
 """The bench tracer's function table names functions that exist, the
 declared dependency floors cover the APIs the package calls, the
 simulator reduces only where numpy is probed to add left to right, the
-package never loads numpy.random, and its modules import only what they
-use."""
+package makes no BLAS call and never loads numpy.random, and its modules
+import only what they use."""
 
 import ast
 import importlib
@@ -81,22 +81,47 @@ def test_numpy_floor_has_reshape_copy():
 
 SIMULATOR = CHILD.parents[1] / "src" / "ratsys" / "simulator.py"
 
+#: numpy's BLAS entry points besides ``@`` and ``@=``: the calls it hands to
+#: BLAS, whose kernel, picked per CPU at run time, orders the additions.
+BLAS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "matrix_power", "multi_dot",
+        "vecdot", "matvec", "vecmat"}
+#: numpy.linalg's BLAS entry points whose names are common words, so they
+#: count only when read from numpy.linalg.
+LINALG_BLAS = {"norm", "vector_norm"}
 #: Names of calls that may add terms in an order other than left to right:
 #: pairwise, compensated or BLAS sums.
-REDUCING = {"sum", "fsum", "reduce", "reduceat", "dot", "einsum", "matmul", "tensordot", "inner"}
+REDUCING = {"sum", "fsum", "reduce", "reduceat"} | BLAS
 
 
-def reducing_sums(source):
-    """(line, what) for each reducing sum that ``source`` names or applies."""
+def reducing_sums(source, names=REDUCING):
+    """(line, what) for each reducing sum of ``names`` that ``source`` names or applies.
+
+    ``@``, ``@=`` and numpy.linalg's ``norm`` are BLAS sums and always count,
+    however numpy.linalg was imported.
+    """
+    tree = ast.parse(source)
+    linalg = {"linalg"}  # the names numpy.linalg is bound to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            linalg |= {a.asname for a in node.names if a.name == "numpy.linalg" and a.asname}
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            linalg |= {a.asname or a.name for a in node.names if a.name == "linalg"}
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             found.append((node.lineno, "@"))
-        elif isinstance(node, ast.Name) and node.id in REDUCING:
+        elif isinstance(node, ast.Name) and node.id in names:
             found.append((node.lineno, node.id))
-        elif isinstance(node, ast.Attribute) and node.attr in REDUCING:
+        elif isinstance(node, ast.Attribute) and node.attr in names:
             found.append((node.lineno, "." + node.attr))
-        elif isinstance(node, ast.alias) and node.name.rpartition(".")[2] in REDUCING:
+        elif isinstance(node, ast.Attribute) and node.attr in LINALG_BLAS and (
+                isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"
+                or isinstance(node.value, ast.Name) and node.value.id in linalg):
+            found.append((node.lineno, ".linalg." + node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found += [(node.lineno, "import numpy.linalg." + a.name)
+                      for a in node.names if a.name in LINALG_BLAS]
+        elif isinstance(node, ast.alias) and node.name.rpartition(".")[2] in names:
             found.append((getattr(node, "lineno", 0), "import " + node.name))
     return found
 
@@ -142,6 +167,38 @@ def test_reducing_sums_are_found(source):
 
 def test_accumulate_is_no_reducing_sum():
     assert reducing_sums("np.add.accumulate(x, axis=0, out=y)\ns = x[-1] + y") == []
+
+
+PACKAGE = SIMULATOR.parent
+
+
+def test_package_makes_no_blas_call():
+    # ratsys.linalg.ordered_products is the package's one sum of products:
+    # BLAS would order its additions by the CPU it runs on (README,
+    # "Determinism").  Sums that are not BLAS calls stay allowed here.
+    found = {path.name: calls for path in sorted(PACKAGE.glob("*.py"))
+             if (calls := reducing_sums(path.read_text(), BLAS))}
+    assert found == {}
+
+
+@pytest.mark.parametrize("source", [
+    "s = a @ b", "a @= b", "s = np.dot(a, b)", "s = a.dot(b)", "s = np.vdot(a, b)",
+    "s = np.inner(a, b)", "s = np.matmul(a, b)", "s = np.tensordot(a, b)",
+    "s = np.einsum('i,i', a, b)", "s = np.linalg.norm(v)", "s = np.linalg.vector_norm(v)",
+    "s = np.linalg.matrix_power(a, 2)", "s = np.linalg.multi_dot([a, b, c])",
+    "s = np.vecdot(a, b)", "s = np.matvec(a, v)", "s = np.vecmat(v, a)",
+    "import numpy\ns = numpy.linalg.norm(v)", "import numpy.linalg as la\ns = la.norm(v)",
+    "from numpy import linalg\ns = linalg.norm(v)", "from numpy import linalg as nl\ns = nl.norm(v)",
+    "from numpy.linalg import norm", "from numpy import matmul", "from numpy.linalg import multi_dot",
+])
+def test_blas_calls_are_found(source):
+    assert len(reducing_sums(source, BLAS)) == 1
+
+
+def test_other_sums_and_norms_are_no_blas_call():
+    source = ("s = x.sum(axis=1)\nt = np.add.reduce(x)\nnorm = math.hypot(x, y)\n"
+              "n = vec.norm()\nr = [reduce(add, map(mul, row, x)) for row in rows]")
+    assert reducing_sums(source, BLAS) == []
 
 
 PACKAGE = SIMULATOR.parent
