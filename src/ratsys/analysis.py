@@ -24,7 +24,7 @@ ZERO_TOL = 1e-8
 PER_TOL = 1e-7
 GROWTH_THRESHOLD = 1e6
 #: Tail window for period detection: the larger of 20% of the horizon and
-#: MIN_WINDOW_BLOCKS blocks of max_period samples.
+#: MIN_WINDOW_BLOCKS blocks of 2k samples, 2k being the longest period scanned.
 TAIL_FRACTION = 0.2
 MIN_WINDOW_BLOCKS = 10
 
@@ -43,15 +43,14 @@ class Tolerances:
     value.  A bool is no number here, and the float fields take any other
     real number.  ``rho_tol`` is the half-width of the band [1 - rho_tol,
     1 + rho_tol] that the classifier and the seed constructors count as
-    radius 1.  ``growth_threshold``, ``zero_tol``, ``per_tol`` and
-    ``max_period`` are ``analyze``'s tests for the behaviours, and
+    radius 1.  ``growth_threshold``, ``zero_tol`` and ``per_tol`` are
+    ``analyze``'s tests for the behaviours, and
     ``simulator.simulate_batch`` also ends a run by the first two.
     """
 
     zero_tol: float = ZERO_TOL
     per_tol: float = PER_TOL
     growth_threshold: float = GROWTH_THRESHOLD
-    max_period: Optional[int] = None  # see period_limit
     rho_tol: float = RHO_TOL
 
     def __post_init__(self):
@@ -66,15 +65,6 @@ class Tolerances:
         if not 0.0 < self.growth_threshold < math.inf:
             raise ValueError(f"growth_threshold must be finite and > 0, "
                              f"got {self.growth_threshold!r}")
-        period = self.max_period
-        if type(period) is bool or not isinstance(period, (numbers.Integral, type(None))):
-            raise ValueError(f"max_period must be an integer, got {period!r}")
-        if period is not None and period < 1:
-            raise ValueError(f"max_period must be >= 1, got {period!r}")
-
-    def period_limit(self, k: int) -> int:
-        """The largest period ``analyze`` scans for in a system of order k: 2k by default."""
-        return 2 * k if self.max_period is None else self.max_period
 
 
 @dataclass
@@ -139,15 +129,14 @@ def _tail_rows(window: int, max_period: int) -> int:
     return (window + 1) * max_period
 
 
-def rows_read(horizon: int, k: int, tolerances: Optional[Tolerances] = None) -> int:
+def rows_read(horizon: int, k: int) -> int:
     """The trailing rows :func:`analyze` reads of a run of order k that reaches ``horizon``.
 
     A run that ends earlier is reported before its period is sought, and
     :func:`detect_unbounded`, which reads every held row, finds no crossing
     in the rows the simulator does not hold.
     """
-    max_period = (tolerances or Tolerances()).period_limit(k)
-    return max(_tail_rows(_window(horizon, max_period), max_period), k)
+    return max(_tail_rows(_window(horizon, 2 * k), 2 * k), k)
 
 
 def rows_above(rows: np.ndarray, threshold: float) -> np.ndarray:
@@ -211,7 +200,7 @@ def residual_shift(traj: Trajectory, shift: int) -> np.ndarray:
         raise ValueError("shift must be >= 1")
     if traj.horizon <= shift:
         return np.empty(0)
-    gen = traj.generated
+    gen = traj.rows(1, traj.horizon)
     with np.errstate(over="ignore", invalid="ignore"):
         diff = gen[shift:] - gen[:-shift]
         return np.sqrt((diff * diff).sum(axis=1))
@@ -221,7 +210,8 @@ def analyze(traj: Trajectory, tolerances: Optional[Tolerances] = None) -> Analys
     """Classify the observed behavior of one trajectory of ``traj.spec``.
 
     Precedence: unbounded growth, then convergence to zero, then
-    eventual periodicity, then undetermined (an honest outcome for
+    eventual periodicity with a period up to 2k, which every limit period
+    of the tetrachotomy divides, then undetermined (an honest outcome for
     horizons too short to resolve the tail).
     """
     tol = tolerances or Tolerances()
@@ -230,7 +220,7 @@ def analyze(traj: Trajectory, tolerances: Optional[Tolerances] = None) -> Analys
         return AnalysisReport(behavior=UNBOUNDED, exit_step=exit_step)
     if detect_zero_limit(traj, tol.zero_tol):
         return AnalysisReport(behavior=CONVERGED_TO_ZERO)
-    max_period = tol.period_limit(traj.k)
+    max_period = 2 * traj.k
     blocks = _window(traj.horizon, max_period)
     period = None
     if blocks >= 1:

@@ -241,10 +241,10 @@ def verify_classification(
     :data:`INFO`.  A call whose runs could not fail (no witness, and no
     trials or only informational ones) raises ValueError instead of passing
     vacuously, and so does one whose witness must show a period (k or 2k)
-    that ``analyze`` cannot report: one above
-    ``tolerances.period_limit(k)``, or any when the horizon is shorter than
-    that limit.  Random runs are not refused so: they also pass by
-    converging to zero or by a period that divides the predicted one.
+    with a horizon shorter than 2k, the longest period ``analyze`` scans
+    for, since it then reports none.  Random runs are not refused so: they
+    also pass by converging to zero or by a period that divides the
+    predicted one.
 
     The histories are the ``trials * k * m`` values of
     :func:`~ratsys.constructors.uniform_draws` with entropy ``rng_seed``, a
@@ -273,14 +273,9 @@ def verify_classification(
                          "random runs in the unbounded regime are informational")
     elif trials == 0:
         raise ValueError(f"run.trials: 0 leaves no check: {regime} has no witness run here")
-    max_period = tol.period_limit(k)
-    if classification.witness is not None and period is not None:
-        if max_period < period:
-            raise ValueError(f"tolerances.max_period: {max_period} is below the period {period} "
-                             f"that {regime} predicts, so its witness run can never show it")
-        if horizon < max_period:
-            raise ValueError(f"run.horizon: {horizon} is below max_period {max_period}, so the "
-                             f"witness run can never show the period {period} that {regime} predicts")
+    if classification.witness is not None and period is not None and horizon < 2 * k:
+        raise ValueError(f"run.horizon: {horizon} is below 2k = {2 * k}, so the witness run "
+                         f"can never show the period {period} that {regime} predicts")
     check_run_size(len(runs) + trials, spec, horizon, tol)
     draws = np.array(uniform_draws(rng_seed, init_max, trials * k * spec.m)).reshape(trials, k, spec.m)
     for t in range(trials):

@@ -9,7 +9,9 @@ Random draws come from ratsys's own pure-Python PCG64, equal bit for bit
 to ``numpy.random.default_rng``, so a config plus its ``rng_seed``
 reproduces a run byte for byte.  The ``tolerances`` section becomes one
 :class:`~ratsys.analysis.Tolerances`, which holds the defaults and value
-rules of its fields.
+rules of its fields.  A key that a section does not take (see
+:data:`KEYS`) is refused; top-level keys are not checked, so that YAML
+anchors can live there.
 """
 
 from __future__ import annotations
@@ -53,11 +55,24 @@ FIELDS = {
     "tolerances.per_tol": (float, None, None, None),
     "tolerances.growth_threshold": (float, None, None, None),
     "tolerances.rho_tol": (float, None, None, None),
-    "tolerances.max_period": (int, None, None, None),
     "init.seed": (str, REQUIRED, SEED_DIRECTIVES.__contains__, f"must be one of {SEED_DIRECTIVES}"),
     "init.a": (float, REQUIRED, lambda v: v >= 0, "must be >= 0"),  # read for period2k only
     "init.b": (float, REQUIRED, lambda v: v >= 0, "must be >= 0"),
     "verify.expect": (str, None, REGIMES.__contains__, f"must be one of {REGIMES}"),
+}
+
+
+#: The keys of each section and of each ``system.denom`` entry; any other key is refused,
+#: since nothing would read it.
+KEYS = {
+    "system": ("k", "A", "denom", "scalar"),
+    "system.scalar": ("beta", "gamma", "delta", "epsilon", "B", "C", "D", "E"),
+    "system.denom": ("i", "j", "q"),
+    "run": ("horizon", "trials", "init_max"),
+    "init": ("seed", "a", "b", "history"),
+    "tolerances": tuple(f.name for f in fields(Tolerances)),
+    "sweep": ("c", "denom_scale"),
+    "verify": ("expect",),
 }
 
 
@@ -168,7 +183,16 @@ def _section(doc: dict, path: str) -> dict:
     section = doc.get(path.rpartition(".")[2], {})
     if not isinstance(section, dict):
         raise ConfigError(f"{path} must be a mapping")
-    return section
+    return _known_keys(section, path)
+
+
+def _known_keys(mapping: dict, path: str) -> dict:
+    """``mapping``, the section or entry at ``path``, once each of its keys is in :data:`KEYS`."""
+    for key in mapping:
+        if key not in KEYS[path]:
+            raise ConfigError(f"{path}.{_cut(str(key))} is not a setting; "
+                              f"{path} takes {', '.join(KEYS[path])}")
+    return mapping
 
 
 def _numbers_only(value) -> bool:
@@ -225,7 +249,7 @@ def _parse_system(doc) -> SystemSpec:
     for entry in entries:
         if not isinstance(entry, dict):
             raise ConfigError("system.denom entries must be mappings with i, j, q")
-        i, j = entry.get("i"), entry.get("j")
+        i, j = _known_keys(entry, "system.denom").get("i"), entry.get("j")
         if type(i) is not int or not 1 <= i <= m:
             raise ConfigError(f"system.denom.i must be in 1..{m}, got {i!r}")
         if type(j) is not int or not 1 <= j <= k - 1:

@@ -138,10 +138,12 @@ def eig2(a) -> EigenDecomposition:
     That covers every nonnegative and every symmetric 2x2 matrix.  The
     eigenvalues are mid +/- h, mid = (a00 + a11) / 2 and h = hypot((a00 -
     a11) / 2, sqrt(a01 a10)): the discriminant is a sum of squares, so
-    nothing cancels.  sqrt(a01 a10) is taken as hi * sqrt(lo / hi), which
-    cannot overflow and is exact when |a01| == |a10|, or, once lo / hi
-    falls below the normal range (off-diagonals more than ~1e308 apart)
-    and would lose its bits, as sqrt(lo) sqrt(hi).  Of the two right
+    nothing cancels.  A sum or difference of the diagonal entries that
+    overflows is halved term by term instead, so an eigenvalue is inf only
+    when it passes the float range.  sqrt(a01 a10) is taken as hi *
+    sqrt(lo / hi), which cannot overflow and is exact when |a01| ==
+    |a10|, or, once lo / hi falls below the normal range (off-diagonals
+    more than ~1e308 apart) and would lose its bits, as sqrt(lo) sqrt(hi).  Of the two right
     eigenvectors (a01, lam - a00) and (lam - a11, a10) the longer is kept,
     since its cancellation error is small against its length; it is
     scaled by its largest entry before normalising, so (c, c) always gives
@@ -160,9 +162,12 @@ def eig2(a) -> EigenDecomposition:
         g = math.sqrt(lo) * math.sqrt(hi)
     else:
         g = hi * math.sqrt(ratio)
-    e = 0.5 * (a00 - a11)
+    e, mid = 0.5 * (a00 - a11), 0.5 * (a00 + a11)
+    if not math.isfinite(e):  # halve the terms first where their sum overflows
+        e = 0.5 * a00 - 0.5 * a11
+    if not math.isfinite(mid):
+        mid = 0.5 * a00 + 0.5 * a11
     h = math.hypot(e, g)
-    mid = 0.5 * (a00 + a11)
     values, vectors = [], []
     for sign, axis in ((1.0, (1.0, 0.0)), (-1.0, (0.0, 1.0))):
         p, q = (a01, sign * h - e), (sign * h + e, a10)

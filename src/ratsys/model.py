@@ -165,9 +165,6 @@ class InitialConditions:
         h[0] = v
         return cls(h)
 
-    def __len__(self) -> int:
-        return self.history.shape[0]
-
 
 def validate_initial(init: InitialConditions, spec: SystemSpec) -> List[str]:
     """The one rule that needs both: ``init`` holds k vectors of dimension m."""
@@ -206,10 +203,10 @@ class Trajectory:
     the initial conditions first; a verify run holds only its last rows):
     every row, except after an exact cycle, which holds its rows up to
     some step and none of the later ones, each the row 2k before it.  So
-    read the run through :meth:`rows`, :meth:`value` or :meth:`index`,
-    which reach every n of it from ``held_from`` on; ``values`` alone may
-    end early.  Without ``end`` the run ends at its last held row, by
-    :data:`HORIZON`.  The values are frozen in place, not copied.
+    read the run through :meth:`rows`, which reaches every n of it from
+    ``held_from`` on; ``values`` alone may end early.  Without ``end`` the
+    run ends at its last held row, by :data:`HORIZON`.  The values are
+    frozen in place, not copied.
     """
 
     spec: SystemSpec
@@ -261,31 +258,15 @@ class Trajectory:
         last, period = self.held_from + len(self.values) - 1, 2 * self.k
         return np.where(n <= last, n, last - period + 1 + (n - last - 1) % period) - self.held_from
 
-    def _check(self, first: int, last: int) -> None:
+    def rows(self, first: int, last: int) -> np.ndarray:
+        """v_first, ..., v_last: a view of ``values`` where they are held, else gathered."""
         if first < self.held_from or last > self.horizon:
             span = first if first == last else f"{first}..{last}"
             raise IndexError(f"n = {span} outside the run's range [{self.n_first}, "
                              f"{self.horizon}], held from {self.held_from}")
-
-    def index(self, n: int) -> int:
-        """Row of ``values`` that holds v_n, held or repeated."""
-        self._check(n, n)
-        return int(self._held(n))
-
-    def value(self, n: int) -> np.ndarray:
-        return self.values[self.index(n)]
-
-    def rows(self, first: int, last: int) -> np.ndarray:
-        """v_first, ..., v_last: a view of ``values`` where they are held, else gathered."""
-        self._check(first, last)
         lo, hi = first - self.held_from, last - self.held_from + 1
         return (self.values[lo:hi] if hi <= len(self.values)
                 else self.values[self._held(np.arange(first, last + 1))])
-
-    @property
-    def generated(self) -> np.ndarray:
-        """Rows for n = 1, ..., horizon (excludes the initial conditions)."""
-        return self.rows(1, self.horizon)
 
     @property
     def initial(self) -> np.ndarray:

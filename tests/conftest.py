@@ -411,12 +411,23 @@ def domination_check(traj, a, power_l: int, q: int) -> bool:
     return bool((lhs <= rhs + INEQ_SLACK).all())
 
 
+def row_at(traj, n):
+    """v_n of ``traj``, held or repeated: the one row of ``traj.rows(n, n)``."""
+    (row,) = traj.rows(n, n)
+    return row
+
+
+def generated(traj):
+    """v_1, ..., v_horizon of ``traj``: its rows past the initial conditions."""
+    return traj.rows(1, traj.horizon)
+
+
 def residue_limits(traj, period: int, samples: int = 10):
     """One estimated limit vector per residue class mod ``period``.
 
     Row a is the mean of the last ``samples`` values of the subsequence
     {v_n : n = a mod period}.
     """
-    gen = traj.generated  # class a starts at generated row (a - 1) mod period
+    gen = generated(traj)  # class a starts at generated row (a - 1) mod period
     return np.array([gen[(a - 1) % period :: period][-samples:].copy().mean(axis=0)
                      for a in range(period)])

@@ -17,6 +17,7 @@ from conftest import (
     check_fact2,
     domination_check,
     envelope_check,
+    generated,
     oracle_step_from_spec,
     random_init,
     random_spec,
@@ -56,7 +57,7 @@ def tail_max(seq, fraction=0.2):
 
 
 def max_shift_residual(traj, shift):
-    gen = traj.generated
+    gen = generated(traj)
     return float(np.abs(gen[shift:] - gen[:-shift]).max())
 
 
@@ -153,7 +154,7 @@ def test_criterion_3_unbounded_witness():
         budget = math.ceil(k * math.log(1e6) / math.log(rho)) + 2 * k
         traj = simulate(spec, seed, budget)
         with np.errstate(over="ignore"):
-            norms = np.sqrt((traj.generated ** 2).sum(axis=1))
+            norms = np.sqrt((generated(traj) ** 2).sum(axis=1))
         assert traj.diverged_at is not None or norms.max() > 1e6, (
             f"no growth past 1e6 within {budget} steps (rho={rho:.3f}, k={k})"
         )
@@ -188,7 +189,7 @@ def test_criterion_4_trichotomy(trichotomy_runs):
         assert cls.regime == UNBOUNDED_EXISTS
         budget = math.ceil(k * math.log(1e6) / math.log(rho)) + 2 * k
         traj = simulate(spec, cls.witness, budget)
-        assert (traj.generated.max(axis=0) > 1e3).all(), "a component stayed small"
+        assert (generated(traj).max(axis=0) > 1e3).all(), "a component stayed small"
     print("\nACCEPTANCE 4 trichotomy a-d (m in {2,3,4}): PASS")
 
 

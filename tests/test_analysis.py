@@ -14,6 +14,7 @@ from conftest import (
     random_spec,
     residue_limits,
     symmetric_positive_with_rho,
+    row_at,
     zero_init,
 )
 
@@ -250,26 +251,16 @@ class TestTolerances:
         ("per_tol", math.nan), ("per_tol", math.inf), ("per_tol", -1e-9),
         ("growth_threshold", math.nan), ("growth_threshold", math.inf),
         ("growth_threshold", 0.0), ("growth_threshold", -1.0),
-        ("max_period", 0), ("max_period", -2),
+        ("zero_tol", -math.inf), ("per_tol", -math.inf),
         ("rho_tol", math.nan), ("rho_tol", math.inf), ("rho_tol", -1.0),
-        ("max_period", 2.5), ("max_period", True), ("max_period", 4.0), ("max_period", "4"),
+        ("growth_threshold", -math.inf), ("rho_tol", -math.inf), ("zero_tol", -5e-324),
+        ("rho_tol", "1e-9"),
         ("growth_threshold", True), ("zero_tol", False), ("zero_tol", "x"), ("per_tol", None),
         ("rho_tol", np.bool_(True)), ("growth_threshold", "1e6"), ("zero_tol", 1j),
     ])
     def test_bad_value_is_refused_when_built(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be .*, got {re.escape(repr(value))}$"):
             Tolerances(**{field: value})
-
-    def test_max_period_is_an_integer(self):
-        # 2.5 made analyze raise IndexError; True read as a limit of 1, so the
-        # period-4 orbit of the swap from (1, 2), (3, 4) was reported undetermined
-        spec = SystemSpec(k=2, A=[[0.0, 1.0], [1.0, 0.0]])
-        traj = simulate(spec, InitialConditions([[1.0, 2.0], [3.0, 4.0]]), 100)
-        report = analyze(traj, Tolerances(max_period=np.int64(4)))
-        assert (report.behavior, report.period) == (EVENTUALLY_PERIODIC, 4)
-        for value in (np.float64(4.0), np.bool_(True)):
-            with pytest.raises(ValueError, match="max_period must be an integer"):
-                Tolerances(max_period=value)
 
     def test_bools_are_no_numbers(self):
         # True and False were built as a growth threshold of 1 and a zero tolerance of 0
@@ -283,9 +274,8 @@ class TestTolerances:
         assert kept == (1e-9, 0, 10, 0.125)
 
     def test_edge_values_are_kept(self):
-        tol = Tolerances(zero_tol=0.0, per_tol=0.0, growth_threshold=5e-324, max_period=1)
+        tol = Tolerances(zero_tol=0.0, per_tol=0.0, growth_threshold=5e-324)
         assert (tol.zero_tol, tol.per_tol, tol.growth_threshold) == (0.0, 0.0, 5e-324)
-        assert tol.period_limit(3) == 1 and Tolerances().period_limit(3) == 6
 
 
 class TestAnalyze:
@@ -338,7 +328,7 @@ class TestAnalyze:
                 limits = residue_limits(traj, p)
                 for a in range(p):
                     ns = [n for n in range(1, horizon + 1) if n % p == a][-10:]
-                    rows = traj.values[[traj.index(n) for n in ns]]
+                    rows = np.array([row_at(traj, n) for n in ns])
                     np.testing.assert_array_equal(limits[a], rows.mean(axis=0))
 
 
@@ -389,8 +379,7 @@ def test_cycled_runs_read_like_their_expanded_twins(name):
         else:
             assert got == want
 
-    # max_period 3 at k = 2 is a period that does not divide 2k
-    for tol in (Tolerances(), Tolerances(max_period=3), Tolerances(per_tol=0.0, max_period=2 * k + 1),
+    for tol in (Tolerances(), Tolerances(per_tol=0.0),
                 Tolerances(zero_tol=0.0, growth_threshold=1.5)):
         same(lambda t: analyze(t, tol))
     for zero_tol in (1e-8, 0.0, 1.5, 3.0):

@@ -17,7 +17,7 @@ from ratsys import cli
 from ratsys.cli import CSV_CHUNK_ROWS, main, write_trajectory_csv
 from ratsys import SystemSpec, InitialConditions, Trajectory, simulate, verify_classification
 from ratsys.analysis import UNDETERMINED, Tolerances
-from ratsys.config import ConfigError, check, load_config
+from ratsys.config import FIELDS, KEYS, ConfigError, check, load_config
 from ratsys.model import DIVERGED, EXACT_CYCLE, RunEnd
 from ratsys.simulator import simulate_batch
 
@@ -170,7 +170,7 @@ PROBE_BASE = {
                "denom": [{"i": 1, "j": 1, "q": [0.25, 0.25]}]},
     "run": {"horizon": 100, "trials": 2, "init_max": 10.0},
     "init": {"seed": "periodic"},
-    "tolerances": {"zero_tol": 1e-8, "per_tol": 1e-7, "max_period": 4},
+    "tolerances": {"zero_tol": 1e-8, "per_tol": 1e-7},
     "sweep": {"c": [0.5, 1.0], "denom_scale": [1.0]},
     "verify": {},
 }
@@ -181,11 +181,11 @@ CONFIG_PROBES = [
     ("classify", "system", "denom", [{"i": 1, "j": 1, "q": [0.25, "x"]}], "system.denom.q"),
     ("classify", "sweep", "c", [0.5, "abc"], "sweep.c"),
     ("classify", "sweep", "denom_scale", ["x"], "sweep.denom_scale"),
-    ("classify", "tolerances", "max_period", "four", "tolerances.max_period"),
+    ("classify", "tolerances", "max_period", 4, "tolerances.max_period"),  # a setting retired
     ("classify", None, "init", {"seed": "explicit", "history": [[1.0, 2.0], [3.0]]},
      "init.history"),
     ("classify", "run", "init_max", math.nan, "run.init_max"),
-    ("classify", "tolerances", "max_period", 0, "tolerances.max_period"),
+    ("classify", "tolerances", "zero_tl", 1.0, "tolerances.zero_tl"),  # a misspelt key
     ("classify", "tolerances", "per_tol", math.inf, "tolerances.per_tol"),
     ("classify", "tolerances", "zero_tol", -1, "tolerances.zero_tol"),
     ("classify", "run", "trials", True, "run.trials"),
@@ -232,6 +232,33 @@ class TestConfigErrors:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {field} "), err
 
+    @pytest.mark.parametrize("path,key", [
+        ("system", "a"), ("system.scalar", "Beta"), ("system.denom", "Q"), ("run", "horizn"),
+        ("run", 1), ("init", "histroy"), ("tolerances", "zero_tl"), ("tolerances", "max_period"),
+        ("sweep", "cs"), ("verify", "expected"),
+    ])
+    def test_unknown_key_is_one_line_naming_it(self, tmp_path, capsys, path, key):
+        # nothing reads such a key, so it was dropped and the run went on with its default
+        doc = copy.deepcopy(PROBE_BASE)
+        if path == "system.scalar":
+            scalars = dict.fromkeys(("beta", "gamma", "delta", "epsilon"), 0.5)
+            doc["system"] = {"k": 2, "scalar": scalars}
+        section = doc
+        for part in path.split("."):
+            section = section[part]
+        (section[0] if path == "system.denom" else section)[key] = 5
+        conf = write_conf(tmp_path, yaml.safe_dump(doc))
+        assert main(["verify", "--config", conf]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        takes = ", ".join(KEYS[path])
+        assert captured.err == f"error: {path}.{key} is not a setting; {path} takes {takes}\n"
+
+    def test_every_field_is_a_key_of_its_section(self):
+        for path in FIELDS:
+            section, _, key = path.rpartition(".")
+            assert not section or key in KEYS[section], path
+
     @pytest.mark.parametrize("section,key,value,field,spelling", [
         ("tolerances", "rho_tol", "1e-9", "tolerances.rho_tol", "1.0e-9"),
         ("tolerances", "growth_threshold", "1.0e6", "tolerances.growth_threshold", "1.0e+6"),
@@ -274,13 +301,13 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("key,value", [
         ("zero_tol", -1), ("per_tol", -1e-9), ("growth_threshold", 0), ("growth_threshold", -1),
-        ("rho_tol", -1), ("max_period", 0), ("max_period", -2),
+        ("rho_tol", -1),
     ])
     def test_tolerance_refusal_is_the_types_own(self, tmp_path, key, value):
         # Tolerances states each rule once; the config only names the section
         doc = copy.deepcopy(PROBE_BASE)
         doc["tolerances"][key] = value
-        typed = value if key == "max_period" else float(value)
+        typed = float(value)
         with pytest.raises(ValueError) as own:
             Tolerances(**{key: typed})
         with pytest.raises(ConfigError) as refused:
@@ -768,6 +795,21 @@ class TestClassifyCommand:
         w = [float(x) for x in lines["perron"].split("w=[")[1].rstrip("]").split(", ")]
         np.testing.assert_allclose(w, [0.5, 0.5, math.sqrt(0.5)], rtol=0, atol=1e-13)
 
+    def test_diagonal_sum_past_the_largest_float(self, tmp_path, capsys):
+        # a00 + a11 overflows, yet only the larger eigenvalue passes the float range
+        a = [[1e308, 1.5e308], [1.5e308, 1e308]]
+        doc = {"mode": "tetrachotomy", "system": {"k": 2, "A": a}}
+        conf = write_conf(tmp_path, yaml.safe_dump(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["classify", "--config", conf]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = dict(line.split(": ", 1) for line in captured.out.splitlines())
+        assert (lines["regime"], lines["rho"]) == ("unbounded-exists", "inf")
+        top, low = map(float, lines["eigenvalues"].split(", "))
+        assert top == math.inf and low == pytest.approx(-5e307, rel=1e-15, abs=0)
+
     def test_case3_radius_is_the_kernels(self, tmp_path, capsys):
         a = [[0.0, 2.0], [0.5000005, 0.0]]
         doc = {"mode": "tetrachotomy", "system": {"k": 2, "A": a},
@@ -843,15 +885,13 @@ class TestVerifyCommand:
         assert len(err) == 1 and err[0].startswith(f"error: {field}"), err
 
     @pytest.mark.parametrize("conf_text,argv,field", [
-        (SWAP_CONF + "tolerances:\n  max_period: 2\n", [], "tolerances.max_period"),
-        (SWAP_CONF + "tolerances:\n  max_period: 3\n", [], "tolerances.max_period"),
         (SWAP_CONF, ["--horizon", "3"], "run.horizon"),
-        (SWAP_CONF + "tolerances:\n  max_period: 6\n", ["--horizon", "5"], "run.horizon"),
-    ], ids=["max-period-2", "max-period-3", "horizon-3", "horizon-5"])
+        (SWAP_CONF.replace("k: 2", "k: 3"), ["--horizon", "5"], "run.horizon"),
+    ], ids=["horizon-3", "horizon-5"])
     def test_predicted_period_analyze_cannot_report_is_an_error(self, tmp_path, capsys,
                                                                 conf_text, argv, field):
-        # analyze reports periods up to max_period (default 2k), and none on
-        # a horizon shorter than that: the witness check would always read FAIL
+        # analyze reports periods up to 2k, and none on a horizon shorter
+        # than that: the witness check would always read FAIL
         conf = write_conf(tmp_path, conf_text)
         assert main(["verify", "--config", conf, "--out", str(tmp_path / "r.txt"), *argv]) == 1
         captured = capsys.readouterr()
@@ -861,16 +901,17 @@ class TestVerifyCommand:
 
     def test_random_runs_are_not_refused_for_the_predicted_period(self, tmp_path, capsys):
         # without a witness, a random run passes by converging to zero or by
-        # a period dividing the predicted one, which max_period 2 still shows
-        conf = write_conf(tmp_path, NO_WITNESS_CONF.replace("trials: 0", "trials: 3")
-                          + "verify:\n  expect: period-2k\ntolerances:\n  max_period: 2\n")
-        assert main(["verify", "--config", conf]) == 0
+        # a period dividing the predicted one, so a horizon below 2k is no
+        # refusal: these histories start below zero_tol
+        conf = write_conf(tmp_path, NO_WITNESS_CONF.replace(
+            "trials: 0", "trials: 3\n  init_max: 1.0e-9") + "verify:\n  expect: period-2k\n")
+        assert main(["verify", "--config", conf, "--horizon", "3"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
     def test_predicted_period_within_reach_passes(self, tmp_path, capsys):
-        # the same system with max_period 4 and horizon 4, both just enough
-        conf = write_conf(tmp_path, SWAP_CONF + "tolerances:\n  max_period: 4\n")
+        # the same system at horizon 4 = 2k, just enough
+        conf = write_conf(tmp_path, SWAP_CONF)
         assert main(["verify", "--config", conf, "--horizon", "4"]) == 0
         assert "eventually-periodic (period 4)" in capsys.readouterr().out
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import left_to_right_products, random_spec, symmetric_positive_with_rho
+from conftest import (generated, left_to_right_products, random_spec, row_at,
+                      symmetric_positive_with_rho)
 
 from ratsys import (
     InitialConditions,
@@ -22,7 +23,7 @@ from ratsys.constructors import uniform_draws
 
 
 def max_shift_residual(traj, shift):
-    gen = traj.generated
+    gen = generated(traj)
     return float(np.abs(gen[shift:] - gen[:-shift]).max())
 
 
@@ -80,8 +81,8 @@ class TestPeriod2kSeed:
         # cycle (1,0) -> (0,1) at spacing k: prime period 4
         assert max_shift_residual(traj, 4) <= 1e-12
         assert max_shift_residual(traj, 2) > 0.1
-        np.testing.assert_array_equal(traj.value(1), [0.0, 1.0])
-        np.testing.assert_array_equal(traj.value(3), [1.0, 0.0])
+        np.testing.assert_array_equal(row_at(traj, 1), [0.0, 1.0])
+        np.testing.assert_array_equal(row_at(traj, 3), [1.0, 0.0])
 
     def test_general_gamma(self):
         spec = SystemSpec(k=3, A=[[0.0, 2.0], [0.5, 0.0]])
@@ -197,7 +198,7 @@ class TestUnboundedSeed:
             start_norm = float(np.linalg.norm(seed.history[0]))
             budget = math.ceil(k * math.log(1e6 / start_norm) / math.log(rho)) + k
             traj = simulate(spec, seed, budget)
-            norms = np.sqrt((traj.generated ** 2).sum(axis=1))
+            norms = np.sqrt((generated(traj) ** 2).sum(axis=1))
             assert traj.diverged_at is not None or norms.max() > 1e6
 
     def test_single_nonzero_history_vector(self):

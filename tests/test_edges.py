@@ -139,7 +139,7 @@ VALID_CONFIGS = [
         "run": {"horizon": 50, "trials": 2, "init_max": 10.0},
         "init": {"seed": "explicit", "history": [[1.0, 2.0], [3.0, 4.0], [0.0, 1.0]]},
         "tolerances": {"zero_tol": 1e-8, "per_tol": 1e-7, "growth_threshold": 1e6,
-                       "rho_tol": 1e-9, "max_period": 6},
+                       "rho_tol": 1e-9},
         "sweep": {"c": [0.5, 1.0], "denom_scale": [1.0, 2.0]},
         "verify": {"expect": "period-k"},
     },

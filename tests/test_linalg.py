@@ -215,6 +215,17 @@ class TestEig2:
     def test_off_diagonals_far_apart_keep_their_product(self, a, want):
         np.testing.assert_allclose(eig2(a).eigenvalues, want, rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize("a,want", [
+        ([[1e308, 1.5e308], [1.5e308, 1e308]], [math.inf, -5e307]),  # a00 + a11 overflows
+        ([[1e308, 1e300], [1e300, -1e308]], [1e308, -1e308]),  # signed: a00 - a11 overflows
+    ])
+    def test_diagonal_sum_past_the_largest_float(self, a, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = eig2(a).eigenvalues
+        assert values[0] == want[0]
+        assert values[1] == pytest.approx(want[1], rel=1e-15, abs=0)
+
     def test_ordinary_off_diagonals_keep_the_quotient_form(self):
         # hi * sqrt(lo / hi) decides every kernel whose quotient is a normal float
         rng = np.random.default_rng(47)

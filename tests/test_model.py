@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import generated, row_at
+
 from ratsys import (
     InitialConditions,
     SystemSpec,
@@ -200,14 +202,14 @@ class TestTrajectory:
         values = np.arange(10.0).reshape(5, 2)
         traj = Trajectory(spec=spec, values=values)
         assert traj.n_first == -1
-        np.testing.assert_array_equal(traj.value(-1), values[0])
-        np.testing.assert_array_equal(traj.value(0), values[1])
-        np.testing.assert_array_equal(traj.value(3), values[4])
-        assert traj.generated.shape == (3, 2)
+        np.testing.assert_array_equal(row_at(traj, -1), values[0])
+        np.testing.assert_array_equal(row_at(traj, 0), values[1])
+        np.testing.assert_array_equal(row_at(traj, 3), values[4])
+        assert generated(traj).shape == (3, 2)
         with pytest.raises(IndexError):
-            traj.value(4)
+            row_at(traj, 4)
         with pytest.raises(IndexError):
-            traj.value(-2)
+            row_at(traj, -2)
 
     def test_horizon_is_held_in_the_end_record(self):
         spec = SystemSpec(k=3, A=np.eye(2))
@@ -225,14 +227,14 @@ class TestTrajectory:
         cycle = Trajectory(spec=spec, values=values, end=RunEnd(EXACT_CYCLE, 100))
         assert cycle.horizon == 100 and cycle.diverged_at is None and len(cycle.values) == 10
         for n in (8, 9, 13, 14, 99, 100):
-            np.testing.assert_array_equal(cycle.value(n), cycle.value(n - 6))
-            assert cycle.index(n) == cycle.index(n - 6) < 10
-        assert [cycle.index(n) for n in (7, 8, 13, 100)] == [9, 4, 9, 6]
+            np.testing.assert_array_equal(row_at(cycle, n), row_at(cycle, n - 6))
+        np.testing.assert_array_equal([row_at(cycle, n) for n in (7, 8, 13, 100)],
+                                      values[[9, 4, 9, 6]])
         np.testing.assert_array_equal(cycle.rows(5, 10), values[[7, 8, 9, 4, 5, 6]])
-        np.testing.assert_array_equal(cycle.rows(1, 7), cycle.generated[:7])
-        assert cycle.generated.shape == (100, 2) and np.shares_memory(cycle.rows(-2, 7), values)
+        np.testing.assert_array_equal(cycle.rows(1, 7), generated(cycle)[:7])
+        assert generated(cycle).shape == (100, 2) and np.shares_memory(cycle.rows(-2, 7), values)
         with pytest.raises(IndexError, match="the run's range"):
-            cycle.value(101)
+            row_at(cycle, 101)
         with pytest.raises(IndexError, match="the run's range"):
             cycle.rows(90, 101)
         # a record that does not fit the stored rows is refused
@@ -250,19 +252,18 @@ class TestTrajectory:
         traj = Trajectory(spec=spec, values=values[4:], held_from=2)
         assert traj.end == RunEnd(HORIZON, 7) and traj.horizon == 7
         for n in range(2, 8):
-            np.testing.assert_array_equal(traj.value(n), full.value(n))
-            assert traj.index(n) == n - 2
+            np.testing.assert_array_equal(row_at(traj, n), row_at(full, n))
         np.testing.assert_array_equal(traj.rows(2, 7), values[4:])
-        for read in (lambda: traj.value(1), lambda: traj.index(-2), lambda: traj.rows(1, 7),
-                     lambda: traj.generated, lambda: traj.initial):
+        for read in (lambda: row_at(traj, 1), lambda: row_at(traj, -2), lambda: traj.rows(1, 7),
+                     lambda: generated(traj), lambda: traj.initial):
             with pytest.raises(IndexError, match="held from 2"):
                 read()
         # a cycle repeats from its held rows
         cycle = Trajectory(spec=spec, values=values[4:], end=RunEnd(EXACT_CYCLE, 100), held_from=2)
         whole = Trajectory(spec=spec, values=values, end=RunEnd(EXACT_CYCLE, 100))
         for n in (8, 9, 13, 100):
-            assert cycle.index(n) == whole.index(n) - 4
-            np.testing.assert_array_equal(cycle.value(n), cycle.value(n - 6))
+            np.testing.assert_array_equal(row_at(cycle, n), row_at(whole, n))
+            np.testing.assert_array_equal(row_at(cycle, n), row_at(cycle, n - 6))
         with pytest.raises(ValueError, match="does not fit"):  # fewer than 2k rows to repeat
             Trajectory(spec=spec, values=values[5:], end=RunEnd(EXACT_CYCLE, 100), held_from=3)
         for bad in (-3, 1.5, "0"):

@@ -11,10 +11,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from conftest import (
     Diverged,
     count_blocks,
+    generated,
     oracle_simulate,
     oracle_step_from_spec,
     random_init,
     random_spec,
+    row_at,
     step,
     symmetric_nonneg_with_rho,
     symmetric_positive_with_rho,
@@ -99,7 +101,7 @@ class TestSimulate:
         init = InitialConditions(np.array([[1.0, 2.0], [3.0, 4.0]]))
         traj = simulate(spec, init, 6)
         for n in range(1, 7):
-            np.testing.assert_array_equal(traj.value(n), traj.value(n - 2))
+            np.testing.assert_array_equal(row_at(traj, n), row_at(traj, n - 2))
 
     def test_unbounded_seed_zero_pattern(self):
         # all-ones kernel, impulse start: only n = 1 mod 2 survives and runs linearly
@@ -109,10 +111,10 @@ class TestSimulate:
         linear = simulate(SystemSpec(k=spec.k, A=spec.A), seed, 20)
         for n in range(1, 21):
             if n % 2 == 1:
-                np.testing.assert_array_equal(traj.value(n), linear.value(n))
-                assert traj.value(n).all()
+                np.testing.assert_array_equal(row_at(traj, n), row_at(linear, n))
+                assert row_at(traj, n).all()
             else:
-                assert not traj.value(n).any()
+                assert not row_at(traj, n).any()
 
     def test_zero_pattern_general_k(self):
         rng = np.random.default_rng(17)
@@ -127,9 +129,9 @@ class TestSimulate:
             linear = simulate(SystemSpec(k=k, A=spec.A), init, horizon)
             for n in range(1, horizon + 1):
                 if n % k == 1 % k:
-                    np.testing.assert_array_equal(traj.value(n), linear.value(n))
+                    np.testing.assert_array_equal(row_at(traj, n), row_at(linear, n))
                 else:
-                    assert not traj.value(n).any()
+                    assert not row_at(traj, n).any()
 
     def test_domination_by_linear_system(self):
         rng = np.random.default_rng(23)
@@ -140,7 +142,7 @@ class TestSimulate:
             init = random_init(rng, k, m)
             traj = simulate(spec, init, 200)
             linear = simulate(SystemSpec(k=k, A=spec.A), init, 200)
-            assert (traj.generated <= linear.generated + 1e-12).all()
+            assert (generated(traj) <= generated(linear) + 1e-12).all()
 
     def test_nonnegativity_closure(self):
         rng = np.random.default_rng(29)
@@ -731,8 +733,7 @@ class TestExactCycles:
         assert len(traj.values) <= entry + period + 64
         stored = len(traj.values) + traj.n_first  # the first n not stored
         for n in [*range(stored, stored + 2 * period), 50_001, 99_999, 100_000]:
-            np.testing.assert_array_equal(traj.value(n), traj.value(n - period))
-            assert traj.index(n) == traj.index(n - period) < len(traj.values)
+            np.testing.assert_array_equal(row_at(traj, n), row_at(traj, n - period))
 
     # v_n = diag(1e10, 0.5, 1) v_{n-2}: the first component passes 3e150
     # about 2 (15 - log10 x_0) steps on and overflows about 16 steps after
@@ -969,8 +970,8 @@ class TestStopBelow:
         spec, histories = SystemSpec(k=2, A=[[0.9]]), [np.array([[1.0], [1e-12]])]
         (traj,) = self._runs(kernel, spec, histories, 1000, 1e-8)
         (plain,) = _kernel_batch(kernel, spec, histories, 1000)
-        assert plain.generated[:64].min() < 1e-8 < plain.generated[:64].max()
-        assert plain.generated[346] > 1e-8 >= plain.generated[348]  # v_347 and v_349
+        assert generated(plain)[:64].min() < 1e-8 < generated(plain)[:64].max()
+        assert generated(plain)[346] > 1e-8 >= generated(plain)[348]  # v_347 and v_349
         assert traj.horizon == 384 and traj.end.reason == ZERO_STOP
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -1092,7 +1093,7 @@ class TestHeldRows:
         held = _kernel_batch(kernel, spec, histories, horizon, tol)
         full = _kernel_batch(kernel, spec, histories, horizon)
         assert [t.end.reason for t in held] == reasons
-        read = rows_read(horizon, spec.k, tol)
+        read = rows_read(horizon, spec.k)
         for got, want in zip(held, full):
             assert analyze(got, tol) == analyze(want, tol)
             assert _held_match(got, want)
@@ -1115,9 +1116,9 @@ class TestHeldRows:
         (traj,) = _kernel_batch(kernel, spec, histories, horizon, tol)
         first = traj.held_from
         assert first > traj.n_first and traj.values.shape == (traj.horizon - first + 1, 2)
-        np.testing.assert_array_equal(traj.value(first), traj.values[0])
-        for read in (lambda: traj.value(first - 1), lambda: traj.index(traj.n_first),
-                     lambda: traj.rows(first - 1, first), lambda: traj.generated,
+        np.testing.assert_array_equal(row_at(traj, first), traj.values[0])
+        for read in (lambda: row_at(traj, first - 1), lambda: row_at(traj, traj.n_first),
+                     lambda: traj.rows(first - 1, first), lambda: generated(traj),
                      lambda: traj.initial):
             with pytest.raises(IndexError, match=f"held from {first}"):
                 read()
@@ -1157,7 +1158,7 @@ class TestHeldRows:
         (traj,) = simulator._drive(recording, spec, [InitialConditions(histories[2])], 6000, tol)
         assert traj.end.reason == HORIZON and sum(steps for _, steps in blocks) == 6000
         slides = sum(start < before + steps for (before, steps), (start, _) in zip(blocks, blocks[1:]))
-        assert slides > 0 and slides * max(rows_read(6000, 2, tol), 6) < 8 * 6000
+        assert slides > 0 and slides * max(rows_read(6000, 2), 6) < 8 * 6000
 
     def test_calls_without_tolerances_hold_every_row(self):
         spec, histories, horizon, *_ = self.CASES["horizon-and-cycles"]
@@ -1296,20 +1297,20 @@ class TestSimulateLinear:
     def test_zero_matrix(self):
         init = InitialConditions(np.ones((2, 2)))
         traj = simulate(SystemSpec(k=2, A=np.zeros((2, 2))), init, 10)
-        assert not traj.generated.any()
+        assert not generated(traj).any()
 
     def test_period_four_rotation(self):
         init = InitialConditions(np.array([[1.0, 0.0], [0.0, 0.0]]))
         traj = simulate(SystemSpec(k=2, A=[[0.0, 1.0], [1.0, 0.0]]), init, 8)
-        np.testing.assert_array_equal(traj.value(1), [0.0, 1.0])
-        np.testing.assert_array_equal(traj.value(3), [1.0, 0.0])
-        np.testing.assert_array_equal(traj.value(5), [0.0, 1.0])
+        np.testing.assert_array_equal(row_at(traj, 1), [0.0, 1.0])
+        np.testing.assert_array_equal(row_at(traj, 3), [1.0, 0.0])
+        np.testing.assert_array_equal(row_at(traj, 5), [0.0, 1.0])
 
     def test_scalar_scaling(self):
         init = InitialConditions(np.array([[4.0, 8.0], [2.0, 2.0]]))
         traj = simulate(SystemSpec(k=2, A=0.5 * np.eye(2)), init, 10)
         for n in range(1, 11):
-            np.testing.assert_allclose(traj.value(n), 0.5 * traj.value(n - 2), rtol=0, atol=0)
+            np.testing.assert_allclose(row_at(traj, n), 0.5 * row_at(traj, n - 2), rtol=0, atol=0)
 
     def test_matches_matrix_powers(self):
         rng = np.random.default_rng(41)
@@ -1324,4 +1325,4 @@ class TestSimulateLinear:
                 # u_{kq+b} = A^q u_b with b the residue of n
                 q, b = divmod(n - (1 - k), k)
                 expected = np.linalg.matrix_power(a, q) @ init.history[b]
-                np.testing.assert_allclose(traj.value(n), expected, atol=1e-9)
+                np.testing.assert_allclose(row_at(traj, n), expected, atol=1e-9)

@@ -51,22 +51,35 @@ def test_export_list_resolves_and_star_import_binds_it():
     assert sorted(namespace) == sorted(ratsys.__all__)
 
 
-#: Proof checks and wrappers that only tests call: the helpers in tests/conftest.py
-#: hold the checks, and the wrappers' callers call what they wrapped.
+#: Proof checks, wrappers, readers and settings that only tests used, a class's
+#: attributes by dotted name: the helpers in tests/conftest.py hold the checks and
+#: readers, the wrappers' callers call what they wrapped, and analyze scans up to 2k.
 TEST_ONLY = {
     "ratsys.linalg": ("check_fact1", "check_fact2", "DegenerateProjectionError",
                       "spectral_radius"),
-    "ratsys.analysis": ("domination_check", "residue_limits", "envelope_check", "INEQ_SLACK"),
+    "ratsys.analysis": ("domination_check", "residue_limits", "envelope_check", "INEQ_SLACK",
+                        "Tolerances.max_period", "Tolerances.period_limit"),
     "ratsys.simulator": ("step", "Diverged", "simulate_linear"),
+    "ratsys.model": ("InitialConditions.zeros", "InitialConditions.__len__", "Trajectory.index",
+                     "Trajectory.value", "Trajectory.generated"),
 }
+
+
+def has_dotted(obj, name):
+    """True when ``obj`` has the dotted attribute ``name``: each part an attribute of the last."""
+    for part in name.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
 
 
 def test_test_only_names_are_not_in_the_package():
     ratsys = importlib.import_module("ratsys")
+    assert has_dotted(ratsys, "Trajectory.rows") and not has_dotted(ratsys, "Trajectory.rowz")
     found = [f"{module}.{name}" for module, names in TEST_ONLY.items() for name in names
-             if hasattr(importlib.import_module(module), name) or hasattr(ratsys, name)]
+             if has_dotted(importlib.import_module(module), name) or has_dotted(ratsys, name)]
     assert not found, found
-    assert not hasattr(ratsys.InitialConditions, "zeros")
 
 
 def test_numpy_floor_has_reshape_copy():
