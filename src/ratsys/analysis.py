@@ -23,9 +23,9 @@ from .model import Trajectory
 ZERO_TOL = 1e-8
 PER_TOL = 1e-7
 GROWTH_THRESHOLD = 1e6
-#: Tail window for period detection: the larger of 20% of the horizon and
-#: MIN_WINDOW_BLOCKS blocks of 2k samples, 2k being the longest period scanned.
-TAIL_FRACTION = 0.2
+#: Tail window for period detection: the larger of 1 / TAIL_PARTS of the horizon
+#: and MIN_WINDOW_BLOCKS blocks of 2k samples, 2k being the longest period scanned.
+TAIL_PARTS = 5
 MIN_WINDOW_BLOCKS = 10
 
 CONVERGED_TO_ZERO = "converged-to-zero"
@@ -89,27 +89,19 @@ def detect_zero_limit(traj: Trajectory, zero_tol: float = ZERO_TOL) -> bool:
     return bool(np.abs(tail).max() <= zero_tol)
 
 
-def detect_period(
-    traj: Trajectory, max_period: int, per_tol: float, window: int
-) -> Optional[int]:
-    """Smallest period p <= max_period that holds on the tail window.
+def detect_period(traj: Trajectory, per_tol: float) -> Optional[int]:
+    """Smallest period p <= 2k that holds on the tail window, or None.
 
-    ``window`` counts blocks of ``max_period`` samples, so the comparison
-    covers the final ``window * max_period`` generated values; that count
-    must fit inside the horizon.  Scanning periods smallest-first makes
-    the returned period prime: no proper divisor can also pass.
+    The window is :func:`_window` blocks of 2k samples, the final generated
+    values of the run, so a run shorter than 2k has none.  Scanning periods
+    smallest-first makes the returned period prime: no proper divisor can
+    also pass.
     """
-    if max_period < 1:
-        raise ValueError("max_period must be >= 1")
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    n_tail = window * max_period
-    if n_tail > traj.horizon:
-        raise ValueError(
-            f"window * max_period = {n_tail} exceeds the horizon {traj.horizon}"
-        )
-    horizon = traj.horizon
-    first = max(horizon - _tail_rows(window, max_period) + 1, traj.n_first)
+    horizon, max_period = traj.horizon, 2 * traj.k
+    n_tail = _window(horizon, traj.k) * max_period
+    if not n_tail:
+        return None
+    first = max(horizon - n_tail - max_period + 1, traj.n_first)
     rows = traj.rows(first, horizon)  # each p compares rows n_start.. with the rows p before
     for p in range(1, max_period + 1):
         lo = max(horizon - n_tail + 1, traj.n_first + p) - first
@@ -118,25 +110,25 @@ def detect_period(
     return None
 
 
-def _window(horizon: int, max_period: int) -> int:
-    """The blocks of ``max_period`` that :func:`analyze` passes :func:`detect_period`."""
-    blocks = max(math.ceil(TAIL_FRACTION * horizon / max_period), MIN_WINDOW_BLOCKS)
-    return min(blocks, horizon // max_period)
+def _window(horizon: int, k: int) -> int:
+    """The blocks of 2k samples that :func:`detect_period` compares, in integer arithmetic.
 
-
-def _tail_rows(window: int, max_period: int) -> int:
-    """The rows :func:`detect_period` reads: ``window`` blocks and one before."""
-    return (window + 1) * max_period
+    A fifth of the horizon rounded up, at least :data:`MIN_WINDOW_BLOCKS`
+    and at most all of it.
+    """
+    blocks = max(-(-horizon // (TAIL_PARTS * 2 * k)), MIN_WINDOW_BLOCKS)
+    return min(blocks, horizon // (2 * k))
 
 
 def rows_read(horizon: int, k: int) -> int:
     """The trailing rows :func:`analyze` reads of a run of order k that reaches ``horizon``.
 
-    A run that ends earlier is reported before its period is sought, and
+    :func:`detect_period`'s window and the block of 2k before it.  A run
+    that ends earlier is reported before its period is sought, and
     :func:`detect_unbounded`, which reads every held row, finds no crossing
     in the rows the simulator does not hold.
     """
-    return max(_tail_rows(_window(horizon, 2 * k), 2 * k), k)
+    return (_window(horizon, k) + 1) * 2 * k
 
 
 def rows_above(rows: np.ndarray, threshold: float) -> np.ndarray:
@@ -174,22 +166,19 @@ def detect_unbounded(
     return traj.diverged_at
 
 
-def residual_linear(traj: Trajectory, a) -> np.ndarray:
-    """Sequence ||v_n - A v_{n-k}|| for n = 1..horizon.
+def residual_linear(traj: Trajectory) -> np.ndarray:
+    """Sequence ||v_n - A v_{n-k}|| for n = 1..horizon, A the kernel of ``traj.spec``.
 
     The product A v_{n-k} is evaluated in the simulator's numerator order
     (from 0.0, components ascending), so a denominator-free run has an
     exactly zero residual.
     """
-    kernel = np.asarray(a, dtype=float)
-    if kernel.shape != (traj.m, traj.m):
-        raise ValueError(f"matrix shape {kernel.shape} does not match dimension {traj.m}")
     vals = traj.rows(traj.n_first, traj.horizon)
     delayed = vals[: traj.horizon]
     predicted = np.zeros((traj.horizon, traj.m))
     with np.errstate(over="ignore", invalid="ignore"):
         for c in range(traj.m):
-            predicted += delayed[:, c, None] * kernel[:, c]
+            predicted += delayed[:, c, None] * traj.spec.A[:, c]
         diff = vals[traj.k :] - predicted
         return np.sqrt((diff * diff).sum(axis=1))
 
@@ -220,11 +209,7 @@ def analyze(traj: Trajectory, tolerances: Optional[Tolerances] = None) -> Analys
         return AnalysisReport(behavior=UNBOUNDED, exit_step=exit_step)
     if detect_zero_limit(traj, tol.zero_tol):
         return AnalysisReport(behavior=CONVERGED_TO_ZERO)
-    max_period = 2 * traj.k
-    blocks = _window(traj.horizon, max_period)
-    period = None
-    if blocks >= 1:
-        period = detect_period(traj, max_period, tol.per_tol, blocks)
+    period = detect_period(traj, tol.per_tol)
     if period is None:
         return AnalysisReport(behavior=UNDETERMINED)
     return AnalysisReport(behavior=EVENTUALLY_PERIODIC, period=period)

@@ -97,7 +97,7 @@ class RunConfig:
     seed_directive: Optional[str] = None
     seed_a: Optional[float] = None  # period2k seeds only
     seed_b: Optional[float] = None
-    explicit_history: Optional[np.ndarray] = None
+    explicit_init: Optional[InitialConditions] = None
     sweep: Optional[SweepGrid] = None
 
 
@@ -302,11 +302,11 @@ def load_config(path) -> RunConfig:
             cfg.seed_a = _get(doc, "init.a")
             cfg.seed_b = _get(doc, "init.b")
         if cfg.seed_directive == "explicit":
-            history = _floats(doc["init"].get("history"), "init.history", 2)
-            problems = validate_initial(InitialConditions(history), cfg.spec)
+            init = InitialConditions(_floats(doc["init"].get("history"), "init.history", 2))
+            problems = validate_initial(init, cfg.spec)
             if problems:
                 raise ConfigError("init.history: " + "; ".join(problems))
-            cfg.explicit_history = history
+            cfg.explicit_init = init
 
     if "sweep" in doc:
         sweep = _section(doc, "sweep")
@@ -324,7 +324,7 @@ def resolve_init(cfg: RunConfig) -> InitialConditions:
     if cfg.seed_directive is None:
         raise ConfigError("init section with a seed directive is required")
     if cfg.seed_directive == "explicit":
-        return InitialConditions(cfg.explicit_history)
+        return cfg.explicit_init
     if cfg.seed_directive == "periodic":
         return construct_periodic_seed(cfg.spec, cfg.tolerances.rho_tol)
     if cfg.seed_directive == "period2k":

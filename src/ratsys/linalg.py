@@ -145,7 +145,8 @@ def eig2(a) -> EigenDecomposition:
     |a10|, or, once lo / hi falls below the normal range (off-diagonals
     more than ~1e308 apart) and would lose its bits, as sqrt(lo) sqrt(hi).  Of the two right
     eigenvectors (a01, lam - a00) and (lam - a11, a10) the longer is kept,
-    since its cancellation error is small against its length; it is
+    since its cancellation error is small against its length (both are
+    halved first where an entry overflows, which keeps the direction); it is
     scaled by its largest entry before normalising, so (c, c) always gives
     1/sqrt(2).  A multiple of I gets the axis vectors.  Pairs are sorted
     and oriented as in :func:`eig_symmetric`.
@@ -171,6 +172,8 @@ def eig2(a) -> EigenDecomposition:
     values, vectors = [], []
     for sign, axis in ((1.0, (1.0, 0.0)), (-1.0, (0.0, 1.0))):
         p, q = (a01, sign * h - e), (sign * h + e, a10)
+        if not (math.isfinite(p[1]) and math.isfinite(q[0])):  # halve both where one overflows
+            p, q = (0.5 * a01, 0.5 * sign * h - 0.5 * e), (0.5 * sign * h + 0.5 * e, 0.5 * a10)
         x, y = max(p, q, key=lambda v: math.hypot(*v))
         values.append(mid + sign * h)
         top = max(abs(x), abs(y))

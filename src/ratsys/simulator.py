@@ -243,8 +243,7 @@ def check_run_size(rows: int, spec: SystemSpec, horizon: int,
     """
     k, horizon = spec.k, int(horizon)
     # rows held behind the next block: analyze's and the next cycle test's, or every row
-    hold = (k + horizon if tolerances is None or horizon >> 1000  # rows_read overflows by 2^1024
-            else max(rows_read(horizon, k), 3 * k))
+    hold = k + horizon if tolerances is None else max(rows_read(horizon, k), 3 * k)
     # and a block per 8 held: a slide copies hold rows at most every hold / 8 steps
     width = min(hold + _CHECK_EVERY * (1 + hold // (8 * _CHECK_EVERY)), k + horizon)
     size = rows * width * spec.m * 8

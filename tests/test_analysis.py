@@ -1,6 +1,7 @@
 """Behavior detection, residual sequences, and proof-machinery inequalities."""
 
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from ratsys import (
     residual_shift,
     simulate,
 )
+from ratsys.analysis import _window
 from ratsys.model import EXACT_CYCLE, Trajectory
 
 
@@ -89,33 +91,59 @@ class TestDetectPeriod:
     def test_periodic_witness_has_period_k(self):
         spec = SystemSpec(k=3, A=symmetric_positive_with_rho(np.random.default_rng(3), 2, 1.0))
         traj = simulate(spec, construct_periodic_seed(spec), 600)
-        assert detect_period(traj, max_period=6, per_tol=1e-7, window=10) == 3
+        assert detect_period(traj, per_tol=1e-7) == 3
 
     def test_case3_witness_has_period_2k(self, case3_run):
         _, traj = case3_run
-        assert detect_period(traj, max_period=4, per_tol=1e-7, window=10) == 4
+        assert detect_period(traj, per_tol=1e-7) == 4
 
     def test_constant_trajectory_period_one(self):
         spec = SystemSpec(k=2, A=np.eye(2))
         traj = simulate(spec, InitialConditions(np.ones((2, 2))), 100)
-        assert detect_period(traj, max_period=4, per_tol=1e-7, window=5) == 1
+        assert detect_period(traj, per_tol=1e-7) == 1
 
     def test_no_period_returns_none(self):
         spec = SystemSpec(k=2, A=[[0.9, 0.0], [0.0, 0.2]])
         init = InitialConditions(np.array([[5.0, 1.0], [4.0, 1.0]]))
         traj = simulate(spec, init, 60)
-        assert detect_period(traj, max_period=4, per_tol=1e-9, window=3) is None
+        assert detect_period(traj, per_tol=1e-9) is None
 
-    def test_window_must_fit(self):
-        spec = SystemSpec(k=2, A=np.eye(2))
-        traj = simulate(spec, zero_init(2, 2), 10)
-        with pytest.raises(ValueError, match="horizon"):
-            detect_period(traj, max_period=4, per_tol=1e-7, window=5)
+    def test_run_shorter_than_2k_has_no_window(self):
+        spec = SystemSpec(k=3, A=np.eye(2))
+        for horizon in (1, 5):
+            traj = simulate(spec, InitialConditions(np.ones((3, 2))), horizon)
+            assert detect_period(traj, per_tol=1e-7) is None
+        assert detect_period(simulate(spec, InitialConditions(np.ones((3, 2))), 6), 1e-7) == 1
 
     def test_detection_stable_under_half_window(self, positive_unit_run):
+        # the run cut at half its horizon has a window half as wide
         spec, traj = positive_unit_run
-        p = detect_period(traj, 2 * spec.k, 1e-7, 20)
-        assert p == detect_period(traj, 2 * spec.k, 1e-7, 10)
+        half = Trajectory(spec=spec, values=traj.rows(traj.n_first, traj.horizon // 2))
+        assert detect_period(traj, 1e-7) == detect_period(half, 1e-7)
+
+
+def float_window(horizon, k):
+    """The reference: the tail window as a float formula, 20% of the horizon in blocks of 2k."""
+    blocks = max(math.ceil(0.2 * horizon / (2 * k)), 10)
+    return min(blocks, horizon // (2 * k))
+
+
+class TestWindow:
+    def test_integer_rule_matches_the_float_formula(self):
+        for k in range(2, 9):
+            assert [_window(h, k) for h in range(1, 10**5 + 1)] == [
+                float_window(h, k) for h in range(1, 10**5 + 1)]
+
+    def test_integer_rule_matches_the_float_formula_on_large_horizons(self):
+        # log-uniform horizons up to 1e15, and each one's nearest multiples of
+        # 10k and their neighbours, where the ceiling steps
+        rng = random.Random(0)
+        for _ in range(20_000):
+            k = rng.randint(2, 64)
+            h = int(10 ** rng.uniform(5.0, 15.0))
+            step = 10 * k
+            for horizon in (h, h - h % step - 1, h - h % step, h - h % step + 1):
+                assert _window(horizon, k) == float_window(horizon, k), (horizon, k)
 
 
 class TestDetectUnbounded:
@@ -159,22 +187,17 @@ class TestResidualLinear:
         rng = np.random.default_rng(83)
         spec = SystemSpec(k=3, A=rng.uniform(0.0, 1.0, (2, 2)))
         traj = simulate(spec, random_init(rng, 3, 2), 100)
-        r = residual_linear(traj, spec.A)
+        r = residual_linear(traj)
         assert r.shape == (100,)
         assert (r == 0.0).all()
 
     def test_unit_radius_tail_vanishes(self, positive_unit_run):
-        spec, traj = positive_unit_run
-        assert tail_max(residual_linear(traj, spec.A)) <= 1e-6
+        _, traj = positive_unit_run
+        assert tail_max(residual_linear(traj)) <= 1e-6
 
     def test_contracting_tail_vanishes(self, contracting_run):
-        spec, traj = contracting_run
-        assert tail_max(residual_linear(traj, spec.A)) <= 1e-8
-
-    def test_dimension_mismatch(self, contracting_run):
         _, traj = contracting_run
-        with pytest.raises(ValueError, match="dimension"):
-            residual_linear(traj, np.eye(3))
+        assert tail_max(residual_linear(traj)) <= 1e-8
 
 
 class TestResidualShift:
@@ -386,14 +409,15 @@ def test_cycled_runs_read_like_their_expanded_twins(name):
         same(lambda t: detect_zero_limit(t, zero_tol))
     for threshold in (1e6, 1.5, 1e-3):
         same(lambda t: detect_unbounded(t, threshold))
+    for per_tol in (1e-7, 0.0):
+        same(lambda t: detect_period(t, per_tol))
+    # reads that start past the stored end, just before it, and at the first row
+    for first in (stored + 1, stored - 1, traj.n_first):
+        same(lambda t: t.rows(first, horizon))
     for p in range(1, 2 * k + 2):
-        # windows that start past the stored end, before it, and at the first row
-        for window in (1, 10, horizon // p):
-            for per_tol in (1e-7, 0.0):
-                same(lambda t: detect_period(t, p, per_tol, window))
         same(lambda t: residual_shift(t, p))
         same(lambda t: residue_limits(t, p))
-    same(lambda t: residual_linear(t, spec.A))
+    same(residual_linear)
     if (spec.A == spec.A.T).all():  # the envelope chain needs a symmetric kernel
         same(lambda t: envelope_check(t, spec.A))
     for power_l in range(3):

@@ -226,6 +226,19 @@ class TestEig2:
         assert values[0] == want[0]
         assert values[1] == pytest.approx(want[1], rel=1e-15, abs=0)
 
+    @pytest.mark.parametrize("a,want", [
+        ([[1e308, 1e300], [1e300, -1e308]], [[1.0, 5e-9], [-5e-9, 1.0]]),
+        ([[-1e308, 1e300], [1e300, 1e308]], [[5e-9, 1.0], [1.0, -5e-9]]),
+    ])
+    @pytest.mark.parametrize("decompose", [eig2, eig_symmetric])
+    def test_overflowing_eigenvector_candidate_keeps_its_direction(self, a, want, decompose):
+        # h + e, a coordinate of the longer candidate, passes the largest float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = decompose(np.array(a))
+        assert dec.eigenvectors.tolist() == want
+        assert dec.residual(np.array(a)) == 0.0
+
     def test_ordinary_off_diagonals_keep_the_quotient_form(self):
         # hi * sqrt(lo / hi) decides every kernel whose quotient is a normal float
         rng = np.random.default_rng(47)

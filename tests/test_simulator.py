@@ -1190,8 +1190,10 @@ class TestRunSize:
         assert str(refused.value) == (
             "5 x 225000000068 x 2 trajectory values need 18000000005440 bytes, "
             f"more than the limit of {MAX_RUN_BYTES}")
-        # past the float range rows_read cannot size a window: every row is refused
-        with pytest.raises(ValueError, match=f"5 x {10**400 + 2} x 2 .* more than the limit"):
+        # past the float range too: a fifth of the horizon and 2k, 2 * 10**399 + 4 rows,
+        # and a block per 8 held
+        width = "225" + "0" * 394 + "068"
+        with pytest.raises(ValueError, match=f"5 x {width} x 2 .* more than the limit"):
             simulate_batch(self.SPEC, self.HISTORIES, 10**400, tolerances=Tolerances())
 
 

@@ -168,6 +168,28 @@ def test_window_is_sized_in_one_place():
     assert [(line, name) for line, name in reads if line not in inside] == []
 
 
+def test_tail_window_is_sized_in_one_place():
+    # analysis._window is the one rule of the tail window: no other code in
+    # the package reads its constants, and detect_period, which compares the
+    # window, and rows_read, which sizes the rows held for it, both call it.
+    constants, reads = {"TAIL_PARTS", "MIN_WINDOW_BLOCKS"}, []
+    for path in sorted(SIMULATOR.parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)  # Name or Attribute
+            if name in constants and isinstance(node.ctx, ast.Load):
+                where = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                reads.append((path.name, *where, name))
+        if path.name == "analysis.py":
+            calls = {f.name: {c.func.id for c in ast.walk(f)
+                              if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+                     for f in functions}
+    assert sorted(reads) == [("analysis.py", "_window", "MIN_WINDOW_BLOCKS"),
+                             ("analysis.py", "_window", "TAIL_PARTS")]
+    assert "_window" in calls["detect_period"] and "_window" in calls["rows_read"]
+
+
 @pytest.mark.parametrize("source", [
     "s = sum(x)", "s = x.sum(axis=0)", "s = np.add.reduce(x)", "s = np.add.reduceat(x, i)",
     "s = np.dot(a, b)", "s = a.dot(b)", "s = np.einsum('i,i', a, b)", "s = np.matmul(a, b)",
